@@ -276,6 +276,10 @@ class KMeansIterUdf(_FusedIterUdf):
             distances[:, j] = squared_distance_block(X, centroids[j])
         labels = np.argmin(distances, axis=1) + 1
         for j in range(1, state.k + 1):
+            # A plain gather, which numpy returns row-major: axis-0 sums
+            # over it add rows in order, the row-path GROUP BY arithmetic
+            # the two-scan reference runs.  take_rows would switch these
+            # sums to pairwise and break that bit-identity.
             members = X[labels == j]
             if not members.shape[0]:
                 continue

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.summary import MatrixType, SummaryStatistics
+from repro.dbms.blocks import drop_null_rows, lane_block
 from repro.dbms.database import Database
 from repro.dbms.udf import RowCost
 from repro.errors import ModelError
@@ -91,16 +92,18 @@ class IncrementalSummary:
                 )
             if count == mark:
                 continue
-            block = np.empty((count - mark, d))
-            for out, position in enumerate(self._positions):
-                column = partition.column(position)[mark:]
-                block[:, out] = np.asarray(
-                    [np.nan if v is None else v for v in column], dtype=float
-                )
+            block = lane_block(
+                count - mark,
+                [
+                    [np.nan if v is None else v for v in partition.column(p)[mark:]]
+                    for p in self._positions
+                ],
+            )
             # Match the aggregate UDF: skip rows with any NULL dimension.
-            keep = ~np.isnan(block).any(axis=1)
             delta = delta.merge(
-                SummaryStatistics.from_matrix(block[keep], self.matrix_type)
+                SummaryStatistics.from_matrix(
+                    drop_null_rows(block), self.matrix_type
+                )
             )
             new_rows += count - mark
             self._watermarks[index] = count

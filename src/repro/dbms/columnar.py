@@ -51,6 +51,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.dbms.blocks import lane_block
 from repro.errors import ExportError
 
 _MAGIC = b"RCOL1\n"
@@ -276,12 +277,12 @@ class BlockReader:
         return out
 
     def float_matrix(self, positions: Sequence[int]) -> np.ndarray:
-        """Selected columns as a ``(rows, k)`` float block (NULL→NaN),
-        matching :meth:`repro.dbms.storage.Partition.numeric_matrix`."""
-        out = np.empty((self.rows, len(positions)))
-        for out_index, position in enumerate(positions):
-            out[:, out_index] = self.float_column(position)
-        return out
+        """Selected columns as a lane-major ``(rows, k)`` float block
+        (NULL→NaN), matching
+        :meth:`repro.dbms.storage.Partition.numeric_matrix`."""
+        return lane_block(
+            self.rows, [self.float_column(p) for p in positions]
+        )
 
     def row_tuples(self) -> list[tuple]:
         """All rows, exactly as ``Partition.rows()`` yields them."""

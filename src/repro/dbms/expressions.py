@@ -30,10 +30,12 @@ comparisons; AND/OR follow Kleene logic; WHERE treats unknown as false
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.dbms.blocks import lane_block
 from repro.dbms.functions import SCALAR_BUILTINS, VECTORIZABLE_SCALARS
 from repro.dbms.sql import ast
 from repro.errors import ExecutionError, PlanningError
@@ -344,14 +346,10 @@ def compile_vector_expression(
     scalar UDFs) or ``None`` to fall through to the builtin math table.
     """
     if isinstance(expression, ast.Literal):
-        if expression.value is None:
-            return lambda block: np.full(block.shape[0], np.nan)
-        if isinstance(expression.value, (int, float)) and not isinstance(
-            expression.value, bool
-        ):
-            value = float(expression.value)
-            return lambda block: np.full(block.shape[0], value)
-        return None
+        value = _literal_lane(expression)
+        if value is None:
+            return None
+        return lambda block: np.full(block.shape[0], value)
 
     if isinstance(expression, ast.ColumnRef):
         try:
@@ -416,6 +414,49 @@ def compile_vector_expression(
         return lambda block: math_fn(*(arg(block) for arg in args))
 
     return None
+
+
+def _literal_lane(literal: ast.Literal) -> float | None:
+    """The float a numeric or NULL literal puts in every row of a lane
+    (NULL is NaN); ``None`` for literals blocks cannot hold."""
+    value = literal.value
+    if value is None:
+        return math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def compile_argument_block(
+    arguments: Sequence[ast.Expression],
+    resolver: ColumnResolver,
+    call_compiler: CallCompiler | None = None,
+) -> VectorFunction | None:
+    """Compile a UDF call's argument list to one lane-major matrix.
+
+    The returned function maps a column block to the ``(rows,
+    len(arguments))`` argument block that ``accumulate_block`` /
+    ``compute_batch`` receive.  Literals stay scalars and are stored by
+    broadcast, so a long inlined model-parameter list allocates no
+    column per literal per block.  ``None`` when any argument is outside
+    :func:`compile_vector_expression`'s subset.
+    """
+    lanes = [
+        _literal_lane(argument)
+        if isinstance(argument, ast.Literal)
+        else compile_vector_expression(argument, resolver, call_compiler)
+        for argument in arguments
+    ]
+    if any(lane is None for lane in lanes):
+        return None
+
+    def build(block: np.ndarray) -> np.ndarray:
+        return lane_block(
+            block.shape[0],
+            [lane if isinstance(lane, float) else lane(block) for lane in lanes],
+        )
+
+    return build
 
 
 # ---------------------------------------------------- vector predicates (3VL)

@@ -156,6 +156,13 @@ class AggregateFunction:
         return NotImplemented
 
 
+def _non_null(values: np.ndarray) -> np.ndarray:
+    """The non-NULL entries of one argument lane, in order; the lane
+    itself (no copy) when it holds no NULL."""
+    mask = ~np.isnan(values)
+    return values if mask.all() else values[mask]
+
+
 class _SumAggregate(AggregateFunction):
     def initialize(self) -> Any:
         return None
@@ -179,11 +186,10 @@ class _SumAggregate(AggregateFunction):
     def accumulate_vector(
         self, state: Any, vectors: Sequence[np.ndarray], rows: int
     ) -> Any:
-        values = vectors[0]
-        mask = ~np.isnan(values)
-        if not mask.any():
+        kept = _non_null(vectors[0])
+        if not kept.size:
             return state
-        total = float(values[mask].sum())
+        total = float(kept.sum())
         return total if state is None else state + total
 
 
@@ -232,10 +238,9 @@ class _AvgAggregate(AggregateFunction):
     def accumulate_vector(
         self, state: tuple[float, int], vectors: Sequence[np.ndarray], rows: int
     ) -> tuple[float, int]:
-        values = vectors[0]
-        mask = ~np.isnan(values)
+        kept = _non_null(vectors[0])
         total, count = state
-        return (total + float(values[mask].sum()), count + int(mask.sum()))
+        return (total + float(kept.sum()), count + kept.size)
 
 
 class _MinAggregate(AggregateFunction):
@@ -259,11 +264,10 @@ class _MinAggregate(AggregateFunction):
     def accumulate_vector(
         self, state: Any, vectors: Sequence[np.ndarray], rows: int
     ) -> Any:
-        values = vectors[0]
-        mask = ~np.isnan(values)
-        if not mask.any():
+        kept = _non_null(vectors[0])
+        if not kept.size:
             return state
-        low = float(values[mask].min())
+        low = float(kept.min())
         return low if state is None or low < state else state
 
 
@@ -288,11 +292,10 @@ class _MaxAggregate(AggregateFunction):
     def accumulate_vector(
         self, state: Any, vectors: Sequence[np.ndarray], rows: int
     ) -> Any:
-        values = vectors[0]
-        mask = ~np.isnan(values)
-        if not mask.any():
+        kept = _non_null(vectors[0])
+        if not kept.size:
             return state
-        high = float(values[mask].max())
+        high = float(kept.max())
         return high if state is None or high > state else state
 
 
@@ -345,9 +348,7 @@ class _VarianceAggregate(AggregateFunction):
     def accumulate_vector(
         self, state: _MomentsState, vectors: Sequence[np.ndarray], rows: int
     ) -> _MomentsState:
-        values = vectors[0]
-        mask = ~np.isnan(values)
-        kept = values[mask]
+        kept = _non_null(vectors[0])
         state.n += float(kept.size)
         state.sx += float(kept.sum())
         state.sxx += float((kept * kept).sum())
@@ -384,7 +385,7 @@ class _TwoVariableAggregate(AggregateFunction):
     ) -> _MomentsState:
         xs, ys = vectors[0], vectors[1]
         mask = ~(np.isnan(xs) | np.isnan(ys))
-        x, y = xs[mask], ys[mask]
+        x, y = (xs, ys) if mask.all() else (xs[mask], ys[mask])
         state.n += float(x.size)
         state.sx += float(x.sum())
         state.sy += float(y.sum())

@@ -40,6 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core import factorized as fcore
+from repro.dbms.blocks import take_rows
 from repro.dbms.columnar import BlockReader
 from repro.dbms.expressions import (
     compile_row_expression,
@@ -403,7 +404,7 @@ def _run_project(
         sub = block
     else:
         keep = np.flatnonzero(plan.where_fn(block) == 1.0)
-        sub = block[keep]
+        sub = take_rows(block, keep)
         keep_list = keep.tolist()
     columns: "list[list[Any]]" = []
     for item in plan.items:

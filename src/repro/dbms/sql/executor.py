@@ -40,12 +40,15 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core import factorized as fcore
+from repro.dbms.blocks import drop_null_rows, take_rows
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import CostModel
 from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.metrics import QueryMetrics, StageTimer
 from repro.dbms.expressions import (
+    VectorFunction,
+    compile_argument_block,
     compile_row_expression,
     compile_vector_expression,
     referenced_columns,
@@ -197,7 +200,7 @@ def _fold_vector_block(
         for row_index, key in enumerate(keys):
             index_map.setdefault(key, []).append(row_index)
         for key, row_indices in index_map.items():
-            slice_block = block[np.asarray(row_indices)]
+            slice_block = take_rows(block, np.asarray(row_indices))
             partial = [spec.initialize() for spec in aggregates]
             for index, spec in enumerate(aggregates):
                 partial[index] = spec.accumulate_vector(
@@ -1205,7 +1208,7 @@ class Executor:
                     sub = block
                 else:
                     keep = np.flatnonzero(where_fn(block) == 1.0)
-                    sub = block[keep]
+                    sub = take_rows(block, keep)
                     keep_list = keep.tolist()
                 columns: list[list[Any]] = []
                 for item in plan_items:
@@ -2943,6 +2946,7 @@ class _AggregateSpec:
                     f"{aggregate.arity} arguments, got {len(args)}"
                 )
         self._vector_fns: list | None = None
+        self._argument_block: VectorFunction | None = None
         self._binder = binder
         self._skips_nulls = aggregate.skips_nulls and bool(args)
 
@@ -2969,10 +2973,15 @@ class _AggregateSpec:
         )
 
     def prepare_vector(self, matrix_resolver: Callable[[ast.ColumnRef], int]) -> None:
-        self._vector_fns = [
-            compile_vector_expression(arg, matrix_resolver)
-            for arg in self._arg_exprs
-        ]
+        if self.is_builtin:
+            self._vector_fns = [
+                compile_vector_expression(arg, matrix_resolver)
+                for arg in self._arg_exprs
+            ]
+        else:
+            self._argument_block = compile_argument_block(
+                self._arg_exprs, matrix_resolver
+            )
 
     def initialize(self) -> Any:
         state = self.aggregate.initialize()
@@ -3014,10 +3023,10 @@ class _AggregateSpec:
         return self.aggregate.accumulate(state, args)
 
     def accumulate_vector(self, state: Any, block: np.ndarray) -> Any:
-        assert self._vector_fns is not None
-        vectors = [fn(block) for fn in self._vector_fns]  # type: ignore[misc]
         if self.is_builtin:
+            assert self._vector_fns is not None
             assert isinstance(self.aggregate, AggregateFunction)
+            vectors = [fn(block) for fn in self._vector_fns]  # type: ignore[misc]
             result = self.aggregate.accumulate_vector(
                 state, vectors, block.shape[0]
             )
@@ -3027,12 +3036,8 @@ class _AggregateSpec:
                 )
             return result
         assert isinstance(self.aggregate, AggregateUdf)
-        if vectors:
-            arg_block = np.column_stack(vectors)
-        else:
-            arg_block = np.empty((block.shape[0], 0))
-        if self._skips_nulls and arg_block.size:
-            mask = ~np.isnan(arg_block).any(axis=1)
-            if not mask.all():
-                arg_block = arg_block[mask]
+        assert self._argument_block is not None
+        arg_block = self._argument_block(block)
+        if self._skips_nulls:
+            arg_block = drop_null_rows(arg_block)
         return self.aggregate.accumulate_block(state, arg_block)

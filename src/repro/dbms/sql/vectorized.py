@@ -53,6 +53,7 @@ import numpy as np
 from repro.dbms.catalog import Catalog
 from repro.dbms.expressions import (
     VectorFunction,
+    compile_argument_block,
     compile_row_expression,
     compile_vector_expression,
     compile_vector_predicate,
@@ -328,11 +329,10 @@ def _batch_call_compiler(
             return None
         if udf.arity is not None and len(call.args) != udf.arity:
             return None
-        compiled = [
-            compile_vector_expression(arg, resolver, compile_call)
-            for arg in call.args
-        ]
-        if any(fn is None for fn in compiled):
+        argument_block = compile_argument_block(
+            call.args, resolver, compile_call
+        )
+        if argument_block is None:
             return None
         if udf.name not in batch_udf_names:
             batch_udf_names.append(udf.name)
@@ -340,11 +340,7 @@ def _batch_call_compiler(
         def run(block: np.ndarray) -> np.ndarray:
             if faults.enabled:
                 faults.fire("udf.compute_batch", udf=udf.name)
-            if compiled:
-                stacked = np.column_stack([fn(block) for fn in compiled])
-            else:
-                stacked = np.empty((block.shape[0], 0))
-            return udf.compute_batch(stacked)
+            return udf.compute_batch(argument_block(block))
 
         return run
 

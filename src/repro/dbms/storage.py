@@ -56,6 +56,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.dbms.blocks import lane_block
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.schema import TableSchema
 from repro.dbms.types import coerce_value
@@ -290,7 +291,8 @@ class Partition:
     def numeric_matrix(self, positions: Sequence[int]) -> np.ndarray:
         """The selected columns as a float matrix (NULL becomes NaN).
 
-        Shape is ``(rows, len(positions))``; used by the vectorized
+        Shape is ``(rows, len(positions))``, lane-major (see
+        :mod:`repro.dbms.blocks`); used by the vectorized
         execution paths, which must produce bit-identical results to
         the per-row reference path.  Blocks are cached per column
         selection in an LRU governed by this partition's
@@ -332,7 +334,7 @@ class Partition:
         stats = BlockCacheStats()
         if self._rows == 0 or not key:
             # Zero rows or a zero-column projection: nothing to cache.
-            return np.empty((self._rows, len(key))), stats
+            return self._build_block(key), stats
         cached = self._block_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -352,9 +354,7 @@ class Partition:
                 self._cache_insert(key, reloaded, stats)
                 return reloaded, stats
         self.cache_misses += 1
-        stacked = np.empty((self._rows, len(key)))
-        for out_index, position in enumerate(key):
-            stacked[:, out_index] = self._column_as_floats(position)
+        stacked = self._build_block(key)
         self._cache_insert(key, stacked, stats)
         return stacked, stats
 
@@ -409,7 +409,7 @@ class Partition:
         try:
             spill_dir.mkdir(parents=True, exist_ok=True)
             with path.open("wb") as handle:
-                np.save(handle, np.ascontiguousarray(block))
+                np.save(handle, block)
         except OSError:  # pragma: no cover - disk full / permissions
             return
         self._spilled[key] = path
@@ -435,6 +435,11 @@ class Partition:
                 except OSError:  # pragma: no cover - already gone
                     pass
             self._spilled.clear()
+
+    def _build_block(self, key: tuple[int, ...]) -> np.ndarray:
+        return lane_block(
+            self._rows, [self._column_as_floats(p) for p in key]
+        )
 
     def _column_as_floats(self, position: int) -> np.ndarray:
         column = self._columns[position]

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.core.summary import MatrixType, SummaryStatistics
+from repro.dbms.blocks import lane_block
 from repro.errors import SnapshotInvalidatedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,12 +114,15 @@ class TableSnapshot:
         for partition, pinned in zip(self._partitions, self._pinned_rows):
             if not pinned:
                 continue
-            block = np.empty((pinned, len(positions)))
-            for out_index, position in enumerate(positions):
-                block[:, out_index] = _prefix_as_floats(
-                    partition.column(position), pinned
+            blocks.append(
+                lane_block(
+                    pinned,
+                    [
+                        _prefix_as_floats(partition.column(p), pinned)
+                        for p in positions
+                    ],
                 )
-            blocks.append(block)
+            )
         matrix = (
             np.vstack(blocks) if blocks else np.empty((0, len(positions)))
         )

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.nlq_udf import register_nlq_udfs
 from repro.core.scoring.udfs import register_scoring_udfs
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema, dimension_names
+
+# Tier-1 is the same on every run: hypothesis derives each test's
+# examples from the test itself, not from a random seed or a local
+# example database.  Random exploration is the non-blocking
+# ``hypothesis-explore`` CI job (HYPOTHESIS_PROFILE=explore).
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

@@ -131,6 +131,21 @@ def _close(left, right):
     return left == pytest.approx(right, rel=1e-7, abs=1e-9)
 
 
+def _assert_merge_split_invariant(name, values):
+    factory = AGGREGATE_BUILTINS[name]
+    two_arg = factory().arity == 2
+    if two_arg:
+        rows = [(v, float(i % 7) - 3.0) for i, v in enumerate(values)]
+    else:
+        rows = [(v,) for v in values]
+    whole = factory()
+    expected = whole.finalize(_accumulate_all(whole, rows))
+    for partition_count in (1, 2, 20):
+        aggregate = factory()
+        got = _split_merge_finalize(aggregate, rows, partition_count)
+        assert _close(got, expected), (name, partition_count)
+
+
 class TestMergeSplitInvariant:
     """merge over any 1/2/20-way split must equal whole-data aggregation."""
 
@@ -138,18 +153,26 @@ class TestMergeSplitInvariant:
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(finite_floats, min_size=1, max_size=60))
     def test_builtin_aggregates(self, name, values):
-        factory = AGGREGATE_BUILTINS[name]
-        two_arg = factory().arity == 2
-        if two_arg:
-            rows = [(v, float(i % 7) - 3.0) for i, v in enumerate(values)]
-        else:
-            rows = [(v,) for v in values]
-        whole = factory()
-        expected = whole.finalize(_accumulate_all(whole, rows))
-        for partition_count in (1, 2, 20):
-            aggregate = factory()
-            got = _split_merge_finalize(aggregate, rows, partition_count)
-            assert _close(got, expected), (name, partition_count)
+        _assert_merge_split_invariant(name, values)
+
+    @pytest.mark.xfail(
+        strict=False,
+        reason="ROADMAP open item 'stable moments': _MomentsState keeps "
+        "raw power sums, so corr cancels catastrophically at a 6.8e5 "
+        "offset; needs Welford updates with the Chan parallel merge",
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # the draw the ROADMAP quotes (hypothesis prints 2 decimals)
+            [682784.09, 682803.08, 682840.08],
+            # a neighbour that is red as written: 2-way split differs
+            # from the whole at 3e-7 relative
+            [682803.77, 682796.04, 682819.21],
+        ],
+    )
+    def test_corr_known_red_draw(self, values):
+        _assert_merge_split_invariant("corr", values)
 
     @pytest.mark.parametrize("udf_name", sorted(NLQ_UDF_NAMES.values()))
     @settings(max_examples=10, deadline=None)
