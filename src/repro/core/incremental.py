@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.summary import MatrixType, SummaryStatistics
-from repro.dbms.blocks import drop_null_rows, lane_block
+from repro.dbms.blocks import drop_null_rows
 from repro.dbms.database import Database
 from repro.dbms.udf import RowCost
 from repro.errors import ModelError
@@ -92,13 +90,7 @@ class IncrementalSummary:
                 )
             if count == mark:
                 continue
-            block = lane_block(
-                count - mark,
-                [
-                    [np.nan if v is None else v for v in partition.column(p)[mark:]]
-                    for p in self._positions
-                ],
-            )
+            block = partition.block(self._positions, mark, count)
             # Match the aggregate UDF: skip rows with any NULL dimension.
             delta = delta.merge(
                 SummaryStatistics.from_matrix(

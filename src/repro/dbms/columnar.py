@@ -52,6 +52,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.dbms.blocks import lane_block
+from repro.dbms.lanes import FloatLane, ObjectLane
 from repro.errors import ExportError
 
 _MAGIC = b"RCOL1\n"
@@ -111,41 +112,51 @@ def _classify_column(values: Sequence[Any]) -> tuple[str, bool]:
     return kind or "i8", has_null
 
 
-def _null_bitmap(values: Sequence[Any], rows: int) -> bytes:
-    bits = bytearray((rows + 7) // 8)
-    for index, value in enumerate(values):
-        if value is None:
-            bits[index >> 3] |= 1 << (index & 7)
-    return bytes(bits)
+def encode_block(
+    columns: "Sequence[Sequence[Any] | FloatLane | ObjectLane]",
+    rows: int | None = None,
+) -> bytes:
+    """Serialize columns into one block-file payload.
 
-
-def encode_block(columns: Sequence[Sequence[Any]]) -> bytes:
-    """Serialize per-column value lists into one block-file payload."""
-    rows = len(columns[0]) if columns else 0
-    for column in columns:
-        if len(column) != rows:
-            raise ExportError("columnar block columns differ in length")
+    *columns* are per-column value lists, or a partition's lanes with
+    *rows* its published row count — a typed float lane is written
+    from its own buffer (the in-memory lane, the block-file lane and a
+    spilled block are the same bytes), its NULL mask becoming the
+    bitmap.
+    """
+    if rows is None:
+        rows = len(columns[0]) if columns else 0
+        for column in columns:
+            if len(column) != rows:
+                raise ExportError("columnar block columns differ in length")
     header_columns: list[dict[str, Any]] = []
     lanes: list[bytes] = []
     objects: dict[int, list[Any]] = {}
     offset = 0
     for index, column in enumerate(columns):
-        kind, has_null = _classify_column(column)
-        if kind == "obj":
-            header_columns.append({"kind": "obj"})
-            objects[index] = list(column)
-            continue
-        dtype = "<i8" if kind == "i8" else "<f8"
-        if has_null:
-            filler = 0 if kind == "i8" else 0.0
-            dense = [filler if v is None else v for v in column]
+        if isinstance(column, FloatLane):
+            kind, data = "f8", column.floats(0, rows)
+            nulls = column.nulls(0, rows)
+            if nulls is not None and not nulls.any():
+                nulls = None
         else:
-            dense = list(column)
-        lane = np.asarray(dense, dtype=dtype).tobytes()
+            if isinstance(column, ObjectLane):
+                column = column.values(0, rows)
+            kind, has_null = _classify_column(column)
+            if kind == "obj":
+                header_columns.append({"kind": "obj"})
+                objects[index] = list(column)
+                continue
+            nulls = None
+            if has_null:
+                nulls = np.fromiter((v is None for v in column), bool, rows)
+                column = [0 if v is None else v for v in column]
+            data = np.asarray(column, dtype="<" + kind)
+        lane = data.astype("<" + kind, copy=False).tobytes()
         spec: dict[str, Any] = {"kind": kind, "offset": offset}
         offset += len(lane)
-        if has_null:
-            bitmap = _null_bitmap(column, rows)
+        if nulls is not None:
+            bitmap = np.packbits(nulls, bitorder="little").tobytes()
             lane += bitmap
             spec["nulls"] = offset
             offset += len(bitmap)
@@ -253,8 +264,7 @@ class BlockReader:
 
     def float_column(self, position: int) -> np.ndarray:
         """One column as float64 with NULL as NaN — the exact values
-        :meth:`repro.dbms.storage.Partition._column_as_floats` produces
-        for the same stored column."""
+        the stored column's lane gives (``lane.floats``)."""
         spec = self._columns[position]
         if spec["kind"] == "obj":
             return np.asarray(
@@ -355,12 +365,7 @@ class ColumnarStore:
                 if path.exists():
                     continue
                 partition = table.partitions[index]
-                payload = encode_block(
-                    [
-                        partition.column(position)
-                        for position in range(partition.width)
-                    ]
-                )
+                payload = encode_block(partition.lanes, partition.row_count)
                 atomic_write_bytes(path, payload)
                 self.blocks_written += 1
                 self.bytes_written += len(payload)

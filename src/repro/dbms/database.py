@@ -142,7 +142,7 @@ class Database:
         Optional byte budget shared by every partition block cache of
         this database.  When the cached float blocks outgrow it, LRU
         entries are evicted and **spilled to disk**; later scans reload
-        them as read-only mmaps instead of rebuilding from row lists.
+        them as read-only mmaps instead of rebuilding from the lanes.
         Eviction/spill activity is reported per statement in
         ``QueryMetrics`` (``cache_evictions``, ``blocks_spilled``,
         ``bytes_spilled``).

@@ -112,7 +112,7 @@ class QueryMetrics:
     #: evicted blocks that were spilled to disk instead of discarded
     #: (a spill directory was configured, so the float block can be
     #: reloaded from its spill file via mmap instead of being rebuilt
-    #: from the Python row lists)
+    #: from the column lanes)
     blocks_spilled: int = 0
     #: bytes those spilled blocks occupy on disk
     bytes_spilled: int = 0

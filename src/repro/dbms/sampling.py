@@ -63,8 +63,7 @@ def reservoir_sample(
             rng = np.random.default_rng([seed, pid])
             reservoir: list[list[float]] = []
             seen = 0
-            for row in partition.rows():
-                values = [row[position] for position in positions]
+            for values in zip(*(partition.values(p) for p in positions)):
                 if any(
                     value is None
                     or (isinstance(value, float) and math.isnan(value))

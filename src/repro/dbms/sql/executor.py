@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -91,8 +92,10 @@ class Relation:
 
     ``base_table`` is set when the relation is a pure, unfiltered scan of
     one stored table — the case where partition structure and the vector
-    path are available.  ``row_scale`` carries the cost-model scale of
-    the underlying data through joins and projections.
+    path are available.  ``statement`` is then the SELECT scanning it,
+    whose clauses decide which lanes a row scan reads (:attr:`lanes`).
+    ``row_scale`` carries the cost-model scale of the underlying data
+    through joins and projections.
     """
 
     columns: list[BoundColumn]
@@ -100,6 +103,7 @@ class Relation:
     row_scale: float = 1.0
     base_table: Table | None = None
     _materialized: bool = True
+    statement: "ast.Select | None" = None
 
     @property
     def width(self) -> int:
@@ -117,16 +121,59 @@ class Relation:
 
     def materialize(self) -> "Relation":
         if self.base_table is not None and not self._materialized:
-            self.rows = self.base_table.rows()
+            self.rows = self.base_table.rows(self.lanes)
             self._materialized = True
         return self
+
+    @cached_property
+    def lanes(self) -> "tuple[int, ...] | None":
+        """Column positions a row scan of ``base_table`` reads (``None``
+        = all); the other tuple slots hold
+        :data:`~repro.dbms.lanes.PRUNED`.  Worked out on first use: the
+        vector path never asks."""
+        if self.statement is None:
+            return None
+        return _referenced_lanes(self.statement, self.columns)
+
+    @property
+    def lanes_read(self) -> str:
+        """``k/width`` of the base table's lanes a row scan reads."""
+        width = len(self.columns)
+        read = width if self.lanes is None else len(self.lanes)
+        return f"{read}/{width}"
 
     @property
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
 
 
-def _base_scan(table: Table, binding: str) -> Relation:
+def _referenced_lanes(
+    select: ast.Select, columns: Sequence[BoundColumn]
+) -> "tuple[int, ...] | None":
+    """Positions of the base-table *columns* that *select* references in
+    any clause — what a row scan must read; ``None`` means all (a bare
+    ``*``, this binding's ``t.*``, or every column named)."""
+    expressions = [item.expression for item in select.items]
+    for star in expressions:
+        if isinstance(star, ast.Star) and (
+            star.table is None
+            or any(c.matches(ast.ColumnRef(c.name, star.table)) for c in columns)
+        ):
+            return None
+    expressions.extend(select.group_by)
+    expressions.extend(expr for expr, _ in select.order_by)
+    clauses = (select.where, select.having, *(j.condition for j in select.joins))
+    expressions.extend(clause for clause in clauses if clause is not None)
+    refs = referenced_columns_of_all(expressions)
+    lanes = tuple(
+        position
+        for position, column in enumerate(columns)
+        if any(column.matches(ref) for ref in refs)
+    )
+    return None if len(lanes) == len(columns) else lanes
+
+
+def _base_scan(table: Table, binding: str, statement: ast.Select) -> Relation:
     columns = [BoundColumn(binding, column.name) for column in table.schema.columns]
     return Relation(
         columns=columns,
@@ -134,6 +181,7 @@ def _base_scan(table: Table, binding: str) -> Relation:
         row_scale=table.row_scale,
         base_table=table,
         _materialized=False,
+        statement=statement,
     )
 
 
@@ -665,7 +713,7 @@ class Executor:
             # Duplicates of this statement charge nothing — folding them
             # into one accumulation is the rewrite's analytical saving.
             self._cost.charge_sql_statement(len(select.items))
-            env = _base_scan(table, select.from_sources[0].binding_name)
+            env = _base_scan(table, select.from_sources[0].binding_name, select)
             binder = Binder(env.columns)
             aggregate_calls = self._collect_aggregates(select)
             aggregates = [
@@ -843,6 +891,13 @@ class Executor:
         ]
         faults = self.faults
         need_rows = bool(row_stmts)
+        # One row scan feeds every row statement: read the union of the
+        # lanes they reference.
+        row_lanes: "tuple[int, ...] | None" = None
+        if all(stmt.env.lanes is not None for stmt in row_stmts):
+            row_lanes = tuple(
+                sorted({p for stmt in row_stmts for p in stmt.env.lanes})
+            )
 
         def make_task(pid, partition):
             def task() -> tuple[
@@ -851,7 +906,7 @@ class Executor:
                 scan_start = time.perf_counter()
                 if need_rows and faults.enabled:
                     faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows()) if need_rows else None
+                rows = list(partition.rows(row_lanes)) if need_rows else None
                 blocks: list[Any] = []
                 cache_stats: list[BlockCacheStats] = []
                 for stmt in vector_stmts:
@@ -945,12 +1000,14 @@ class Executor:
             tuple[ast.FromSource, Relation, ast.Expression | None, bool]
         ] = []
         for source in select.from_sources:
-            sources.append((source, self._relation_for_source(source), None, False))
+            sources.append(
+                (source, self._relation_for_source(source, select), None, False)
+            )
         for join in select.joins:
             sources.append(
                 (
                     join.source,
-                    self._relation_for_source(join.source),
+                    self._relation_for_source(join.source, select),
                     join.condition,
                     join.outer,
                 )
@@ -1009,7 +1066,9 @@ class Executor:
             )
         return current
 
-    def _relation_for_source(self, source: ast.FromSource) -> Relation:
+    def _relation_for_source(
+        self, source: ast.FromSource, statement: ast.Select
+    ) -> Relation:
         if isinstance(source, ast.DerivedTable):
             inner = self.execute_select(source.select).materialize()
             # The derived result is spooled and re-read by the outer query
@@ -1032,7 +1091,7 @@ class Executor:
             )
         table = self._catalog.table(source.name)
         self._cost.charge_scan(table.nominal_rows, table.width)
-        return _base_scan(table, binding)
+        return _base_scan(table, binding, statement)
 
     # ------------------------------------------------------------ projection
     def _execute_projection(
@@ -1085,6 +1144,8 @@ class Executor:
             env.materialize()
             if scan_span is not None:
                 scan_span.attributes["rows"] = len(env.rows)
+                if env.base_table is not None:
+                    scan_span.attributes["lanes_read"] = env.lanes_read
         rows = env.rows
         with self.tracer.span("project") as project_span:
             if select.where is not None:
@@ -1176,7 +1237,7 @@ class Executor:
 
         Results concatenate in partition order, so the output row order
         equals the row path's scan order exactly.  Raw column items are
-        served from the partition's Python value lists; block items
+        read from the partition's lanes as Python values; block items
         restore NaN to None (and 1-based subscripts to int) per row.
         """
         table = plan.table
@@ -1213,9 +1274,9 @@ class Executor:
                 columns: list[list[Any]] = []
                 for item in plan_items:
                     if isinstance(item, RawColumnItem):
-                        source = partition.column(item.position)
+                        source = partition.values(item.position)
                         if keep_list is None:
-                            columns.append(list(source))
+                            columns.append(source)
                         else:
                             columns.append([source[i] for i in keep_list])
                     else:
@@ -1794,6 +1855,7 @@ class Executor:
             partials = self._factorized_partition_fold(
                 fact,
                 fold,
+                [*key_positions, *plan.fact_positions],
                 process_fold=(
                     "summary",
                     key_positions,
@@ -1824,6 +1886,7 @@ class Executor:
             partials = self._factorized_partition_fold(
                 fact,
                 fold,
+                [*key_positions, *plan.fact_positions],
                 fire_site=getattr(udf, "fault_site", None),
                 fire_udf=aggregates[0].call.name,
                 process_fold=(
@@ -1856,9 +1919,17 @@ class Executor:
                 rows, key_positions, dim_maps, dim_raws, specs
             )
 
+        fact_terms = [
+            term[1]
+            for spec in specs
+            if spec[0] == "sum"
+            for term in spec[1]
+            if term[0] == "fact"
+        ]
         partials = self._factorized_partition_fold(
             fact,
             fold,
+            [*key_positions, *fact_terms],
             process_fold=(
                 "builtins",
                 key_positions,
@@ -1905,6 +1976,7 @@ class Executor:
             partials = self._factorized_partition_fold(
                 table,
                 fold,
+                [key_position, *feature_positions],
                 process_fold=("dim", key_position, feature_positions),
             )
             merged = fcore.merge_dim_partitions(partials)
@@ -1918,11 +1990,13 @@ class Executor:
         self,
         table: Table,
         fold_rows: "Callable[[list[tuple]], Any]",
+        positions: Sequence[int],
         fire_site: "str | None" = None,
         fire_udf: "str | None" = None,
         process_fold: "tuple | None" = None,
     ) -> list[Any]:
-        """Fan *fold_rows* out as one idempotent task per partition.
+        """Fan *fold_rows* out as one idempotent task per partition,
+        each reading only the lanes at *positions*.
 
         Partials return strictly in partition order; per-task times and
         row counts fold into the statement metrics exactly like the
@@ -1941,7 +2015,7 @@ class Executor:
                 scan_start = time.perf_counter()
                 if faults.enabled:
                     faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows())
+                rows = list(partition.rows(positions))
                 if fire_site is not None and faults.enabled:
                     faults.fire(fire_site, partition=pid, udf=fire_udf)
                 fold_start = time.perf_counter()
@@ -2126,7 +2200,7 @@ class Executor:
                     groups[()] = [spec.initialize() for spec in aggregates]
             with self.tracer.span("aggregate") as span:
                 self._accumulate_rows_partitioned(
-                    env.base_table,
+                    env,
                     aggregates,
                     group_fns,
                     where_fn,
@@ -2147,7 +2221,7 @@ class Executor:
             # runs concurrently when the engine has workers.
             with self.tracer.span("aggregate") as span:
                 self._accumulate_rows_partitioned(
-                    env.base_table,
+                    env,
                     aggregates,
                     group_fns,
                     where_fn,
@@ -2186,7 +2260,7 @@ class Executor:
 
     def _accumulate_rows_partitioned(
         self,
-        table: Table,
+        env: Relation,
         aggregates: list["_AggregateSpec"],
         group_fns: list[Callable[[tuple], Any]],
         where_fn: Callable[[tuple], Any] | None,
@@ -2200,7 +2274,10 @@ class Executor:
         Each task folds its partition's rows into private states; the
         partials merge in partition order, so group keys keep their
         scan-order first appearance and results match any worker count.
+        Only the lanes the statement references are read (``env.lanes``).
         """
+        table, lanes = env.base_table, env.lanes
+        assert table is not None
         numbered = [
             (index, partition)
             for index, partition in enumerate(table.partitions)
@@ -2214,7 +2291,7 @@ class Executor:
                 scan_start = time.perf_counter()
                 if faults.enabled:
                     faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows())
+                rows = list(partition.rows(lanes))
                 accumulate_start = time.perf_counter()
                 local, folded = _fold_rows_into(
                     rows, aggregates, group_fns, where_fn
@@ -2253,6 +2330,7 @@ class Executor:
             groups,
             task_spans=task_spans,
             partition_ids=partition_ids,
+            lanes_read=env.lanes_read,
         )
 
     def _agg_row_payloads(
@@ -2320,6 +2398,7 @@ class Executor:
         task_spans: "list[Span] | None" = None,
         partition_ids: "list[int] | None" = None,
         cached_blocks: "list[bool] | None" = None,
+        lanes_read: "str | None" = None,
     ) -> None:
         """Fold per-partition (partials, rows, scan s, accumulate s) task
         results into *groups*, strictly in partition order.
@@ -2348,7 +2427,10 @@ class Executor:
                     span.attributes["rows"] = folded
                     if cached_blocks is not None:
                         span.attributes["cached_block"] = cached_blocks[index]
-                    span.children.append(Span("scan", seconds=scan_seconds))
+                    scan = Span("scan", seconds=scan_seconds)
+                    if lanes_read is not None:
+                        scan.attributes["lanes_read"] = lanes_read
+                    span.children.append(scan)
                     span.children.append(
                         Span("accumulate", seconds=accumulate_seconds)
                     )

@@ -79,7 +79,9 @@ class PlanNode:
         if self.estimated_seconds:
             line += f"  [est {self.estimated_seconds:.3f}s]"
         if self.span is not None:
-            line += f"  (actual {self.span.seconds * 1e3:.3f} ms)"
+            lanes_read = self.span.attributes.get("lanes_read")
+            lanes = f", lanes_read={lanes_read}" if lanes_read else ""
+            line += f"  (actual {self.span.seconds * 1e3:.3f} ms{lanes})"
         lines = [line]
         for note in self.notes:
             lines.append(f"{pad}  note: {note}")

@@ -72,7 +72,7 @@ from repro.errors import PlanningError
 class RawColumnItem:
     """A bare column-reference select item.
 
-    Served from the partition's raw value lists — not the float block —
+    Served from the partition's lane values — not the float block —
     so INTEGER columns keep exact ints and no value round-trips through
     float64.  ``position`` indexes the table's storage columns.
     """

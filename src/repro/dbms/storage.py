@@ -12,14 +12,16 @@ Python's builtin ``hash``, which is randomized per process for strings),
 so a table loads into the same layout under any ``PYTHONHASHSEED`` and
 after a persistence round-trip.
 
-Data is stored column-wise inside each partition so the vectorized
-execution paths (aggregate accumulation and block-wise SELECT) can hand
-numpy blocks to dense kernels without changing the per-row semantics.
+Data is stored column-wise inside each partition, one lane per column
+(:mod:`repro.dbms.lanes`): FLOAT columns are float64 buffers, so the
+vectorized execution paths (aggregate accumulation and block-wise
+SELECT) build their numpy blocks by copying lanes, and the row path
+converts only the lanes a statement references back to Python values.
 Each partition caches the float block for a given column selection
 until the partition is mutated: repeated scans (iterative algorithms,
-scoring sweeps) then skip the Python-level list→array conversion,
-leaving pure GIL-releasing numpy work for the parallel engine's
-threads.  The cache is an LRU governed by a :class:`BlockCacheConfig`
+scoring sweeps) then skip even the lane copy, leaving pure
+GIL-releasing numpy work for the parallel engine's threads.  The cache
+is an LRU governed by a :class:`BlockCacheConfig`
 (entry capacity, default :data:`BLOCK_CACHE_CAPACITY`; optional byte
 budget shared across every partition of a database; optional spill
 directory) so mixed workloads cannot grow it without bound, and each
@@ -58,8 +60,9 @@ import numpy as np
 
 from repro.dbms.blocks import lane_block
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
+from repro.dbms.lanes import PRUNED, FloatLane, ObjectLane
 from repro.dbms.schema import TableSchema
-from repro.dbms.types import coerce_value
+from repro.dbms.types import SqlType, coerce_value
 from repro.errors import ConstraintViolation, SchemaError
 
 #: default distinct column selections each partition keeps cached as
@@ -187,12 +190,29 @@ def stable_key_hash(key: Any) -> int:
 
 
 class Partition:
-    """One horizontal partition: parallel per-column value lists."""
+    """One horizontal partition: one lane per column.
+
+    *sql_types* picks each lane's representation (FLOAT columns get a
+    typed :class:`~repro.dbms.lanes.FloatLane`); without it every lane
+    holds Python objects.  ``row_count`` is the *published* length: it
+    moves only after every lane holds the new values, so rows below a
+    count a reader pinned never change (see :mod:`repro.dbms.lanes`).
+    """
 
     def __init__(
-        self, width: int, cache_config: BlockCacheConfig | None = None
+        self,
+        width: int,
+        cache_config: BlockCacheConfig | None = None,
+        sql_types: "Sequence[SqlType] | None" = None,
     ) -> None:
-        self._columns: list[list[Any]] = [[] for _ in range(width)]
+        #: the column lanes themselves (the columnar encoder reads the
+        #: typed buffers directly); valid up to :attr:`row_count`
+        self.lanes: "list[FloatLane | ObjectLane]" = [
+            FloatLane()
+            if sql_types is not None and sql_types[position] is SqlType.FLOAT
+            else ObjectLane()
+            for position in range(width)
+        ]
         self._rows = 0
         self._block_cache: "OrderedDict[tuple[int, ...], np.ndarray]" = (
             OrderedDict()
@@ -219,11 +239,11 @@ class Partition:
 
     @property
     def width(self) -> int:
-        return len(self._columns)
+        return len(self.lanes)
 
     def append(self, row: Sequence[Any]) -> None:
-        for column, value in zip(self._columns, row):
-            column.append(value)
+        for lane, value in zip(self.lanes, row):
+            lane.append(value)
         self._rows += 1
         if self._block_cache or self._spilled:
             self._invalidate_cache()
@@ -233,14 +253,13 @@ class Partition:
 
         *columns* must supply every partition column; lengths are
         validated up front so a short column list can never silently
-        desynchronize the per-column value lists.  A zero-width
-        partition accepts only an empty sequence (there is nothing to
-        extend).
+        desynchronize the lanes.  A zero-width partition accepts only
+        an empty sequence (there is nothing to extend).
         """
-        if len(columns) != len(self._columns):
+        if len(columns) != len(self.lanes):
             raise SchemaError(
                 f"extend_columns got {len(columns)} columns for a "
-                f"{len(self._columns)}-column partition"
+                f"{len(self.lanes)}-column partition"
             )
         lengths = {len(column) for column in columns}
         if len(lengths) > 1:
@@ -250,8 +269,8 @@ class Partition:
         added = lengths.pop() if lengths else 0
         if added == 0:
             return
-        for target, source in zip(self._columns, columns):
-            target.extend(source)
+        for lane, source in zip(self.lanes, columns):
+            lane.extend(source)
         self._rows += added
         if self._block_cache or self._spilled:
             self._invalidate_cache()
@@ -270,23 +289,64 @@ class Partition:
                 f"cannot roll back {count} rows from a "
                 f"{self._rows}-row partition"
             )
-        for column in self._columns:
-            del column[-count:]
         self._rows -= count
+        for lane in self.lanes:
+            lane.truncate_tail(count)
         if self._block_cache or self._spilled:
             self._invalidate_cache()
 
-    def column(self, position: int) -> list[Any]:
-        return self._columns[position]
+    def values(
+        self, position: int, start: int = 0, stop: int | None = None
+    ) -> list[Any]:
+        """A fresh list of one column's values in ``[start, stop)``
+        (*stop* defaults to the published row count; NULL is ``None``)."""
+        return self.lanes[position].values(
+            start, self._rows if stop is None else stop
+        )
+
+    def rows(
+        self,
+        positions: "Sequence[int] | None" = None,
+        stop: int | None = None,
+    ) -> Iterator[tuple[Any, ...]]:
+        """The first *stop* rows (default: all published) as tuples.
+
+        With *positions*, only those lanes are read; every other slot
+        holds :data:`~repro.dbms.lanes.PRUNED`, so tuple positions stay
+        the schema's.
+        """
+        stop = self._rows if stop is None else stop
+        if not stop:
+            return iter(())
+        wanted = range(len(self.lanes)) if positions is None else positions
+        return zip(
+            *(
+                lane.values(0, stop)
+                if position in wanted
+                else itertools.repeat(PRUNED, stop)
+                for position, lane in enumerate(self.lanes)
+            )
+        )
+
+    def block(
+        self,
+        positions: Sequence[int],
+        start: int = 0,
+        stop: int | None = None,
+    ) -> np.ndarray:
+        """Rows ``[start, stop)`` of the selected columns as a fresh,
+        uncached lane-major float block (NULL is NaN)."""
+        stop = self._rows if stop is None else stop
+        return lane_block(
+            stop - start,
+            [self.lanes[p].floats(start, stop) for p in positions],
+        )
 
     def has_cached_block(self, positions: Sequence[int]) -> bool:
         """Whether :meth:`numeric_matrix` for this column selection would
         be served from the block cache (EXPLAIN ANALYZE reports this per
         partition task, making repeated-scan speedups visible)."""
         return tuple(positions) in self._block_cache
-
-    def rows(self) -> Iterator[tuple[Any, ...]]:
-        return zip(*self._columns) if self._rows else iter(())
 
     def numeric_matrix(self, positions: Sequence[int]) -> np.ndarray:
         """The selected columns as a float matrix (NULL becomes NaN).
@@ -302,22 +362,6 @@ class Partition:
         """
         return self.numeric_matrix_with_cache_stats(positions)[0]
 
-    def numeric_matrix_with_stats(
-        self, positions: Sequence[int]
-    ) -> tuple[np.ndarray, bool]:
-        """:meth:`numeric_matrix` plus whether it was a cache hit.
-
-        Engine tasks use this variant so each task counts its own hits
-        and misses locally and returns them with its partial result; the
-        coordinator sums the per-task counts in partition order.  The
-        statement's :class:`~repro.dbms.metrics.QueryMetrics` therefore
-        never reads the shared lifetime counters while workers are
-        running — a straggler task abandoned by an earlier statement's
-        timeout cannot tear the accounting.
-        """
-        block, stats = self.numeric_matrix_with_cache_stats(positions)
-        return block, stats.hit
-
     def numeric_matrix_with_cache_stats(
         self, positions: Sequence[int]
     ) -> tuple[np.ndarray, BlockCacheStats]:
@@ -328,13 +372,13 @@ class Partition:
 
         A spill-file reload counts as a *hit*: the block is served from
         the cache's disk tier as a read-only mmap without redoing the
-        list→float conversion.
+        lane copy.
         """
         key = tuple(positions)
         stats = BlockCacheStats()
         if self._rows == 0 or not key:
             # Zero rows or a zero-column projection: nothing to cache.
-            return self._build_block(key), stats
+            return self.block(key), stats
         cached = self._block_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -354,7 +398,7 @@ class Partition:
                 self._cache_insert(key, reloaded, stats)
                 return reloaded, stats
         self.cache_misses += 1
-        stacked = self._build_block(key)
+        stacked = self.block(key)
         self._cache_insert(key, stacked, stats)
         return stacked, stats
 
@@ -436,20 +480,9 @@ class Partition:
                     pass
             self._spilled.clear()
 
-    def _build_block(self, key: tuple[int, ...]) -> np.ndarray:
-        return lane_block(
-            self._rows, [self._column_as_floats(p) for p in key]
-        )
 
-    def _column_as_floats(self, position: int) -> np.ndarray:
-        column = self._columns[position]
-        try:
-            # Fast path: no NULLs — C-level conversion of the whole list.
-            return np.asarray(column, dtype=float)
-        except (TypeError, ValueError):
-            return np.asarray(
-                [np.nan if v is None else v for v in column], dtype=float
-            )
+def _as_list(column: "np.ndarray | list[Any]") -> list[Any]:
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 class Table:
@@ -485,10 +518,7 @@ class Table:
         #: block-cache policy shared by every partition; the catalog
         #: installs the database's config here (same pattern as faults)
         self.cache_config = cache_config or DEFAULT_BLOCK_CACHE
-        self._partitions = [
-            Partition(len(schema), self.cache_config)
-            for _ in range(partitions)
-        ]
+        self._partitions = self._fresh_partitions(partitions)
         self._pk_position = (
             schema.position_of(schema.primary_key)
             if schema.primary_key is not None
@@ -505,6 +535,13 @@ class Table:
         #: happened since it was built, so incremental watermark
         #: refresh is sound; otherwise the entry must rebuild.
         self.data_version = 0
+
+    def _fresh_partitions(self, count: int) -> list[Partition]:
+        sql_types = [column.sql_type for column in self.schema.columns]
+        return [
+            Partition(len(sql_types), self.cache_config, sql_types)
+            for _ in range(count)
+        ]
 
     # ------------------------------------------------------------- properties
     @property
@@ -680,25 +717,29 @@ class Table:
         """Fast bulk load from column arrays (the workload-generator path).
 
         All schema columns must be supplied and be the same length
-        (loading zero rows is a clean no-op).  Rows are striped across
-        partitions in contiguous blocks — equivalent, for scan and
-        aggregation purposes, to hash distribution of a uniformly random
-        key.
+        (loading zero rows is a clean no-op).  Values are coerced to
+        each column's type and every constraint is checked before any
+        partition is touched, so a failed load leaves the table as it
+        was.  Rows are striped across partitions in contiguous blocks —
+        equivalent, for scan and aggregation purposes, to hash
+        distribution of a uniformly random key.
         """
         missing = [c.name for c in self.schema.columns if c.name not in columns]
         if missing:
             raise SchemaError(f"bulk load missing columns: {missing}")
-        ordered = [np.asarray(columns[c.name]) for c in self.schema.columns]
-        lengths = {len(col) for col in ordered}
+        lengths = {len(columns[c.name]) for c in self.schema.columns}
         if len(lengths) > 1:
             raise SchemaError(f"bulk load columns differ in length: {lengths}")
         total = lengths.pop() if lengths else 0
         if total == 0:
             return 0
+        ordered = [
+            self._coerce_bulk_column(columns[c.name], c)
+            for c in self.schema.columns
+        ]
         if self._pk_position is not None:
-            keys = ordered[self._pk_position].tolist()
-            key_set = set(keys)
-            if len(key_set) != len(keys) or key_set & self._pk_values:
+            key_set = set(_as_list(ordered[self._pk_position]))
+            if len(key_set) != total or key_set & self._pk_values:
                 raise ConstraintViolation(
                     f"duplicate primary key values in bulk load into {self.name!r}"
                 )
@@ -708,9 +749,7 @@ class Table:
             start, stop = bounds[index], bounds[index + 1]
             if start == stop:
                 continue
-            partition.extend_columns(
-                [col[start:stop].tolist() for col in ordered]
-            )
+            partition.extend_columns([col[start:stop] for col in ordered])
         self.version += 1
         if self.mutation_listeners:
             # Logged row-wise (schema column order) so replay can
@@ -718,24 +757,53 @@ class Table:
             # bulk_load_arrays to reproduce the striped layout.
             self._notify(
                 "bulk_load",
-                {"rows": list(zip(*(col.tolist() for col in ordered)))},
+                {"rows": list(zip(*(_as_list(col) for col in ordered)))},
             )
         return total
 
-    # ------------------------------------------------------------------ scans
-    def scan(self) -> Iterator[tuple[Any, ...]]:
-        """All rows, partition by partition."""
-        for partition in self._partitions:
-            yield from partition.rows()
+    def _coerce_bulk_column(
+        self, values: "np.ndarray | Sequence[Any]", column: Any
+    ) -> "np.ndarray | list[Any]":
+        """One bulk-load column in its lane's representation: a float64
+        array for a NULL-free FLOAT column, else a list of coerced
+        Python values — :func:`coerce_value` semantics either way."""
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if column.sql_type is SqlType.FLOAT and kind in "fiub":
+            return array.astype(np.float64, copy=False)
+        if (column.sql_type is SqlType.INTEGER and kind in "iu") or (
+            column.sql_type is SqlType.VARCHAR and kind == "U"
+        ):
+            return array.tolist()
+        # Not *array*: numpy turns a list mixing numbers and strings
+        # into all strings.
+        raw = values.tolist() if isinstance(values, np.ndarray) else values
+        coerced = [coerce_value(value, column.sql_type) for value in raw]
+        if not column.nullable and None in coerced:
+            raise ConstraintViolation(
+                f"NULL in NOT NULL column {column.name!r} of {self.name!r}"
+            )
+        return coerced
 
-    def rows(self) -> list[tuple[Any, ...]]:
-        return list(self.scan())
+    # ------------------------------------------------------------------ scans
+    def scan(
+        self, positions: "Sequence[int] | None" = None
+    ) -> Iterator[tuple[Any, ...]]:
+        """All rows, partition by partition (see :meth:`Partition.rows`
+        for *positions*)."""
+        for partition in self._partitions:
+            yield from partition.rows(positions)
+
+    def rows(
+        self, positions: "Sequence[int] | None" = None
+    ) -> list[tuple[Any, ...]]:
+        return list(self.scan(positions))
 
     def column_values(self, name: str) -> list[Any]:
         position = self.schema.position_of(name)
         values: list[Any] = []
         for partition in self._partitions:
-            values.extend(partition.column(position))
+            values.extend(partition.values(position))
         return values
 
     def numeric_matrix(self, columns: Sequence[str]) -> np.ndarray:
@@ -765,10 +833,7 @@ class Table:
         """Remove all rows, keeping the schema and partition layout."""
         for partition in self._partitions:
             partition._invalidate_cache()
-        self._partitions = [
-            Partition(len(self.schema), self.cache_config)
-            for _ in self._partitions
-        ]
+        self._partitions = self._fresh_partitions(len(self._partitions))
         self._pk_values.clear()
         self._next_partition = 0
         self.version += 1

@@ -1,8 +1,10 @@
 """Snapshot-consistent table reads for concurrent serving.
 
 Storage is append-mostly: :meth:`~repro.dbms.storage.Partition.append`
-and ``extend_columns`` only ever add rows at the tail, and the row
-counter is bumped *after* every column holds the new values.  A reader
+and ``extend_columns`` only ever add rows at the tail, a lane that
+outgrows its buffer copies into a new one before swapping the
+reference, and the row counter is bumped *after* every lane holds the
+new values (the lane contract, :mod:`repro.dbms.lanes`).  A reader
 that pins each partition's row count therefore owns an immutable prefix
 — rows ``0..pinned-1`` can never change under concurrent appends, no
 matter how the writer and reader threads interleave.  That is the whole
@@ -25,7 +27,7 @@ Two table operations break the prefix rule and are handled explicitly:
 Snapshots deliberately bypass the partitions' shared block-cache LRU
 (mutating an ``OrderedDict`` from concurrent reader threads is not
 safe) and keep their own per-snapshot block cache instead — repeated
-scoring sweeps over one session still convert each column exactly once.
+scoring sweeps over one session still copy each lane prefix exactly once.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.core.summary import MatrixType, SummaryStatistics
-from repro.dbms.blocks import lane_block
 from repro.errors import SnapshotInvalidatedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,19 +111,11 @@ class TableSnapshot:
         cached = self._blocks.get(positions)
         if cached is not None:
             return cached
-        blocks = []
-        for partition, pinned in zip(self._partitions, self._pinned_rows):
-            if not pinned:
-                continue
-            blocks.append(
-                lane_block(
-                    pinned,
-                    [
-                        _prefix_as_floats(partition.column(p), pinned)
-                        for p in positions
-                    ],
-                )
-            )
+        blocks = [
+            partition.block(positions, 0, pinned)
+            for partition, pinned in zip(self._partitions, self._pinned_rows)
+            if pinned
+        ]
         matrix = (
             np.vstack(blocks) if blocks else np.empty((0, len(positions)))
         )
@@ -135,20 +128,14 @@ class TableSnapshot:
         position = self.schema.position_of(name)
         values: list = []
         for partition, pinned in zip(self._partitions, self._pinned_rows):
-            values.extend(partition.column(position)[:pinned])
+            values.extend(partition.values(position, 0, pinned))
         return values
 
     def rows(self) -> Iterator[tuple]:
         """The pinned rows, in snapshot row order."""
         self.validate()
         for partition, pinned in zip(self._partitions, self._pinned_rows):
-            if not pinned:
-                continue
-            columns = [
-                partition.column(position)[:pinned]
-                for position in range(partition.width)
-            ]
-            yield from zip(*columns)
+            yield from partition.rows(stop=pinned)
 
     def summary(
         self,
@@ -165,20 +152,4 @@ class TableSnapshot:
         return (
             f"TableSnapshot({self.name!r}, version={self.version}, "
             f"rows={self.row_count}, valid={self.is_valid()})"
-        )
-
-
-def _prefix_as_floats(column: "list", pinned: int) -> np.ndarray:
-    """The first *pinned* values of a column list as floats (NULL → NaN).
-
-    The slice is taken first — under the GIL a list slice is atomic, and
-    entries below *pinned* are immutable — so a concurrent append can
-    never tear the conversion.
-    """
-    prefix = column[:pinned]
-    try:
-        return np.asarray(prefix, dtype=float)
-    except (TypeError, ValueError):
-        return np.asarray(
-            [np.nan if v is None else v for v in prefix], dtype=float
         )

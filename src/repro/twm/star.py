@@ -194,7 +194,7 @@ def reservoir_sample_star(
         ]
         positions = [schema.position_of(name) for name in names]
         mapping: dict = {}
-        for row in table.rows():
+        for row in table.scan([key_position, *positions]):
             key = row[key_position]
             if valid_key(key):
                 mapping[key] = tuple(row[position] for position in positions)
@@ -210,6 +210,7 @@ def reservoir_sample_star(
     key_positions = [
         fact.schema.position_of(dim.fact_key) for dim in star.dimensions
     ]
+    read_positions = [*key_positions, *fact_positions]
 
     # Gather values in *columns* order: map each output slot to its arm.
     slots: "list[tuple]" = []
@@ -255,7 +256,7 @@ def reservoir_sample_star(
             rng = np.random.default_rng([seed, pid])
             reservoir: "list[list[float]]" = []
             seen = 0
-            for row in partition.rows():
+            for row in partition.rows(read_positions):
                 keys = []
                 for position, mapping in zip(key_positions, dim_maps):
                     key = row[position]

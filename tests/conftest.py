@@ -48,3 +48,37 @@ def loaded_db(db: Database) -> tuple[Database, np.ndarray, np.ndarray]:
     register_nlq_udfs(db)
     register_scoring_udfs(db)
     return db, X, y
+
+
+# Every SELECT these modules issue is run twice — with the row scan
+# reading only the lanes the statement references, and against
+# full-width rows — and must return identical rows.
+_PRUNING_PARITY_MODULES = {
+    "test_executor_select",
+    "test_executor_aggregate",
+    "test_left_join",
+    "test_update",
+    "test_sql_fuzz",
+}
+
+
+@pytest.fixture(autouse=True)
+def _row_scan_pruning_parity(request, monkeypatch):
+    if request.module.__name__.rpartition(".")[2] not in _PRUNING_PARITY_MODULES:
+        return
+    from repro.dbms.sql import executor
+
+    pruned_execute = Database.execute
+
+    def execute(self, sql, *args, **kwargs):
+        result = pruned_execute(self, sql, *args, **kwargs)
+        if sql.lstrip().upper().startswith("SELECT"):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    executor, "_referenced_lanes", lambda select, columns: None
+                )
+                full_width = pruned_execute(self, sql, *args, **kwargs)
+            assert repr(result.rows) == repr(full_width.rows), sql
+        return result
+
+    monkeypatch.setattr(Database, "execute", execute)

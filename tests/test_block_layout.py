@@ -2,10 +2,12 @@
 
 Four groups of checks:
 
-* every block producer — partition cache (miss, hit, spill reload),
-  whole-table matrix, mmap ``BlockReader``, serving snapshot,
-  incremental refresh, UDF argument matrices and filtered / grouped
-  sub-blocks — hands out F-contiguous float64;
+* every block producer — partition cache (miss, hit, spill reload)
+  over typed float lanes and object lanes, whole-table matrix, mmap
+  ``BlockReader``, serving snapshot, incremental refresh, UDF argument
+  matrices and filtered / grouped sub-blocks — hands out F-contiguous
+  float64, and the in-memory lane, the block file's lane and a spilled
+  block hold the same bytes;
 * every vectorized kernel gives the same answer on a lane-major block
   and on a C-ordered copy of it: bit for bit where the kernel is
   elementwise per lane, within a *derived* reordering bound where it
@@ -162,6 +164,46 @@ class TestEveryProducerIsLaneMajor:
             through_spill = db.execute(sql).scalar()
         with _make_db(rows, 3) as db:
             assert db.execute(sql).scalar() == through_spill
+
+    def test_blocks_are_copies_of_typed_and_object_lanes(self):
+        """Column 0 (``i INTEGER``) is an object lane, the rest are typed
+        float lanes: either way the block is a fresh lane-major copy
+        that later appends cannot reach, for any row range."""
+        with _make_db(_normal_rows(40, 3), 3, amps=2) as db:
+            partition = db.table("x").partitions[0]
+            rows = partition.row_count
+            block = partition.numeric_matrix([0, 2, 3])
+            assert _is_lane_major(block) and block.shape == (rows, 3)
+            lane = partition.lanes[2].floats(0, rows)
+            assert not np.shares_memory(block, lane)
+            np.testing.assert_array_equal(block[:, 1], lane)
+            frozen = block.copy()
+            db.insert_rows("x", [(100 + j, 9.0, 9.0, None) for j in range(500)])
+            np.testing.assert_array_equal(block, frozen)
+            tail = partition.block([3, 1], rows - 5, rows)
+            assert _is_lane_major(tail) and tail.shape == (5, 2)
+            np.testing.assert_array_equal(tail[:, 0], frozen[-5:, 2])
+            grown = partition.numeric_matrix([0, 2, 3])
+            assert _is_lane_major(grown) and np.isnan(grown[rows:, 2]).all()
+            np.testing.assert_array_equal(grown[:rows], frozen)
+
+    def test_memory_lane_block_file_and_spill_are_the_same_bytes(self, tmp_path):
+        rows = _normal_rows(60, 3)
+        rows[7] = (1.0, None, float("nan"))
+        with _make_db(rows, 3, amps=1, block_cache_bytes=256) as db:
+            table = db.table("x")
+            partition = table.partitions[0]
+            partition.numeric_matrix([1, 2, 3])  # over budget: spills
+            spilled = partition.numeric_matrix([1, 2, 3])
+            assert isinstance(spilled, np.memmap)
+            store = ColumnarStore(tmp_path / "blocks")
+            published = store.publish(table)
+            reader = BlockReader(store.block_path("x", published["version"], 0))
+            for index, position in enumerate((1, 2, 3)):
+                lane = partition.lanes[position].floats(0, 60).tobytes()
+                assert spilled[:, index].tobytes() == lane
+                assert reader.float_column(position).tobytes() == lane
+            reader.close()
 
     def test_argument_matrices_and_sub_blocks(self, monkeypatch):
         """What ``accumulate_block`` and ``compute_batch`` receive —
