@@ -1,22 +1,20 @@
-"""Worker-process task bodies for the process-pool partition engine.
+"""Worker-process side of the process-pool partition engine.
 
 A :class:`~repro.dbms.engine.PartitionEngine` with ``kind="process"``
-never pickles partition data.  The executor publishes each table to the
-on-disk columnar format (:mod:`repro.dbms.columnar`) and ships plain
-**descriptors** — ``(store root, table, version, partition id)`` plus a
-picklable plan fragment (AST expressions, aggregate objects, position
-maps).  :func:`run_task` runs in the pool worker: it opens the
-partition's block file via ``mmap`` (cached per worker process),
-recompiles the plan fragment with the *same* compile functions the
-thread path uses (cached per statement fingerprint), folds the
-partition, and returns only the partial state.
-
-Every task body here mirrors its thread-path twin in
-``repro.dbms.sql.executor`` line for line — same fault-site firing
-order, same fold functions (``_fold_rows_into`` / ``_fold_vector_block``
-/ the ``repro.core.factorized`` folds), same result tuple shape — so the
-coordinator's partition-order merge produces bit-identical answers on
-either executor.
+never pickles partition data.  The executor's partition-scan operator
+publishes each table to the on-disk columnar format
+(:mod:`repro.dbms.columnar`) and ships plain **descriptors** — ``(store
+root, table, version, partition id)``, what to read, plus a picklable
+plan fragment (AST expressions, aggregate objects, position maps).
+:func:`run_task` runs in the pool worker: it opens the partition's
+block file via ``mmap`` (cached per worker process), rebuilds the fold
+body from the plan fragment with the *same* compile functions the
+coordinator uses (cached per statement fingerprint), and runs the
+executor's own :func:`~repro.dbms.sql.executor._scan_partition` against
+the mapped block — no task body is re-implemented here, so fault-site
+firing order, folds and result shape are the thread path's by
+construction and the coordinator's partition-order merge is
+bit-identical on either executor.
 
 Fault protocol: the engine ships each attempt a
 :meth:`~repro.dbms.faults.FaultPlan.fork` snapshot; ``run_task``
@@ -31,23 +29,24 @@ home; exceptions that cannot pickle are summarized into a typed
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import time
 from collections import OrderedDict
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.core import factorized as fcore
-from repro.dbms.blocks import take_rows
 from repro.dbms.columnar import BlockReader
-from repro.dbms.expressions import (
-    compile_row_expression,
-    compile_vector_expression,
-)
 from repro.dbms.faults import NULL_FAULTS, FaultPlan
 from repro.dbms.functions import SCALAR_BUILTINS
+from repro.dbms.sql.executor import (
+    _BatchStatement,
+    _fold_factorized,
+    _fold_statements,
+    _project_block,
+    _scan_partition,
+)
+from repro.dbms.sql.vectorized import plan_vectorized_select
 from repro.dbms.storage import BlockCacheStats
 from repro.errors import ExecutionError
 
@@ -124,17 +123,42 @@ class _CatalogShim:
         return self._udfs.get(name.lower())
 
 
-def _reader_for(block: "tuple[str, str, int, int]") -> "tuple[BlockReader, bool]":
-    """The (cached) mmap reader for one published partition block.
+class _PublishedPartition:
+    """The read surface :func:`_scan_partition` uses of a
+    :class:`~repro.dbms.storage.Partition`, over one mmap'd block.
 
-    Returns ``(reader, already_open)`` — the flag feeds the task's
-    cache-hit slot, the process-side analogue of the thread path's
-    partition block-cache hit.
+    A row scan decodes every lane (pruning is a coordinator-side
+    saving); mmap readers never evict or spill, so a block read's cache
+    outcome is just the *cached* flag the coordinator shipped.
     """
+
+    __slots__ = ("_reader", "_cached")
+
+    def __init__(self, reader: BlockReader, cached: bool) -> None:
+        self._reader = reader
+        self._cached = cached
+
+    def rows(self, lanes: Any = None) -> "list[tuple]":
+        return self._reader.row_tuples()
+
+    def values(self, position: int) -> "list[Any]":
+        return self._reader.column_values(position)
+
+    def numeric_matrix_with_cache_stats(
+        self, positions: Any
+    ) -> "tuple[Any, BlockCacheStats]":
+        return (
+            self._reader.float_matrix(positions),
+            BlockCacheStats(hit=self._cached),
+        )
+
+
+def _reader_for(block: "tuple[str, str, int, int]") -> BlockReader:
+    """The (cached) mmap reader for one published partition block."""
     reader = _READERS.get(block)
     if reader is not None:
         _READERS.move_to_end(block)
-        return reader, True
+        return reader
     root, table, version, pid = block
     path = os.path.join(root, table, f"v{version}", f"p{pid}.blk")
     reader = BlockReader(path)
@@ -142,7 +166,7 @@ def _reader_for(block: "tuple[str, str, int, int]") -> "tuple[BlockReader, bool]
     while len(_READERS) > _MAX_READERS:
         _, stale = _READERS.popitem(last=False)
         stale.close()
-    return reader, False
+    return reader
 
 
 def _cache_compiled(key: str, value: Any) -> None:
@@ -154,12 +178,11 @@ def _cache_compiled(key: str, value: Any) -> None:
 def worker_init() -> None:
     """Pool-worker initializer: pay the heavy imports at spawn time.
 
-    Runs in each child before it serves tasks, so a freshly spawned
-    worker never charges numpy/module import time to a real task's
-    wall clock (and therefore to its timeout budget).
+    Resolving this function in the child is what imports this module —
+    numpy and the executor — so every worker, including one spawned
+    after the warm-up tasks were drained, never charges import time to
+    a real task's wall clock (and therefore to its timeout budget).
     """
-    import repro.dbms.sql.executor  # noqa: F401 - imported for side effect
-    import repro.dbms.sql.vectorized  # noqa: F401
 
 
 def warm_worker(seconds: float = 0.0) -> int:
@@ -224,250 +247,59 @@ def run_task(
 def _dispatch(
     payload: "dict[str, Any]", faults: Any, partition: int
 ) -> Any:
+    """Rebuild the fold body *payload* describes and run the executor's
+    partition task against the published block."""
     kind = payload["kind"]
-    reader, already_open = _reader_for(payload["block"])
-    # The cache-hit flag ships from the coordinator ("was this table
-    # version already published when the statement started?") so the
-    # reported hit/miss totals are deterministic at any worker count —
-    # per-process reader caches depend on task scheduling and are not.
-    cached = payload.get("cached", already_open)
-    if kind == "agg-row":
-        return _run_agg_row(payload, faults, partition, reader)
-    if kind == "agg-vector":
-        return _run_agg_vector(payload, faults, partition, reader, cached)
-    if kind == "project":
-        return _run_project(payload, faults, partition, reader, cached)
-    if kind == "fact-fold":
-        return _run_fact_fold(payload, faults, partition, reader)
-    raise ExecutionError(f"unknown process-task kind {kind!r}")
+    if kind == "aggregate":
+        body = _aggregate_body(payload)
+    elif kind == "project":
+        body = _project_body(payload, faults)
+    elif kind == "factorized":
+        body = functools.partial(_fold_factorized, payload["fold"])
+    else:
+        raise ExecutionError(f"unknown process-task kind {kind!r}")
+    source = _PublishedPartition(
+        _reader_for(payload["block"]), payload["cached"]
+    )
+    return _scan_partition(source, partition, faults, payload["reads"], body)
 
 
-# ------------------------------------------------------------ aggregate row
-def _compiled_agg_row(payload: "dict[str, Any]") -> Any:
+def _aggregate_body(payload: "dict[str, Any]") -> Any:
+    """The shared-scan fold of the one statement *payload* describes."""
     key = payload["fingerprint"]
-    cached = _COMPILED.get(key)
-    if cached is not None:
-        return cached
-    # Imported here (not at module top) to keep the worker import cheap
-    # and avoid import cycles: executor imports engine imports this.
-    from repro.dbms.sql.executor import _AggregateSpec
-
-    resolver = _Resolver(payload["resolve"])
-    registry = _Registry(payload["scalar_udfs"])
-    aggregates = [
-        _AggregateSpec(call, aggregate, resolver, registry)
-        for call, aggregate in zip(payload["calls"], payload["aggregates"])
-    ]
-    group_fns = [
-        compile_row_expression(
-            expr, resolver.resolve, registry._scalar_registry
+    stmt = _COMPILED.get(key)
+    if stmt is None:
+        stmt = _BatchStatement(
+            payload["aggregates"],
+            payload["group_exprs"],
+            payload["where"],
+            _Resolver(payload["resolve"]),
+            _Registry(payload["scalar_udfs"]),
         )
-        for expr in payload["group_exprs"]
-    ]
-    where = payload["where"]
-    where_fn = (
-        compile_row_expression(
-            where, resolver.resolve, registry._scalar_registry
-        )
-        if where is not None
-        else None
-    )
-    compiled = (aggregates, group_fns, where_fn)
-    _cache_compiled(key, compiled)
-    return compiled
+        if payload["int_keys"] is not None:
+            stmt.prepare_vector(payload["int_keys"])
+        _cache_compiled(key, stmt)
+    return functools.partial(_fold_statements, [stmt], payload["shared"])
 
 
-def _run_agg_row(
-    payload: "dict[str, Any]",
-    faults: Any,
-    partition: int,
-    reader: BlockReader,
-) -> "tuple[dict, int, float, float]":
-    from repro.dbms.sql.executor import _fold_rows_into
-
-    scan_start = time.perf_counter()
-    if faults.enabled:
-        faults.fire("partition.scan", partition=partition)
-    rows = reader.row_tuples()
-    aggregates, group_fns, where_fn = _compiled_agg_row(payload)
-    accumulate_start = time.perf_counter()
-    local, folded = _fold_rows_into(rows, aggregates, group_fns, where_fn)
-    done = time.perf_counter()
-    return (
-        local,
-        folded,
-        accumulate_start - scan_start,
-        done - accumulate_start,
-    )
-
-
-# --------------------------------------------------------- aggregate vector
-def _compiled_agg_vector(payload: "dict[str, Any]") -> Any:
-    key = payload["fingerprint"]
-    cached = _COMPILED.get(key)
-    if cached is not None:
-        return cached
-    from repro.dbms.sql.executor import _AggregateSpec
-
-    resolver = _Resolver(payload["resolve"])
-    registry = _Registry(payload["scalar_udfs"])
-    matrix = _Resolver(payload["matrix_map"])
-    aggregates = [
-        _AggregateSpec(call, aggregate, resolver, registry)
-        for call, aggregate in zip(payload["calls"], payload["aggregates"])
-    ]
-    for spec in aggregates:
-        spec.prepare_vector(matrix.resolve)
-    group_vector_fns = [
-        compile_vector_expression(expr, matrix.resolve)
-        for expr in payload["group_exprs"]
-    ]
-    compiled = (aggregates, group_vector_fns)
-    _cache_compiled(key, compiled)
-    return compiled
-
-
-def _run_agg_vector(
-    payload: "dict[str, Any]",
-    faults: Any,
-    partition: int,
-    reader: BlockReader,
-    cache_hit: bool,
-) -> "tuple[dict, int, float, float, BlockCacheStats]":
-    from repro.dbms.sql.executor import _fold_vector_block
-
-    scan_start = time.perf_counter()
-    if faults.enabled:
-        faults.fire("block.materialize", partition=partition)
-    block = reader.float_matrix(payload["positions"])
-    if faults.enabled:
-        for site, udf_name in payload["fused"]:
-            faults.fire(site, partition=partition, udf=udf_name)
-    aggregates, group_vector_fns = _compiled_agg_vector(payload)
-    accumulate_start = time.perf_counter()
-    local = _fold_vector_block(
-        block, aggregates, payload["group_exprs"], group_vector_fns
-    )
-    done = time.perf_counter()
-    return (
-        local,
-        block.shape[0],
-        accumulate_start - scan_start,
-        done - accumulate_start,
-        # mmap readers never evict or spill; the hit flag is the
-        # worker-side reader-cache outcome
-        BlockCacheStats(hit=cache_hit),
-    )
-
-
-# ------------------------------------------------------ vectorized project
-def _compiled_project(payload: "dict[str, Any]", faults: Any) -> Any:
+def _project_body(payload: "dict[str, Any]", faults: Any) -> Any:
+    """The projection fold of the SELECT *payload* carries, re-planned
+    against a schema shim.  A compile under an armed fault plan closes
+    over that one task's plan snapshot and is never cached."""
     cacheable = not faults.enabled
     key = payload["fingerprint"]
-    if cacheable:
-        cached = _COMPILED.get(key)
-        if cached is not None:
-            return cached
-    from repro.dbms.sql.vectorized import plan_vectorized_select
-
-    catalog = _CatalogShim(
-        payload["table_name"], payload["schema"], payload["scalar_udfs"]
-    )
-    decision = plan_vectorized_select(catalog, payload["select"], faults)
-    if decision.plan is None:
-        raise ExecutionError(
-            "process worker could not re-plan vectorized select: "
-            f"{decision.reason}"
+    plan = _COMPILED.get(key) if cacheable else None
+    if plan is None:
+        catalog = _CatalogShim(
+            payload["table_name"], payload["schema"], payload["scalar_udfs"]
         )
-    if cacheable:
-        _cache_compiled(key, decision.plan)
-    return decision.plan
-
-
-def _run_project(
-    payload: "dict[str, Any]",
-    faults: Any,
-    partition: int,
-    reader: BlockReader,
-    cache_hit: bool,
-) -> "tuple[list, int, float, float, BlockCacheStats]":
-    from repro.dbms.sql.vectorized import RawColumnItem
-
-    scan_start = time.perf_counter()
-    if faults.enabled:
-        faults.fire("block.materialize", partition=partition)
-    plan = _compiled_project(payload, faults)
-    block = reader.float_matrix(plan.positions)
-    project_start = time.perf_counter()
-    keep_list: "list[int] | None" = None
-    if plan.where_fn is None:
-        sub = block
-    else:
-        keep = np.flatnonzero(plan.where_fn(block) == 1.0)
-        sub = take_rows(block, keep)
-        keep_list = keep.tolist()
-    columns: "list[list[Any]]" = []
-    for item in plan.items:
-        if isinstance(item, RawColumnItem):
-            source = reader.column_values(item.position)
-            if keep_list is None:
-                columns.append(list(source))
-            else:
-                columns.append([source[i] for i in keep_list])
-        else:
-            values = item.fn(sub)
-            if item.integer_result:
-                columns.append(
-                    [None if v != v else int(v) for v in values.tolist()]
-                )
-            else:
-                # v != v is the NaN test; NaN carried NULL.
-                columns.append(
-                    [None if v != v else v for v in values.tolist()]
-                )
-    out = list(zip(*columns)) if columns else []
-    done = time.perf_counter()
-    return (
-        out,
-        block.shape[0],
-        project_start - scan_start,
-        done - project_start,
-        BlockCacheStats(hit=cache_hit),
-    )
-
-
-# --------------------------------------------------------- factorized fold
-def _run_fact_fold(
-    payload: "dict[str, Any]",
-    faults: Any,
-    partition: int,
-    reader: BlockReader,
-) -> "tuple[Any, int, float, float]":
-    scan_start = time.perf_counter()
-    if faults.enabled:
-        faults.fire("partition.scan", partition=partition)
-    rows = reader.row_tuples()
-    fire_site = payload.get("fire_site")
-    if fire_site is not None and faults.enabled:
-        faults.fire(fire_site, partition=partition, udf=payload.get("fire_udf"))
-    fold_start = time.perf_counter()
-    fold = payload["fold"]
-    tag = fold[0]
-    if tag == "dim":
-        partial = fcore.fold_dim_partition(rows, fold[1], fold[2])
-    elif tag == "summary":
-        partial = fcore.fold_summary_fact_partition(
-            rows, fold[1], fold[2], fold[3], fold[4]
-        )
-    elif tag == "fused":
-        partial = fcore.fold_fused_fact_partition(
-            rows, fold[1], fold[2], fold[3], fold[4]
-        )
-    elif tag == "builtins":
-        partial = fcore.fold_builtin_fact_partition(
-            rows, fold[1], fold[2], fold[3], fold[4]
-        )
-    else:
-        raise ExecutionError(f"unknown factorized fold {tag!r}")
-    done = time.perf_counter()
-    return partial, len(rows), fold_start - scan_start, done - fold_start
+        decision = plan_vectorized_select(catalog, payload["select"], faults)
+        plan = decision.plan
+        if plan is None:
+            raise ExecutionError(
+                "process worker could not re-plan vectorized select: "
+                f"{decision.reason}"
+            )
+        if cacheable:
+            _cache_compiled(key, plan)
+    return functools.partial(_project_block, plan.items, plan.where_fn)

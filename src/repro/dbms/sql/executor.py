@@ -14,8 +14,10 @@ as it goes.  Two execution styles coexist:
 
 Aggregation is partition-parallel in the paper's sense: one state per
 partition (AMP), then a partial-result merge — the four run-time stages
-of Section 3.4.  Both aggregation paths build their per-partition
-partials through :class:`repro.dbms.engine.PartitionEngine` tasks, so a
+of Section 3.4.  Every fan-out — both aggregation paths, batched
+statements, block-wise projections, factorized folds — is one call of
+:meth:`Executor._scan_partitions`, which runs one
+:class:`repro.dbms.engine.PartitionEngine` task per partition, so a
 database configured with ``executor_workers > 1`` runs partitions
 concurrently; partials are always merged in partition order, which keeps
 results bit-identical to serial execution.  Real (wall-clock) per-stage
@@ -32,11 +34,12 @@ the table's row scale (see :mod:`repro.dbms.cost`).
 
 from __future__ import annotations
 
+import functools
 import time
 import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.dbms.sql.vectorized import (
     RawColumnItem,
     VectorizedSelectPlan,
     plan_vectorized_select,
+    produces_floats,
 )
 from repro.dbms.sql.planner import (
     AggregateCall,
@@ -185,6 +189,82 @@ def _base_scan(table: Table, binding: str, statement: ast.Select) -> Relation:
     )
 
 
+class _Reads(NamedTuple):
+    """What every partition task of one fan-out reads, in firing order.
+
+    ``rows`` is ``(lanes, sites)`` when the task scans row tuples —
+    *lanes* are the column positions read (``None`` = all), the other
+    tuple slots hold :data:`~repro.dbms.lanes.PRUNED`; ``blocks`` holds
+    one ``(positions, sites)`` per float block.  *sites* are the
+    UDF-declared ``(fault site, udf name)`` pairs armed right after that
+    read.  Plain tuples, so the same value ships to pool workers.
+    """
+
+    rows: "tuple | None" = None
+    blocks: tuple = ()
+
+
+class _TaskResult(NamedTuple):
+    """What one partition task hands back to the coordinator."""
+
+    partial: Any
+    #: rows this task adds to ``rows_processed``
+    rows: int
+    #: whether the partition counts toward ``partitions_processed``
+    productive: bool
+    scan_seconds: float
+    fold_seconds: float
+    cache_stats: "list[BlockCacheStats]"
+
+
+def _scan_partition(
+    source: Any,
+    pid: int,
+    faults: "FaultPlan | NullFaults",
+    reads: _Reads,
+    body: Callable[[Any, "list[tuple] | None", "list[np.ndarray]"], tuple],
+) -> _TaskResult:
+    """The one partition task: read what *reads* names, then fold.
+
+    *source* is a :class:`~repro.dbms.storage.Partition` or a pool
+    worker's view of its published block, so the same function runs on
+    either side of ``engine.map``.  Fault sites fire in a fixed order:
+    ``partition.scan`` and the row read's declared sites, then per block
+    ``block.materialize`` and that block's declared sites.  *body* gets
+    ``(source, rows, blocks)`` and returns the first three fields of the
+    :class:`_TaskResult`; the two ``perf_counter`` deltas are the task's
+    scan and fold stage seconds.
+    """
+    armed = faults.enabled
+    scan_start = time.perf_counter()
+    rows = None
+    if reads.rows is not None:
+        lanes, sites = reads.rows
+        if armed:
+            faults.fire("partition.scan", partition=pid)
+        rows = list(source.rows(lanes))
+        if armed:
+            for site, udf in sites:
+                faults.fire(site, partition=pid, udf=udf)
+    blocks: list[np.ndarray] = []
+    cache_stats = []
+    for positions, sites in reads.blocks:
+        if armed:
+            faults.fire("block.materialize", partition=pid)
+        block, stats = source.numeric_matrix_with_cache_stats(positions)
+        if armed:
+            for site, udf in sites:
+                faults.fire(site, partition=pid, udf=udf)
+        blocks.append(block)
+        cache_stats.append(stats)
+    fold_start = time.perf_counter()
+    folded = body(source, rows, blocks)
+    done = time.perf_counter()
+    return _TaskResult(
+        *folded, fold_start - scan_start, done - fold_start, cache_stats
+    )
+
+
 def _fold_rows_into(
     rows: Sequence[tuple],
     aggregates: list["_AggregateSpec"],
@@ -194,10 +274,10 @@ def _fold_rows_into(
     """Fold *rows* into a fresh per-group partial-state dict.
 
     The single row-path accumulation loop: partition tasks call it for
-    one partition's rows, and batched statements call it once per
-    statement against the same materialized rows — one source of truth,
-    so a batched statement's partials are the very floats its serial
-    execution would produce.  Returns ``(partials, rows folded)``.
+    one partition's rows (once per statement of a shared scan), and the
+    serial path calls it for a materialized relation — one source of
+    truth, so a batched statement's partials are the very floats its
+    serial execution would produce.  Returns ``(partials, rows folded)``.
     """
     local: dict[tuple, list[Any]] = {}
     folded = 0
@@ -218,82 +298,249 @@ def _fold_rows_into(
 def _fold_vector_block(
     block: "np.ndarray",
     aggregates: list["_AggregateSpec"],
-    group_exprs: list[ast.Expression],
     group_vector_fns: list[Any],
+    int_keys: Sequence[bool],
 ) -> dict[tuple, list[Any]]:
-    """Fold one partition's column block into per-group partial states.
+    """Fold one partition's column block into per-group partial states
+    — the vector-path counterpart of :func:`_fold_rows_into`.
 
-    Vector-path counterpart of :func:`_fold_rows_into`, shared between
-    ``_accumulate_vectorized`` and the batch shared scan for the same
-    bit-parity reason.
+    Group keys must be the row path's: a NaN key is the one NULL group,
+    and a key is an ``int`` exactly when its expression is integer-typed
+    (*int_keys*, inferred once per expression at plan time) — a FLOAT
+    key ``1.0`` stays a float.  The NULL test is one ``isnan().any()``
+    per key array; only a block that holds a NULL key pays per value.
     """
-    local: dict[tuple, list[Any]] = {}
-    if not group_exprs:
-        partial = [spec.initialize() for spec in aggregates]
-        for index, spec in enumerate(aggregates):
-            partial[index] = spec.accumulate_vector(partial[index], block)
-        local[()] = partial
-    else:
-        key_arrays = [fn(block) for fn in group_vector_fns]
-        # Integral float keys become ints so vector- and row-path group
-        # keys compare equal (i MOD k on an INTEGER column).
-        keys = [
-            tuple(
-                int(v) if isinstance(v, float) and v.is_integer() else v
-                for v in key
-            )
-            for key in zip(*(array.tolist() for array in key_arrays))
+
+    def fold(sub: "np.ndarray") -> list[Any]:
+        return [
+            spec.accumulate_vector(spec.initialize(), sub)
+            for spec in aggregates
         ]
-        index_map: dict[tuple, list[int]] = {}
-        for row_index, key in enumerate(keys):
-            index_map.setdefault(key, []).append(row_index)
-        for key, row_indices in index_map.items():
-            slice_block = take_rows(block, np.asarray(row_indices))
-            partial = [spec.initialize() for spec in aggregates]
-            for index, spec in enumerate(aggregates):
-                partial[index] = spec.accumulate_vector(
-                    partial[index], slice_block
-                )
-            local[key] = partial
-    return local
+
+    if not group_vector_fns:
+        return {(): fold(block)}
+    key_columns = []
+    for fn, integer in zip(group_vector_fns, int_keys):
+        array = fn(block)
+        values = array.tolist()
+        if np.isnan(array).any():
+            # v != v is the NaN test; NaN carried NULL.
+            values = [
+                None if v != v else int(v) if integer else v for v in values
+            ]
+        elif integer:
+            values = [int(v) for v in values]
+        key_columns.append(values)
+    index_map: dict[tuple, list[int]] = {}
+    for row_index, key in enumerate(zip(*key_columns)):
+        index_map.setdefault(key, []).append(row_index)
+    return {
+        key: fold(take_rows(block, np.asarray(row_indices)))
+        for key, row_indices in index_map.items()
+    }
+
+
+def _fold_statements(
+    statements: "list[_BatchStatement]",
+    shared: bool,
+    source: Any,
+    rows: "list[tuple] | None",
+    blocks: "list[np.ndarray]",
+) -> tuple[list[dict[tuple, list[Any]]], int, bool]:
+    """Shared-scan fold body: one partial-state dict per statement.
+
+    Row statements fold the task's one row scan, vector statements their
+    own block (in statement order).  Rows counted are the partition's
+    physical rows — read ONCE however many statements they fed, the
+    number the shared scan is for — except for a lone row-path statement
+    outside a batch, which reports the rows that passed its WHERE.
+    """
+    counted = len(rows) if rows is not None else blocks[0].shape[0]
+    vector_blocks = iter(blocks)
+    locals_out = []
+    for stmt in statements:
+        if stmt.use_vector:
+            local = _fold_vector_block(
+                next(vector_blocks),
+                stmt.aggregates,
+                stmt.group_vector_fns,
+                stmt.int_keys,
+            )
+        else:
+            local, folded = _fold_rows_into(
+                rows, stmt.aggregates, stmt.group_fns, stmt.where_fn
+            )
+            if not shared:
+                counted = folded
+        locals_out.append(local)
+    return locals_out, counted, any(locals_out)
+
+
+def _project_block(
+    items: "Sequence[RawColumnItem | BlockItem]",
+    where_fn: "VectorFunction | None",
+    source: Any,
+    rows: None,
+    blocks: "list[np.ndarray]",
+) -> tuple[list[tuple], int, bool]:
+    """Projection fold body: apply the WHERE truth vector to the block,
+    then evaluate the select items as numpy functions (filter first,
+    then project — so, like the row path, item expressions never see
+    filtered-out rows).  Raw column items are read from the source's
+    lanes as Python values; block items restore NaN to None (and 1-based
+    subscripts to int) per row."""
+    (block,) = blocks
+    keep_list: list[int] | None = None
+    if where_fn is None:
+        sub = block
+    else:
+        keep = np.flatnonzero(where_fn(block) == 1.0)
+        sub = take_rows(block, keep)
+        keep_list = keep.tolist()
+    columns: list[list[Any]] = []
+    for item in items:
+        if isinstance(item, RawColumnItem):
+            values = source.values(item.position)
+            if keep_list is not None:
+                values = [values[i] for i in keep_list]
+        elif item.integer_result:
+            # v != v is the NaN test; NaN carried NULL.
+            values = [
+                None if v != v else int(v) for v in item.fn(sub).tolist()
+            ]
+        else:
+            values = [None if v != v else v for v in item.fn(sub).tolist()]
+        columns.append(values)
+    return (list(zip(*columns)) if columns else []), block.shape[0], True
+
+
+#: the factorized partition folds, by the tag leading a fold tuple.  One
+#: ``(tag, *arguments)`` tuple declares a shape: it drives the
+#: in-process fold and ships to pool workers as is.
+_FACTORIZED_FOLDS = {
+    "dim": fcore.fold_dim_partition,
+    "summary": fcore.fold_summary_fact_partition,
+    "fused": fcore.fold_fused_fact_partition,
+    "builtins": fcore.fold_builtin_fact_partition,
+}
+
+
+def _fold_factorized(
+    fold: tuple, source: Any, rows: "list[tuple]", blocks: list
+) -> tuple[Any, int, bool]:
+    """Factorized fold body: run the fold *fold* declares over *rows*."""
+    tag, *arguments = fold
+    return _FACTORIZED_FOLDS[tag](rows, *arguments), len(rows), bool(rows)
 
 
 class _BatchStatement:
-    """Per-statement state threaded through a consolidated batch.
+    """One aggregate statement's fold state in a shared scan.
 
-    One of these exists per *distinct* statement (duplicates share it):
-    its compiled accessors, its accumulation strategy, its group states,
-    and finally its result relation.
+    Compiled accessors, the path it rides, its group states and finally
+    its result relation.  A single-statement aggregate is a shared scan
+    of one; in a batch one exists per *distinct* statement (duplicates
+    share it).  A pool worker rebuilds the same object from the shipped
+    descriptor: *binder* then only needs ``resolve`` and *registry*
+    ``_scalar_registry``, and *aggregates* pairs each call with its
+    aggregate object.
     """
 
     def __init__(
         self,
-        select: ast.Select,
-        env: Relation,
-        binder: "Binder",
-        aggregates: "list[_AggregateSpec]",
-        group_exprs: list[ast.Expression],
-        group_fns: list[Callable[[tuple], Any]],
-        where_fn: Callable[[tuple], Any] | None,
+        aggregates: "Iterable[tuple[AggregateCall, Any]]",
+        group_exprs: Sequence[ast.Expression],
+        where: "ast.Expression | None",
+        binder: Any,
+        registry: Any,
+        select: "ast.Select | None" = None,
+        env: "Relation | None" = None,
     ) -> None:
         self.select = select
         self.env = env
         self.binder = binder
-        self.aggregates = aggregates
-        self.group_exprs = group_exprs
-        self.group_fns = group_fns
-        self.where_fn = where_fn
+        self.aggregates = [
+            _AggregateSpec(call, aggregate, binder, registry)
+            for call, aggregate in aggregates
+        ]
+        self.group_exprs = list(group_exprs)
+        self.group_fns = [
+            compile_row_expression(
+                expr, binder.resolve, registry._scalar_registry
+            )
+            for expr in self.group_exprs
+        ]
+        self.where = where
+        self.where_fn = (
+            compile_row_expression(
+                where, binder.resolve, registry._scalar_registry
+            )
+            if where is not None
+            else None
+        )
         self.groups: dict[tuple, list[Any]] = {}
         #: served whole from the summary cache (no scan participation)
         self.served = False
-        #: rides the vector path inside the shared scan (decided with
-        #: exactly the serial eligibility test)
-        self.use_vector = False
         self.result: Relation | None = None
-        # Vector-path compilation products (set by _batch_fan_out).
-        self.vector_positions: list[int] = []
+        #: rides the vector path (set by :meth:`prepare_vector`; a
+        #: degraded scan clears it and every statement folds rows)
+        self.use_vector = False
+        self.vector_positions: tuple[int, ...] = ()
         self.group_vector_fns: list[Any] = []
-        self.fused_udfs: list[tuple[str, str]] = []
+        self.int_keys: tuple[bool, ...] = ()
+        self.fused_sites: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def block_expressions(self) -> list[ast.Expression]:
+        """What the vector path evaluates per block: every aggregate
+        call and group key (never the WHERE — a filtered statement folds
+        rows)."""
+        return [spec.call.call for spec in self.aggregates] + self.group_exprs
+
+    def reset(self) -> None:
+        """Blank group states.  SQL semantics: a grand aggregate always
+        yields one row, so its state exists before any partial merges."""
+        self.groups = {}
+        if not self.group_exprs:
+            self.groups[()] = [spec.initialize() for spec in self.aggregates]
+
+    def prepare_vector(self, int_keys: Sequence[bool]) -> None:
+        """Put the statement on the vector path: compile its group keys
+        and aggregate arguments against the block of the columns they
+        reference.  Aggregates that declare a fault site (the fused
+        clustering iteration UDFs) have it armed per task, between block
+        materialization and accumulation."""
+        needed = referenced_columns_of_all(self.block_expressions)
+        resolver = _matrix_resolver(needed)
+        self.vector_positions = tuple(
+            self.binder.resolve(ref) for ref in needed
+        )
+        self.group_vector_fns = [
+            compile_vector_expression(expr, resolver)
+            for expr in self.group_exprs
+        ]
+        for spec in self.aggregates:
+            spec.prepare_vector(resolver)
+        self.int_keys = tuple(int_keys)
+        self.fused_sites = tuple(
+            (site, spec.call.name)
+            for spec in self.aggregates
+            if (site := getattr(spec.aggregate, "fault_site", None))
+        )
+        self.use_vector = True
+
+    def merge(self, local: dict[tuple, list[Any]]) -> None:
+        """Merge one partition's partials.  Called strictly in partition
+        order, so group keys keep their scan-order first appearance and
+        results are bit-identical at any worker count."""
+        for key, partial in local.items():
+            states = self.groups.get(key)
+            if states is None:
+                self.groups[key] = partial
+            else:
+                for position, spec in enumerate(self.aggregates):
+                    states[position] = spec.merge(
+                        states[position], partial[position]
+                    )
 
 
 class Executor:
@@ -353,56 +600,177 @@ class Executor:
         #: in-process closures
         self.columnar_store: "Any | None" = None
 
-    # ----------------------------------------------------------- supervision
-    def _engine_map(
+    # ------------------------------------------------ partition-scan operator
+    def _scan_partitions(
         self,
-        tasks: Sequence[Callable[[], Any]],
-        spans: "list[Span] | None" = None,
-        partition_ids: "Sequence[int] | None" = None,
-        payloads: "Sequence[Any] | None" = None,
+        table: Table,
+        reads: _Reads,
+        body: Callable[[Any, "list[tuple] | None", "list[np.ndarray]"], tuple],
+        descriptor: "Callable[[], dict[str, Any]] | str" = (
+            "no descriptor for this fold"
+        ),
+        stage: str = "accumulate",
+        attributes: "dict[str, Any] | None" = None,
     ) -> list[Any]:
-        """Run per-partition scan tasks on the engine, folding the
-        engine's retry/timeout counters into this statement's metrics —
-        also when the map fails (a degraded statement still reports the
-        retries its failed attempt spent)."""
+        """The one partition fan-out: every non-empty partition of
+        *table* runs :func:`_scan_partition` — read what *reads* names,
+        fold with *body* — and the partials return in partition order,
+        so whatever the caller merges left to right is bit-identical at
+        any worker count (docs/parallel_engine.md, "The partition-scan
+        operator").
+
+        Everything around the fold lives here, once: fault-site arming,
+        the scan/fold timing, the engine call with its process
+        descriptors, the counters, and — under tracing — each task
+        span's ``partition``/``rows``/``cached_block``/``lanes_read``
+        and its ``scan`` + *stage* children, built from the *same*
+        deltas added to the metrics in the same order, so span totals
+        and stage totals are identical floats.  *descriptor* builds the
+        picklable plan fragment a pool worker recompiles *body* from, or
+        is the reason this fold has none; *attributes* ride on every
+        task span.
+        """
+        partitions = table.partitions
+        partition_ids = [
+            pid
+            for pid, partition in enumerate(partitions)
+            if partition.row_count
+        ]
+        tasks = [
+            functools.partial(
+                _scan_partition, partitions[pid], pid, self.faults, reads, body
+            )
+            for pid in partition_ids
+        ]
+        payloads = self._process_payloads(
+            table, descriptor, reads, partition_ids
+        )
+        metrics = self.last_metrics
         engine = self.engine
+        task_spans: list[Span] | None = None
+        if self.tracer.enabled:
+            task_spans = []
+            # Checked before the tasks run (they populate the cache), so
+            # ANALYZE shows which partitions served a pre-built block.
+            cached_blocks = [
+                all(
+                    partitions[pid].has_cached_block(positions)
+                    for positions, _ in reads.blocks
+                )
+                for pid in partition_ids
+            ]
         try:
-            # Every executor fan-out is a pure partition scan, so the
-            # engine's bounded retries may safely re-run a task.
-            return engine.map(
+            # Every fan-out is a pure partition scan, so the engine's
+            # bounded retries may safely re-run a task.
+            results = engine.map(
                 tasks,
-                spans,
+                task_spans,
                 idempotent=True,
                 partition_ids=partition_ids,
                 payloads=payloads,
             )
         finally:
-            self.last_metrics.task_retries += engine.last_task_retries
-            self.last_metrics.task_timeouts += engine.last_task_timeouts
+            # Also when the map fails: a degraded statement still
+            # reports the retries its failed attempt spent.
+            metrics.task_retries += engine.last_task_retries
+            metrics.task_timeouts += engine.last_task_timeouts
+        metrics.parallel_tasks += len(tasks)
+        for result in results:
+            metrics.scan_seconds += result.scan_seconds
+            if stage == "project":
+                metrics.project_seconds += result.fold_seconds
+            else:
+                metrics.accumulate_seconds += result.fold_seconds
+            metrics.rows_processed += result.rows
+            metrics.partitions_processed += result.productive
+            # Each task reports its own block-cache outcome, so the
+            # statement totals are assembled from per-task locals in
+            # partition order — immune to a straggler task from another
+            # statement racing the shared partition counters.
+            for stats in result.cache_stats:
+                self._fold_cache_stats(stats)
+        partials = [result.partial for result in results]
+        if task_spans is None:
+            return partials
+        self.tracer.attach(task_spans)
+        lanes_read = None
+        declared = tuple(site for _, sites in reads.blocks for site in sites)
+        if reads.rows is not None:
+            lanes, sites = reads.rows
+            read = table.width if lanes is None else len(set(lanes))
+            lanes_read = f"{read}/{table.width}"
+            declared = tuple(sites) + declared
+        for index, (span, result) in enumerate(zip(task_spans, results)):
+            span.attributes["partition"] = partition_ids[index]
+            span.attributes["rows"] = result.rows
+            if attributes:
+                span.attributes.update(attributes)
+            if reads.blocks:
+                span.attributes["cached_block"] = cached_blocks[index]
+            if declared:
+                # Zero-cost marker child so ANALYZE shows which tasks ran
+                # a fused clustering iteration (``_operator_spans`` skips
+                # spans under tasks, so pairing is unaffected).
+                marker = ",".join(udf for _, udf in declared)
+                span.children.append(
+                    Span("fused-iteration", attributes={"udf": marker})
+                )
+            scan = Span("scan", seconds=result.scan_seconds)
+            if lanes_read is not None:
+                scan.attributes["lanes_read"] = lanes_read
+            span.children.append(scan)
+            span.children.append(Span(stage, seconds=result.fold_seconds))
+        return partials
 
-    def _published_for_process(self, table: Table) -> "dict | None":
-        """Columnar block descriptor for *table*, or None when this
-        fan-out must stay on in-process closures (thread engine, no
-        store installed, or publish failed — e.g. an unencodable
-        value)."""
-        if not self.engine.uses_processes or self.columnar_store is None:
+    def _process_payloads(
+        self,
+        table: Table,
+        descriptor: "Callable[[], dict[str, Any]] | str",
+        reads: _Reads,
+        partition_ids: Sequence[int],
+    ) -> "list[dict[str, Any]] | None":
+        """Process-pool payloads for one fan-out, or None to run the
+        in-process closures.  A payload is *descriptor*'s plan fragment
+        plus the statement fingerprint, *reads* and the partition's
+        published block address — the rows travel through the mmap'd
+        columnar block, never through pickle.  The one place that
+        decides "closures or descriptors", so a refusal is recorded in
+        ``engine.last_process_fallback`` (None when descriptors ship)."""
+        engine = self.engine
+        if not engine.uses_processes or self.columnar_store is None:
+            return None
+        if isinstance(descriptor, str):
+            engine.last_process_fallback = descriptor
             return None
         try:
-            return self.columnar_store.publish(table)
-        except Exception:  # pragma: no cover - defensive: fall back
+            published = self.columnar_store.publish(table)
+        except Exception as exc:  # e.g. an unencodable value
+            engine.last_process_fallback = (
+                f"publish failed: {_describe_failure(exc)}"
+            )
             return None
+        engine.last_process_fallback = None
+        base = {
+            **descriptor(),
+            "fingerprint": uuid.uuid4().hex,
+            "reads": reads,
+            # Whether this table version was already published when the
+            # statement started: the block-cache hit/miss workers report,
+            # deterministic at any worker count.
+            "cached": not published["fresh"],
+        }
+        address = (published["root"], published["table"], published["version"])
+        return [{**base, "block": (*address, pid)} for pid in partition_ids]
 
     def _shippable_scalar_udfs(
-        self, expressions: "Sequence[ast.Expression | None]"
-    ) -> "dict[str, Any] | None":
+        self, expressions: Sequence[ast.Expression]
+    ) -> "dict[str, Any]":
         """Registered scalar UDFs referenced by *expressions*, keyed by
-        lowercase name, for shipping to worker processes.  Returns None
-        when a referenced UDF exists but cannot be resolved — the
-        caller must then keep the fan-out in-process."""
+        lowercase name, for shipping to worker processes.  One that does
+        not pickle fails the engine's pickle probe, which keeps the
+        fan-out on threads and records why."""
         shipped: dict[str, Any] = {}
         for expression in expressions:
-            if expression is None:
-                continue
             for node in ast.walk(expression):
                 if not isinstance(node, ast.FuncCall):
                     continue
@@ -423,6 +791,45 @@ class Executor:
         metrics.cache_evictions += stats.evictions
         metrics.blocks_spilled += stats.spilled_blocks
         metrics.bytes_spilled += stats.spilled_bytes
+
+    # ----------------------------------------------------------- degradation
+    def _vector_then_row(
+        self,
+        operator: str,
+        vector: "Callable[[], Any] | None",
+        row: "Callable[[str | None], Any]",
+    ) -> Any:
+        """Run the *vector* attempt (None: not eligible), degrading to
+        the reference *row* path once on any failure.
+
+        Graceful degradation: the block path is an optimization, never a
+        correctness requirement.  A runtime failure (kernel bug, injected
+        fault, task timeout) retries on the row path with the failed
+        attempt's metrics unwound, so the statement reports row-path
+        numbers plus the fallback itself.  *row* gets the fallback
+        reason, None when nothing failed; its own failures propagate.
+        """
+        reason: str | None = None
+        if vector is not None:
+            snapshot = self.last_metrics.to_dict()
+            try:
+                return vector()
+            except Exception as exc:
+                reason = self._degrade(operator, snapshot, exc)
+        return row(reason)
+
+    def _degrade(
+        self, operator: str, snapshot: "dict[str, Any]", exc: BaseException
+    ) -> str:
+        """Record one degradation — the only place that does: mark the
+        failed attempt's *operator* span, unwind its metrics to
+        *snapshot*, count the fallback.  Returns the reason text."""
+        self._note_failed_span(operator, exc)
+        self._rollback_metrics(snapshot)
+        reason = _describe_failure(exc)
+        self.last_metrics.fallbacks += 1
+        self.last_metrics.fallback_reason = reason
+        return reason
 
     def _rollback_metrics(self, snapshot: "dict[str, Any]") -> None:
         """Restore metrics to *snapshot*, keeping the retry/timeout
@@ -714,39 +1121,11 @@ class Executor:
             # into one accumulation is the rewrite's analytical saving.
             self._cost.charge_sql_statement(len(select.items))
             env = _base_scan(table, select.from_sources[0].binding_name, select)
-            binder = Binder(env.columns)
-            aggregate_calls = self._collect_aggregates(select)
-            aggregates = [
-                _AggregateSpec(
-                    call, self._aggregate_object(call.name), binder, self
+            prepared.append(
+                self._prepare_statement(
+                    select, env, self._collect_aggregates(select)
                 )
-                for call in aggregate_calls
-            ]
-            group_exprs = list(select.group_by)
-            group_fns = [
-                compile_row_expression(
-                    expr, binder.resolve, self._scalar_registry
-                )
-                for expr in group_exprs
-            ]
-            where_fn = (
-                compile_row_expression(
-                    select.where, binder.resolve, self._scalar_registry
-                )
-                if select.where is not None
-                else None
             )
-            stmt = _BatchStatement(
-                select, env, binder, aggregates, group_exprs, group_fns, where_fn
-            )
-            served = self._serve_from_summary_cache(select, env, aggregates)
-            if served is not None:
-                stmt.groups = {(): [served]}
-                stmt.served = True
-            elif not group_exprs:
-                # SQL semantics: a grand aggregate always yields one row.
-                stmt.groups[()] = [spec.initialize() for spec in aggregates]
-            prepared.append(stmt)
 
         scan_statements = [stmt for stmt in prepared if not stmt.served]
         if scan_statements:
@@ -754,9 +1133,7 @@ class Executor:
             # per-statement charge serial execution makes in
             # _relation_for_source.
             self._cost.charge_scan(table.nominal_rows, table.width)
-            for stmt in scan_statements:
-                stmt.use_vector = self._batch_statement_vector_ready(stmt)
-            self._batch_shared_scan(table, scan_statements)
+            self._shared_scan(table, scan_statements, batch=True)
             for stmt in scan_statements:
                 self._charge_aggregate_costs(
                     stmt.select, stmt.env, stmt.aggregates, len(stmt.groups)
@@ -779,220 +1156,187 @@ class Executor:
             )
         return [prepared[position].result for position in decision.assignment]
 
-    def _batch_statement_vector_ready(self, stmt: "_BatchStatement") -> bool:
-        """Exactly the vector-eligibility test serial execution applies.
+    def _prepare_statement(
+        self,
+        select: ast.Select,
+        env: Relation,
+        aggregate_calls: list[AggregateCall],
+    ) -> "_BatchStatement":
+        """Compile one aggregate statement's fold state and decide the
+        path it rides: served from the summary cache, the vector path
+        (a partitioned base scan that passes the one eligibility test),
+        or rows."""
+        binder = Binder(env.columns)
+        stmt = _BatchStatement(
+            (
+                (call, self._aggregate_object(call.name))
+                for call in aggregate_calls
+            ),
+            select.group_by,
+            select.where,
+            binder,
+            self,
+            select,
+            env,
+        )
+        served = self._serve_from_summary_cache(select, env, stmt.aggregates)
+        if served is not None:
+            # The cache (or its incremental watermark refresh) already
+            # charged exactly the rows it re-read, so the per-row
+            # aggregation charges are skipped along with the scan.
+            stmt.groups = {(): [served]}
+            stmt.served = True
+            return stmt
+        stmt.reset()
+        table = env.base_table
+        if (
+            table is not None
+            and not env._materialized
+            and self._vector_eligible(stmt)
+        ):
+            stmt.prepare_vector(
+                [
+                    not produces_floats(expr, self._catalog, table, binder)
+                    for expr in stmt.group_exprs
+                ]
+            )
+        return stmt
+
+    def _vector_eligible(self, stmt: "_BatchStatement") -> bool:
+        """The one vector-eligibility test (docs/vectorized_execution.md
+        lists what each clause costs): no WHERE, every aggregate and
+        group key compiles to a block function, and every referenced
+        base column is numeric — blocks are float matrices.
 
         Per statement, not per batch: vector- and row-path results are
         each bit-identical to their serial counterpart but not to each
         other, so a batched statement must ride the same path its serial
         execution would.
         """
+        columns = stmt.env.base_table.schema.columns
         return (
             stmt.where_fn is None
             and all(spec.vector_ready for spec in stmt.aggregates)
-            and self._vector_group_keys_ready(stmt.group_exprs, stmt.binder)
-            and self._referenced_columns_numeric(
-                stmt.env, stmt.aggregates, stmt.group_exprs, stmt.binder
+            and all(
+                compile_vector_expression(
+                    expr, _matrix_resolver(referenced_columns(expr))
+                )
+                is not None
+                for expr in stmt.group_exprs
+            )
+            and all(
+                columns[stmt.binder.resolve(ref)].sql_type.is_numeric
+                for ref in referenced_columns_of_all(stmt.block_expressions)
             )
         )
 
-    def _batch_shared_scan(
-        self, table: Table, statements: "list[_BatchStatement]"
+    def _shared_scan(
+        self, table: Table, statements: "list[_BatchStatement]", batch: bool
     ) -> None:
-        """One fan-out feeding every statement's accumulators.
+        """One partition-parallel pass feeding every statement's
+        accumulators; a single-statement aggregate (``batch=False``) is
+        a shared scan of one.
 
-        Mirrors the serial degradation contract: if any statement rides
-        the vector path and the fan-out fails, the whole batch rolls
-        back (metrics too, minus real retry/timeout counts) and retries
-        once with every statement on the row path; an all-row batch
-        propagates, as the serial row path does.
+        Each task reads its partition once — one row scan over the union
+        of the lanes the row statements reference, plus one column block
+        per vector statement — and folds every statement's partials with
+        the same fold helpers.  Partials merge strictly in partition
+        order per statement, so each statement's result is bit-identical
+        to its serial execution at any worker count.
+
+        Degradation: if any statement rides the vector path and the
+        fan-out fails, the whole scan rolls back (metrics too, minus
+        real retry/timeout counts) and retries once with every statement
+        on the row path; an all-row scan propagates its failure.
         """
-        if any(stmt.use_vector for stmt in statements):
-            snapshot = self.last_metrics.to_dict()
-            try:
-                with self.tracer.span("aggregate") as span:
-                    self._batch_fan_out(table, statements)
-                    if span is not None:
-                        span.attributes["strategy"] = "shared-scan"
-                        span.attributes["statements"] = len(statements)
-                return
-            except Exception as exc:
-                fallback_reason = _describe_failure(exc)
-                self._note_failed_span("aggregate", exc)
-                self._rollback_metrics(snapshot)
-                self.last_metrics.fallbacks += 1
-                self.last_metrics.fallback_reason = fallback_reason
+
+        def scan(fallback_reason: "str | None" = None) -> None:
+            if fallback_reason is not None:
                 for stmt in statements:
-                    stmt.groups.clear()
-                    if not stmt.group_exprs:
-                        stmt.groups[()] = [
-                            spec.initialize() for spec in stmt.aggregates
-                        ]
+                    stmt.reset()
                     stmt.use_vector = False
-            with self.tracer.span("aggregate") as span:
-                self._batch_fan_out(table, statements)
-                if span is not None:
-                    span.attributes["strategy"] = "shared-scan row (fallback)"
-                    span.attributes["fallback_reason"] = fallback_reason
-                    span.attributes["statements"] = len(statements)
-            return
-        with self.tracer.span("aggregate") as span:
-            self._batch_fan_out(table, statements)
-            if span is not None:
-                span.attributes["strategy"] = "shared-scan"
-                span.attributes["statements"] = len(statements)
-
-    def _batch_fan_out(
-        self, table: Table, statements: "list[_BatchStatement]"
-    ) -> None:
-        """One partition-parallel pass feeding N accumulator sets per task.
-
-        Each task reads its partition once — rows if any statement is on
-        the row path, plus one column block per vector statement — and
-        folds every statement's partials with the same fold helpers the
-        serial paths use.  Partials merge strictly in partition order
-        per statement, so each statement's result is bit-identical to
-        its serial execution at any worker count.
-        """
-        row_stmts = [stmt for stmt in statements if not stmt.use_vector]
-        vector_stmts = [stmt for stmt in statements if stmt.use_vector]
-        for stmt in vector_stmts:
-            needed = referenced_columns_of_all(
-                [spec.call.call for spec in stmt.aggregates]
-                + list(stmt.group_exprs)
-            )
-            resolver_map = {
-                (ref.table, ref.name.lower()): index
-                for index, ref in enumerate(needed)
-            }
-            stmt.vector_positions = [stmt.binder.resolve(ref) for ref in needed]
-
-            def matrix_resolver(
-                ref: ast.ColumnRef, _map=resolver_map
-            ) -> int:
-                return _map[(ref.table, ref.name.lower())]
-
-            stmt.group_vector_fns = [
-                compile_vector_expression(expr, matrix_resolver)
-                for expr in stmt.group_exprs
-            ]
-            for spec in stmt.aggregates:
-                spec.prepare_vector(matrix_resolver)
-            stmt.fused_udfs = [
-                (site, spec.call.name)
-                for spec in stmt.aggregates
-                if (site := getattr(spec.aggregate, "fault_site", None))
-            ]
-
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        faults = self.faults
-        need_rows = bool(row_stmts)
-        # One row scan feeds every row statement: read the union of the
-        # lanes they reference.
-        row_lanes: "tuple[int, ...] | None" = None
-        if all(stmt.env.lanes is not None for stmt in row_stmts):
-            row_lanes = tuple(
-                sorted({p for stmt in row_stmts for p in stmt.env.lanes})
-            )
-
-        def make_task(pid, partition):
-            def task() -> tuple[
-                list[dict], list[BlockCacheStats], int, float, float
-            ]:
-                scan_start = time.perf_counter()
-                if need_rows and faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows(row_lanes)) if need_rows else None
-                blocks: list[Any] = []
-                cache_stats: list[BlockCacheStats] = []
-                for stmt in vector_stmts:
-                    if faults.enabled:
-                        faults.fire("block.materialize", partition=pid)
-                    block, stats = partition.numeric_matrix_with_cache_stats(
-                        stmt.vector_positions
-                    )
-                    if faults.enabled:
-                        for site, udf_name in stmt.fused_udfs:
-                            faults.fire(site, partition=pid, udf=udf_name)
-                    blocks.append(block)
-                    cache_stats.append(stats)
-                accumulate_start = time.perf_counter()
-                locals_out: list[dict[tuple, list[Any]]] = []
-                vector_index = 0
-                for stmt in statements:
-                    if stmt.use_vector:
-                        local = _fold_vector_block(
-                            blocks[vector_index],
-                            stmt.aggregates,
-                            stmt.group_exprs,
-                            stmt.group_vector_fns,
-                        )
-                        vector_index += 1
-                    else:
-                        local, _ = _fold_rows_into(
-                            rows, stmt.aggregates, stmt.group_fns, stmt.where_fn
-                        )
-                    locals_out.append(local)
-                done = time.perf_counter()
-                return (
-                    locals_out,
-                    cache_stats,
-                    partition.row_count,
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
+            row_stmts = [stmt for stmt in statements if not stmt.use_vector]
+            lanes: "tuple[int, ...] | None" = None
+            if all(stmt.env.lanes is not None for stmt in row_stmts):
+                lanes = tuple(
+                    sorted({p for stmt in row_stmts for p in stmt.env.lanes})
                 )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        task_spans: list[Span] | None = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(tasks, task_spans, partition_ids)
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(tasks, partition_ids=partition_ids)
-        metrics = self.last_metrics
-        metrics.parallel_tasks += len(numbered)
-        for result in results:
-            for stats in result[1]:
-                self._fold_cache_stats(stats)
-        with self.tracer.span("merge") as merge_span, StageTimer(
-            metrics, "merge", merge_span
-        ):
-            for index, result in enumerate(results):
-                locals_out, _, scanned, scan_seconds, accumulate_seconds = result
-                metrics.scan_seconds += scan_seconds
-                metrics.accumulate_seconds += accumulate_seconds
-                # Physical rows read ONCE per partition, however many
-                # statements they fed — the number the shared scan is for.
-                metrics.rows_processed += scanned
-                if any(locals_out):
-                    metrics.partitions_processed += 1
-                if task_spans is not None:
-                    span = task_spans[index]
-                    span.attributes["partition"] = partition_ids[index]
-                    span.attributes["rows"] = scanned
-                    span.attributes["statements"] = len(statements)
-                    span.children.append(Span("scan", seconds=scan_seconds))
-                    span.children.append(
-                        Span("accumulate", seconds=accumulate_seconds)
+            reads = _Reads(
+                rows=(lanes, ()) if row_stmts else None,
+                blocks=tuple(
+                    (stmt.vector_positions, stmt.fused_sites)
+                    for stmt in statements
+                    if stmt.use_vector
+                ),
+            )
+            with self.tracer.span("aggregate") as span:
+                partials = self._scan_partitions(
+                    table,
+                    reads,
+                    functools.partial(_fold_statements, statements, batch),
+                    functools.partial(
+                        self._aggregate_descriptor, statements[0], batch
                     )
-                for stmt, local in zip(statements, locals_out):
-                    for key, partial in local.items():
-                        states = stmt.groups.get(key)
-                        if states is None:
-                            stmt.groups[key] = partial
-                        else:
-                            for position, spec in enumerate(stmt.aggregates):
-                                states[position] = spec.merge(
-                                    states[position], partial[position]
-                                )
+                    if len(statements) == 1
+                    else f"shared scan of {len(statements)} statements",
+                    attributes=(
+                        {"statements": len(statements)} if batch else None
+                    ),
+                )
+                with self.tracer.span("merge") as merge_span, StageTimer(
+                    self.last_metrics, "merge", merge_span
+                ):
+                    for locals_out in partials:
+                        for stmt, local in zip(statements, locals_out):
+                            stmt.merge(local)
+                if span is None:
+                    return
+                if batch:
+                    strategy = (
+                        "shared-scan"
+                        if fallback_reason is None
+                        else "shared-scan row (fallback)"
+                    )
+                elif fallback_reason is not None:
+                    strategy = "row-partitioned (fallback)"
+                elif statements[0].use_vector:
+                    strategy = "vectorized"
+                else:
+                    strategy = "row-partitioned"
+                span.attributes["strategy"] = strategy
+                if fallback_reason is not None:
+                    span.attributes["fallback_reason"] = fallback_reason
+                if batch:
+                    span.attributes["statements"] = len(statements)
+                else:
+                    span.attributes["groups"] = len(statements[0].groups)
+
+        vector = any(stmt.use_vector for stmt in statements)
+        self._vector_then_row("aggregate", scan if vector else None, scan)
+
+    def _aggregate_descriptor(
+        self, stmt: "_BatchStatement", batch: bool
+    ) -> "dict[str, Any]":
+        """The picklable fragment a pool worker rebuilds *stmt* from:
+        only ASTs, aggregate objects and a column-resolution map."""
+        expressions = stmt.block_expressions
+        if stmt.where is not None:
+            expressions.append(stmt.where)
+        return {
+            "kind": "aggregate",
+            "aggregates": [
+                (spec.call, spec.aggregate) for spec in stmt.aggregates
+            ],
+            "group_exprs": stmt.group_exprs,
+            "where": stmt.where,
+            "resolve": {
+                (ref.table, ref.name.lower()): stmt.binder.resolve(ref)
+                for ref in referenced_columns_of_all(expressions)
+            },
+            "scalar_udfs": self._shippable_scalar_udfs(expressions),
+            "int_keys": stmt.int_keys if stmt.use_vector else None,
+            "shared": batch,
+        }
 
     # ------------------------------------------------------ FROM environment
     def _build_from_environment(self, select: ast.Select) -> Relation:
@@ -1108,36 +1452,46 @@ class Executor:
         )
         self._charge_scalar_udf_calls(charged_expressions, env.nominal_rows)
 
-        # All analytical charges above are identical for both paths —
-        # the block path is a pure wall-clock optimization, invisible to
-        # the simulated-seconds benchmarks.
-        fallback_reason: str | None = None
+        # All analytical charges are identical for both paths — the
+        # block path is a pure wall-clock optimization, invisible to the
+        # simulated-seconds benchmarks.
+        plan: "VectorizedSelectPlan | None" = None
         if (
             self.vectorized_select
             and env.base_table is not None
             and not env._materialized
         ):
-            decision = plan_vectorized_select(self._catalog, select, self.faults)
-            if decision.plan is not None:
-                snapshot = self.last_metrics.to_dict()
-                try:
-                    return self._execute_projection_vectorized(
-                        env, binder, items, decision.plan, select
-                    )
-                except Exception as exc:
-                    # Graceful degradation: the block path is an
-                    # optimization, never a correctness requirement.  A
-                    # runtime failure (kernel bug, injected fault, task
-                    # timeout) retries on the reference row path once,
-                    # with the failed attempt's metrics unwound so the
-                    # statement reports row-path numbers plus the
-                    # fallback itself.
-                    fallback_reason = _describe_failure(exc)
-                    self._note_failed_span("project", exc)
-                    self._rollback_metrics(snapshot)
-                    self.last_metrics.fallbacks += 1
-                    self.last_metrics.fallback_reason = fallback_reason
+            plan = plan_vectorized_select(
+                self._catalog, select, self.faults
+            ).plan
+        out_rows, source_rows = self._vector_then_row(
+            "project",
+            None
+            if plan is None
+            else functools.partial(self._project_blocks, select, plan),
+            functools.partial(self._project_rows, select, env, binder, items),
+        )
+        out_columns = [
+            BoundColumn(None, output_name(item, position))
+            for position, item in enumerate(items)
+        ]
+        self._cost.charge_spool_rows(len(out_rows) * env.row_scale, len(out_columns))
+        result = Relation(
+            columns=out_columns, rows=out_rows, row_scale=env.row_scale
+        )
+        # ORDER BY may reference source columns not in the select list.
+        return result, _OrderContext(source_rows, binder, None)
 
+    def _project_rows(
+        self,
+        select: ast.Select,
+        env: Relation,
+        binder: Binder,
+        items: Sequence[ast.SelectItem],
+        fallback_reason: "str | None",
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The reference row projection; returns the output rows and the
+        filtered source rows ORDER BY may still need."""
         with self.tracer.span("scan") as scan_span, StageTimer(
             self.last_metrics, "scan", scan_span
         ):
@@ -1167,212 +1521,53 @@ class Executor:
                     project_span.attributes["strategy"] = "row (fallback)"
                     project_span.attributes["fallback_reason"] = fallback_reason
                 project_span.attributes["rows"] = len(out_rows)
-        out_columns = [
-            BoundColumn(None, output_name(item, position))
-            for position, item in enumerate(items)
-        ]
-        self._cost.charge_spool_rows(len(out_rows) * env.row_scale, len(out_columns))
-        result = Relation(
-            columns=out_columns, rows=out_rows, row_scale=env.row_scale
-        )
-        # ORDER BY may reference source columns not in the select list.
-        order_context = _OrderContext(rows, binder, None)
-        return result, order_context
+        return out_rows, rows
 
-    def _project_payloads(
-        self,
-        select: "ast.Select | None",
-        plan: VectorizedSelectPlan,
-        partition_ids: Sequence[int],
-    ) -> "list[dict] | None":
-        """Process-pool descriptors for a block-wise projection, or None
-        to keep it in-process.  Workers re-plan the SELECT against a
+    def _project_blocks(
+        self, select: ast.Select, plan: VectorizedSelectPlan
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The block-wise projection: each partition task materializes
+        its column block and runs :func:`_project_block`.  Results
+        concatenate in partition order, so the output row order equals
+        the row path's scan order exactly.  No source rows return: the
+        planner guaranteed ORDER BY resolves against the output columns.
+        """
+        with self.tracer.span("project") as project_span:
+            partials = self._scan_partitions(
+                plan.table,
+                _Reads(blocks=((tuple(plan.positions), ()),)),
+                functools.partial(_project_block, plan.items, plan.where_fn),
+                functools.partial(
+                    self._project_descriptor, select, plan.table
+                ),
+                stage="project",
+                attributes={"strategy": "vectorized-scan"},
+            )
+            out_rows = [row for rows in partials for row in rows]
+            if project_span is not None:
+                project_span.attributes["strategy"] = "vectorized-scan"
+                project_span.attributes["rows"] = len(out_rows)
+        return out_rows, []
+
+    def _project_descriptor(
+        self, select: ast.Select, table: Table
+    ) -> "dict[str, Any]":
+        """What a pool worker needs to re-plan the SELECT against a
         schema shim with the same planner, so the compiled block
         functions are recreated (closures don't pickle) yet identical."""
-        table = plan.table
-        published = self._published_for_process(table)
-        if published is None or select is None:
-            return None
         expressions: list[ast.Expression] = [
             item.expression for item in select.items
         ]
         if select.where is not None:
             expressions.append(select.where)
         expressions.extend(expr for expr, _ in select.order_by)
-        base = {
+        return {
             "kind": "project",
-            "fingerprint": uuid.uuid4().hex,
             "select": select,
             "table_name": table.name,
             "schema": table.schema,
             "scalar_udfs": self._shippable_scalar_udfs(expressions),
-            "cached": not published["fresh"],
         }
-        return [
-            {
-                **base,
-                "block": (
-                    published["root"],
-                    published["table"],
-                    published["version"],
-                    pid,
-                ),
-            }
-            for pid in partition_ids
-        ]
-
-    def _execute_projection_vectorized(
-        self,
-        env: Relation,
-        binder: Binder,
-        items: Sequence[ast.SelectItem],
-        plan: VectorizedSelectPlan,
-        select: "ast.Select | None" = None,
-    ) -> "tuple[Relation, _OrderContext]":
-        """Run one block-wise projection: one engine task per non-empty
-        partition, each materializing its column block, applying the
-        WHERE truth vector, and evaluating the select items as numpy
-        functions (filter first, then project — so, like the row path,
-        item expressions never see filtered-out rows).
-
-        Results concatenate in partition order, so the output row order
-        equals the row path's scan order exactly.  Raw column items are
-        read from the partition's lanes as Python values; block items
-        restore NaN to None (and 1-based subscripts to int) per row.
-        """
-        table = plan.table
-        positions = plan.positions
-        where_fn = plan.where_fn
-        plan_items = plan.items
-
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
-
-        def make_task(pid, partition):
-            def task() -> tuple[
-                list[tuple], int, float, float, BlockCacheStats
-            ]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("block.materialize", partition=pid)
-                block, stats = partition.numeric_matrix_with_cache_stats(
-                    positions
-                )
-                project_start = time.perf_counter()
-                keep_list: list[int] | None = None
-                if where_fn is None:
-                    sub = block
-                else:
-                    keep = np.flatnonzero(where_fn(block) == 1.0)
-                    sub = take_rows(block, keep)
-                    keep_list = keep.tolist()
-                columns: list[list[Any]] = []
-                for item in plan_items:
-                    if isinstance(item, RawColumnItem):
-                        source = partition.values(item.position)
-                        if keep_list is None:
-                            columns.append(source)
-                        else:
-                            columns.append([source[i] for i in keep_list])
-                    else:
-                        values = item.fn(sub)
-                        if item.integer_result:
-                            columns.append(
-                                [
-                                    None if v != v else int(v)
-                                    for v in values.tolist()
-                                ]
-                            )
-                        else:
-                            # v != v is the NaN test; NaN carried NULL.
-                            columns.append(
-                                [
-                                    None if v != v else v
-                                    for v in values.tolist()
-                                ]
-                            )
-                out = list(zip(*columns)) if columns else []
-                done = time.perf_counter()
-                return (
-                    out,
-                    block.shape[0],
-                    project_start - scan_start,
-                    done - project_start,
-                    stats,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads = self._project_payloads(select, plan, partition_ids)
-        metrics = self.last_metrics
-        out_rows: list[tuple] = []
-        with self.tracer.span("project") as project_span:
-            task_spans: list[Span] | None = None
-            cached_blocks: list[bool] | None = None
-            if self.tracer.enabled:
-                # Checked before the tasks run (they populate the
-                # cache), so ANALYZE shows pre-built blocks.
-                cached_blocks = [
-                    partition.has_cached_block(positions)
-                    for partition in partitions
-                ]
-                task_spans = []
-                results = self._engine_map(
-                    tasks, task_spans, partition_ids, payloads=payloads
-                )
-                self.tracer.attach(task_spans)
-            else:
-                results = self._engine_map(
-                    tasks, partition_ids=partition_ids, payloads=payloads
-                )
-            metrics.parallel_tasks += len(partitions)
-            for index, result in enumerate(results):
-                rows, scanned, scan_seconds, project_seconds, stats = result
-                metrics.scan_seconds += scan_seconds
-                metrics.project_seconds += project_seconds
-                metrics.rows_processed += scanned
-                metrics.partitions_processed += 1
-                # Each task reports its own block-cache outcome, so the
-                # statement totals are assembled from per-task locals in
-                # partition order — immune to a straggler task from
-                # another statement racing the shared partition
-                # counters.
-                self._fold_cache_stats(stats)
-                if task_spans is not None:
-                    span = task_spans[index]
-                    span.attributes["partition"] = numbered[index][0]
-                    span.attributes["rows"] = len(rows)
-                    span.attributes["strategy"] = "vectorized-scan"
-                    if cached_blocks is not None:
-                        span.attributes["cached_block"] = cached_blocks[index]
-                    span.children.append(Span("scan", seconds=scan_seconds))
-                    span.children.append(
-                        Span("project", seconds=project_seconds)
-                    )
-                out_rows.extend(rows)
-            if project_span is not None:
-                project_span.attributes["strategy"] = "vectorized-scan"
-                project_span.attributes["rows"] = len(out_rows)
-        out_columns = [
-            BoundColumn(None, output_name(item, position))
-            for position, item in enumerate(items)
-        ]
-        self._cost.charge_spool_rows(
-            len(out_rows) * env.row_scale, len(out_columns)
-        )
-        result = Relation(
-            columns=out_columns, rows=out_rows, row_scale=env.row_scale
-        )
-        # The planner guaranteed ORDER BY resolves against the output
-        # columns, so no pre-projection rows are ever needed.
-        return result, _OrderContext([], binder, None)
 
     def _expand_stars(
         self, items: Sequence[ast.SelectItem], binder: Binder
@@ -1423,44 +1618,15 @@ class Executor:
         env: Relation,
         aggregate_calls: list[AggregateCall],
     ) -> "tuple[Relation, _OrderContext]":
-        binder = Binder(env.columns)
-        group_exprs = list(select.group_by)
-
-        aggregates = [
-            _AggregateSpec(call, self._aggregate_object(call.name), binder, self)
-            for call in aggregate_calls
-        ]
-        group_fns = [
-            compile_row_expression(expr, binder.resolve, self._scalar_registry)
-            for expr in group_exprs
-        ]
-
-        where_fn = (
-            compile_row_expression(select.where, binder.resolve, self._scalar_registry)
-            if select.where is not None
-            else None
-        )
-
-        served = self._serve_from_summary_cache(select, env, aggregates)
-        if served is not None:
-            # The cache (or its incremental watermark refresh) already
-            # charged exactly the rows it re-read, so the per-row
-            # aggregation charges are skipped along with the scan.
-            groups = {(): [served]}
-        else:
-            groups = self._accumulate_groups(
-                env,
-                binder,
-                aggregates,
-                group_exprs,
-                group_fns,
-                where_fn,
-                where_expr=select.where,
+        stmt = self._prepare_statement(select, env, aggregate_calls)
+        if not stmt.served:
+            self._accumulate_groups(stmt)
+            self._charge_aggregate_costs(
+                select, env, stmt.aggregates, len(stmt.groups)
             )
-
-            self._charge_aggregate_costs(select, env, aggregates, len(groups))
-
-        return self._finalize_aggregate(select, aggregates, group_exprs, groups)
+        return self._finalize_aggregate(
+            select, stmt.aggregates, stmt.group_exprs, stmt.groups
+        )
 
     def _finalize_aggregate(
         self,
@@ -1699,24 +1865,17 @@ class Executor:
         try:
             return self._execute_factorized_aggregate(select, decision)
         except fcore.FactorizedFallback as exc:
-            return self._degrade_factorized(snapshot, exc)
+            fallback: BaseException = exc
         except PartitionExecutionError as exc:
             # A guard tripping *inside* a partition task (e.g. a
             # duplicate dimension key found while folding one
             # partition's map) surfaces wrapped; unwrap it so the
             # statement still degrades instead of failing.  Genuine
             # task failures (faults, crashes) stay typed errors.
-            if isinstance(exc.first_error, fcore.FactorizedFallback):
-                return self._degrade_factorized(snapshot, exc.first_error)
-            raise
-
-    def _degrade_factorized(
-        self, snapshot: "dict[str, Any]", exc: Exception
-    ) -> None:
-        self._note_failed_span("aggregate", exc)
-        self._rollback_metrics(snapshot)
-        self.last_metrics.fallbacks += 1
-        self.last_metrics.fallback_reason = _describe_failure(exc)
+            if not isinstance(exc.first_error, fcore.FactorizedFallback):
+                raise
+            fallback = exc.first_error
+        self._degrade("aggregate", snapshot, fallback)
         return None
 
     def _execute_factorized_aggregate(
@@ -1846,23 +2005,11 @@ class Executor:
             udf = aggregates[0].aggregate
             matrix_type = decision.matrix_type
             pairs = fcore.fact_pairs(len(plan.fact_positions), matrix_type)
-
-            def fold(rows):
-                return fcore.fold_summary_fact_partition(
-                    rows, key_positions, dim_maps, plan.fact_positions, pairs
-                )
-
-            partials = self._factorized_partition_fold(
+            fact_positions = plan.fact_positions
+            partials = self._factorized_scan(
                 fact,
-                fold,
-                [*key_positions, *plan.fact_positions],
-                process_fold=(
-                    "summary",
-                    key_positions,
-                    dim_maps,
-                    plan.fact_positions,
-                    pairs,
-                ),
+                ("summary", key_positions, dim_maps, fact_positions, pairs),
+                [*key_positions, *fact_positions],
             )
             with self.tracer.span("merge") as merge_span, StageTimer(
                 metrics, "merge", merge_span
@@ -1877,25 +2024,13 @@ class Executor:
         if shape == "fused":
             udf = aggregates[0].aggregate
             tables = udf.factorized_tables(plan.sources, dim_values)
-
-            def fold(rows):
-                return fcore.fold_fused_fact_partition(
-                    rows, key_positions, dim_maps, plan.fact_positions, tables
-                )
-
-            partials = self._factorized_partition_fold(
+            site = getattr(udf, "fault_site", None)
+            fact_positions = plan.fact_positions
+            partials = self._factorized_scan(
                 fact,
-                fold,
-                [*key_positions, *plan.fact_positions],
-                fire_site=getattr(udf, "fault_site", None),
-                fire_udf=aggregates[0].call.name,
-                process_fold=(
-                    "fused",
-                    key_positions,
-                    dim_maps,
-                    plan.fact_positions,
-                    tables,
-                ),
+                ("fused", key_positions, dim_maps, fact_positions, tables),
+                [*key_positions, *fact_positions],
+                sites=((site, aggregates[0].call.name),) if site else (),
             )
             with self.tracer.span("merge") as merge_span, StageTimer(
                 metrics, "merge", merge_span
@@ -1913,12 +2048,6 @@ class Executor:
             return [state], None
         # builtins: COUNT(*) / SUM partials in Python arithmetic.
         specs = plan.builtin_specs
-
-        def fold(rows):
-            return fcore.fold_builtin_fact_partition(
-                rows, key_positions, dim_maps, dim_raws, specs
-            )
-
         fact_terms = [
             term[1]
             for spec in specs
@@ -1926,17 +2055,10 @@ class Executor:
             for term in spec[1]
             if term[0] == "fact"
         ]
-        partials = self._factorized_partition_fold(
+        partials = self._factorized_scan(
             fact,
-            fold,
+            ("builtins", key_positions, dim_maps, dim_raws, specs),
             [*key_positions, *fact_terms],
-            process_fold=(
-                "builtins",
-                key_positions,
-                dim_maps,
-                dim_raws,
-                specs,
-            ),
         )
         with self.tracer.span("merge") as merge_span, StageTimer(
             metrics, "merge", merge_span
@@ -1967,17 +2089,10 @@ class Executor:
         with ``metrics.scan_seconds``.
         """
         with self.tracer.span("dim-scan") as span:
-
-            def fold(rows):
-                return fcore.fold_dim_partition(
-                    rows, key_position, feature_positions
-                )
-
-            partials = self._factorized_partition_fold(
+            partials = self._factorized_scan(
                 table,
-                fold,
+                ("dim", key_position, feature_positions),
                 [key_position, *feature_positions],
-                process_fold=("dim", key_position, feature_positions),
             )
             merged = fcore.merge_dim_partitions(partials)
             if span is not None:
@@ -1986,106 +2101,23 @@ class Executor:
                 span.attributes["keys"] = len(merged[0])
         return merged
 
-    def _factorized_partition_fold(
+    def _factorized_scan(
         self,
         table: Table,
-        fold_rows: "Callable[[list[tuple]], Any]",
+        fold: tuple,
         positions: Sequence[int],
-        fire_site: "str | None" = None,
-        fire_udf: "str | None" = None,
-        process_fold: "tuple | None" = None,
+        sites: "tuple[tuple[str, str], ...]" = (),
     ) -> list[Any]:
-        """Fan *fold_rows* out as one idempotent task per partition,
-        each reading only the lanes at *positions*.
-
-        Partials return strictly in partition order; per-task times and
-        row counts fold into the statement metrics exactly like the
-        single-table row-partitioned path, so worker count never
-        changes results or bookkeeping.
-        """
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        faults = self.faults
-
-        def make_task(pid, partition):
-            def task() -> "tuple[Any, int, float, float]":
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows(positions))
-                if fire_site is not None and faults.enabled:
-                    faults.fire(fire_site, partition=pid, udf=fire_udf)
-                fold_start = time.perf_counter()
-                partial = fold_rows(rows)
-                done = time.perf_counter()
-                return (
-                    partial,
-                    len(rows),
-                    fold_start - scan_start,
-                    done - fold_start,
-                )
-
-            return task
-
-        tasks = [make_task(pid, partition) for pid, partition in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads: "list[dict] | None" = None
-        if process_fold is not None:
-            published = self._published_for_process(table)
-            if published is not None:
-                base = {
-                    "kind": "fact-fold",
-                    "fingerprint": uuid.uuid4().hex,
-                    "fold": process_fold,
-                    "fire_site": fire_site,
-                    "fire_udf": fire_udf,
-                }
-                payloads = [
-                    {
-                        **base,
-                        "block": (
-                            published["root"],
-                            published["table"],
-                            published["version"],
-                            pid,
-                        ),
-                    }
-                    for pid in partition_ids
-                ]
-        task_spans: "list[Span] | None" = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        metrics = self.last_metrics
-        metrics.parallel_tasks += len(tasks)
-        partials: list[Any] = []
-        for index, result in enumerate(results):
-            partial, row_count, scan_seconds, accumulate_seconds = result
-            metrics.scan_seconds += scan_seconds
-            metrics.accumulate_seconds += accumulate_seconds
-            metrics.rows_processed += row_count
-            if row_count:
-                metrics.partitions_processed += 1
-            if task_spans is not None:
-                span = task_spans[index]
-                span.attributes["partition"] = partition_ids[index]
-                span.attributes["rows"] = row_count
-                span.children.append(Span("scan", seconds=scan_seconds))
-                span.children.append(
-                    Span("accumulate", seconds=accumulate_seconds)
-                )
-            partials.append(partial)
-        return partials
+        """Fan the factorized fold that *fold* declares (see
+        :data:`_FACTORIZED_FOLDS`) out over *table*, each task reading
+        only the lanes at *positions*; partials return in partition
+        order."""
+        return self._scan_partitions(
+            table,
+            _Reads(rows=(tuple(positions), sites)),
+            functools.partial(_fold_factorized, fold),
+            lambda: {"kind": "factorized", "fold": fold},
+        )
 
     def _charge_factorized_costs(
         self,
@@ -2147,93 +2179,14 @@ class Executor:
             "(keyed on every base table's version)"
         )
 
-    def _accumulate_groups(
-        self,
-        env: Relation,
-        binder: Binder,
-        aggregates: list["_AggregateSpec"],
-        group_exprs: list[ast.Expression],
-        group_fns: list[Callable[[tuple], Any]],
-        where_fn: Callable[[tuple], Any] | None,
-        where_expr: "ast.Expression | None" = None,
-    ) -> dict[tuple, list[Any]]:
-        groups: dict[tuple, list[Any]] = {}
-        if not group_exprs:
-            # SQL semantics: a grand aggregate always yields one row.
-            groups[()] = [spec.initialize() for spec in aggregates]
-
-        use_vector = (
-            env.base_table is not None
-            and not env._materialized
-            and where_fn is None
-            and all(spec.vector_ready for spec in aggregates)
-            and self._vector_group_keys_ready(group_exprs, binder)
-            and self._referenced_columns_numeric(
-                env, aggregates, group_exprs, binder
-            )
-        )
-        if use_vector:
-            snapshot = self.last_metrics.to_dict()
-            try:
-                with self.tracer.span("aggregate") as span:
-                    self._accumulate_vectorized(
-                        env, binder, aggregates, group_exprs, groups
-                    )
-                    if span is not None:
-                        span.attributes["strategy"] = "vectorized"
-                        span.attributes["groups"] = len(groups)
-                return groups
-            except Exception as exc:
-                # Graceful degradation: a failing batched kernel (or an
-                # injected fault / task timeout under it) retries on the
-                # row path once.  Partially merged group state and the
-                # failed attempt's metrics are discarded first, so the
-                # retry starts from the same blank slate serial
-                # execution would.
-                fallback_reason = _describe_failure(exc)
-                self._note_failed_span("aggregate", exc)
-                self._rollback_metrics(snapshot)
-                self.last_metrics.fallbacks += 1
-                self.last_metrics.fallback_reason = fallback_reason
-                groups.clear()
-                if not group_exprs:
-                    groups[()] = [spec.initialize() for spec in aggregates]
-            with self.tracer.span("aggregate") as span:
-                self._accumulate_rows_partitioned(
-                    env,
-                    aggregates,
-                    group_fns,
-                    where_fn,
-                    groups,
-                    binder=binder,
-                    group_exprs=group_exprs,
-                    where_expr=where_expr,
-                )
-                if span is not None:
-                    span.attributes["strategy"] = "row-partitioned (fallback)"
-                    span.attributes["fallback_reason"] = fallback_reason
-                    span.attributes["groups"] = len(groups)
-            return groups
-
+    def _accumulate_groups(self, stmt: "_BatchStatement") -> None:
+        env = stmt.env
         if env.base_table is not None and not env._materialized:
-            # Partitioned row path: one partial state per partition (the
-            # paper's per-AMP accumulation), merged in partition order —
-            # runs concurrently when the engine has workers.
-            with self.tracer.span("aggregate") as span:
-                self._accumulate_rows_partitioned(
-                    env,
-                    aggregates,
-                    group_fns,
-                    where_fn,
-                    groups,
-                    binder=binder,
-                    group_exprs=group_exprs,
-                    where_expr=where_expr,
-                )
-                if span is not None:
-                    span.attributes["strategy"] = "row-partitioned"
-                    span.attributes["groups"] = len(groups)
-            return groups
+            # One partial state per partition (the paper's per-AMP
+            # accumulation), merged in partition order — runs
+            # concurrently when the engine has workers.
+            self._shared_scan(env.base_table, [stmt], batch=False)
+            return
 
         # Materialized relations (joins, derived tables, views) have no
         # partition structure; accumulate serially into a single state.
@@ -2242,385 +2195,15 @@ class Executor:
             with self.tracer.span("accumulate") as accumulate_span, StageTimer(
                 self.last_metrics, "accumulate", accumulate_span
             ):
-                for row in env.rows:
-                    if where_fn is not None and where_fn(row) is not True:
-                        continue
-                    key = tuple(fn(row) for fn in group_fns)
-                    states = groups.get(key)
-                    if states is None:
-                        states = [spec.initialize() for spec in aggregates]
-                        groups[key] = states
-                    for index, spec in enumerate(aggregates):
-                        states[index] = spec.accumulate_row(states[index], row)
-                    self.last_metrics.rows_processed += 1
+                local, folded = _fold_rows_into(
+                    env.rows, stmt.aggregates, stmt.group_fns, stmt.where_fn
+                )
+                # Not merge(): these ARE the states, in scan order.
+                stmt.groups.update(local)
+                self.last_metrics.rows_processed += folded
             if span is not None:
                 span.attributes["strategy"] = "row-serial"
-                span.attributes["groups"] = len(groups)
-        return groups
-
-    def _accumulate_rows_partitioned(
-        self,
-        env: Relation,
-        aggregates: list["_AggregateSpec"],
-        group_fns: list[Callable[[tuple], Any]],
-        where_fn: Callable[[tuple], Any] | None,
-        groups: dict[tuple, list[Any]],
-        binder: "Binder | None" = None,
-        group_exprs: "list[ast.Expression] | None" = None,
-        where_expr: "ast.Expression | None" = None,
-    ) -> None:
-        """Row-path accumulation with one partial-state dict per partition.
-
-        Each task folds its partition's rows into private states; the
-        partials merge in partition order, so group keys keep their
-        scan-order first appearance and results match any worker count.
-        Only the lanes the statement references are read (``env.lanes``).
-        """
-        table, lanes = env.base_table, env.lanes
-        assert table is not None
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
-
-        def make_task(pid, partition):
-            def task() -> tuple[dict[tuple, list[Any]], int, float, float]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows(lanes))
-                accumulate_start = time.perf_counter()
-                local, folded = _fold_rows_into(
-                    rows, aggregates, group_fns, where_fn
-                )
-                done = time.perf_counter()
-                return (
-                    local,
-                    folded,
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads = self._agg_row_payloads(
-            table, aggregates, binder, group_exprs, where_expr, where_fn,
-            partition_ids,
-        )
-        task_spans: list[Span] | None = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        self.last_metrics.parallel_tasks += len(partitions)
-        self._merge_partition_partials(
-            results,
-            aggregates,
-            groups,
-            task_spans=task_spans,
-            partition_ids=partition_ids,
-            lanes_read=env.lanes_read,
-        )
-
-    def _agg_row_payloads(
-        self,
-        table: Table,
-        aggregates: list["_AggregateSpec"],
-        binder: "Binder | None",
-        group_exprs: "list[ast.Expression] | None",
-        where_expr: "ast.Expression | None",
-        where_fn: Callable[[tuple], Any] | None,
-        partition_ids: Sequence[int],
-    ) -> "list[dict] | None":
-        """Process-pool descriptors for a row-path aggregate fan-out, or
-        None to keep the fan-out on in-process closures.  A descriptor
-        ships only ASTs, aggregate objects, and a column-resolution map
-        — the rows travel through the mmap'd columnar block, never
-        through pickle."""
-        if binder is None or group_exprs is None:
-            return None
-        if where_fn is not None and where_expr is None:
-            # The compiled WHERE came from somewhere we cannot see the
-            # expression of; workers could not recompile it.
-            return None
-        published = self._published_for_process(table)
-        if published is None:
-            return None
-        expressions: list[ast.Expression] = [
-            spec.call.call for spec in aggregates
-        ]
-        expressions.extend(group_exprs)
-        if where_expr is not None:
-            expressions.append(where_expr)
-        resolve = {
-            (ref.table, ref.name.lower()): binder.resolve(ref)
-            for ref in referenced_columns_of_all(expressions)
-        }
-        base = {
-            "kind": "agg-row",
-            "fingerprint": uuid.uuid4().hex,
-            "calls": [spec.call for spec in aggregates],
-            "aggregates": [spec.aggregate for spec in aggregates],
-            "group_exprs": list(group_exprs),
-            "where": where_expr,
-            "resolve": resolve,
-            "scalar_udfs": self._shippable_scalar_udfs(expressions),
-        }
-        return [
-            {
-                **base,
-                "block": (
-                    published["root"],
-                    published["table"],
-                    published["version"],
-                    pid,
-                ),
-            }
-            for pid in partition_ids
-        ]
-
-    def _merge_partition_partials(
-        self,
-        results: Sequence[tuple[dict[tuple, list[Any]], int, float, float]],
-        aggregates: list["_AggregateSpec"],
-        groups: dict[tuple, list[Any]],
-        task_spans: "list[Span] | None" = None,
-        partition_ids: "list[int] | None" = None,
-        cached_blocks: "list[bool] | None" = None,
-        lanes_read: "str | None" = None,
-    ) -> None:
-        """Fold per-partition (partials, rows, scan s, accumulate s) task
-        results into *groups*, strictly in partition order.
-
-        Under tracing, each engine-built task span (same order as
-        *results*) gains its partition id, row count and scan/accumulate
-        child spans built from the *same* perf-counter deltas added to
-        the metrics here — summed in the same order, so the span totals
-        and the stage totals are the identical floats, not approximations.
-        """
-        metrics = self.last_metrics
-        with self.tracer.span("merge") as merge_span, StageTimer(
-            metrics, "merge", merge_span
-        ):
-            for index, result in enumerate(results):
-                local, folded, scan_seconds, accumulate_seconds = result
-                metrics.scan_seconds += scan_seconds
-                metrics.accumulate_seconds += accumulate_seconds
-                metrics.rows_processed += folded
-                if local:
-                    metrics.partitions_processed += 1
-                if task_spans is not None:
-                    span = task_spans[index]
-                    if partition_ids is not None:
-                        span.attributes["partition"] = partition_ids[index]
-                    span.attributes["rows"] = folded
-                    if cached_blocks is not None:
-                        span.attributes["cached_block"] = cached_blocks[index]
-                    scan = Span("scan", seconds=scan_seconds)
-                    if lanes_read is not None:
-                        scan.attributes["lanes_read"] = lanes_read
-                    span.children.append(scan)
-                    span.children.append(
-                        Span("accumulate", seconds=accumulate_seconds)
-                    )
-                for key, partial in local.items():
-                    states = groups.get(key)
-                    if states is None:
-                        groups[key] = partial
-                    else:
-                        for position, spec in enumerate(aggregates):
-                            states[position] = spec.merge(
-                                states[position], partial[position]
-                            )
-
-    def _referenced_columns_numeric(
-        self,
-        env: Relation,
-        aggregates: list["_AggregateSpec"],
-        group_exprs: list[ast.Expression],
-        binder: Binder,
-    ) -> bool:
-        """The vector path reads column blocks as float matrices, so every
-        referenced base column must be numeric."""
-        table = env.base_table
-        assert table is not None
-        expressions = [spec.call.call for spec in aggregates] + list(group_exprs)
-        for ref in referenced_columns_of_all(expressions):
-            position = binder.resolve(ref)
-            column = table.schema.columns[position]
-            if not column.sql_type.is_numeric:
-                return False
-        return True
-
-    def _vector_group_keys_ready(
-        self, group_exprs: list[ast.Expression], binder: Binder
-    ) -> bool:
-        for expr in group_exprs:
-            refs = referenced_columns(expr)
-            resolver = _matrix_resolver(binder, refs)
-            if compile_vector_expression(expr, resolver) is None:
-                return False
-        return True
-
-    def _accumulate_vectorized(
-        self,
-        env: Relation,
-        binder: Binder,
-        aggregates: list["_AggregateSpec"],
-        group_exprs: list[ast.Expression],
-        groups: dict[tuple, list[Any]],
-    ) -> None:
-        table = env.base_table
-        assert table is not None
-        needed = referenced_columns_of_all(
-            [spec.call.call for spec in aggregates] + list(group_exprs)
-        )
-        resolver_map = {
-            (ref.table, ref.name.lower()): index for index, ref in enumerate(needed)
-        }
-        positions = [binder.resolve(ref) for ref in needed]
-
-        def matrix_resolver(ref: ast.ColumnRef) -> int:
-            return resolver_map[(ref.table, ref.name.lower())]
-
-        group_vector_fns = [
-            compile_vector_expression(expr, matrix_resolver) for expr in group_exprs
-        ]
-        for spec in aggregates:
-            spec.prepare_vector(matrix_resolver)
-
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
-        # Aggregates that declare a fault site (the fused clustering
-        # iteration UDFs) arm it per vectorized task, between block
-        # materialization and accumulation.
-        fused_udfs = [
-            (site, spec.call.name)
-            for spec in aggregates
-            if (site := getattr(spec.aggregate, "fault_site", None))
-        ]
-
-        def make_task(pid, partition):
-            def task() -> tuple[
-                dict[tuple, list[Any]], int, float, float, BlockCacheStats
-            ]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("block.materialize", partition=pid)
-                block, stats = partition.numeric_matrix_with_cache_stats(
-                    positions
-                )
-                if faults.enabled:
-                    for site, udf_name in fused_udfs:
-                        faults.fire(site, partition=pid, udf=udf_name)
-                accumulate_start = time.perf_counter()
-                local = _fold_vector_block(
-                    block, aggregates, group_exprs, group_vector_fns
-                )
-                done = time.perf_counter()
-                return (
-                    local,
-                    block.shape[0],
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
-                    stats,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads: "list[dict] | None" = None
-        published = self._published_for_process(table)
-        if published is not None:
-            expressions = [spec.call.call for spec in aggregates] + list(
-                group_exprs
-            )
-            base = {
-                "kind": "agg-vector",
-                "fingerprint": uuid.uuid4().hex,
-                "calls": [spec.call for spec in aggregates],
-                "aggregates": [spec.aggregate for spec in aggregates],
-                "group_exprs": list(group_exprs),
-                "resolve": {
-                    (ref.table, ref.name.lower()): binder.resolve(ref)
-                    for ref in needed
-                },
-                "matrix_map": resolver_map,
-                "positions": positions,
-                "fused": fused_udfs,
-                "scalar_udfs": self._shippable_scalar_udfs(expressions),
-                "cached": not published["fresh"],
-            }
-            payloads = [
-                {
-                    **base,
-                    "block": (
-                        published["root"],
-                        published["table"],
-                        published["version"],
-                        pid,
-                    ),
-                }
-                for pid in partition_ids
-            ]
-        task_spans: list[Span] | None = None
-        cached_blocks: list[bool] | None = None
-        if self.tracer.enabled:
-            # Checked before the tasks run (they populate the cache), so
-            # ANALYZE shows which partitions served a pre-built block.
-            cached_blocks = [
-                partition.has_cached_block(positions)
-                for partition in partitions
-            ]
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        self.last_metrics.parallel_tasks += len(partitions)
-        # Per-task cache stats merged in partition order (see the
-        # projection path for why the shared partition counters are not
-        # read here).
-        for result in results:
-            self._fold_cache_stats(result[4])
-        if task_spans is not None and fused_udfs:
-            # Zero-cost marker child so ANALYZE shows which tasks ran a
-            # fused clustering iteration (``_operator_spans`` skips
-            # spans under tasks, so pairing is unaffected).
-            marker = ",".join(name for _, name in fused_udfs)
-            for task_span in task_spans:
-                task_span.children.append(
-                    Span("fused-iteration", attributes={"udf": marker})
-                )
-        self._merge_partition_partials(
-            [result[:4] for result in results],
-            aggregates,
-            groups,
-            task_spans=task_spans,
-            partition_ids=partition_ids,
-            cached_blocks=cached_blocks,
-        )
+                span.attributes["groups"] = len(stmt.groups)
 
     def _charge_aggregate_costs(
         self,
@@ -2960,8 +2543,9 @@ def _describe_failure(exc: BaseException) -> str:
 
 
 def _matrix_resolver(
-    binder: Binder, refs: list[ast.ColumnRef]
+    refs: list[ast.ColumnRef],
 ) -> Callable[[ast.ColumnRef], int]:
+    """Resolve a column ref to its position in the block of *refs*."""
     mapping = {(ref.table, ref.name.lower()): index for index, ref in enumerate(refs)}
 
     def resolve(ref: ast.ColumnRef) -> int:
@@ -3029,7 +2613,6 @@ class _AggregateSpec:
                 )
         self._vector_fns: list | None = None
         self._argument_block: VectorFunction | None = None
-        self._binder = binder
         self._skips_nulls = aggregate.skips_nulls and bool(args)
 
     # The vector path is usable when the aggregate object supports block
@@ -3047,8 +2630,7 @@ class _AggregateSpec:
             supported = getattr(self.aggregate, "supports_block", False)
         if not supported:
             return False
-        refs = referenced_columns_of_all(self._arg_exprs)
-        resolver = _matrix_resolver(self._binder, refs)
+        resolver = _matrix_resolver(referenced_columns_of_all(self._arg_exprs))
         return all(
             compile_vector_expression(arg, resolver) is not None
             for arg in self._arg_exprs

@@ -228,7 +228,7 @@ def plan_vectorized_select(
             return _fallback(
                 f"select item {ast.render(expression)} is not block-compilable"
             )
-        if _produces_floats(expression, catalog, table, binder):
+        if produces_floats(expression, catalog, table, binder):
             plan_items.append(BlockItem(fn))
         elif _is_integer_batch_call(expression, catalog):
             plan_items.append(BlockItem(fn, integer_result=True))
@@ -347,7 +347,7 @@ def _batch_call_compiler(
     return compile_call
 
 
-def _produces_floats(
+def produces_floats(
     expression: ast.Expression,
     catalog: Catalog,
     table: Table,
@@ -371,20 +371,20 @@ def _produces_floats(
             return False
         return table.schema.columns[position].sql_type is SqlType.FLOAT
     if isinstance(expression, ast.Unary) and expression.op == "-":
-        return _produces_floats(expression.operand, catalog, table, binder)
+        return produces_floats(expression.operand, catalog, table, binder)
     if isinstance(expression, ast.Binary):
         if expression.op == "/":
             return True
         if expression.op in ("+", "-", "*", "MOD"):
-            return _produces_floats(
+            return produces_floats(
                 expression.left, catalog, table, binder
-            ) or _produces_floats(expression.right, catalog, table, binder)
+            ) or produces_floats(expression.right, catalog, table, binder)
         return False
     if isinstance(expression, ast.FuncCall):
         if expression.name in ("sqrt", "exp", "ln", "log", "power"):
             return True
         if expression.name == "abs":
-            return len(expression.args) == 1 and _produces_floats(
+            return len(expression.args) == 1 and produces_floats(
                 expression.args[0], catalog, table, binder
             )
         udf = catalog.scalar_udf(expression.name)
