@@ -13,7 +13,7 @@ FLOAT columns are a :class:`FloatLane`: the float64 lane a block is
 made of *is* the storage, so a block-cache miss copies memory instead
 of converting Python objects.  INTEGER and VARCHAR columns stay
 :class:`ObjectLane` (Python ints are unbounded, and an exact ``i8`` lane
-needs the sealed-block store of ROADMAP item 6).
+needs the overflow tier of ROADMAP item 8).
 
 Concurrency: lanes are append-only below the partition's published row
 count.  Growth allocates a new buffer, copies, then swaps the

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -46,6 +47,8 @@ _NULL_SENTINEL = "\\N"
 #: version-1 snapshots (no escaping) still load.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
+#: rows of a table CSV decoded and inserted at a time on restore
+_RESTORE_CHUNK_ROWS = 65_536
 
 
 def _encode_field(value: Any) -> Any:
@@ -270,10 +273,13 @@ def _read_table_csv(table, path: Path, escaped: bool = True) -> None:
                 raise ExportError(
                     f"{path} header {header} does not match schema {expected}"
                 )
-            rows = [
-                tuple(_decode_field(value, escaped) for value in row)
-                for row in reader
-            ]
+            # Bounded chunks: the file's rows never all exist as Python
+            # objects beside the lanes.  Routing is per row, so the
+            # layout is the one a single insert of the file would give.
+            while chunk := list(islice(reader, _RESTORE_CHUNK_ROWS)):
+                table.insert_many([
+                    [_decode_field(value, escaped) for value in row]
+                    for row in chunk
+                ])
     except OSError as exc:
         raise ExportError(f"cannot read {path}: {exc}") from exc
-    table.insert_many(rows)

@@ -1048,22 +1048,20 @@ class Executor:
                     ),
                 )
             )
-        updated_rows: list[tuple] = []
-        touched = 0
-        for row in table.rows():
-            if predicate is None or predicate(row) is True:
-                new_row = list(row)
-                # Evaluate every assignment against the *old* row (SQL
-                # semantics: SET a = b, b = a swaps).
-                for position, fn in targets:
-                    new_row[position] = fn(row)
-                updated_rows.append(tuple(new_row))
-                touched += 1
-            else:
-                updated_rows.append(row)
+        rows = table.rows()
+        hits = [predicate is None or predicate(row) is True for row in rows]
+        columns: list[Sequence[Any]] = list(zip(*rows))
+        # Every assignment reads the *old* row (SQL semantics: SET a = b,
+        # b = a swaps); an untouched column goes back as it was read.
+        for position, fn in targets:
+            columns[position] = [
+                fn(row) if hit else row[position]
+                for row, hit in zip(rows, hits)
+            ]
         table.truncate()
-        table.insert_many(updated_rows)
-        self._cost.charge_insert(touched * table.row_scale, len(targets))
+        if rows:
+            table.insert_columns(columns)
+        self._cost.charge_insert(sum(hits) * table.row_scale, len(targets))
         return _empty_result()
 
     # ---------------------------------------------------------------- SELECT

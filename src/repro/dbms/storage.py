@@ -53,6 +53,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -63,7 +64,7 @@ from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.lanes import PRUNED, FloatLane, ObjectLane
 from repro.dbms.schema import TableSchema
 from repro.dbms.types import SqlType, coerce_value
-from repro.errors import ConstraintViolation, SchemaError
+from repro.errors import ConstraintViolation, SchemaError, TypeMismatchError
 
 #: default distinct column selections each partition keeps cached as
 #: float blocks; the least recently used entry is evicted beyond this
@@ -481,8 +482,48 @@ class Partition:
             self._spilled.clear()
 
 
-def _as_list(column: "np.ndarray | list[Any]") -> list[Any]:
+def _as_list(column: "np.ndarray | Sequence[Any]") -> "Sequence[Any]":
     return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+_NONE_TYPE = type(None)
+#: the Python types :func:`coerce_value` returns unchanged, per SQL type
+_STORED_TYPES = {
+    SqlType.INTEGER: {int, _NONE_TYPE},
+    SqlType.FLOAT: {float, _NONE_TYPE},
+    SqlType.VARCHAR: {str, _NONE_TYPE},
+}
+
+
+def _valid_prefix(
+    values: "np.ndarray | Sequence[Any]", column: Any, stored: "set[type]"
+) -> "np.ndarray | Sequence[Any]":
+    """One insert column as :func:`coerce_value` leaves it, cut before
+    the first value the column rejects.  A column holding only its
+    *stored* types (``_STORED_TYPES``) is, value for value, what
+    ``coerce_value`` returns, so it passes through untouched — as does
+    the float64 array a replay hands a FLOAT column; only a column of
+    other or mixed types pays per-value coercion."""
+    sql_type = column.sql_type
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64 and sql_type is SqlType.FLOAT:
+            return values
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds <= stored:
+        has_null = _NONE_TYPE in kinds
+    else:
+        coerced: list[Any] = []
+        try:
+            for value in values:
+                coerced.append(coerce_value(value, sql_type))
+        except (TypeMismatchError, OverflowError):
+            pass  # Table._check_row raises it again, for the row
+        values = coerced
+        has_null = None in coerced
+    if has_null and not column.nullable:
+        return values[: values.index(None)]
+    return values
 
 
 class Table:
@@ -526,6 +567,10 @@ class Table:
         )
         self._pk_values: set[Any] = set()
         self._next_partition = 0
+        #: per column, looked up once (hashing an enum member is slow)
+        self._stored_types = [
+            _STORED_TYPES[column.sql_type] for column in schema.columns
+        ]
         #: monotonically increasing mutation counter: bumped once per
         #: successful insert / batch flush / bulk load / truncate.  The
         #: database's summary-matrix cache keys freshness on it.
@@ -573,31 +618,18 @@ class Table:
         return len(self.schema)
 
     # ---------------------------------------------------------------- inserts
-    def _partition_index_for(self, row: Sequence[Any]) -> int:
-        """Pick the owning partition: stable-hash the primary key when
-        there is one (Teradata's hash distribution), round-robin
-        otherwise.  The hash is ``PYTHONHASHSEED``-independent, so the
-        layout is identical across processes and after reload."""
-        if self._pk_position is not None:
-            key = row[self._pk_position]
-            return stable_key_hash(key) % len(self._partitions)
-        index = self._next_partition
-        self._next_partition = (self._next_partition + 1) % len(self._partitions)
-        return index
-
-    def _partition_for(self, row: Sequence[Any]) -> Partition:
-        return self._partitions[self._partition_index_for(row)]
-
-    def _check_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
+    def _check_row(self, row: Sequence[Any]) -> None:
+        """Raise the error that keeps *row* out of the table: what
+        :meth:`insert_columns` checks a column at a time, for one row."""
         if len(row) != len(self.schema):
             raise SchemaError(
                 f"row has {len(row)} values, table {self.name!r} has "
                 f"{len(self.schema)} columns"
             )
-        coerced = tuple(
+        coerced = [
             coerce_value(value, column.sql_type)
             for value, column in zip(row, self.schema.columns)
-        )
+        ]
         for value, column in zip(coerced, self.schema.columns):
             if value is None and not column.nullable:
                 raise ConstraintViolation(
@@ -609,8 +641,6 @@ class Table:
                 raise ConstraintViolation(
                     f"duplicate primary key {key!r} in {self.name!r}"
                 )
-            self._pk_values.add(key)
-        return coerced
 
     def _notify(self, op: str, payload: "dict[str, Any]") -> None:
         """Tell every mutation listener about one committed change."""
@@ -618,100 +648,125 @@ class Table:
             listener(op, self.name, payload)
 
     def insert(self, row: Sequence[Any]) -> None:
-        coerced = self._check_row(row)
-        self._partition_for(coerced).append(coerced)
-        self.version += 1
-        if self.mutation_listeners:
-            self._notify("insert", {"rows": [coerced]})
+        self.insert_many([row])
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Insert rows, batching the per-partition appends.
+        """Insert rows: one transposition, then :meth:`insert_columns`.
+        A row of the wrong arity ends the batch like any other invalid
+        row: the rows before it commit, then it raises."""
+        rows = list(rows)
+        width = len(self.schema)
+        whole = len(rows)
+        if set(map(len, rows)) - {width}:
+            whole = next(j for j, row in enumerate(rows) if len(row) != width)
+        inserted = (
+            self.insert_columns(list(zip(*rows[:whole]))) if whole else 0
+        )
+        if whole < len(rows):
+            self._check_row(rows[whole])
+        return inserted
 
-        Rows are validated and routed in input order (so round-robin
-        routing and PK bookkeeping match a loop of :meth:`insert`
-        exactly), staged per target partition, then flushed with one
-        :meth:`Partition.extend_columns` per partition — each partition's
-        block cache is cleared once per batch instead of once per row.
+    def insert_columns(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Insert a batch held as one sequence per schema column.
+
+        Each column is validated whole (:func:`_valid_prefix`), primary
+        keys are checked with set operations, rows are routed in input
+        order (so routing and PK bookkeeping match a loop of single-row
+        inserts exactly) and each partition's lanes are extended once —
+        its block cache is cleared once per batch.  Mutation listeners
+        (the write-ahead log) get the validated columns in input order:
+        what a replay must insert to reproduce the routing.
 
         Failure semantics (see ``docs/fault_tolerance.md``):
 
         * **Validation failure** (constraint violation, bad type) at row
-          *j*: the validated prefix — rows ``0..j-1`` — is still
-          inserted, matching the per-row loop's behaviour exactly, and
-          the error propagates.  The prefix is deterministic: validation
-          runs in input order.
+          *j*, the first invalid row in input order: rows ``0..j-1`` are
+          still inserted and logged, then row *j* raises its error.
         * **Flush failure** (storage error, or the ``insert.flush``
           fault site): partitions already flushed in this batch are
-          rolled back and the batch's primary keys are released, so the
-          table is bit-identical to its pre-batch state — a flush can
-          never leave a *partially* mutated table.
+          rolled back, and primary keys, round-robin cursor and version
+          move only after the last flush, so the table is bit-identical
+          to its pre-batch state and nobody is notified.
         """
-        if len(self.schema) == 0:
-            # Zero-width partitions cannot be extended column-wise.
-            count = 0
-            for row in rows:
-                self.insert(row)
-                count += 1
-            return count
-        staged: list[list[tuple[Any, ...]]] = [[] for _ in self._partitions]
-        staged_keys: set[Any] = set()
-        #: validated rows in input order — what a mutation listener (the
-        #: write-ahead log) must replay to reproduce the routing exactly
-        ordered: list[tuple[Any, ...]] = []
-        try:
-            for row in rows:
-                coerced = self._check_row(row)
-                staged[self._partition_index_for(coerced)].append(coerced)
-                if self._pk_position is not None:
-                    staged_keys.add(coerced[self._pk_position])
-                ordered.append(coerced)
-        except Exception:
-            # The validated prefix commits (matching the per-row loop);
-            # a flush failure below rolls back and skips the notify.
-            self._flush_staged(staged, staged_keys)
-            if ordered and self.mutation_listeners:
-                self._notify("insert", {"rows": ordered})
-            raise
-        self._flush_staged(staged, staged_keys)
-        if ordered and self.mutation_listeners:
-            self._notify("insert", {"rows": ordered})
-        return len(ordered)
+        specs = self.schema.columns
+        if len(columns) != len(specs):
+            raise SchemaError(
+                f"insert_columns got {len(columns)} columns, table "
+                f"{self.name!r} has {len(specs)}"
+            )
+        total = len(columns[0])
+        if set(map(len, columns)) != {total}:
+            raise SchemaError("insert_columns lengths differ")
+        lanes = list(map(_valid_prefix, columns, specs, self._stored_types))
+        valid = min(map(len, lanes))
+        fanout = len(self._partitions)
+        cursor = self._next_partition
+        fresh: set[Any] = set()
+        if self._pk_position is not None:
+            keys = _as_list(lanes[self._pk_position][:valid])
+            fresh = set(keys)
+            if len(fresh) != valid or not fresh.isdisjoint(self._pk_values):
+                fresh = set()
+                for key in keys:
+                    if key in fresh or key in self._pk_values:
+                        break
+                    fresh.add(key)
+                valid = len(fresh)
+            # Teradata's hash distribution, PYTHONHASHSEED-independent:
+            # the layout is the same in every process and after reload.
+            targets = [stable_key_hash(key) % fanout for key in keys[:valid]]
+        else:
+            targets = [(cursor + row) % fanout for row in range(valid)]
+            cursor = (cursor + valid) % fanout
+        if valid < total:
+            lanes = [values[:valid] for values in lanes]
+        if valid:
+            self._flush(lanes, targets)
+            self._next_partition = cursor
+            self._pk_values |= fresh
+            self.version += 1
+            if self.mutation_listeners:
+                self._notify("insert", {"columns": lanes})
+        if valid < total:
+            self._check_row([values[valid] for values in columns])
+        return valid
 
-    def _flush_staged(
-        self,
-        staged: Sequence[Sequence[tuple[Any, ...]]],
-        staged_keys: set[Any],
+    def _flush(
+        self, lanes: Sequence[Sequence[Any]], targets: Sequence[int]
     ) -> None:
-        """Flush staged rows partition by partition, atomically.
-
-        If any per-partition flush raises (including the ``insert.flush``
-        fault site), every partition already extended by this batch is
-        rolled back and the batch's primary keys are removed from the PK
-        set before the error propagates — all-or-nothing at the flush
-        stage, so a retry of the same batch cannot hit phantom duplicate
-        keys.
-        """
+        """Extend each partition with its rows of *lanes*, atomically: if
+        any partition's flush raises (including the ``insert.flush``
+        fault site), those already extended are rolled back first."""
         faults = self.faults
+        picks: list[list[int]] = [[] for _ in self._partitions]
+        for row, target in enumerate(targets):
+            picks[target].append(row)
         flushed: list[tuple[Partition, int]] = []
         try:
-            for index, (partition, rows) in enumerate(
-                zip(self._partitions, staged)
+            for index, (partition, picked) in enumerate(
+                zip(self._partitions, picks)
             ):
-                if not rows:
+                if not picked:
                     continue
                 if faults.enabled:
                     faults.fire(
                         "insert.flush", partition=index, table=self.name
                     )
-                partition.extend_columns(list(zip(*rows)))
-                flushed.append((partition, len(rows)))
+                if len(picked) == 1:
+                    partition.append([values[picked[0]] for values in lanes])
+                else:
+                    take = itemgetter(*picked)
+                    partition.extend_columns([
+                        values[picked]
+                        if isinstance(values, np.ndarray)
+                        else take(values)
+                        for values in lanes
+                    ])
+                flushed.append((partition, len(picked)))
         except BaseException:
             for partition, added in flushed:
                 partition.rollback_rows(added)
-            self._pk_values -= staged_keys
             raise
-        if flushed:
-            self.version += 1
 
     def bulk_load_arrays(self, columns: dict[str, np.ndarray | Sequence[Any]]) -> int:
         """Fast bulk load from column arrays (the workload-generator path).
@@ -752,13 +807,9 @@ class Table:
             partition.extend_columns([col[start:stop] for col in ordered])
         self.version += 1
         if self.mutation_listeners:
-            # Logged row-wise (schema column order) so replay can
-            # rebuild the column dict; bulk loads must replay through
+            # Its own op: a replay must come back through
             # bulk_load_arrays to reproduce the striped layout.
-            self._notify(
-                "bulk_load",
-                {"rows": list(zip(*(_as_list(col) for col in ordered)))},
-            )
+            self._notify("bulk_load", {"columns": ordered})
         return total
 
     def _coerce_bulk_column(

@@ -16,8 +16,11 @@ subscription pattern as the catalog's drop listeners).  Mutations are
 grouped per *statement*: an UPDATE executes as truncate + re-insert,
 and both land in ONE log record so replay can never observe the torn
 middle.  Each record carries a monotonically increasing LSN and a
-CRC-32 over its header and payload; the payload is compact JSON whose
-float repr round-trips bit-exactly.
+CRC-32 over its header and payload; the payload describes the ops in
+compact JSON and carries their row batches as typed little-endian
+lanes — the float64 bytes the partitions' lanes hold, so no float is
+printed or parsed between memory and disk (``docs/durability.md``,
+"The payload").
 
 **Checkpointing.**  :meth:`DurableDatabase.checkpoint` writes a fresh
 snapshot directory with ``fsync=True``, atomically renames it into
@@ -57,6 +60,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.dbms.database import Database
 from repro.dbms.metrics import DurabilityMetrics
 from repro.dbms.persistence import (
@@ -82,11 +87,105 @@ FSYNC_MODES = ("always", "batch", "off")
 
 
 # --------------------------------------------------------------------- codec
+#: first payload byte of format 2 (format 1, one JSON object: ``{``)
+_FORMAT_2 = b"\x02"
+_HEADER_SIZE = struct.Struct("<I")
+_BATCH_OPS = ("insert", "bulk_load")  #: the ops that carry rows
+_NONE_TYPE = type(None)
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _encode_lane(values: Any, lanes: "list[bytes]") -> "str | list":
+    """One column of a batch as its header entry.  A typed column puts
+    its little-endian bytes on *lanes* and is named by a tag — ``"f8"``
+    (float64), ``"f8?"`` (float64 with NaN at NULLs, then one mask byte
+    per row) or ``"i8"`` (int64); anything else is a JSON list."""
+    if isinstance(values, np.ndarray) and values.dtype != np.float64:
+        values = values.tolist()
+    is_lane = isinstance(values, np.ndarray)
+    kinds = {float} if is_lane else set(map(type, values))
+    if kinds == {float} or kinds == {float, _NONE_TYPE}:
+        lanes.append(np.asarray(values, dtype="<f8").tobytes())
+        if len(kinds) == 1:
+            return "f8"
+        lanes.append(bytes(value is None for value in values))
+        return "f8?"
+    if kinds == {int}:
+        try:
+            lanes.append(np.array(values, dtype="<i8").tobytes())
+            return "i8"
+        except OverflowError:
+            pass  # beyond int64: JSON prints any int exactly
+    return list(values)
+
+
+def _decode_lane(
+    entry: "str | list", count: int, payload: bytes, offset: int
+) -> "tuple[Any, int]":
+    """Inverse of :func:`_encode_lane`: the column and the offset after
+    its bytes.  A NULL-free float lane stays a float64 array (a view of
+    *payload*) that ``FloatLane.extend`` copies straight in."""
+    if isinstance(entry, list):
+        return entry, offset
+    lane = np.frombuffer(payload, "<" + entry[:2], count, offset)
+    offset += 8 * count
+    if entry == "f8":
+        return lane, offset
+    column = lane.tolist()
+    if entry == "f8?":
+        mask = np.frombuffer(payload, bool, count, offset)
+        for index in np.flatnonzero(mask).tolist():
+            column[index] = None
+        offset += count
+    return column, offset
+
+
 def encode_record(lsn: int, ops: "list[dict]") -> bytes:
-    """Serialize one commit record (header + compact-JSON payload)."""
-    payload = json.dumps({"ops": ops}, separators=(",", ":")).encode("utf-8")
+    """Serialize one commit record: the frame, then a format-2 payload
+    of compact JSON describing the ops followed by the typed lanes of
+    their row batches, in order.  A batch may arrive as ``"columns"``
+    or as row-major ``"rows"``; both encode to the same bytes."""
+    described = []
+    lanes: list[bytes] = []
+    for op in ops:
+        if op["op"] in _BATCH_OPS:
+            op = dict(op)
+            columns = op.pop("columns", None)
+            if columns is None:
+                columns = list(zip(*op.pop("rows")))
+            op["count"] = len(columns[0]) if columns else 0
+            op["columns"] = [_encode_lane(c, lanes) for c in columns]
+        described.append(op)
+    header = _compact_json({"ops": described}).encode()
+    payload = b"".join(
+        [_FORMAT_2, _HEADER_SIZE.pack(len(header)), header, *lanes]
+    )
     crc = zlib.crc32(struct.pack(">QI", lsn, len(payload)) + payload)
     return _HEADER.pack(_MAGIC, lsn, len(payload), crc) + payload
+
+
+def _decode_payload(payload: bytes) -> "list[dict]":
+    """The ops of one record, every row batch as ``"columns"``."""
+    if payload[:1] == b"{":  # format 1: all JSON, batches row-major
+        ops = json.loads(payload)["ops"]
+        for op in ops:
+            if op["op"] in _BATCH_OPS:
+                op["columns"] = [list(c) for c in zip(*op.pop("rows"))]
+        return ops
+    if payload[:1] != _FORMAT_2:
+        raise ValueError("unknown payload format")
+    (size,) = _HEADER_SIZE.unpack_from(payload, 1)
+    offset = 1 + _HEADER_SIZE.size + size
+    ops = json.loads(payload[1 + _HEADER_SIZE.size : offset])["ops"]
+    for op in ops:
+        if op["op"] in _BATCH_OPS:
+            count = op.pop("count")
+            columns = []
+            for entry in op["columns"]:
+                column, offset = _decode_lane(entry, count, payload, offset)
+                columns.append(column)
+            op["columns"] = columns
+    return ops
 
 
 @dataclass
@@ -114,8 +213,8 @@ def _try_decode(data: bytes, offset: int) -> "tuple[WalRecord, int] | None":
     if zlib.crc32(struct.pack(">QI", lsn, length) + payload) != crc:
         return None
     try:
-        ops = json.loads(payload.decode("utf-8"))["ops"]
-    except (ValueError, KeyError, UnicodeDecodeError):  # pragma: no cover
+        ops = _decode_payload(payload)
+    except (ValueError, KeyError, TypeError, struct.error):  # pragma: no cover
         return None  # CRC collision on garbage — treat as invalid bytes
     record = WalRecord(lsn=lsn, ops=ops, offset=offset, length=end - offset)
     return record, end
@@ -449,16 +548,12 @@ class DurableDatabase(Database):
         kind = op["op"]
         name = op["name"]
         if kind == "insert":
-            self.catalog.table(name).insert_many(
-                [tuple(row) for row in op["rows"]]
-            )
+            self.catalog.table(name).insert_columns(op["columns"])
         elif kind == "bulk_load":
             table = self.catalog.table(name)
-            columns = {
-                column.name: [row[i] for row in op["rows"]]
-                for i, column in enumerate(table.schema.columns)
-            }
-            table.bulk_load_arrays(columns)
+            table.bulk_load_arrays(
+                dict(zip(table.schema.column_names, op["columns"]))
+            )
         elif kind == "truncate":
             self.catalog.table(name).truncate()
         elif kind == "create_table":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -79,12 +80,16 @@ def test_pinned_prefix_is_immutable_under_growth_and_rollback(run):
         except BaseException as exc:  # noqa: BLE001 - reported by the main thread
             failures.append(exc)
 
-    buffers_seen = set()
+    buffers_seen = {}
 
     def writer() -> None:
         try:
             next_key = 40
             for step in range(STEPS):
+                # Paced by the slowest reader, so reads overlap every
+                # growth however fast a batch commits.
+                while min(re_reads) < step // 8 and not failures:
+                    time.sleep(0)
                 with write_lock:
                     if step == STEPS // 2:
                         # A flush that fails on the second partition rolls
@@ -103,8 +108,9 @@ def test_pinned_prefix_is_immutable_under_growth_and_rollback(run):
                     else:
                         table.insert_many(_rows(next_key, 37))
                         next_key += 37
-                    lane = table.partitions[0].lanes[1]
-                    buffers_seen.add(id(lane.floats(0, 1).base))
+                    # Kept alive: a freed buffer's id can come back.
+                    buffer = table.partitions[0].lanes[1].floats(0, 1).base
+                    buffers_seen[id(buffer)] = buffer
             assert table.row_count == next_key
         except BaseException as exc:  # noqa: BLE001
             failures.append(exc)

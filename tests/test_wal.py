@@ -16,6 +16,8 @@ The *randomized* crash schedules live in the chaos suite
 """
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.dbms.wal import (
     MANIFEST_NAME,
     WAL_NAME,
     WriteAheadLog,
+    _try_decode,
     encode_record,
     read_wal,
 )
@@ -64,7 +67,11 @@ class TestCodec:
         ops2 = [{"op": "truncate", "name": "t"}]
         path.write_bytes(encode_record(1, ops1) + encode_record(2, ops2))
         records, good, torn = read_wal(path)
-        assert [(r.lsn, r.ops) for r in records] == [(1, ops1), (2, ops2)]
+        # A batch decodes column-major, whichever way it was passed.
+        decoded = [
+            {"op": "insert", "name": "t", "columns": [[1, 2], [0.5, None]]}
+        ]
+        assert [(r.lsn, r.ops) for r in records] == [(1, decoded), (2, ops2)]
         assert good == path.stat().st_size and torn == 0
 
     def test_missing_file_is_empty(self, tmp_path):
@@ -121,6 +128,223 @@ class TestCodec:
         # The unsynced second record is gone; the synced first survives.
         records, _, _ = read_wal(wal.path)
         assert [r.lsn for r in records] == [1]
+
+
+# ------------------------------------------------------------ typed lanes
+_FRAME = struct.Struct(">4sQII")
+
+
+def _format_1_record(lsn: int, ops: list) -> bytes:
+    """A record as the all-JSON format 1 wrote it (row-major batches)."""
+    payload = json.dumps({"ops": ops}, separators=(",", ":")).encode()
+    crc = zlib.crc32(struct.pack(">QI", lsn, len(payload)) + payload)
+    return _FRAME.pack(b"WREC", lsn, len(payload), crc) + payload
+
+
+def _lane_header(record: bytes) -> dict:
+    """The JSON description at the front of a format-2 payload."""
+    payload = record[_FRAME.size :]
+    assert payload[:1] == b"\x02"
+    (size,) = struct.unpack_from("<I", payload, 1)
+    return json.loads(payload[5 : 5 + size])
+
+
+def _round_trip(columns: list) -> list:
+    record = encode_record(1, [{"op": "insert", "name": "t", "columns": columns}])
+    decoded, end = _try_decode(record, 0)
+    assert end == len(record)
+    return decoded.ops[0]["columns"]
+
+
+def _bits(values) -> list:
+    """Bit patterns, so NaN payloads and the sign of zero compare."""
+    return [
+        None if value is None else struct.pack("<d", value) for value in values
+    ]
+
+
+class TestLaneCodec:
+    FLOATS = [
+        0.1, -0.0, 0.0, float("inf"), -float("inf"), float("nan"),
+        struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0],  # NaN, odd bits
+        5e-324, 1.7976931348623157e308,
+    ]
+
+    def test_float_lane_is_bit_exact(self):
+        record = encode_record(
+            1, [{"op": "insert", "name": "t", "columns": [self.FLOATS]}]
+        )
+        assert _lane_header(record)["ops"][0]["columns"] == ["f8"]
+        (lane,) = _round_trip([self.FLOATS])
+        assert isinstance(lane, np.ndarray) and lane.dtype == np.float64
+        assert _bits(lane.tolist()) == _bits(self.FLOATS)
+        # An array encodes to the bytes its list does.
+        assert record == encode_record(
+            1, [{"op": "insert", "name": "t", "columns": [np.array(self.FLOATS)]}]
+        )
+
+    def test_null_and_nan_stay_distinct(self):
+        column = [None, float("nan"), -0.0, None, 2.5]
+        record = encode_record(
+            1, [{"op": "insert", "name": "t", "columns": [column]}]
+        )
+        assert _lane_header(record)["ops"][0]["columns"] == ["f8?"]
+        (lane,) = _round_trip([column])
+        assert _bits(lane) == _bits(column)
+
+    def test_integer_lane_and_json_fallback(self):
+        fits = [0, -1, 2**63 - 1, -(2**63)]
+        beyond = [0, 2**63]
+        nullable = [1, None]
+        record = encode_record(
+            1,
+            [{"op": "insert", "name": "t", "columns": [fits, beyond, nullable]}],
+        )
+        assert _lane_header(record)["ops"][0]["columns"] == [
+            "i8", beyond, nullable,
+        ]
+        decoded = _round_trip([fits, beyond, nullable])
+        assert decoded == [fits, beyond, nullable]
+        assert all(type(v) is int for v in decoded[0] + decoded[1])
+
+    def test_strings_bools_and_mixed_columns_fall_back_to_json(self):
+        columns = [
+            ["", "naïve", "雪", "\\N", "a\nb", "😀 \udc80"],
+            [True, False, True, False, True, False],
+            [1, 2.5, None, "x", 3, 4],
+            [None] * 6,
+        ]
+        decoded = _round_trip(columns)
+        assert decoded == columns
+        assert [type(v) for v in decoded[1]] == [bool] * 6
+        assert [type(v) for v in decoded[2]] == [int, float, type(None), str, int, int]
+
+    def test_rows_and_columns_encode_identically(self):
+        rows = [
+            [j, j / 3.0, None if j % 4 == 0 else -float(j), f"t{j % 7}"]
+            for j in range(50)
+        ]
+        columns = [list(column) for column in zip(*rows)]
+        for name in ("insert", "bulk_load"):
+            assert encode_record(
+                9, [{"op": name, "name": "t", "rows": rows}]
+            ) == encode_record(
+                9, [{"op": name, "name": "t", "columns": columns}]
+            )
+
+    def test_empty_batch(self):
+        by_rows = encode_record(1, [{"op": "insert", "name": "t", "rows": []}])
+        assert by_rows == encode_record(
+            1, [{"op": "insert", "name": "t", "columns": []}]
+        )
+        assert _try_decode(by_rows, 0)[0].ops == [
+            {"op": "insert", "name": "t", "columns": []}
+        ]
+        assert [c.tolist() for c in _round_trip([np.empty(0), np.empty(0)])] == [[], []]
+
+    def test_several_batches_share_one_record(self):
+        ops = [
+            {"op": "truncate", "name": "t"},
+            {"op": "insert", "name": "t", "columns": [[1, 2], [0.5, 1.5]]},
+            {"op": "insert", "name": "u", "columns": [[None, 2.0, 3.0]]},
+        ]
+        decoded = _try_decode(encode_record(4, ops), 0)[0].ops
+        assert decoded[0] == ops[0]
+        assert decoded[1]["columns"][0] == [1, 2]
+        assert decoded[1]["columns"][1].tolist() == [0.5, 1.5]
+        assert decoded[2]["columns"] == [[None, 2.0, 3.0]]
+
+    def test_other_ops_are_described_as_they_are(self):
+        # create_table has a "columns" of its own: the schema.
+        op = {
+            "op": "create_table", "name": "t", "primary_key": "id",
+            "columns": [["id", "INTEGER", False], ["x", "FLOAT", True]],
+            "partitions": 4, "row_scale": 1.0,
+        }
+        record = encode_record(1, [op])
+        assert _lane_header(record) == {"ops": [op]}
+        assert _try_decode(record, 0)[0].ops == [op]
+
+    def test_encoding_leaves_the_ops_untouched(self):
+        columns = [[1, 2], [0.5, 1.5]]
+        op = {"op": "insert", "name": "t", "columns": columns}
+        encode_record(1, [op])
+        assert op == {"op": "insert", "name": "t", "columns": columns}
+        assert set(op) == {"op", "name", "columns"}
+
+    def test_torn_anywhere_in_the_binary_section(self, tmp_path):
+        """A record cut at any byte of its header, description or lanes
+        is a torn tail: the record before it survives, it does not."""
+        path = tmp_path / "wal.log"
+        intact = encode_record(1, [{"op": "truncate", "name": "t"}])
+        columns = [[1, 2, 3], [0.5, None, float("nan")], [1.5, 2.5, 3.5]]
+        victim = encode_record(
+            2, [{"op": "insert", "name": "t", "columns": columns}]
+        )
+        for cut in range(1, len(victim)):
+            path.write_bytes(intact + victim[:cut])
+            records, good, torn = read_wal(path)
+            assert [r.lsn for r in records] == [1], cut
+            assert (good, torn) == (len(intact), cut)
+        path.write_bytes(intact + victim)
+        assert [r.lsn for r in read_wal(path)[0]] == [1, 2]
+
+    def test_format_1_record_still_replays(self, root):
+        """A log written before typed lanes (all-JSON, row-major) is
+        replayed as it always was; new records append after it."""
+        db = open_durable(root)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x REAL, s VARCHAR)")
+        db.execute("CREATE TABLE b (id INTEGER, x REAL)")
+        db.close()
+        lsn = read_wal(root / WAL_NAME)[0][-1].lsn
+        rows = [[1, 0.1, "a"], [2, None, "naïve"], [3, float("nan"), None]]
+        loaded = [[j, j / 7.0] for j in range(10)]
+        with (root / WAL_NAME).open("ab") as handle:
+            handle.write(_format_1_record(
+                lsn + 1, [{"op": "insert", "name": "t", "rows": rows}]))
+            handle.write(_format_1_record(
+                lsn + 2, [{"op": "bulk_load", "name": "b", "rows": loaded}]))
+        recovered = open_durable(root)
+        assert recovered.durability.recovery_replayed_records == lsn + 2
+        assert repr(sorted(recovered.table("t").rows())) == repr(
+            sorted(tuple(row) for row in rows)
+        )
+        assert recovered.table("b").rows() == [tuple(row) for row in loaded]
+        recovered.insert_rows("t", [(4, -0.0, "z")])
+        expected = database_fingerprint(recovered)
+        recovered.close()
+        again = open_durable(root)
+        assert database_fingerprint(again) == expected
+        again.close()
+
+    @pytest.mark.parametrize("site", ["wal.append", "wal.fsync"])
+    @pytest.mark.parametrize("torn_bytes", [0, 77])
+    def test_crash_recovers_a_committed_prefix_of_lane_batches(
+        self, root, site, torn_bytes
+    ):
+        db = open_durable(root, fsync_mode="always")
+        db.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, x REAL, y REAL, s VARCHAR)"
+        )
+        committed = [database_fingerprint(db)]
+        db.faults = FaultPlan(
+            [_crash_spec(site, at_record=2, torn_bytes=torn_bytes)], seed=0
+        )
+        with pytest.raises(SimulatedCrash):
+            for batch in range(4):
+                db.insert_rows("t", [
+                    (
+                        100 * batch + j,
+                        float("nan") if j == 3 else j / 3.0,
+                        None if j % 5 == 0 else -0.0,
+                        f"é{j}",
+                    )
+                    for j in range(40)
+                ])
+                committed.append(database_fingerprint(db))
+        recovered = open_durable(root)
+        assert database_fingerprint(recovered) == committed[2]
+        recovered.close()
 
 
 # ------------------------------------------------------------- lifecycle
