@@ -137,16 +137,26 @@ class _NlqUdfBase(AggregateUdf):
             )
         if rows == 0:
             return
-        state.shape_for(d)
         self._observed_d = d
+        L = X.sum(axis=0)
+        Q = (X * X).sum(axis=0) if state.diagonal else X.T @ X
+        mins, maxs = X.min(axis=0), X.max(axis=0)
+        if state.d is None:
+            # A fresh state takes the block's sums as they are.  Adding
+            # into zeros turned a -0.0 sum into +0.0; ``+= 0.0`` keeps
+            # that rounding, so partials stay byte-equal.  inf and -inf
+            # are the identities of min and max, nothing to fold.
+            L += 0.0
+            Q += 0.0
+            state.d, state.n = d, float(rows)
+            state.L, state.Q, state.mins, state.maxs = L, Q, mins, maxs
+            return
+        state.shape_for(d)
         state.n += float(rows)
-        state.L += X.sum(axis=0)
-        if state.diagonal:
-            state.Q += (X * X).sum(axis=0)
-        else:
-            state.Q += X.T @ X
-        np.minimum(state.mins, X.min(axis=0), out=state.mins)
-        np.maximum(state.maxs, X.max(axis=0), out=state.maxs)
+        state.L += L
+        state.Q += Q
+        np.minimum(state.mins, mins, out=state.mins)
+        np.maximum(state.maxs, maxs, out=state.maxs)
 
     def merge(self, state: _NlqState, other: _NlqState) -> _NlqState:
         if other.d is None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -25,11 +27,13 @@ from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.metrics import QueryMetrics
 from repro.dbms.schema import TableSchema
+from repro.dbms.sql.ast import Explain, Select, Statement
 from repro.dbms.sql.executor import Executor, Relation
 from repro.dbms.sql.parser import parse_statements
 from repro.dbms.sql.plan import Plan
 from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheConfig, Table
 from repro.dbms.udf import AggregateUdf, ScalarUdf
+from repro.errors import SqlSyntaxError
 
 
 @dataclass
@@ -85,6 +89,48 @@ class QueryResult:
 
     def as_dicts(self) -> list[dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
+
+
+#: SQL texts a database keeps parsed; the least recently used goes first
+STATEMENT_CACHE_CAPACITY = 128
+
+
+class _StatementCache:
+    """Parsed read-only SQL texts of one database, keyed by the text.
+
+    A text is kept only when every statement in it is a SELECT (or an
+    EXPLAIN, which wraps one): DML and DDL texts embed their data and
+    are rarely re-issued.  AST nodes are frozen dataclasses over tuples
+    and nothing downstream writes to them, so executions share the
+    cached statements without copying.  Nothing bound is cached — names
+    resolve against the catalog on every execution, so dropping a table
+    or re-registering a UDF needs no invalidation.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[str, tuple[Statement, ...]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, sql: str) -> bool:
+        return sql in self._entries
+
+    def get(self, sql: str) -> "tuple[Statement, ...] | None":
+        with self._lock:
+            statements = self._entries.get(sql)
+            if statements is not None:
+                self._entries.move_to_end(sql)
+            return statements
+
+    def put(self, sql: str, statements: "tuple[Statement, ...]") -> None:
+        if not all(isinstance(s, (Select, Explain)) for s in statements):
+            return
+        with self._lock:
+            self._entries[sql] = statements
+            while len(self._entries) > STATEMENT_CACHE_CAPACITY:
+                self._entries.popitem(last=False)
 
 
 class Database:
@@ -204,6 +250,9 @@ class Database:
                 spill_dir=Path(self._scratch_root()) / "spill",
             )
             self.catalog.install_cache_config(config)
+        #: parsed SELECT texts (``execute`` / ``execute_batch`` look a
+        #: text up before they parse it)
+        self._statements = _StatementCache()
         #: callbacks fired by :meth:`close` *before* the engine pool is
         #: released; the serving layer subscribes here so in-flight
         #: score requests drain instead of deadlocking on a dead pool
@@ -400,16 +449,32 @@ class Database:
         """Execute one or more ``;``-separated statements.
 
         Returns the result of the *last* statement; simulated seconds
-        cover the whole script.
+        cover the whole script.  A SELECT-only text that ran before is
+        not parsed again (``metrics.statement_cache_hits``).
         """
-        statements = parse_statements(sql)
+        return self._run_script(sql, *self._parse(sql))
+
+    def _parse(self, sql: str) -> "tuple[tuple[Statement, ...], bool]":
+        """*sql* parsed, and whether the statement cache supplied it."""
+        cached = self._statements.get(sql)
+        if cached is not None:
+            return cached, True
+        return tuple(parse_statements(sql)), False
+
+    def _run_script(
+        self, sql: str, statements: "tuple[Statement, ...]", cached: bool
+    ) -> QueryResult:
+        """Execute the parsed script of *sql*; a text that ran without
+        raising enters the statement cache."""
         if not statements:
             raise ValueError("empty SQL script")
         with self.cost.clock.span() as span:
             relation: Relation | None = None
             for statement in statements:
-                relation = self._run_statement(statement)
+                relation = self._run_statement(statement, cached)
         assert relation is not None
+        if not cached:
+            self._statements.put(sql, statements)
         return QueryResult(
             columns=relation.column_names,
             rows=relation.rows,
@@ -418,13 +483,14 @@ class Database:
             plan=self._executor.last_plan,
         )
 
-    def _run_statement(self, statement: "Any") -> Relation:
+    def _run_statement(self, statement: "Any", cached: bool = False) -> Relation:
         """Execute one parsed statement — the single seam every
-        statement of an ``execute()`` script passes through.
+        statement of an ``execute()`` script passes through (*cached*:
+        its text came from the statement cache).
         :class:`~repro.dbms.wal.DurableDatabase` overrides this to group
         the statement's committed mutations into one atomic write-ahead
         log record (an UPDATE's truncate + re-insert replay as a unit)."""
-        return self._executor.execute(statement)
+        return self._executor.execute(statement, statement_cache_hits=int(cached))
 
     def execute_batch(self, statements: "Sequence[str]") -> list[QueryResult]:
         """Execute N SELECT statements, sharing one scan when provable.
@@ -444,28 +510,40 @@ class Database:
         share a single :class:`~repro.dbms.metrics.QueryMetrics` record
         and report the batch's total simulated seconds.
         """
-        from repro.dbms.sql.ast import Select
-        from repro.dbms.sql.parser import parse_statement
         from repro.dbms.sql.rewrite import plan_batch
 
         if not statements:
             raise ValueError("empty statement batch")
+        # Each distinct text is looked up (and, on a miss, parsed) once,
+        # whichever way the batch then runs.
+        parsed = {sql: self._parse(sql) for sql in dict.fromkeys(statements)}
         selects = []
         for index, sql in enumerate(statements):
-            statement = parse_statement(sql)
-            if not isinstance(statement, Select):
+            script, _ = parsed[sql]
+            if len(script) != 1:
+                raise SqlSyntaxError(
+                    f"expected exactly one statement, found {len(script)}"
+                )
+            if not isinstance(script[0], Select):
                 raise ValueError(
                     f"execute_batch takes SELECT statements only; "
                     f"statement {index + 1} is "
-                    f"{type(statement).__name__}"
+                    f"{type(script[0]).__name__}"
                 )
-            selects.append(statement)
+            selects.append(script[0])
         decision = plan_batch(self.catalog, selects)
         self._executor.last_batch_decision = decision
         if not decision.consolidated:
-            return [self.execute(sql) for sql in statements]
+            return [self._run_script(sql, *parsed[sql]) for sql in statements]
         with self.cost.clock.span() as span:
-            relations = self._executor.execute_batch(selects, decision)
+            relations = self._executor.execute_batch(
+                selects,
+                decision,
+                statement_cache_hits=sum(parsed[sql][1] for sql in statements),
+            )
+        for sql, (script, cached) in parsed.items():
+            if not cached:
+                self._statements.put(sql, script)
         metrics = self._executor.last_metrics
         return [
             QueryResult(

@@ -35,7 +35,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.dbms.blocks import lane_block
 from repro.dbms.functions import SCALAR_BUILTINS, VECTORIZABLE_SCALARS
 from repro.dbms.sql import ast
 from repro.errors import ExecutionError, PlanningError
@@ -427,36 +426,100 @@ def _literal_lane(literal: ast.Literal) -> float | None:
     return None
 
 
+#: what one lane of an argument block is filled from
+_COLUMN, _LITERAL, _COMPUTED = range(3)
+
+
+class ArgumentBlockPlan:
+    """A UDF call's argument list, planned once as block-copy steps.
+
+    Calling the plan with a column block builds the ``(rows,
+    len(arguments))`` lane-major argument block by running its steps
+    into one ``np.empty(order="F")``: a run of consecutive block lanes
+    is one 2-D slice assignment, a run of literals one broadcast row, a
+    computed lane one call of its compiled expression.
+
+    ``null_preserving`` records that every lane is a bare column or a
+    non-NULL literal, so the argument block holds a NULL (NaN) only
+    where the column block it is built from holds one.
+    """
+
+    __slots__ = ("_width", "_steps", "null_preserving")
+
+    def __init__(self, lanes: "Sequence[tuple[int, Any]]") -> None:
+        """*lanes* holds one ``(kind, source)`` per argument: a block
+        position for ``_COLUMN``, a float for ``_LITERAL`` (NULL is
+        NaN), a compiled vector expression for ``_COMPUTED``."""
+        self._width = len(lanes)
+        self._steps: list[tuple[int, Any, Any]] = []
+        self.null_preserving = True
+        index = 0
+        while index < len(lanes):
+            kind, source = lanes[index]
+            stop = index + 1
+            if kind == _COLUMN:
+                while stop < len(lanes) and lanes[stop] == (
+                    _COLUMN, source + stop - index
+                ):
+                    stop += 1
+                self._steps.append(
+                    (kind, slice(index, stop), slice(source, source + stop - index))
+                )
+            elif kind == _LITERAL:
+                while stop < len(lanes) and lanes[stop][0] == _LITERAL:
+                    stop += 1
+                row = np.array([value for _, value in lanes[index:stop]])
+                if np.isnan(row).any():
+                    self.null_preserving = False
+                self._steps.append((kind, slice(index, stop), row))
+            else:
+                self.null_preserving = False
+                self._steps.append((kind, index, source))
+            index = stop
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        out = np.empty((block.shape[0], self._width), order="F")
+        for kind, lanes, source in self._steps:
+            if kind == _COLUMN:
+                out[:, lanes] = block[:, source]
+            elif kind == _LITERAL:
+                out[:, lanes] = source
+            else:
+                out[:, lanes] = source(block)
+        return out
+
+
 def compile_argument_block(
     arguments: Sequence[ast.Expression],
     resolver: ColumnResolver,
     call_compiler: CallCompiler | None = None,
-) -> VectorFunction | None:
+) -> ArgumentBlockPlan | None:
     """Compile a UDF call's argument list to one lane-major matrix.
 
-    The returned function maps a column block to the ``(rows,
-    len(arguments))`` argument block that ``accumulate_block`` /
-    ``compute_batch`` receive.  Literals stay scalars and are stored by
-    broadcast, so a long inlined model-parameter list allocates no
+    The returned :class:`ArgumentBlockPlan` maps a column block to the
+    ``(rows, len(arguments))`` argument block that ``accumulate_block``
+    / ``compute_batch`` receive.  Literals stay scalars and are stored
+    by broadcast, so a long inlined model-parameter list allocates no
     column per literal per block.  ``None`` when any argument is outside
     :func:`compile_vector_expression`'s subset.
     """
-    lanes = [
-        _literal_lane(argument)
-        if isinstance(argument, ast.Literal)
-        else compile_vector_expression(argument, resolver, call_compiler)
-        for argument in arguments
-    ]
-    if any(lane is None for lane in lanes):
-        return None
-
-    def build(block: np.ndarray) -> np.ndarray:
-        return lane_block(
-            block.shape[0],
-            [lane if isinstance(lane, float) else lane(block) for lane in lanes],
-        )
-
-    return build
+    lanes: list[tuple[int, Any]] = []
+    for argument in arguments:
+        if isinstance(argument, ast.Literal):
+            kind, source = _LITERAL, _literal_lane(argument)
+        elif isinstance(argument, ast.ColumnRef):
+            kind = _COLUMN
+            try:
+                source = resolver(argument)
+            except Exception:
+                return None
+        else:
+            kind = _COMPUTED
+            source = compile_vector_expression(argument, resolver, call_compiler)
+        if source is None:
+            return None
+        lanes.append((kind, source))
+    return ArgumentBlockPlan(lanes)
 
 
 # ---------------------------------------------------- vector predicates (3VL)

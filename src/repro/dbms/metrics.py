@@ -69,6 +69,16 @@ class QueryMetrics:
     #: tear this statement's numbers.
     block_cache_hits: int = 0
     block_cache_misses: int = 0
+    #: 1 when the statement's SQL text was found in the database's
+    #: statement cache (``Database.execute`` / ``execute_batch`` skipped
+    #: the parser); 0 for a miss, a text that is never cached (DML, DDL)
+    #: and a statement that did not arrive as text
+    statement_cache_hits: int = 0
+    #: NULL pre-test passes (``blocks.may_hold_null``, one sweep of a
+    #: float block) this statement's folds ran, summed from per-task
+    #: counts like the block-cache pair.  A block whose cache entry
+    #: already knows it is NULL-free is not swept again.
+    null_scans: int = 0
     #: engine task retries spent by this statement (idempotent tasks
     #: only; see PartitionEngine.max_retries)
     task_retries: int = 0

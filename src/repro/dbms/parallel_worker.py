@@ -129,7 +129,9 @@ class _PublishedPartition:
 
     A row scan decodes every lane (pruning is a coordinator-side
     saving); mmap readers never evict or spill, so a block read's cache
-    outcome is just the *cached* flag the coordinator shipped.
+    outcome is just the *cached* flag the coordinator shipped — and
+    fresh :class:`~repro.dbms.blocks.BlockFacts`: a worker remembers
+    nothing about a block's NULLs, each task asks once.
     """
 
     __slots__ = ("_reader", "_cached")

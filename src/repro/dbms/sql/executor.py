@@ -44,18 +44,18 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core import factorized as fcore
-from repro.dbms.blocks import drop_null_rows, take_rows
+from repro.dbms.blocks import ScanBlock, take_rows
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import CostModel
 from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.metrics import QueryMetrics, StageTimer
 from repro.dbms.expressions import (
+    ArgumentBlockPlan,
     VectorFunction,
     compile_argument_block,
     compile_row_expression,
     compile_vector_expression,
-    referenced_columns,
     referenced_columns_of_all,
 )
 from repro.dbms.functions import AGGREGATE_BUILTINS, SCALAR_BUILTINS, AggregateFunction
@@ -222,7 +222,7 @@ def _scan_partition(
     pid: int,
     faults: "FaultPlan | NullFaults",
     reads: _Reads,
-    body: Callable[[Any, "list[tuple] | None", "list[np.ndarray]"], tuple],
+    body: Callable[[Any, "list[tuple] | None", "list[ScanBlock]"], tuple],
 ) -> _TaskResult:
     """The one partition task: read what *reads* names, then fold.
 
@@ -231,7 +231,9 @@ def _scan_partition(
     either side of ``engine.map``.  Fault sites fire in a fixed order:
     ``partition.scan`` and the row read's declared sites, then per block
     ``block.materialize`` and that block's declared sites.  *body* gets
-    ``(source, rows, blocks)`` and returns the first three fields of the
+    ``(source, rows, blocks)`` — each block a
+    :class:`~repro.dbms.blocks.ScanBlock`, so what the cache knows about
+    it reaches the fold — and returns the first three fields of the
     :class:`_TaskResult`; the two ``perf_counter`` deltas are the task's
     scan and fold stage seconds.
     """
@@ -246,7 +248,7 @@ def _scan_partition(
         if armed:
             for site, udf in sites:
                 faults.fire(site, partition=pid, udf=udf)
-    blocks: list[np.ndarray] = []
+    blocks: list[ScanBlock] = []
     cache_stats = []
     for positions, sites in reads.blocks:
         if armed:
@@ -255,7 +257,7 @@ def _scan_partition(
         if armed:
             for site, udf in sites:
                 faults.fire(site, partition=pid, udf=udf)
-        blocks.append(block)
+        blocks.append(ScanBlock(block, stats))
         cache_stats.append(stats)
     fold_start = time.perf_counter()
     folded = body(source, rows, blocks)
@@ -296,7 +298,7 @@ def _fold_rows_into(
 
 
 def _fold_vector_block(
-    block: "np.ndarray",
+    block: ScanBlock,
     aggregates: list["_AggregateSpec"],
     group_vector_fns: list[Any],
     int_keys: Sequence[bool],
@@ -311,7 +313,7 @@ def _fold_vector_block(
     per key array; only a block that holds a NULL key pays per value.
     """
 
-    def fold(sub: "np.ndarray") -> list[Any]:
+    def fold(sub: ScanBlock) -> list[Any]:
         return [
             spec.accumulate_vector(spec.initialize(), sub)
             for spec in aggregates
@@ -321,7 +323,7 @@ def _fold_vector_block(
         return {(): fold(block)}
     key_columns = []
     for fn, integer in zip(group_vector_fns, int_keys):
-        array = fn(block)
+        array = fn(block.array)
         values = array.tolist()
         if np.isnan(array).any():
             # v != v is the NaN test; NaN carried NULL.
@@ -335,7 +337,7 @@ def _fold_vector_block(
     for row_index, key in enumerate(zip(*key_columns)):
         index_map.setdefault(key, []).append(row_index)
     return {
-        key: fold(take_rows(block, np.asarray(row_indices)))
+        key: fold(block.take(np.asarray(row_indices)))
         for key, row_indices in index_map.items()
     }
 
@@ -345,7 +347,7 @@ def _fold_statements(
     shared: bool,
     source: Any,
     rows: "list[tuple] | None",
-    blocks: "list[np.ndarray]",
+    blocks: "list[ScanBlock]",
 ) -> tuple[list[dict[tuple, list[Any]]], int, bool]:
     """Shared-scan fold body: one partial-state dict per statement.
 
@@ -355,7 +357,7 @@ def _fold_statements(
     number the shared scan is for — except for a lone row-path statement
     outside a batch, which reports the rows that passed its WHERE.
     """
-    counted = len(rows) if rows is not None else blocks[0].shape[0]
+    counted = len(rows) if rows is not None else blocks[0].array.shape[0]
     vector_blocks = iter(blocks)
     locals_out = []
     for stmt in statements:
@@ -381,7 +383,7 @@ def _project_block(
     where_fn: "VectorFunction | None",
     source: Any,
     rows: None,
-    blocks: "list[np.ndarray]",
+    blocks: "list[ScanBlock]",
 ) -> tuple[list[tuple], int, bool]:
     """Projection fold body: apply the WHERE truth vector to the block,
     then evaluate the select items as numpy functions (filter first,
@@ -389,7 +391,8 @@ def _project_block(
     filtered-out rows).  Raw column items are read from the source's
     lanes as Python values; block items restore NaN to None (and 1-based
     subscripts to int) per row."""
-    (block,) = blocks
+    (read,) = blocks
+    block = read.array
     keep_list: list[int] | None = None
     if where_fn is None:
         sub = block
@@ -484,7 +487,6 @@ class _BatchStatement:
         #: rides the vector path (set by :meth:`prepare_vector`; a
         #: degraded scan clears it and every statement folds rows)
         self.use_vector = False
-        self.vector_positions: tuple[int, ...] = ()
         self.group_vector_fns: list[Any] = []
         self.int_keys: tuple[bool, ...] = ()
         self.fused_sites: tuple[tuple[str, str], ...] = ()
@@ -496,6 +498,17 @@ class _BatchStatement:
         rows)."""
         return [spec.call.call for spec in self.aggregates] + self.group_exprs
 
+    @cached_property
+    def block_refs(self) -> list[ast.ColumnRef]:
+        """The base columns :attr:`block_expressions` reference — the
+        lanes of the statement's block, in block order."""
+        return referenced_columns_of_all(self.block_expressions)
+
+    @cached_property
+    def block_positions(self) -> tuple[int, ...]:
+        """Where each of :attr:`block_refs` sits in the base table."""
+        return tuple(self.binder.resolve(ref) for ref in self.block_refs)
+
     def reset(self) -> None:
         """Blank group states.  SQL semantics: a grand aggregate always
         yields one row, so its state exists before any partial merges."""
@@ -505,21 +518,22 @@ class _BatchStatement:
 
     def prepare_vector(self, int_keys: Sequence[bool]) -> None:
         """Put the statement on the vector path: compile its group keys
-        and aggregate arguments against the block of the columns they
-        reference.  Aggregates that declare a fault site (the fused
-        clustering iteration UDFs) have it armed per task, between block
+        and aggregate arguments — once — against the block of the
+        columns they reference.  The statement stays on rows when one of
+        them is outside the block compiler's subset.
+        Aggregates that declare a fault site (the fused clustering
+        iteration UDFs) have it armed per task, between block
         materialization and accumulation."""
-        needed = referenced_columns_of_all(self.block_expressions)
-        resolver = _matrix_resolver(needed)
-        self.vector_positions = tuple(
-            self.binder.resolve(ref) for ref in needed
-        )
-        self.group_vector_fns = [
+        resolver = _matrix_resolver(self.block_refs)
+        group_vector_fns = [
             compile_vector_expression(expr, resolver)
             for expr in self.group_exprs
         ]
-        for spec in self.aggregates:
-            spec.prepare_vector(resolver)
+        if any(fn is None for fn in group_vector_fns) or not all(
+            spec.prepare_vector(resolver) for spec in self.aggregates
+        ):
+            return
+        self.group_vector_fns = group_vector_fns
         self.int_keys = tuple(int_keys)
         self.fused_sites = tuple(
             (site, spec.call.name)
@@ -605,7 +619,7 @@ class Executor:
         self,
         table: Table,
         reads: _Reads,
-        body: Callable[[Any, "list[tuple] | None", "list[np.ndarray]"], tuple],
+        body: Callable[[Any, "list[tuple] | None", "list[ScanBlock]"], tuple],
         descriptor: "Callable[[], dict[str, Any]] | str" = (
             "no descriptor for this fold"
         ),
@@ -781,13 +795,14 @@ class Executor:
 
     def _fold_cache_stats(self, stats: "BlockCacheStats") -> None:
         """Fold one task's block-cache outcome into this statement's
-        metrics (hits/misses plus the eviction and spill counters the
-        byte-budgeted cache reports)."""
+        metrics (hits/misses, the NULL scans its folds ran, plus the
+        eviction and spill counters the byte-budgeted cache reports)."""
         metrics = self.last_metrics
         if stats.hit:
             metrics.block_cache_hits += 1
         else:
             metrics.block_cache_misses += 1
+        metrics.null_scans += stats.null_scans
         metrics.cache_evictions += stats.evictions
         metrics.blocks_spilled += stats.spilled_blocks
         metrics.bytes_spilled += stats.spilled_bytes
@@ -862,8 +877,13 @@ class Executor:
             last.attributes["error"] = _describe_failure(exc)
 
     # --------------------------------------------------------------- dispatch
-    def execute(self, statement: ast.Statement) -> Relation:
-        self.last_metrics = QueryMetrics(workers=self.engine.workers)
+    def execute(
+        self, statement: ast.Statement, statement_cache_hits: int = 0
+    ) -> Relation:
+        self.last_metrics = QueryMetrics(
+            workers=self.engine.workers,
+            statement_cache_hits=statement_cache_hits,
+        )
         self.last_plan = None
         started = time.perf_counter()
         try:
@@ -1085,16 +1105,24 @@ class Executor:
 
     # ------------------------------------------------------- batch execution
     def execute_batch(
-        self, selects: Sequence[ast.Select], decision: "Any"
+        self,
+        selects: Sequence[ast.Select],
+        decision: "Any",
+        statement_cache_hits: int = 0,
     ) -> list[Relation]:
         """Run a consolidated batch: one shared scan, N statement results.
 
         *decision* is the consolidated
         :class:`~repro.dbms.sql.rewrite.BatchDecision` the rewrite pass
         proved safe; refused batches never reach here (the database runs
-        them serially).  One metrics record covers the whole batch.
+        them serially).  One metrics record covers the whole batch
+        (*statement_cache_hits*: how many of its texts the database's
+        statement cache supplied).
         """
-        self.last_metrics = QueryMetrics(workers=self.engine.workers)
+        self.last_metrics = QueryMetrics(
+            workers=self.engine.workers,
+            statement_cache_hits=statement_cache_hits,
+        )
         self.last_plan = None
         started = time.perf_counter()
         try:
@@ -1202,9 +1230,11 @@ class Executor:
 
     def _vector_eligible(self, stmt: "_BatchStatement") -> bool:
         """The one vector-eligibility test (docs/vectorized_execution.md
-        lists what each clause costs): no WHERE, every aggregate and
-        group key compiles to a block function, and every referenced
-        base column is numeric — blocks are float matrices.
+        lists what each clause costs): no WHERE, every aggregate folds
+        blocks, and every referenced base column is numeric — blocks are
+        float matrices.  Whether every argument and group key compiles
+        to a block function is the last clause, answered by compiling
+        them (:meth:`_BatchStatement.prepare_vector`).
 
         Per statement, not per batch: vector- and row-path results are
         each bit-identical to their serial counterpart but not to each
@@ -1214,17 +1244,10 @@ class Executor:
         columns = stmt.env.base_table.schema.columns
         return (
             stmt.where_fn is None
-            and all(spec.vector_ready for spec in stmt.aggregates)
+            and all(spec.folds_blocks for spec in stmt.aggregates)
             and all(
-                compile_vector_expression(
-                    expr, _matrix_resolver(referenced_columns(expr))
-                )
-                is not None
-                for expr in stmt.group_exprs
-            )
-            and all(
-                columns[stmt.binder.resolve(ref)].sql_type.is_numeric
-                for ref in referenced_columns_of_all(stmt.block_expressions)
+                columns[position].sql_type.is_numeric
+                for position in stmt.block_positions
             )
         )
 
@@ -1262,7 +1285,7 @@ class Executor:
             reads = _Reads(
                 rows=(lanes, ()) if row_stmts else None,
                 blocks=tuple(
-                    (stmt.vector_positions, stmt.fused_sites)
+                    (stmt.block_positions, stmt.fused_sites)
                     for stmt in statements
                     if stmt.use_vector
                 ),
@@ -2610,40 +2633,36 @@ class _AggregateSpec:
                     f"{aggregate.arity} arguments, got {len(args)}"
                 )
         self._vector_fns: list | None = None
-        self._argument_block: VectorFunction | None = None
+        self._argument_block: ArgumentBlockPlan | None = None
         self._skips_nulls = aggregate.skips_nulls and bool(args)
 
     # The vector path is usable when the aggregate object supports block
-    # accumulation, the call is not DISTINCT, and all arguments vectorize.
+    # accumulation, the call is not DISTINCT, and all arguments vectorize
+    # (prepare_vector's answer).
     @property
-    def vector_ready(self) -> bool:
+    def folds_blocks(self) -> bool:
         if self._distinct:
             return False
         if self.is_builtin:
-            supported = (
+            return (
                 type(self.aggregate).accumulate_vector
                 is not AggregateFunction.accumulate_vector
             )
-        else:
-            supported = getattr(self.aggregate, "supports_block", False)
-        if not supported:
-            return False
-        resolver = _matrix_resolver(referenced_columns_of_all(self._arg_exprs))
-        return all(
-            compile_vector_expression(arg, resolver) is not None
-            for arg in self._arg_exprs
-        )
+        return getattr(self.aggregate, "supports_block", False)
 
-    def prepare_vector(self, matrix_resolver: Callable[[ast.ColumnRef], int]) -> None:
+    def prepare_vector(self, matrix_resolver: Callable[[ast.ColumnRef], int]) -> bool:
+        """Compile the arguments against the statement's block; False
+        when one of them does not vectorize."""
         if self.is_builtin:
             self._vector_fns = [
                 compile_vector_expression(arg, matrix_resolver)
                 for arg in self._arg_exprs
             ]
-        else:
-            self._argument_block = compile_argument_block(
-                self._arg_exprs, matrix_resolver
-            )
+            return all(fn is not None for fn in self._vector_fns)
+        self._argument_block = compile_argument_block(
+            self._arg_exprs, matrix_resolver
+        )
+        return self._argument_block is not None
 
     def initialize(self) -> Any:
         state = self.aggregate.initialize()
@@ -2684,13 +2703,14 @@ class _AggregateSpec:
             self.aggregate.check_args(args)
         return self.aggregate.accumulate(state, args)
 
-    def accumulate_vector(self, state: Any, block: np.ndarray) -> Any:
+    def accumulate_vector(self, state: Any, block: ScanBlock) -> Any:
         if self.is_builtin:
             assert self._vector_fns is not None
             assert isinstance(self.aggregate, AggregateFunction)
-            vectors = [fn(block) for fn in self._vector_fns]  # type: ignore[misc]
+            array = block.array
+            vectors = [fn(array) for fn in self._vector_fns]  # type: ignore[misc]
             result = self.aggregate.accumulate_vector(
-                state, vectors, block.shape[0]
+                state, vectors, array.shape[0]
             )
             if result is NotImplemented:
                 raise ExecutionError(
@@ -2699,7 +2719,12 @@ class _AggregateSpec:
             return result
         assert isinstance(self.aggregate, AggregateUdf)
         assert self._argument_block is not None
-        arg_block = self._argument_block(block)
-        if self._skips_nulls:
-            arg_block = drop_null_rows(arg_block)
+        arg_block = self._argument_block(block.array)
+        # A block that passed the NULL pre-test holds no NaN, so neither
+        # does an argument block that only copies its lanes and stores
+        # non-NULL literals: drop_null_rows would hand it back as it is.
+        if self._skips_nulls and not (
+            self._argument_block.null_preserving and block.null_free()
+        ):
+            arg_block = block.drop_null_rows(arg_block)
         return self.aggregate.accumulate_block(state, arg_block)

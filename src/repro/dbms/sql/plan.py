@@ -196,6 +196,10 @@ class Plan:
                 f"rows={self.metrics.rows_processed}, "
                 f"partitions={self.metrics.partitions_processed})"
             )
+            lines.append(
+                f"statement cache hits: {self.metrics.statement_cache_hits}, "
+                f"null scans: {self.metrics.null_scans}"
+            )
         return lines
 
     def text(self) -> str:

@@ -52,14 +52,14 @@ import itertools
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.dbms.blocks import lane_block
+from repro.dbms.blocks import BlockFacts, lane_block
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.lanes import PRUNED, FloatLane, ObjectLane
 from repro.dbms.schema import TableSchema
@@ -161,6 +161,11 @@ class BlockCacheStats:
     evictions: int = 0
     spilled_blocks: int = 0
     spilled_bytes: int = 0
+    #: NULL pre-test passes the task's folds ran over the block
+    null_scans: int = 0
+    #: what earlier folds learned about the block; a cached block's
+    #: facts live (and die) with its cache entry
+    facts: BlockFacts = field(default_factory=BlockFacts, compare=False)
 
 
 def stable_key_hash(key: Any) -> int:
@@ -221,6 +226,8 @@ class Partition:
         self.cache_config = cache_config or DEFAULT_BLOCK_CACHE
         #: bytes each cached entry is charged against the shared budget
         self._cache_bytes: dict[tuple[int, ...], int] = {}
+        #: what folds learned about each cached entry's block
+        self._block_facts: dict[tuple[int, ...], BlockFacts] = {}
         #: spill files shadowing evicted entries (cleared on mutation)
         self._spilled: dict[tuple[int, ...], Path] = {}
         self._spill_id = next(_SPILL_IDS)
@@ -384,6 +391,7 @@ class Partition:
         if cached is not None:
             self.cache_hits += 1
             stats.hit = True
+            stats.facts = self._block_facts.get(key, stats.facts)
             self._block_cache.move_to_end(key)
             return cached, stats
         spill_path = self._spilled.get(key)
@@ -423,6 +431,7 @@ class Partition:
         charged = 0 if isinstance(block, np.memmap) else int(block.nbytes)
         self._block_cache[key] = block
         self._cache_bytes[key] = charged
+        self._block_facts[key] = stats.facts
         if config.max_bytes is not None and charged:
             config.charge(charged)
         while self._block_cache and (
@@ -431,6 +440,7 @@ class Partition:
         ):
             old_key, old_block = self._block_cache.popitem(last=False)
             old_charged = self._cache_bytes.pop(old_key, 0)
+            self._block_facts.pop(old_key, None)
             if config.max_bytes is not None and old_charged:
                 config.discharge(old_charged)
             self.cache_evictions += 1
@@ -473,6 +483,7 @@ class Partition:
                 config.discharge(total)
         self._block_cache.clear()
         self._cache_bytes.clear()
+        self._block_facts.clear()
         if self._spilled:
             for path in self._spilled.values():
                 try:

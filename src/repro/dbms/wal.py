@@ -605,14 +605,14 @@ class DurableDatabase(Database):
             # outside SQL): the mutation is its own commit record.
             self._commit_pending(state)
 
-    def _run_statement(self, statement: Any) -> Relation:
+    def _run_statement(self, statement: Any, cached: bool = False) -> Relation:
         """Group everything one statement commits into one WAL record,
         so an UPDATE's truncate + re-insert replays atomically."""
         self._ensure_alive()
         state = self._state()
         state.depth += 1
         try:
-            return super()._run_statement(statement)
+            return super()._run_statement(statement, cached)
         finally:
             state.depth -= 1
             if state.depth == 0:

@@ -1,6 +1,6 @@
 """The block contract: read-only, float64, lane-major; NULL is NaN.
 
-Four groups of checks:
+Five groups of checks:
 
 * every block producer — partition cache (miss, hit, spill reload)
   over typed float lanes and object lanes, whole-table matrix, mmap
@@ -14,7 +14,10 @@ Four groups of checks:
   reduces over rows;
 * serial, thread and process execution agree bit for bit;
 * pinned edge cases: NULL rows, an all-NULL lane, ±inf, −0.0, empty
-  partitions, a WHERE-filtered projection.
+  partitions, a WHERE-filtered projection;
+* the planned argument copy and the fresh nLQ state build the very bytes
+  their lane-by-lane and zeros-then-add predecessors built (both kept
+  here as oracles).
 
 The reordering bound.  Two float64 evaluations of the same n-term sum,
 in any two orders, each err by at most γₙ₋₁·Σ|tᵢ| (Higham, *Accuracy and
@@ -30,6 +33,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.fused import EmIterUdf, KMeansIterUdf, register_fused_udfs
 from repro.core.incremental import IncrementalSummary
@@ -41,8 +46,11 @@ from repro.core.summary import SummaryStatistics
 from repro.dbms.blocks import drop_null_rows, lane_block, take_rows
 from repro.dbms.columnar import BlockReader, ColumnarStore
 from repro.dbms.database import Database
+from repro.dbms.expressions import compile_argument_block, compile_vector_expression
 from repro.dbms.functions import AGGREGATE_BUILTINS, _MomentsState, _non_null
 from repro.dbms.schema import dataset_schema, dimension_names
+from repro.dbms.sql.ast import Literal
+from repro.dbms.sql.parser import parse_statement
 
 U = 2.0**-53
 
@@ -622,3 +630,170 @@ class TestPinnedCases:
         ids = {r[0] for r in block_wise}
         assert {8, 10, 11} <= ids and 9 not in ids
         assert repr(block_wise) == repr(row_wise)  # repr: −0.0, nan, inf
+
+
+# -------------------------------------------------- the argument copy plan
+_SOURCE_LANES = 5
+_ATOMS = [
+    *dimension_names(_SOURCE_LANES),
+    "0",
+    "8",
+    "1.5",
+    "-0.0",
+    "NULL",
+    "x1 + x2",
+    "-x3",
+    "x5 * 2.0",
+    "abs(x4) / 3",
+]
+
+
+def _call_arguments(text):
+    """The argument expressions of ``f(<text>)``."""
+    (item,) = parse_statement(f"SELECT f({text}) FROM x").items
+    return item.expression.args
+
+
+def _source_resolver(ref):
+    return dimension_names(_SOURCE_LANES).index(ref.name.lower())
+
+
+def _source_block(rows=37, seed=9):
+    """A 5-lane block holding NaNs, an infinity and a −0.0."""
+    block = np.asfortranarray(
+        np.random.default_rng(seed).normal(0.0, 4.0, size=(rows, _SOURCE_LANES))
+    )
+    if rows > 6:
+        block[3, 1] = np.nan
+        block[5, 4] = np.inf
+        block[6, 0] = -0.0
+    return block
+
+
+def _lane_by_lane(arguments, block):
+    """The argument block built one lane at a time through ``lane_block``
+    — the construction the copy plan replaced, kept here as its oracle."""
+    lanes = []
+    for argument in arguments:
+        if isinstance(argument, Literal):
+            value = argument.value
+            lanes.append(math.nan if value is None else float(value))
+        else:
+            lanes.append(
+                compile_vector_expression(argument, _source_resolver)(block)
+            )
+    return lane_block(block.shape[0], lanes)
+
+
+def _same_bytes(got, want):
+    return (
+        got.shape == want.shape
+        and _is_lane_major(got)
+        and got.tobytes(order="F") == want.tobytes(order="F")
+    )
+
+
+class TestArgumentCopyPlan:
+    @pytest.mark.parametrize(
+        "text,steps,null_preserving",
+        [
+            ("x1, x1", 2, True),  # duplicate refs
+            ("x3, x2, x1", 3, True),  # descending: no run
+            ("x1, 2.5, x2", 3, True),  # a literal between columns
+            ("1.0, 2, 3.5", 1, True),  # all literals: one broadcast row
+            ("x4", 1, True),  # one column
+            ("x1, x2, x1 + x2, x3, x4", 3, False),  # computed between runs
+            ("8, x1, x2, x3, x4, x5", 2, True),  # the nLQ call
+            ("10, 1.0, x2, x3, x4", 2, True),  # regression: runs need not start at 0
+            ("x2, x3, x5", 2, True),  # a gap ends the run
+            ("x1, NULL, x2", 3, False),  # a NULL literal can introduce a NULL
+            ("", 0, True),
+        ],
+    )
+    def test_pinned_shapes(self, text, steps, null_preserving):
+        arguments = _call_arguments(text)
+        plan = compile_argument_block(arguments, _source_resolver)
+        assert len(plan._steps) == steps
+        assert plan.null_preserving is null_preserving
+        for rows in (37, 1, 0):
+            block = _source_block(rows)
+            assert _same_bytes(plan(block), _lane_by_lane(arguments, block))
+
+    @given(st.lists(st.sampled_from(_ATOMS), max_size=12), st.integers(0, 40))
+    def test_any_argument_list_matches_the_lane_by_lane_build(self, atoms, rows):
+        arguments = _call_arguments(", ".join(atoms))
+        plan = compile_argument_block(arguments, _source_resolver)
+        block = _source_block(rows)
+        built = plan(block)
+        assert _same_bytes(built, _lane_by_lane(arguments, block))
+        bare = all(
+            atom in dimension_names(_SOURCE_LANES) or atom in ("0", "8", "1.5")
+            for atom in atoms
+        )
+        assert plan.null_preserving is bare
+        if bare and atoms:
+            # the promise the flag makes: no NULL the source did not hold
+            clean = np.nan_to_num(block, nan=1.0)
+            assert not np.isnan(plan(clean)).any()
+
+    def test_outside_the_vector_subset_there_is_no_plan(self):
+        for text in ("x1, 'a'", "x1, nope", "CASE WHEN x1 > 0 THEN 1 ELSE 0 END"):
+            assert compile_argument_block(
+                _call_arguments(text), _source_resolver
+            ) is None
+
+    def test_built_blocks_are_fresh(self):
+        plan = compile_argument_block(_call_arguments("x1, x2"), _source_resolver)
+        block = _source_block()
+        built = plan(block)
+        assert not np.shares_memory(built, block)
+        assert plan(block) is not built
+
+
+def _zeros_then_add(X, diagonal):
+    """What a fresh nLQ state held after one block when it was shaped
+    with zeros and the block's sums were added in."""
+    d = X.shape[1]
+    n = 0.0
+    n += float(X.shape[0])
+    L = np.zeros(d)
+    L += X.sum(axis=0)
+    Q = np.zeros(d) if diagonal else np.zeros((d, d))
+    Q += (X * X).sum(axis=0) if diagonal else X.T @ X
+    mins, maxs = np.full(d, np.inf), np.full(d, -np.inf)
+    np.minimum(mins, X.min(axis=0), out=mins)
+    np.maximum(maxs, X.max(axis=0), out=maxs)
+    return n, L, Q, mins, maxs
+
+
+class TestFreshStateTakesTheBlocksSums:
+    @pytest.mark.parametrize("udf_name", ["nlq_diag", "nlq_tri", "nlq_full"])
+    def test_partials_are_the_bytes_of_zeros_then_add(self, udf_name):
+        udf = register_nlq_udfs(Database(amps=1))[udf_name]
+        X = np.random.default_rng(4).normal(0.0, 3.0, size=(50, 4))
+        X[:, 1] = -0.0  # sums to -0.0; 0.0 + -0.0 is +0.0
+        X[:, 2] = np.where(np.arange(50) % 2, 0.0, -0.0)
+        block, _ = _with_leading(4.0, X)
+        state = udf.accumulate_block(udf.initialize(), block)
+        n, L, Q, mins, maxs = _zeros_then_add(block[:, 1:], state.diagonal)
+        assert state.d == 4 and state.n == n
+        assert not np.signbit(state.L[1]) and not np.signbit(state.Q.flat[1])
+        for got, want in ((state.L, L), (state.Q, Q), (state.mins, mins), (state.maxs, maxs)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(state.mins[1]) and np.signbit(state.maxs[1])
+        # a second block folds into the taken arrays like any other
+        again = udf.accumulate_block(state, block)
+        assert again is state and state.n == 2 * n
+        assert state.L.tobytes() == (L + L).tobytes()
+        assert state.Q.tobytes() == (Q + Q).tobytes()
+        merged = udf.merge(
+            udf.accumulate_block(udf.initialize(), block),
+            udf.accumulate_block(udf.initialize(), block),
+        )
+        assert merged.Q.tobytes() == state.Q.tobytes()
+
+    def test_an_empty_block_leaves_the_state_unshaped(self):
+        udf = register_nlq_udfs(Database(amps=1))["nlq_tri"]
+        state = udf.accumulate_block(udf.initialize(), lane_block(0, [(), ()]))
+        assert state.d is None and udf.finalize(state) is None

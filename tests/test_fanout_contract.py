@@ -15,7 +15,10 @@ workers {1, 4} × executor {thread, process}:
   ``CHAOS_WORKERS`` the pool size — the CI chaos job runs three seeds);
 * a refusal to ship process descriptors is recorded, not swallowed;
 * vector and row paths agree on GROUP BY keys (one NULL group, key
-  types from the key *expression*).
+  types from the key *expression*);
+* what a block cache remembers about a block's NULLs (thread engine) or
+  never remembers (process workers) changes no byte of an aggregate
+  UDF's answer, cold or warm.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.nlq_udf import register_nlq_udfs
 from repro.dbms.database import Database
 from repro.dbms.faults import FaultPlan
 from repro.dbms.schema import Column, TableSchema
@@ -77,6 +81,7 @@ def _build_db(seed: int = 0, **options) -> Database:
     group and the float-typed key at once."""
     rng = np.random.default_rng(seed)
     db = Database(amps=AMPS, **options)
+    register_nlq_udfs(db)
     db.create_table(
         "t",
         TableSchema.build(
@@ -382,3 +387,48 @@ class TestGroupKeysMatchRowPath:
         )
         assert repr(vector) == repr(row)
         assert {type(key) for key, _ in vector} == {int}
+
+
+# ------------------------------------------------------ NULL facts and answers
+#: statement -> NULL scans of a warm repeat on the thread engine, whose
+#: block cache keeps what the cold run learned (a process worker's view
+#: of a published block keeps nothing, so there it is not asserted)
+UDF_STATEMENTS = {
+    # NULL-free block, bare columns: asked once, then never
+    "SELECT nlq_tri(2, x, y) FROM t": 0,
+    "SELECT nlq_tri(3, 1.0, x, y), nlq_diag(1, y) FROM t": 0,
+    # sub-blocks of a NULL-free block inherit the answer
+    "SELECT k % 3, nlq_diag(2, x, y) FROM t GROUP BY k % 3": 0,
+    # g holds NULLs: every fold takes the exact path, every run
+    "SELECT nlq_tri(2, g, x) FROM t": AMPS,
+    # g is the key and the aggregate needs no g: the (g, x, y) block
+    # still fails the pre-test, so each group's fold scans (3 keys + NULL)
+    "SELECT g, nlq_diag(2, x, y) FROM t GROUP BY g": 4 * AMPS,
+    # a computed lane can make a NULL of its own: never skipped
+    "SELECT nlq_diag(2, x / y, y) FROM t": AMPS,
+}
+
+
+@pytest.mark.parametrize("sql", UDF_STATEMENTS)
+def test_null_facts_change_no_byte_on_any_executor(databases, sql):
+    reference_db = databases[(1, "thread")]
+    reference = reference_db.execute(sql)
+    for key in MATRIX:
+        db = databases[key]
+        cold = db.execute(sql)
+        warm = db.execute(sql)
+        assert repr(cold.rows) == repr(warm.rows) == repr(reference.rows), key
+        assert warm.metrics.fallbacks == 0
+        if key[1] == "thread":
+            assert warm.metrics.null_scans == UDF_STATEMENTS[sql], key
+    # The row path drops the same rows (payload field 2 is n).
+    tail = sql.index(" GROUP BY") if " GROUP BY" in sql else len(sql)
+    row = reference_db.execute(sql[:tail] + " WHERE k > 0" + sql[tail:])
+
+    def keys_and_counts(rows):
+        return sorted(
+            repr([v.split(";")[2] if isinstance(v, str) else v for v in r])
+            for r in rows
+        )
+
+    assert keys_and_counts(row.rows) == keys_and_counts(reference.rows)
