@@ -1,6 +1,6 @@
 """Vectorized single-scan scoring: row path vs. block-wise path.
 
-Real wall clock, like ``test_parallel_speedup`` — not the cost model.
+Real wall clock — not the cost model.
 The block-wise SELECT path exists to make scoring-UDF scans faster by
 dispatching ``compute_batch`` numpy kernels over partition blocks, so
 the claims here are:

@@ -1,13 +1,11 @@
-"""Persistent on-disk columnar partition blocks.
+"""The columnar block file: one partition's lanes, self-describing.
 
-The process-pool execution path (``Database(executor_kind="process")``)
-cannot share Python object graphs with worker processes the way threads
-do, and pickling partition data per task would erase the benefit of
-leaving the GIL.  This module gives every ``(table, version, partition)``
-a **self-describing block file** that workers open read-only via
-``mmap`` — the parent ships only a tiny descriptor ``(store root, table,
-version, partition id)`` and the worker pages in exactly the bytes its
-scan touches, with zero copies and zero pickling of row data.
+A block file holds one partition — every column as one lane — in a form
+a reader opens read-only via ``mmap`` and decodes lazily, paging in only
+the lanes it touches.  ``encode_block`` writes a partition's own lane
+bytes (a typed float lane is written from its buffer, so the in-memory
+lane and the block-file lane are the same bytes); :class:`BlockReader`
+reads them back exactly.
 
 Format (everything little-endian, version tag ``RCOL1``)::
 
@@ -23,20 +21,12 @@ Column lanes are **exact**: a column whose values are all Python ``int``
 in the lane), and anything else — strings, mixed int/float, oversize
 ints — goes to the pickled object sidecar verbatim.  Reading a block
 back therefore reproduces each stored value bit-for-bit and type-for-
-type, which is what lets the process executor keep the engine's
-bit-identical merge contract.
+type.
 
 Writes go through the same atomic discipline as the persistence layer:
 temp sibling, optional fsync, ``os.replace`` — a reader can never
 observe a half-written block (:func:`atomic_write_bytes` is shared with
 :mod:`repro.dbms.persistence`).
-
-A :class:`ColumnarStore` manages the directory layout
-``root/<table>/v<version>/p<pid>.blk``, publishing the current table
-version on demand and garbage-collecting stale versions (the latest two
-are kept so a scan that started just before a mutation can still open
-its files; an mmap that is already open survives the unlink regardless,
-POSIX-style).
 """
 
 from __future__ import annotations
@@ -45,7 +35,6 @@ import json
 import mmap
 import os
 import pickle
-import shutil
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -59,8 +48,6 @@ _MAGIC = b"RCOL1\n"
 _ALIGN = 64
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-#: stale table versions kept next to the current one (see module docs)
-_KEEP_VERSIONS = 2
 
 
 def atomic_write_bytes(path: Path, payload: bytes, fsync: bool = False) -> None:
@@ -186,11 +173,9 @@ class BlockReader:
     """One mmap'd block file, decoded lazily.
 
     The mapping is opened read-only; numeric lanes are served as
-    zero-copy numpy views over the mapped pages, so a worker process
-    touching three columns of a fifty-column block pages in only those
-    three lanes.  Call :meth:`drop_pages` after a scan to hand resident
-    pages back to the OS (``MADV_DONTNEED``) — the out-of-core
-    benchmark's peak-RSS guarantee rides on this.
+    zero-copy numpy views over the mapped pages, so a reader touching
+    three columns of a fifty-column block pages in only those three
+    lanes.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -302,106 +287,9 @@ class BlockReader:
             zip(*(self.column_values(i) for i in range(self.width)))
         )
 
-    def drop_pages(self) -> None:
-        """Advise the OS to reclaim this mapping's resident pages."""
-        try:
-            self._mm.madvise(mmap.MADV_DONTNEED)
-        except (AttributeError, OSError, ValueError):  # pragma: no cover
-            pass
-
     def close(self) -> None:
         self._objects = None
         try:
             self._mm.close()
         except (BufferError, ValueError):  # pragma: no cover - views alive
             pass
-
-
-class ColumnarStore:
-    """Directory of published partition blocks, keyed by table version.
-
-    ``publish`` is idempotent and cheap when current: it writes one
-    block file per non-empty partition the first time a table version is
-    seen, then answers from a path check.  Old versions are garbage-
-    collected down to the latest :data:`_KEEP_VERSIONS`.
-    """
-
-    def __init__(self, root: "str | Path") -> None:
-        self.root = Path(root)
-        #: lifetime accounting (tests and the benchmark read these)
-        self.blocks_written = 0
-        self.bytes_written = 0
-        self._published: dict[str, int] = {}
-
-    def table_dir(self, table_name: str) -> Path:
-        return self.root / table_name.lower()
-
-    def version_dir(self, table_name: str, version: int) -> Path:
-        return self.table_dir(table_name) / f"v{version}"
-
-    def block_path(self, table_name: str, version: int, pid: int) -> Path:
-        return self.version_dir(table_name, version) / f"p{pid}.blk"
-
-    def publish(self, table: Any) -> dict[str, Any]:
-        """Ensure block files exist for *table*'s current version.
-
-        Returns the descriptor the executor ships to workers: plain
-        strings and ints, nothing else — the whole point is that task
-        submission never pickles data.
-        """
-        name = table.name.lower()
-        version = table.version
-        partitions = [
-            index
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        fresh = self._published.get(name) != version
-        if fresh:
-            target = self.version_dir(name, version)
-            target.mkdir(parents=True, exist_ok=True)
-            for index in partitions:
-                path = self.block_path(name, version, index)
-                if path.exists():
-                    continue
-                partition = table.partitions[index]
-                payload = encode_block(partition.lanes, partition.row_count)
-                atomic_write_bytes(path, payload)
-                self.blocks_written += 1
-                self.bytes_written += len(payload)
-            self._gc(name, version)
-            self._published[name] = version
-        return {
-            "root": str(self.root),
-            "table": name,
-            "version": version,
-            "partitions": partitions,
-            # Whether this call had to materialize the version (the
-            # executor reports repeat statements as block-cache hits —
-            # deterministic at any worker count, unlike per-process
-            # reader caches)
-            "fresh": fresh,
-        }
-
-    def _gc(self, name: str, current: int) -> None:
-        table_dir = self.table_dir(name)
-        try:
-            entries = list(table_dir.iterdir())
-        except OSError:  # pragma: no cover - dir raced away
-            return
-        versions = sorted(
-            int(entry.name[1:])
-            for entry in entries
-            if entry.is_dir()
-            and entry.name.startswith("v")
-            and entry.name[1:].isdigit()
-        )
-        for version in versions:
-            if version >= current - (_KEEP_VERSIONS - 1):
-                continue
-            shutil.rmtree(table_dir / f"v{version}", ignore_errors=True)
-
-    def forget(self, table_name: str) -> None:
-        """Drop a table's published blocks (DROP TABLE / truncate)."""
-        self._published.pop(table_name.lower(), None)
-        shutil.rmtree(self.table_dir(table_name), ignore_errors=True)

@@ -9,7 +9,6 @@ reports.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import threading
@@ -21,7 +20,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.dbms.catalog import Catalog
-from repro.dbms.columnar import ColumnarStore
 from repro.dbms.cost import CostModel, CostParameters
 from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
@@ -168,19 +166,8 @@ class Database:
     task_retries:
         Bounded retry count for *idempotent* partition tasks (pure
         scans).  0 — the default — preserves fail-fast seed behaviour.
-    task_retry_backoff_seconds:
-        Base of the exponential backoff slept between retry attempts.
-    executor_kind:
-        ``"thread"`` (default) or ``"process"``.  A process engine runs
-        CPU-bound partition tasks on a ``ProcessPoolExecutor`` —
-        genuinely parallel past the GIL.  Tables are published to an
-        on-disk columnar block store that workers open via ``mmap``, so
-        task submission ships only small plan descriptors, never data.
-        Results stay bit-identical (partials merge in partition order on
-        either engine); fan-outs whose plan fragment cannot travel fall
-        back to the thread path transparently.  ``None`` reads the
-        ``REPRO_EXECUTOR_KIND`` environment variable (CI runs the whole
-        suite under ``process`` that way), defaulting to ``"thread"``.
+        Attempts are spaced by the engine's exponential backoff (0.01 s,
+        doubling).
     block_cache_entries:
         Per-partition entry capacity of the float-block LRU cache
         (historically hard-coded at 8).
@@ -193,11 +180,11 @@ class Database:
         ``QueryMetrics`` (``cache_evictions``, ``blocks_spilled``,
         ``bytes_spilled``).
 
-    A database holding a parallel engine owns a persistent pool;
+    A database holding a parallel engine owns a persistent thread pool;
     :meth:`close` releases it (the database stays usable — the pool is
     lazily re-created) along with the scratch directory backing the
-    columnar store and spill files.  ``Database`` is also a context
-    manager that closes on exit.
+    spill files.  ``Database`` is also a context manager that closes on
+    exit.
     """
 
     def __init__(
@@ -209,8 +196,6 @@ class Database:
         faults: "FaultPlan | NullFaults | None" = None,
         task_timeout_seconds: float | None = None,
         task_retries: int = 0,
-        task_retry_backoff_seconds: float = 0.01,
-        executor_kind: str | None = None,
         block_cache_entries: int | None = None,
         block_cache_bytes: int | None = None,
     ) -> None:
@@ -218,27 +203,20 @@ class Database:
         params.amps = amps
         self.cost = CostModel(params=params)
         self.catalog = Catalog(default_partitions=amps)
-        kind = executor_kind or os.environ.get("REPRO_EXECUTOR_KIND") or "thread"
         engine = PartitionEngine(
             executor_workers,
             timeout_seconds=task_timeout_seconds,
             max_retries=task_retries,
-            retry_backoff_seconds=task_retry_backoff_seconds,
             faults=faults if faults is not None else NULL_FAULTS,
-            kind=kind,
         )
         self._executor = Executor(self.catalog, self.cost, engine=engine)
         self._executor.vectorized_select = vectorized_select
         if faults is not None:
             self._executor.faults = faults
             self.catalog.install_faults(faults)
-        #: scratch directory holding published columnar blocks and
-        #: spilled cache blocks; created lazily, removed by close()
+        #: scratch directory holding spilled cache blocks; created
+        #: lazily, removed by close()
         self._scratch_dir: str | None = None
-        if kind == "process":
-            self._executor.columnar_store = ColumnarStore(
-                Path(self._scratch_root()) / "blocks"
-            )
         if block_cache_entries is not None or block_cache_bytes is not None:
             config = BlockCacheConfig(
                 max_entries=(
@@ -271,30 +249,9 @@ class Database:
     @executor_workers.setter
     def executor_workers(self, workers: int) -> None:
         old = self._executor.engine
-        # Keep timeout/retry/fault/kind configuration across swaps.
+        # Keep timeout/retry/fault configuration across swaps.
         self._executor.engine = old.configured_like(workers)
         old.close()
-
-    @property
-    def executor_kind(self) -> str:
-        """``"thread"`` or ``"process"`` — how parallel tasks execute."""
-        return self._executor.engine.kind
-
-    @executor_kind.setter
-    def executor_kind(self, kind: str) -> None:
-        old = self._executor.engine
-        self._executor.engine = old.configured_like(old.workers, kind=kind)
-        old.close()
-        if kind == "process" and self._executor.columnar_store is None:
-            self._executor.columnar_store = ColumnarStore(
-                Path(self._scratch_root()) / "blocks"
-            )
-
-    @property
-    def columnar_store(self) -> "ColumnarStore | None":
-        """The on-disk block store backing process-pool execution
-        (``None`` until a process engine needed one)."""
-        return self._executor.columnar_store
 
     @property
     def block_cache_config(self) -> "BlockCacheConfig | None":
@@ -420,9 +377,6 @@ class Database:
             for table in self.catalog._tables.values():
                 for partition in table.partitions:
                     partition._invalidate_cache()
-            store = self._executor.columnar_store
-            if store is not None:
-                store._published.clear()
             shutil.rmtree(self._scratch_dir, ignore_errors=True)
             self._scratch_dir = None
 

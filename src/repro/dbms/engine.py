@@ -9,33 +9,12 @@ this module makes the execution actually concurrent, and makes it
 statement, never a hang, a leaked sibling task, or a nondeterministic
 error.
 
-:class:`PartitionEngine` runs one task per partition on a
-``ThreadPoolExecutor`` or — ``kind="process"`` — a
-``ProcessPoolExecutor``.  Threads are the right fit when the hot
-per-partition work is vectorized numpy (block materialization of cached
-float columns and the aggregate block updates — ``X.T @ X``, axis sums,
-extrema — release the GIL), and they remain the default.  Processes are
-the right fit for the **GIL-bound** sites: row-path aggregate
-accumulation, fused clustering iterations over Python state machines,
-and factorized fact-table folds, where every thread serializes on the
-interpreter lock no matter how many cores exist.
-
-The process path never pickles row data.  Callers pass ``map`` a
-``payloads`` list of plain descriptors — ``(columnar-store root, table,
-version, partition id, plan fragment)`` — and the worker process opens
-the partition's published block file via ``mmap``
-(:mod:`repro.dbms.columnar`), recompiles the plan fragment (cached per
-worker), and returns only the partial state.  Tasks whose plan fragment
-cannot be described this way (closures over lambdas, materialized
-relations) simply pass ``payloads=None`` and run on threads — the
-process executor is an optimization with a by-construction thread
-fallback, never a correctness requirement.  Fault-plan semantics are
-preserved by shipping each attempt a snapshot of the plan's counters
-and absorbing the worker's counter deltas back into the coordinating
-plan — for failed attempts too, which is what lets bounded retries
-absorb flaky faults exactly as they do under threads (trip decisions
-are keyed per ``(spec, partition)``, and a worker owns its partition
-for the duration of the attempt).
+:class:`PartitionEngine` runs one task per partition inline or on a
+``ThreadPoolExecutor``.  Threads fit because the hot per-partition work
+is vectorized numpy: block materialization of cached float columns and
+the aggregate block updates — ``X.T @ X``, axis sums, extrema — release
+the GIL.  Row-path folds hold it; ``docs/parallel_engine.md`` has the
+measurements that set the default worker count to 1.
 
 Invariants the executor relies on:
 
@@ -57,7 +36,9 @@ Invariants the executor relies on:
   future that has not started and *waits out* the ones already running
   before raising — no task outlives the ``map`` call.  The one
   exception is a task **timeout**: a Python thread cannot be killed, so
-  the engine abandons its pool (``shutdown(wait=False)``), lazily
+  the engine cancels the tasks that have not started, abandons its pool
+  (``shutdown(wait=False)``) instead of waiting for the running ones,
+  lazily
   creates a fresh one for the next statement, and the stuck task stays
   visible through :attr:`PartitionEngine.active_tasks` until it
   finishes on the orphaned pool.
@@ -92,44 +73,21 @@ call it.  A closed engine simply re-creates the pool on next use.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.trace import Span
-from repro.errors import (
-    ExecutionError,
-    PartitionExecutionError,
-    PartitionTimeoutError,
-)
+from repro.errors import PartitionExecutionError, PartitionTimeoutError
 
 T = TypeVar("T")
 
-#: engine executor kinds (``Database(executor_kind=...)``)
-EXECUTOR_KINDS = ("thread", "process")
-
-
-def _process_context():
-    """The multiprocessing start method for worker pools.
-
-    ``forkserver`` when available (cheap spawns, and — unlike ``fork``
-    — no risk of duplicating the coordinator's held locks into a child
-    that then deadlocks), ``spawn`` otherwise.  Never ``fork``.
-    """
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("forkserver")
-    except ValueError:  # pragma: no cover - platform without forkserver
-        return multiprocessing.get_context("spawn")
-
 
 class PartitionEngine:
-    """Runs per-partition tasks serially or on a bounded worker pool."""
+    """Runs per-partition tasks serially or on a bounded thread pool."""
 
     def __init__(
         self,
@@ -139,7 +97,6 @@ class PartitionEngine:
         max_retries: int = 0,
         retry_backoff_seconds: float = 0.01,
         faults: "FaultPlan | NullFaults" = NULL_FAULTS,
-        kind: str = "thread",
     ) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -149,21 +106,9 @@ class PartitionEngine:
             raise ValueError("max_retries must be >= 0")
         if retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor kind must be one of {EXECUTOR_KINDS}, got {kind!r}"
-            )
         self._workers = workers
-        self._kind = kind
         self._pool: ThreadPoolExecutor | None = None
-        self._process_pool: Any | None = None
         self._pool_lock = threading.Lock()
-        #: why the most recent ``map`` with payloads ran on threads
-        #: anyway (unpicklable payload), or None (test introspection)
-        self.last_process_fallback: str | None = None
-        #: children terminated by the most recent ``_abandon_pool``
-        #: (the process-latch test asserts these PIDs die)
-        self.last_terminated_pids: list[int] = []
         #: pools created over this engine's lifetime (regression tests
         #: assert repeated queries reuse one pool instead of churning)
         self.pools_created = 0
@@ -187,18 +132,8 @@ class PartitionEngine:
         return self._workers
 
     @property
-    def kind(self) -> str:
-        """``"thread"`` or ``"process"`` (the configured executor)."""
-        return self._kind
-
-    @property
     def parallel(self) -> bool:
         return self._workers > 1
-
-    @property
-    def uses_processes(self) -> bool:
-        """Whether a ``map`` with payloads would fan out to processes."""
-        return self._kind == "process" and self._workers > 1
 
     @property
     def active_tasks(self) -> int:
@@ -221,9 +156,7 @@ class PartitionEngine:
             or self.max_retries > 0
         )
 
-    def configured_like(
-        self, workers: int, kind: str | None = None
-    ) -> "PartitionEngine":
+    def configured_like(self, workers: int) -> "PartitionEngine":
         """A new engine with this one's supervision config but *workers*
         workers (``Database.executor_workers`` swap path)."""
         return PartitionEngine(
@@ -232,7 +165,6 @@ class PartitionEngine:
             max_retries=self.max_retries,
             retry_backoff_seconds=self.retry_backoff_seconds,
             faults=self.faults,
-            kind=self._kind if kind is None else kind,
         )
 
     def _acquire_pool(self) -> ThreadPoolExecutor:
@@ -250,106 +182,28 @@ class PartitionEngine:
                     self.pools_created += 1
         return pool
 
-    def _acquire_process_pool(self) -> Any:
-        """The persistent worker-process pool, created lazily.
-
-        Creation warms the pool: every worker is spawned, runs the
-        import-heavy initializer, and answers one warm-up task before
-        this returns.  Cold-start cost is therefore paid once here —
-        never against a real task's wall clock, so ``timeout_seconds``
-        measures the task, not process spawning.
-        """
-        pool = self._process_pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._process_pool
-                if pool is None:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    from repro.dbms.parallel_worker import (
-                        warm_worker,
-                        worker_init,
-                    )
-
-                    pool = ProcessPoolExecutor(
-                        max_workers=self._workers,
-                        mp_context=_process_context(),
-                        initializer=worker_init,
-                    )
-                    warmups = [
-                        pool.submit(warm_worker, 0.05)
-                        for _ in range(self._workers)
-                    ]
-                    for future in warmups:
-                        try:
-                            future.result(timeout=60.0)
-                        except Exception:  # pragma: no cover - broken pool
-                            # Leave the failure to the first real map,
-                            # which has typed error handling for it.
-                            break
-                    self._process_pool = pool
-                    self.pools_created += 1
-        return pool
-
     def close(self) -> None:
-        """Shut the persistent pools down (idempotent).
+        """Shut the persistent pool down (idempotent).
 
         The engine stays usable: the next parallel ``map`` lazily
         creates a fresh pool.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            process_pool, self._process_pool = self._process_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
 
     def _abandon_pool(self) -> None:
-        """Detach the pools without waiting (timeout path).
+        """Detach the pool without waiting (timeout path).
 
-        Thread pool: its threads finish their current tasks and exit;
-        the next parallel ``map`` creates a fresh pool so new statements
-        never queue behind a stuck task.  Process pool: unlike a thread,
-        a stuck child *can* be killed, so the engine terminates every
-        worker process — no orphaned children survive a fatal timeout
-        (:attr:`last_terminated_pids` records what was killed).
+        Its threads finish their current tasks and exit; the next
+        parallel ``map`` creates a fresh pool so new statements never
+        queue behind a stuck task.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            process_pool, self._process_pool = self._process_pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        if process_pool is not None:
-            self._terminate_process_pool(process_pool)
-
-    def _terminate_process_pool(self, pool: Any) -> None:
-        """Kill a process pool's children: terminate, bounded join,
-        then SIGKILL stragglers.  Best-effort by design — the pool's
-        own management thread may be reaping concurrently."""
-        try:
-            processes = list(getattr(pool, "_processes", {}).values())
-        except Exception:  # pragma: no cover - internal layout changed
-            processes = []
-        self.last_terminated_pids = [
-            proc.pid for proc in processes if proc.pid is not None
-        ]
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + 5.0
-        for proc in processes:
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-            except Exception:  # pragma: no cover - already reaped
-                pass
-        for proc in processes:
-            try:
-                proc.join(max(0.0, deadline - time.monotonic()))
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(1.0)
-            except Exception:  # pragma: no cover - already reaped
-                pass
 
     def map(
         self,
@@ -358,7 +212,6 @@ class PartitionEngine:
         *,
         idempotent: bool = False,
         partition_ids: Sequence[int] | None = None,
-        payloads: Sequence[Any] | None = None,
     ) -> list[T]:
         """Run every task and return the results in task order.
 
@@ -381,33 +234,9 @@ class PartitionEngine:
         worker threads; the caller attaches the collected spans to its
         trace afterwards.  ``spans=None`` (every non-traced query) adds
         no per-task work beyond a constant ``if``.
-
-        *payloads* (aligned with *tasks*) offers a process-shippable
-        descriptor per task: when this engine is ``kind="process"`` and
-        parallel, the descriptors are pickled to pool worker processes
-        instead of running *tasks* on threads (see
-        :mod:`repro.dbms.parallel_worker`).  An unpicklable payload
-        falls back to the thread path and records why in
-        :attr:`last_process_fallback`.  ``payloads=None`` — tasks whose
-        plan fragment cannot be described — always runs on threads.
         """
         self.last_task_retries = 0
         self.last_task_timeouts = 0
-        if (
-            payloads is not None
-            and self._kind == "process"
-            and self._workers > 1
-            and len(tasks) > 1
-            and len(payloads) == len(tasks)
-        ):
-            prepared = self._prepare_process(payloads)
-            if prepared is not None:
-                return self._run_process(
-                    prepared,
-                    spans,
-                    idempotent=idempotent,
-                    partition_ids=partition_ids,
-                )
         supervised = self.supervised
         retry_counts: list[int] | None = None
         if supervised:
@@ -565,28 +394,32 @@ class PartitionEngine:
             )
             try:
                 results.append(future.result(timeout))
+                continue
             except FutureTimeout:
                 self.last_task_timeouts += 1
                 errors.append(
                     (partition, PartitionTimeoutError(partition, timeout))
                 )
                 timed_out = True
-                break
             except Exception as exc:
                 errors.append((partition, exc))
-                # First cancel everything still pending in one fast
-                # pass — interleaving cancellation with draining would
-                # let the workers grab (and run) tasks we are about to
-                # cancel.  Then wait out the siblings that were already
-                # running, collecting their errors (bounded wait — they
-                # are not hung, or we would have configured a timeout)
-                # for attribution, preserving this error as the
-                # deterministic first.
-                survivors = [
-                    later_index
-                    for later_index in range(index + 1, len(futures))
-                    if not futures[later_index].cancel()
-                ]
+            # A fatal failure.  First cancel everything still pending in
+            # one fast pass — interleaving cancellation with draining
+            # would let the workers grab (and run) tasks we are about to
+            # cancel — so ``cancelled`` counts exactly the tasks that
+            # never ran.
+            survivors = [
+                later_index
+                for later_index in range(index + 1, len(futures))
+                if not futures[later_index].cancel()
+            ]
+            if not timed_out:
+                # Then wait out the siblings that were already running,
+                # collecting their errors (bounded wait — they are not
+                # hung, or we would have configured a timeout) for
+                # attribution, preserving this error as the
+                # deterministic first.  After a timeout they may be
+                # stuck too: the pool is abandoned instead.
                 for later_index in survivors:
                     later_partition = (
                         partition_ids[later_index]
@@ -608,219 +441,13 @@ class PartitionEngine:
                         timed_out = True
                     except Exception as sibling_exc:
                         errors.append((later_partition, sibling_exc))
-                break
+            break
         if not errors:
             return results
         cancelled = sum(1 for future in futures if future.cancelled())
         if timed_out:
             # The stuck worker cannot be interrupted; abandon the pool
             # so the next statement never queues behind it.
-            self._abandon_pool()
-        raise PartitionExecutionError(
-            errors, cancelled=cancelled
-        ) from errors[0][1]
-
-    # ------------------------------------------------------ process path
-    def _prepare_process(
-        self, payloads: Sequence[Any]
-    ) -> "list[Any] | None":
-        """Pickle-probe the payloads (one cheap dumps) before fanning
-        out; an unpicklable plan fragment (e.g. a lambda-backed UDF)
-        means the statement runs on threads instead of failing."""
-        self.last_process_fallback = None
-        materialized = list(payloads)
-        try:
-            pickle.dumps(materialized)
-        except Exception as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            self.last_process_fallback = detail[:200]
-            return None
-        return materialized
-
-    def _task_done(self, future: Future) -> None:
-        with self._active_lock:
-            self._active_tasks -= 1
-
-    def _run_process(
-        self,
-        payloads: "list[Any]",
-        spans: "list[Span] | None",
-        *,
-        idempotent: bool,
-        partition_ids: Sequence[int] | None,
-    ) -> list[Any]:
-        """Fan payload descriptors out to worker processes.
-
-        Mirrors ``_run_pooled``'s contract exactly: submission-order
-        gathering (deterministic merge and first-error identity),
-        cancel + drain on a fatal error, pool abandonment on timeout —
-        plus the process-specific pieces:
-
-        * Each attempt ships a :meth:`~repro.dbms.faults.FaultPlan.fork`
-          snapshot of the fault plan; the worker returns its counter
-          deltas (for failed attempts too), which are absorbed into the
-          coordinating plan before any retry resubmits with a fresh
-          fork.  Per-``(spec, partition)`` trip keys make this
-          equivalent to threads firing on the shared plan.
-        * Retries run on the coordinator (a resubmission), not inside
-          the worker, because every attempt needs a fresh snapshot.
-        * A broken pool (a worker died hard) surfaces as a typed
-          :class:`~repro.errors.ExecutionError` inside the usual
-          :class:`~repro.errors.PartitionExecutionError`.
-        """
-        from repro.dbms.parallel_worker import run_task
-
-        pool = self._acquire_process_pool()
-        plan = self.faults if isinstance(self.faults, FaultPlan) else None
-        retries = self.max_retries if idempotent else 0
-        backoff = self.retry_backoff_seconds
-        timeout = self.timeout_seconds
-        retry_counts = [0] * len(payloads)
-        submitted_at = time.perf_counter()
-
-        def partition_of(index: int) -> int:
-            return (
-                partition_ids[index] if partition_ids is not None else index
-            )
-
-        def submit(index: int, attempt: int) -> Future:
-            snapshot = plan.fork() if plan is not None else None
-            future = pool.submit(
-                run_task,
-                payloads[index],
-                snapshot,
-                partition_of(index),
-                attempt,
-            )
-            with self._active_lock:
-                self._active_tasks += 1
-            future.add_done_callback(self._task_done)
-            return future
-
-        def absorb(meta: "dict[str, Any] | None") -> None:
-            if plan is not None and meta:
-                plan.absorb(meta.get("hits", {}), meta.get("tripped", {}))
-
-        results: list[Any] = []
-        errors: list[tuple[int | None, BaseException]] = []
-        timed_out = False
-        broken = False
-        task_spans: "list[Span | None] | None" = (
-            None if spans is None else [None] * len(payloads)
-        )
-        try:
-            futures: list[Future] = [
-                submit(index, 0) for index in range(len(payloads))
-            ]
-        except BrokenExecutor as exc:
-            self._abandon_pool()
-            error = ExecutionError(f"worker process pool broke: {exc}")
-            raise PartitionExecutionError(
-                [(partition_of(0), error)]
-            ) from error
-        try:
-            for index, future in enumerate(list(futures)):
-                partition = partition_of(index)
-                attempt = 0
-                seconds = 0.0
-                pid: int | None = None
-                try:
-                    while True:
-                        status, value, meta = futures[index].result(timeout)
-                        absorb(meta)
-                        if meta:
-                            seconds += meta.get("seconds", 0.0)
-                            pid = meta.get("pid", pid)
-                        if status == "ok":
-                            break
-                        if attempt >= retries:
-                            raise value
-                        if backoff:
-                            time.sleep(backoff * (2.0**attempt))
-                        attempt += 1
-                        retry_counts[index] = attempt
-                        futures[index] = submit(index, attempt)
-                except FutureTimeout:
-                    self.last_task_timeouts += 1
-                    errors.append(
-                        (partition, PartitionTimeoutError(partition, timeout))
-                    )
-                    timed_out = True
-                    break
-                except BrokenExecutor as exc:
-                    errors.append(
-                        (
-                            partition,
-                            ExecutionError(
-                                f"worker process pool broke: {exc}"
-                            ),
-                        )
-                    )
-                    broken = True
-                    break
-                except Exception as exc:
-                    errors.append((partition, exc))
-                    # Same fatal-error shape as the thread pool: cancel
-                    # everything still pending in one pass, then wait
-                    # out already-running siblings for attribution —
-                    # absorbing their fault deltas so the coordinating
-                    # plan's counters stay exact even on a failed
-                    # statement.
-                    survivors = [
-                        later
-                        for later in range(index + 1, len(futures))
-                        if not futures[later].cancel()
-                    ]
-                    for later in survivors:
-                        later_partition = partition_of(later)
-                        try:
-                            sib_status, sib_value, sib_meta = futures[
-                                later
-                            ].result(timeout)
-                            absorb(sib_meta)
-                            if sib_status != "ok":
-                                errors.append((later_partition, sib_value))
-                        except FutureTimeout:
-                            self.last_task_timeouts += 1
-                            errors.append(
-                                (
-                                    later_partition,
-                                    PartitionTimeoutError(
-                                        later_partition, timeout
-                                    ),
-                                )
-                            )
-                            timed_out = True
-                        except Exception as sibling_exc:
-                            errors.append((later_partition, sibling_exc))
-                    break
-                results.append(value)
-                if task_spans is not None:
-                    wall = time.perf_counter() - submitted_at
-                    span = Span(
-                        "task",
-                        seconds=seconds,
-                        attributes={
-                            "index": index,
-                            "queued_seconds": max(0.0, wall - seconds),
-                            "thread": f"process-{pid}",
-                        },
-                    )
-                    if attempt:
-                        span.attributes["retries"] = attempt
-                    task_spans[index] = span
-        finally:
-            self.last_task_retries = sum(retry_counts)
-        if not errors:
-            if spans is not None and task_spans is not None:
-                spans.extend(
-                    span for span in task_spans if span is not None
-                )
-            return results
-        cancelled = sum(1 for future in futures if future.cancelled())
-        if timed_out or broken:
-            # A stuck or dead child must not leak: terminate the pool's
-            # worker processes (recorded in ``last_terminated_pids``).
             self._abandon_pool()
         raise PartitionExecutionError(
             errors, cancelled=cancelled

@@ -263,94 +263,6 @@ class FaultPlan:
             return spec.error
         return spec.error(f"injected fault at {site!r}")
 
-    # ------------------------------------------------- process-pool support
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle support: a plan snapshot ships to pool workers.
-
-        The lock is dropped (the worker rebuilds one); everything else —
-        specs, seed, hit counters, trip counters — travels, so the
-        worker's ``fire()`` decisions continue exactly where the
-        coordinator's plan left off.  Trip decisions are keyed on
-        per-``(spec, partition)`` hit counts, and a process worker owns
-        its partition's hits for the duration of its task, so evaluating
-        the snapshot in the child is equivalent to evaluating the shared
-        plan under a thread.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def fork(self) -> "FaultPlan":
-        """A detached snapshot of this plan, safe to pickle.
-
-        ``ProcessPoolExecutor`` pickles submitted arguments from a
-        feeder thread, which would race ``fire()`` mutating ``_hits``
-        on the live plan ("dict changed size during iteration").  A
-        fork copies the counters *under the lock* in the submitting
-        thread, so the snapshot shipped to the worker is internally
-        consistent and subsequent coordinator-side fires never touch
-        it.
-        """
-        clone = FaultPlan.__new__(FaultPlan)
-        with self._lock:
-            clone.seed = self.seed
-            clone._specs = list(self._specs)
-            clone._hits = dict(self._hits)
-            clone.tripped = dict(self.tripped)
-        clone._lock = threading.Lock()
-        return clone
-
-    def counter_snapshot(
-        self,
-    ) -> "tuple[dict[tuple[int, int | None], int], dict[str, int]]":
-        """Copies of the hit and trip counters (delta baselines)."""
-        with self._lock:
-            return dict(self._hits), dict(self.tripped)
-
-    def counter_deltas(
-        self,
-        baseline_hits: "dict[tuple[int, int | None], int]",
-        baseline_tripped: "dict[str, int]",
-    ) -> "tuple[dict[tuple[int, int | None], int], dict[str, int]]":
-        """Counter growth since a :meth:`counter_snapshot` baseline.
-
-        Workers call this after running a task against their plan
-        snapshot and ship the (tiny) deltas home with the result —
-        for **failed** attempts too, which is what lets a bounded retry
-        absorb a flaky fault: the retry resubmits with a fresh snapshot
-        that already includes the failed attempt's hits.
-        """
-        with self._lock:
-            hits_delta = {
-                key: count - baseline_hits.get(key, 0)
-                for key, count in self._hits.items()
-                if count != baseline_hits.get(key, 0)
-            }
-            tripped_delta = {
-                site: count - baseline_tripped.get(site, 0)
-                for site, count in self.tripped.items()
-                if count != baseline_tripped.get(site, 0)
-            }
-        return hits_delta, tripped_delta
-
-    def absorb(
-        self,
-        hits_delta: "dict[tuple[int, int | None], int]",
-        tripped_delta: "dict[str, int]",
-    ) -> None:
-        """Fold a worker's counter deltas into this (coordinator) plan."""
-        if not hits_delta and not tripped_delta:
-            return
-        with self._lock:
-            for key, count in hits_delta.items():
-                self._hits[key] = self._hits.get(key, 0) + count
-            for site, count in tripped_delta.items():
-                self.tripped[site] = self.tripped.get(site, 0) + count
-
     # ---------------------------------------------------------- introspection
     def trips(self, site: str | None = None) -> int:
         """Faults actually tripped, at one site or in total."""

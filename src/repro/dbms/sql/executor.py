@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import time
-import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -197,7 +196,7 @@ class _Reads(NamedTuple):
     tuple slots hold :data:`~repro.dbms.lanes.PRUNED`; ``blocks`` holds
     one ``(positions, sites)`` per float block.  *sites* are the
     UDF-declared ``(fault site, udf name)`` pairs armed right after that
-    read.  Plain tuples, so the same value ships to pool workers.
+    read.
     """
 
     rows: "tuple | None" = None
@@ -226,9 +225,8 @@ def _scan_partition(
 ) -> _TaskResult:
     """The one partition task: read what *reads* names, then fold.
 
-    *source* is a :class:`~repro.dbms.storage.Partition` or a pool
-    worker's view of its published block, so the same function runs on
-    either side of ``engine.map``.  Fault sites fire in a fixed order:
+    *source* is the :class:`~repro.dbms.storage.Partition` scanned.
+    Fault sites fire in a fixed order:
     ``partition.scan`` and the row read's declared sites, then per block
     ``block.materialize`` and that block's declared sites.  *body* gets
     ``(source, rows, blocks)`` — each block a
@@ -418,8 +416,7 @@ def _project_block(
 
 
 #: the factorized partition folds, by the tag leading a fold tuple.  One
-#: ``(tag, *arguments)`` tuple declares a shape: it drives the
-#: in-process fold and ships to pool workers as is.
+#: ``(tag, *arguments)`` tuple declares a shape and drives its fold.
 _FACTORIZED_FOLDS = {
     "dim": fcore.fold_dim_partition,
     "summary": fcore.fold_summary_fact_partition,
@@ -442,10 +439,7 @@ class _BatchStatement:
     Compiled accessors, the path it rides, its group states and finally
     its result relation.  A single-statement aggregate is a shared scan
     of one; in a batch one exists per *distinct* statement (duplicates
-    share it).  A pool worker rebuilds the same object from the shipped
-    descriptor: *binder* then only needs ``resolve`` and *registry*
-    ``_scalar_registry``, and *aggregates* pairs each call with its
-    aggregate object.
+    share it).  *aggregates* pairs each call with its aggregate object.
     """
 
     def __init__(
@@ -453,10 +447,10 @@ class _BatchStatement:
         aggregates: "Iterable[tuple[AggregateCall, Any]]",
         group_exprs: Sequence[ast.Expression],
         where: "ast.Expression | None",
-        binder: Any,
-        registry: Any,
-        select: "ast.Select | None" = None,
-        env: "Relation | None" = None,
+        binder: Binder,
+        registry: "Executor",
+        select: ast.Select,
+        env: Relation,
     ) -> None:
         self.select = select
         self.env = env
@@ -608,11 +602,6 @@ class Executor:
         #: with joins (factorized or refused-with-reason); None when
         #: the last statement had no joins
         self.last_factorize_decision: "FactorizeDecision | None" = None
-        #: columnar block store used to ship zero-copy partition
-        #: descriptors to process-pool workers; installed by a durable
-        #: or process-enabled Database, ``None`` keeps every fan-out on
-        #: in-process closures
-        self.columnar_store: "Any | None" = None
 
     # ------------------------------------------------ partition-scan operator
     def _scan_partitions(
@@ -620,9 +609,6 @@ class Executor:
         table: Table,
         reads: _Reads,
         body: Callable[[Any, "list[tuple] | None", "list[ScanBlock]"], tuple],
-        descriptor: "Callable[[], dict[str, Any]] | str" = (
-            "no descriptor for this fold"
-        ),
         stage: str = "accumulate",
         attributes: "dict[str, Any] | None" = None,
     ) -> list[Any]:
@@ -634,15 +620,13 @@ class Executor:
         operator").
 
         Everything around the fold lives here, once: fault-site arming,
-        the scan/fold timing, the engine call with its process
-        descriptors, the counters, and — under tracing — each task
-        span's ``partition``/``rows``/``cached_block``/``lanes_read``
-        and its ``scan`` + *stage* children, built from the *same*
-        deltas added to the metrics in the same order, so span totals
-        and stage totals are identical floats.  *descriptor* builds the
-        picklable plan fragment a pool worker recompiles *body* from, or
-        is the reason this fold has none; *attributes* ride on every
-        task span.
+        the scan/fold timing, the engine call, the counters, and — under
+        tracing — each task span's
+        ``partition``/``rows``/``cached_block``/``lanes_read`` and its
+        ``scan`` + *stage* children, built from the *same* deltas added
+        to the metrics in the same order, so span totals and stage
+        totals are identical floats.  *attributes* ride on every task
+        span.
         """
         partitions = table.partitions
         partition_ids = [
@@ -656,9 +640,6 @@ class Executor:
             )
             for pid in partition_ids
         ]
-        payloads = self._process_payloads(
-            table, descriptor, reads, partition_ids
-        )
         metrics = self.last_metrics
         engine = self.engine
         task_spans: list[Span] | None = None
@@ -681,7 +662,6 @@ class Executor:
                 task_spans,
                 idempotent=True,
                 partition_ids=partition_ids,
-                payloads=payloads,
             )
         finally:
             # Also when the map fails: a degraded statement still
@@ -735,63 +715,6 @@ class Executor:
             span.children.append(scan)
             span.children.append(Span(stage, seconds=result.fold_seconds))
         return partials
-
-    def _process_payloads(
-        self,
-        table: Table,
-        descriptor: "Callable[[], dict[str, Any]] | str",
-        reads: _Reads,
-        partition_ids: Sequence[int],
-    ) -> "list[dict[str, Any]] | None":
-        """Process-pool payloads for one fan-out, or None to run the
-        in-process closures.  A payload is *descriptor*'s plan fragment
-        plus the statement fingerprint, *reads* and the partition's
-        published block address — the rows travel through the mmap'd
-        columnar block, never through pickle.  The one place that
-        decides "closures or descriptors", so a refusal is recorded in
-        ``engine.last_process_fallback`` (None when descriptors ship)."""
-        engine = self.engine
-        if not engine.uses_processes or self.columnar_store is None:
-            return None
-        if isinstance(descriptor, str):
-            engine.last_process_fallback = descriptor
-            return None
-        try:
-            published = self.columnar_store.publish(table)
-        except Exception as exc:  # e.g. an unencodable value
-            engine.last_process_fallback = (
-                f"publish failed: {_describe_failure(exc)}"
-            )
-            return None
-        engine.last_process_fallback = None
-        base = {
-            **descriptor(),
-            "fingerprint": uuid.uuid4().hex,
-            "reads": reads,
-            # Whether this table version was already published when the
-            # statement started: the block-cache hit/miss workers report,
-            # deterministic at any worker count.
-            "cached": not published["fresh"],
-        }
-        address = (published["root"], published["table"], published["version"])
-        return [{**base, "block": (*address, pid)} for pid in partition_ids]
-
-    def _shippable_scalar_udfs(
-        self, expressions: Sequence[ast.Expression]
-    ) -> "dict[str, Any]":
-        """Registered scalar UDFs referenced by *expressions*, keyed by
-        lowercase name, for shipping to worker processes.  One that does
-        not pickle fails the engine's pickle probe, which keeps the
-        fan-out on threads and records why."""
-        shipped: dict[str, Any] = {}
-        for expression in expressions:
-            for node in ast.walk(expression):
-                if not isinstance(node, ast.FuncCall):
-                    continue
-                udf = self._catalog.scalar_udf(node.name)
-                if udf is not None:
-                    shipped[node.name.lower()] = udf
-        return shipped
 
     def _fold_cache_stats(self, stats: "BlockCacheStats") -> None:
         """Fold one task's block-cache outcome into this statement's
@@ -1295,11 +1218,6 @@ class Executor:
                     table,
                     reads,
                     functools.partial(_fold_statements, statements, batch),
-                    functools.partial(
-                        self._aggregate_descriptor, statements[0], batch
-                    )
-                    if len(statements) == 1
-                    else f"shared scan of {len(statements)} statements",
                     attributes=(
                         {"statements": len(statements)} if batch else None
                     ),
@@ -1334,30 +1252,6 @@ class Executor:
 
         vector = any(stmt.use_vector for stmt in statements)
         self._vector_then_row("aggregate", scan if vector else None, scan)
-
-    def _aggregate_descriptor(
-        self, stmt: "_BatchStatement", batch: bool
-    ) -> "dict[str, Any]":
-        """The picklable fragment a pool worker rebuilds *stmt* from:
-        only ASTs, aggregate objects and a column-resolution map."""
-        expressions = stmt.block_expressions
-        if stmt.where is not None:
-            expressions.append(stmt.where)
-        return {
-            "kind": "aggregate",
-            "aggregates": [
-                (spec.call, spec.aggregate) for spec in stmt.aggregates
-            ],
-            "group_exprs": stmt.group_exprs,
-            "where": stmt.where,
-            "resolve": {
-                (ref.table, ref.name.lower()): stmt.binder.resolve(ref)
-                for ref in referenced_columns_of_all(expressions)
-            },
-            "scalar_udfs": self._shippable_scalar_udfs(expressions),
-            "int_keys": stmt.int_keys if stmt.use_vector else None,
-            "shared": batch,
-        }
 
     # ------------------------------------------------------ FROM environment
     def _build_from_environment(self, select: ast.Select) -> Relation:
@@ -1489,7 +1383,7 @@ class Executor:
             "project",
             None
             if plan is None
-            else functools.partial(self._project_blocks, select, plan),
+            else functools.partial(self._project_blocks, plan),
             functools.partial(self._project_rows, select, env, binder, items),
         )
         out_columns = [
@@ -1545,7 +1439,7 @@ class Executor:
         return out_rows, rows
 
     def _project_blocks(
-        self, select: ast.Select, plan: VectorizedSelectPlan
+        self, plan: VectorizedSelectPlan
     ) -> tuple[list[tuple], list[tuple]]:
         """The block-wise projection: each partition task materializes
         its column block and runs :func:`_project_block`.  Results
@@ -1558,9 +1452,6 @@ class Executor:
                 plan.table,
                 _Reads(blocks=((tuple(plan.positions), ()),)),
                 functools.partial(_project_block, plan.items, plan.where_fn),
-                functools.partial(
-                    self._project_descriptor, select, plan.table
-                ),
                 stage="project",
                 attributes={"strategy": "vectorized-scan"},
             )
@@ -1569,26 +1460,6 @@ class Executor:
                 project_span.attributes["strategy"] = "vectorized-scan"
                 project_span.attributes["rows"] = len(out_rows)
         return out_rows, []
-
-    def _project_descriptor(
-        self, select: ast.Select, table: Table
-    ) -> "dict[str, Any]":
-        """What a pool worker needs to re-plan the SELECT against a
-        schema shim with the same planner, so the compiled block
-        functions are recreated (closures don't pickle) yet identical."""
-        expressions: list[ast.Expression] = [
-            item.expression for item in select.items
-        ]
-        if select.where is not None:
-            expressions.append(select.where)
-        expressions.extend(expr for expr, _ in select.order_by)
-        return {
-            "kind": "project",
-            "select": select,
-            "table_name": table.name,
-            "schema": table.schema,
-            "scalar_udfs": self._shippable_scalar_udfs(expressions),
-        }
 
     def _expand_stars(
         self, items: Sequence[ast.SelectItem], binder: Binder
@@ -2137,7 +2008,6 @@ class Executor:
             table,
             _Reads(rows=(tuple(positions), sites)),
             functools.partial(_fold_factorized, fold),
-            lambda: {"kind": "factorized", "fold": fold},
         )
 
     def _charge_factorized_costs(

@@ -35,8 +35,7 @@ directory in ``.npy`` form and later reloads come back as read-only
 ``np.load(..., mmap_mode="r")`` maps whose pages the OS reclaims under
 memory pressure.  A scan over float blocks much larger than the budget
 then streams — the working set in RAM stays near the budget while the
-overflow lives in spill files — which is the out-of-core mode the
-``beyond_gil`` benchmark exercises.  Spill files are invalidated (and
+overflow lives in spill files.  Spill files are invalidated (and
 unlinked) whenever their partition mutates, exactly like the in-memory
 entries they shadow.
 
@@ -73,6 +72,12 @@ BLOCK_CACHE_CAPACITY = 8
 
 #: unique ids for partition spill files (module-lifetime, never reused)
 _SPILL_IDS = itertools.count()
+
+#: serializes spill-file reloads: ``np.load`` parses the ``.npy`` header
+#: with ``ast.literal_eval``, whose recursion-depth bookkeeping is not
+#: thread-safe on CPython 3.11 — two engine threads reloading at once
+#: can fail with "AST constructor recursion depth mismatch"
+_SPILL_LOAD_LOCK = threading.Lock()
 
 
 class BlockCacheConfig:
@@ -397,7 +402,8 @@ class Partition:
         spill_path = self._spilled.get(key)
         if spill_path is not None:
             try:
-                reloaded = np.load(spill_path, mmap_mode="r")
+                with _SPILL_LOAD_LOCK:
+                    reloaded = np.load(spill_path, mmap_mode="r")
             except (OSError, ValueError):
                 # Spill file raced away (directory cleanup): rebuild.
                 self._spilled.pop(key, None)

@@ -74,18 +74,6 @@ class FaultInjected(DatabaseError):
         self.site = site
         self.attributes = attributes
 
-    def __reduce__(self):
-        # Keyword-only attributes defeat the default exception pickling;
-        # faults injected inside pool worker processes must survive the
-        # trip back to the coordinator intact.
-        return (_rebuild_fault_injected, (self.site, dict(self.attributes)))
-
-
-def _rebuild_fault_injected(
-    site: str, attributes: "dict[str, object]"
-) -> "FaultInjected":
-    return FaultInjected(site, **attributes)
-
 
 class RecoveryError(DatabaseError):
     """Crash recovery found durable state it cannot trust.

@@ -12,7 +12,7 @@ Five groups of checks:
   and on a C-ordered copy of it: bit for bit where the kernel is
   elementwise per lane, within a *derived* reordering bound where it
   reduces over rows;
-* serial, thread and process execution agree bit for bit;
+* serial and thread-pool execution agree bit for bit;
 * pinned edge cases: NULL rows, an all-NULL lane, ±inf, −0.0, empty
   partitions, a WHERE-filtered projection;
 * the planned argument copy and the fresh nLQ state build the very bytes
@@ -44,7 +44,7 @@ from repro.core.packing import unpack_summary
 from repro.core.scoring.udfs import register_scoring_udfs
 from repro.core.summary import SummaryStatistics
 from repro.dbms.blocks import drop_null_rows, lane_block, take_rows
-from repro.dbms.columnar import BlockReader, ColumnarStore
+from repro.dbms.columnar import BlockReader, atomic_write_bytes, encode_block
 from repro.dbms.database import Database
 from repro.dbms.expressions import compile_argument_block, compile_vector_expression
 from repro.dbms.functions import AGGREGATE_BUILTINS, _MomentsState, _non_null
@@ -86,6 +86,12 @@ def _normal_rows(n, d, seed=3):
     return [tuple(map(float, x)) for x in X]
 
 
+def _block_file(path, partition) -> BlockReader:
+    """*partition* written as a block file at *path*, opened."""
+    atomic_write_bytes(path, encode_block(partition.lanes, partition.row_count))
+    return BlockReader(path)
+
+
 def _nlq_sql(udf, d, suffix=""):
     return f"SELECT {udf}({d}, {', '.join(dimension_names(d))}) FROM x{suffix}"
 
@@ -120,12 +126,10 @@ class TestEveryProducerIsLaneMajor:
     def test_mmap_block_reader(self, tmp_path):
         with _make_db(_normal_rows(40, 3), 3) as db:
             table = db.table("x")
-            store = ColumnarStore(tmp_path / "blocks")
-            published = store.publish(table)
-            for pid in published["partitions"]:
-                reader = BlockReader(
-                    store.block_path("x", published["version"], pid)
-                )
+            for pid, partition in enumerate(table.partitions):
+                if not partition.row_count:
+                    continue
+                reader = _block_file(tmp_path / f"p{pid}.blk", partition)
                 block = reader.float_matrix([1, 2, 3])
                 assert _is_lane_major(block)
                 np.testing.assert_array_equal(
@@ -204,9 +208,7 @@ class TestEveryProducerIsLaneMajor:
             partition.numeric_matrix([1, 2, 3])  # over budget: spills
             spilled = partition.numeric_matrix([1, 2, 3])
             assert isinstance(spilled, np.memmap)
-            store = ColumnarStore(tmp_path / "blocks")
-            published = store.publish(table)
-            reader = BlockReader(store.block_path("x", published["version"], 0))
+            reader = _block_file(tmp_path / "p0.blk", partition)
             for index, position in enumerate((1, 2, 3)):
                 lane = partition.lanes[position].floats(0, 60).tobytes()
                 assert spilled[:, index].tobytes() == lane
@@ -219,7 +221,7 @@ class TestEveryProducerIsLaneMajor:
         filtering — is lane-major, with literals stored by broadcast."""
         rows = _normal_rows(60, 3)
         rows[5] = (None, 1.0, 2.0)
-        with _make_db(rows, 3, executor_kind="thread") as db:
+        with _make_db(rows, 3) as db:
             seen = []
             nlq = db.catalog.aggregate_udf("nlq_tri")
             score = db.catalog.scalar_udf("linearregscore")
@@ -471,7 +473,7 @@ class TestLayoutsAgree:
             assert np.isnan(got[::11]).all() and not np.isnan(got[1]), name
 
 
-# ------------------------------------------- serial == thread == process
+# ------------------------------------------------------ serial == thread
 STATEMENTS = [
     _nlq_sql("nlq_tri", 3),
     _nlq_sql("nlq_diag", 3, " GROUP BY i MOD 3 ORDER BY 1"),
@@ -483,23 +485,18 @@ STATEMENTS = [
 ]
 
 
-def test_serial_thread_and_process_are_bit_identical():
+def test_serial_and_thread_are_bit_identical():
     rows = _normal_rows(300, 3)
     rows[17] = (None, 1.0, 2.0)
     rows[40] = (3.0, None, None)
     answers = {}
-    for kind, workers in (("serial", 1), ("thread", 4), ("process", 4)):
-        with _make_db(
-            rows,
-            3,
-            executor_workers=workers,
-            executor_kind="thread" if kind == "serial" else kind,
-        ) as db:
+    for kind, workers in (("serial", 1), ("thread", 4)):
+        with _make_db(rows, 3, executor_workers=workers) as db:
             db.catalog.aggregate_udf("kmeansiter").set_centroids(
                 np.array([[40.0, 50.0, 60.0], [55.0, 45.0, 50.0]])
             )
             answers[kind] = [db.execute(sql).rows for sql in STATEMENTS]
-    assert answers["serial"] == answers["thread"] == answers["process"]
+    assert answers["serial"] == answers["thread"]
 
 
 # ---------------------------------------------------------- pinned cases

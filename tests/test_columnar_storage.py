@@ -1,22 +1,19 @@
-"""The on-disk columnar block format and the block store.
+"""The on-disk columnar block format and the block-cache knobs.
 
 Covers :mod:`repro.dbms.columnar` (exact round trips through the
 numeric lanes and the object sidecar, zero-copy mmap reads, corruption
-rejection, atomic writes) and :class:`ColumnarStore` (idempotent
-publish, version GC, forget), plus the ``Database``-level block-cache
-knobs the store's spill tier rides on: entry capacity, shared byte
-budget, spill-to-disk with bit-identical reloads, and the EXPLAIN /
-QueryMetrics surfaces that report it all.
+rejection, atomic writes, a partition's lanes written as one block),
+plus the ``Database``-level block-cache
+knobs: entry capacity, shared byte budget, spill-to-disk with
+bit-identical reloads, and the EXPLAIN / QueryMetrics surfaces that
+report it all.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.dbms.columnar import (
     BlockReader,
-    ColumnarStore,
     atomic_write_bytes,
     encode_block,
 )
@@ -141,7 +138,7 @@ class TestBlockFormat:
         assert list(tmp_path.iterdir()) == [path]
 
 
-# ------------------------------------------------------------ block store
+# ------------------------------------------------- database cache knobs
 def _loaded_db(n=60, workers=1, **kwargs):
     rng = np.random.default_rng(11)
     d = 2
@@ -154,76 +151,46 @@ def _loaded_db(n=60, workers=1, **kwargs):
     return db
 
 
-class TestColumnarStore:
-    def test_publish_is_idempotent_per_version(self, tmp_path):
-        with _loaded_db() as db:
-            store = ColumnarStore(tmp_path / "blocks")
-            table = db.catalog.table("x")
-            first = store.publish(table)
-            assert first["fresh"] is True
-            assert first["partitions"]  # non-empty partitions listed
-            written = store.blocks_written
-            assert written == len(first["partitions"])
-            second = store.publish(table)
-            assert second["fresh"] is False
-            assert store.blocks_written == written  # nothing rewritten
-            assert second["version"] == first["version"]
-
-    def test_descriptor_is_plain_and_tiny(self, tmp_path):
-        # The whole point of the block store: task submission ships a
-        # descriptor, never data.  It must pickle small no matter how
-        # large the table is.
-        with _loaded_db(n=500) as db:
-            store = ColumnarStore(tmp_path / "blocks")
-            descriptor = store.publish(db.catalog.table("x"))
-            assert len(pickle.dumps(descriptor)) < 512
+class TestPartitionBlocks:
+    """A partition's lanes written as one block file (``encode_block``
+    with the partition's row count), as persistence and the spill tier
+    see them."""
 
     def test_blocks_round_trip_partition_rows(self, tmp_path):
         with _loaded_db() as db:
-            store = ColumnarStore(tmp_path / "blocks")
+            db.execute(
+                "INSERT INTO x (i, x1, x2, y) VALUES "
+                "(1001, NULL, 2.0, 3.0), (1002, 1.0, NULL, NULL)"
+            )
             table = db.catalog.table("x")
-            published = store.publish(table)
-            for pid in published["partitions"]:
-                reader = BlockReader(
-                    store.block_path(
-                        published["table"], published["version"], pid
-                    )
+            for pid, partition in enumerate(table.partitions):
+                if not partition.row_count:
+                    continue
+                path = tmp_path / f"p{pid}.blk"
+                atomic_write_bytes(
+                    path, encode_block(partition.lanes, partition.row_count)
                 )
-                assert reader.row_tuples() == list(
-                    table.partitions[pid].rows()
-                )
+                reader = BlockReader(path)
+                rows = list(partition.rows())
+                assert reader.row_tuples() == rows
+                assert all(type(row[0]) is int for row in reader.row_tuples())
                 reader.close()
 
-    def test_mutation_bumps_version_and_gc_keeps_two(self, tmp_path):
+    def test_lane_and_value_list_encodings_are_the_same_bytes(self):
+        # A typed float lane is written from its own buffer, the
+        # integer key from its object lane: on NULL-free data both must
+        # produce the very bytes the per-column value lists do.
         with _loaded_db() as db:
-            store = ColumnarStore(tmp_path / "blocks")
-            table = db.catalog.table("x")
-            versions = []
-            for step in range(4):
-                db.execute(
-                    f"INSERT INTO x (i, x1, x2, y) "
-                    f"VALUES ({1000 + step}, 1.0, 2.0, 3.0)"
+            for partition in db.catalog.table("x").partitions:
+                rows = partition.row_count
+                if not rows:
+                    continue
+                columns = [list(column) for column in zip(*partition.rows())]
+                assert encode_block(partition.lanes, rows) == encode_block(
+                    columns
                 )
-                versions.append(store.publish(table)["version"])
-            assert versions == sorted(set(versions))  # strictly grows
-            kept = sorted(
-                entry.name for entry in store.table_dir("x").iterdir()
-            )
-            assert len(kept) == 2  # _KEEP_VERSIONS
-            assert kept[-1] == f"v{versions[-1]}"
-
-    def test_forget_drops_directory_and_republish_recreates(self, tmp_path):
-        with _loaded_db() as db:
-            store = ColumnarStore(tmp_path / "blocks")
-            table = db.catalog.table("x")
-            store.publish(table)
-            assert store.table_dir("x").exists()
-            store.forget("x")
-            assert not store.table_dir("x").exists()
-            assert store.publish(table)["fresh"] is True
 
 
-# ------------------------------------------------- database cache knobs
 class TestDatabaseCacheKnobs:
     def test_default_capacity_unchanged(self):
         with _loaded_db() as db:

@@ -188,7 +188,7 @@ class TestExplainAnalyze:
             db.execute("EXPLAIN ANALYZE SELECT t.i, t.x1 FROM x t")
         )
 
-    def test_reconciles_with_parallel_workers(self, loaded_db):
+    def test_reconciles_with_three_workers(self, loaded_db):
         db, _, _ = loaded_db
         db.executor_workers = 3
         try:

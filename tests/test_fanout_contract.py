@@ -3,21 +3,25 @@
 Every partition fan-out the executor makes goes through one operator
 (``Executor._scan_partitions``, see ``docs/parallel_engine.md``).  Its
 six callers are driven here through the public API over the matrix
-workers {1, 4} × executor {thread, process}:
+workers {1, 4} × blocks {in memory, spilled to disk}; the ``spill``
+databases run under a one-byte block-cache budget, so every float
+block a task builds is evicted to a spill file and read back as a
+read-only mmap:
 
 * rows are bit-identical to ``workers=1`` and the work counters do not
-  depend on how the tasks ran;
+  depend on how the tasks ran or where the blocks live;
+* every block a cold spilled run builds goes to disk once, and a warm
+  run serves each one back from its spill file;
 * under ``EXPLAIN ANALYZE`` the task spans reconcile *exactly* with the
   ``QueryMetrics`` stage seconds and carry one uniform set of
   attributes;
 * a ``block.materialize`` fault degrades every vector caller to the row
   path exactly once (``CHAOS_SEED`` picks the failing partition,
   ``CHAOS_WORKERS`` the pool size — the CI chaos job runs three seeds);
-* a refusal to ship process descriptors is recorded, not swallowed;
 * vector and row paths agree on GROUP BY keys (one NULL group, key
   types from the key *expression*);
-* what a block cache remembers about a block's NULLs (thread engine) or
-  never remembers (process workers) changes no byte of an aggregate
+* what a block cache remembers about a block's NULLs (in memory) or
+  loses with each eviction (spilled) changes no byte of an aggregate
   UDF's answer, cold or warm.
 """
 
@@ -71,8 +75,17 @@ CALLERS = {
     ),
 }
 VECTOR_CALLERS = [name for name, spec in CALLERS.items() if spec[2]]
-MATRIX = [(1, "thread"), (4, "thread"), (1, "process"), (4, "process")]
+MATRIX = [(1, "thread"), (4, "thread"), (1, "spill"), (4, "spill")]
 COUNTERS = ("parallel_tasks", "partitions_processed", "rows_processed")
+#: a block-cache byte budget below any block: every build spills
+SPILL_BUDGET = 1
+
+
+def _options(workers: int, kind: str) -> dict:
+    """``Database`` options of one matrix cell."""
+    if kind == "spill":
+        return {"executor_workers": workers, "block_cache_bytes": SPILL_BUDGET}
+    return {"executor_workers": workers}
 
 
 def _build_db(seed: int = 0, **options) -> Database:
@@ -148,7 +161,7 @@ def _analyze(db: Database, statements: list[str]):
 @pytest.fixture(scope="module")
 def databases():
     dbs = {
-        (workers, kind): _build_db(executor_workers=workers, executor_kind=kind)
+        (workers, kind): _build_db(**_options(workers, kind))
         for workers, kind in MATRIX
     }
     yield dbs
@@ -177,6 +190,26 @@ def test_rows_and_counters_independent_of_workers_and_executor(
             == reference.block_cache_hits + reference.block_cache_misses
         ), key
         assert metrics.fallbacks == 0
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("caller", VECTOR_CALLERS)
+def test_spilled_blocks_are_read_back_from_disk(databases, caller, workers):
+    statements, _, _ = CALLERS[caller]
+    reference_rows, _ = _run(databases[(1, "thread")], statements)
+    with _build_db(**_options(workers, "spill")) as db:
+        cold_rows, cold = _run(db, statements)
+        # Each block the cold run built went over budget and to disk.
+        assert cold.block_cache_misses > 0
+        assert cold.blocks_spilled == cold.block_cache_misses
+        assert cold.bytes_spilled > 0
+        warm_rows, warm = _run(db, statements)
+        # The warm run builds nothing: every block is a spill-file mmap.
+        assert warm.block_cache_misses == 0
+        assert warm.block_cache_hits == cold.block_cache_misses
+        assert warm.blocks_spilled == 0
+        assert warm.fallbacks == 0
+    assert repr(cold_rows) == repr(warm_rows) == repr(reference_rows)
 
 
 # ------------------------------------------------------------ trace contract
@@ -234,7 +267,6 @@ def test_block_fault_degrades_each_vector_caller_once(caller):
         seed=CHAOS_SEED,
         executor_workers=CHAOS_WORKERS,
         task_retries=1,
-        task_retry_backoff_seconds=0.0,
     ) as db:
         clean_rows, clean = _run(db, statements)
         assert clean.fallbacks == 0
@@ -273,63 +305,6 @@ def test_block_fault_degrades_each_vector_caller_once(caller):
         assert "kernel bug" in retry.attributes["fallback_reason"]
         assert plan.trace.total_seconds("scan") == plan.metrics.scan_seconds
         assert plan.metrics.fallbacks == 1
-
-
-# ------------------------------------------------- process-descriptor refusals
-class TestProcessRefusals:
-    """The operator alone decides "closures or descriptors"; when it
-    keeps a process-engine fan-out on closures it says why."""
-
-    def test_descriptors_shipped_leaves_no_reason(self, databases):
-        db = databases[(4, "process")]
-        engine = db._executor.engine
-        engine.last_process_fallback = "stale"
-        db.execute(CALLERS["row-aggregate"][0][0])
-        assert engine.last_process_fallback is None
-
-    def test_shared_scan_of_several_statements(self, databases):
-        db = databases[(4, "process")]
-        _run(db, CALLERS["mixed-batch"][0])
-        assert (
-            db._executor.engine.last_process_fallback
-            == "shared scan of 3 statements"
-        )
-
-    def test_publish_failure(self, databases, monkeypatch):
-        db = databases[(4, "process")]
-        sql = CALLERS["vector-aggregate"][0][0]
-        expected = db.execute(sql).rows
-
-        def refuse(table):
-            raise ValueError("disk full")
-
-        monkeypatch.setattr(db._executor.columnar_store, "publish", refuse)
-        assert repr(db.execute(sql).rows) == repr(expected)
-        assert (
-            db._executor.engine.last_process_fallback
-            == "publish failed: ValueError: disk full"
-        )
-
-    def test_fold_without_descriptor(self, databases):
-        from repro.dbms.sql.executor import _Reads
-
-        db = databases[(4, "process")]
-        executor = db._executor
-        counts = executor._scan_partitions(
-            db.table("t"),
-            _Reads(rows=((0,), ())),
-            lambda source, rows, blocks: (len(rows), len(rows), True),
-        )
-        assert sum(counts) == N_ROWS
-        assert (
-            executor.engine.last_process_fallback
-            == "no descriptor for this fold"
-        )
-
-    def test_thread_engine_records_nothing(self, databases):
-        db = databases[(4, "thread")]
-        _run(db, CALLERS["mixed-batch"][0])
-        assert db._executor.engine.last_process_fallback is None
 
 
 # ------------------------------------------------------- NULL / typed group keys
@@ -390,9 +365,9 @@ class TestGroupKeysMatchRowPath:
 
 
 # ------------------------------------------------------ NULL facts and answers
-#: statement -> NULL scans of a warm repeat on the thread engine, whose
-#: block cache keeps what the cold run learned (a process worker's view
-#: of a published block keeps nothing, so there it is not asserted)
+#: statement -> NULL scans of a warm repeat, whose in-memory block cache
+#: keeps what the cold run learned (a spilled block's facts leave with
+#: its evicted entry, so there the count is only a floor)
 UDF_STATEMENTS = {
     # NULL-free block, bare columns: asked once, then never
     "SELECT nlq_tri(2, x, y) FROM t": 0,
@@ -421,6 +396,8 @@ def test_null_facts_change_no_byte_on_any_executor(databases, sql):
         assert warm.metrics.fallbacks == 0
         if key[1] == "thread":
             assert warm.metrics.null_scans == UDF_STATEMENTS[sql], key
+        else:
+            assert warm.metrics.null_scans >= UDF_STATEMENTS[sql], key
     # The row path drops the same rows (payload field 2 is n).
     tail = sql.index(" GROUP BY") if " GROUP BY" in sql else len(sql)
     row = reference_db.execute(sql[:tail] + " WHERE k > 0" + sql[tail:])

@@ -9,7 +9,6 @@ validated-prefix and flush-rollback guarantees, and ``Database.close()``
 exception safety.
 """
 
-import os
 import threading
 import time
 
@@ -158,27 +157,6 @@ class TestFaultPlan:
                 plan.fire(site)
 
 
-def _child_running(pid: int) -> bool:
-    """True while *pid* is a live (non-zombie) process.
-
-    A terminated-but-unreaped child shows as state ``Z`` in
-    ``/proc/<pid>/stat`` until the pool's management thread collects it;
-    that counts as dead — it holds no CPU, memory, or file handles.
-    """
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid reused by another user
-        return False
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            state = handle.read().rsplit(") ", 1)[1].split()[0]
-    except (OSError, IndexError):  # pragma: no cover - raced with reaping
-        return False
-    return state != "Z"
-
-
 # ------------------------------------------------- engine supervision
 class TestEngineSupervision:
     def test_retries_heal_flaky_idempotent_tasks(self):
@@ -283,40 +261,33 @@ class TestEngineSupervision:
         assert engine.active_tasks == 0
         engine.close()
 
-    def test_process_fatal_timeout_terminates_children(self):
-        """Process-executor latch: a fatal timeout must not orphan the
-        pool's worker children.  The engine terminates every worker
-        (``last_terminated_pids``), the children actually die, and the
-        next statement runs correctly on a fresh pool."""
-        with _scoring_db(
-            4, executor_kind="process", task_timeout_seconds=0.25
-        ) as db:
-            sql = "SELECT sum(x1), count(*) FROM x WHERE i >= 1"
-            baseline = db.execute(sql).rows
-            engine = db._executor.engine
-            assert engine.last_process_fallback is None
-            db.faults = FaultPlan().delay(
-                "engine.task", seconds=10.0, partition=1
-            )
-            with pytest.raises(PartitionExecutionError) as excinfo:
-                db.execute(sql)
-            assert isinstance(
-                excinfo.value.first_error, PartitionTimeoutError
-            )
-            pids = list(engine.last_terminated_pids)
-            assert pids, "timeout teardown must record the killed workers"
-            deadline = time.perf_counter() + 10.0
-            while (
-                any(_child_running(pid) for pid in pids)
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.05)
-            survivors = [pid for pid in pids if _child_running(pid)]
-            assert not survivors, f"orphaned worker processes: {survivors}"
-            pools_before = engine.pools_created
-            db.faults = NULL_FAULTS
-            assert db.execute(sql).rows == baseline
-            assert engine.pools_created == pools_before + 1
+    def test_timeout_cancels_pending_tasks_before_counting(self):
+        # Two workers, six tasks: task 0 outlives the budget while task
+        # 1 runs, so tasks 2-5 are still queued when the timeout fires.
+        # They must never run, and ``cancelled`` must say so.
+        engine = PartitionEngine(2, timeout_seconds=0.1)
+        ran: list[int] = []
+
+        def make(index):
+            def task():
+                ran.append(index)
+                time.sleep(0.6 if index == 0 else 0.5)
+                return index
+
+            return task
+
+        with pytest.raises(PartitionExecutionError) as excinfo:
+            engine.map([make(i) for i in range(6)])
+        assert isinstance(excinfo.value.first_error, PartitionTimeoutError)
+        assert excinfo.value.cancelled == 4
+        assert "(4 cancelled before starting)" in str(excinfo.value)
+        # Both running tasks finish on the orphaned pool; nothing follows.
+        deadline = time.perf_counter() + 5.0
+        while engine.active_tasks and time.perf_counter() < deadline:
+            time.sleep(0.005)
+        assert engine.active_tasks == 0
+        assert sorted(ran) == [0, 1]
+        engine.close()
 
     def test_serial_timeout_enforced_post_hoc(self):
         engine = PartitionEngine(1, timeout_seconds=0.02)
@@ -562,7 +533,7 @@ class TestBlockCacheAccounting:
         # in-process counters — under ``kind="process"`` the scan runs
         # in worker processes and the parent's partitions never touch
         # their caches at all.
-        with _scoring_db(4, executor_kind="thread") as db:
+        with _scoring_db(4) as db:
             db.execute("SELECT sum(x1) FROM x")
             partitions = db.table("x").partitions
             assert sum(p.cache_misses for p in partitions) > 0

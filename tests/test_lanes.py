@@ -29,7 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro.dbms import open_durable
-from repro.dbms.columnar import BlockReader, ColumnarStore
+from repro.dbms.columnar import BlockReader, atomic_write_bytes, encode_block
 from repro.dbms.database import Database
 from repro.dbms.lanes import FloatLane, ObjectLane
 from repro.dbms.persistence import load_database, save_database
@@ -276,13 +276,14 @@ class TestNanIsNotNull:
     def test_columnar_round_trip(self, tmp_path):
         with _nan_null_db() as db:
             table = db.table("t")
-            store = ColumnarStore(tmp_path / "blocks")
-            published = store.publish(table)
-            for pid in published["partitions"]:
-                reader = BlockReader(
-                    store.block_path("t", published["version"], pid)
+            for pid, partition in enumerate(table.partitions):
+                if not partition.row_count:
+                    continue
+                path = tmp_path / f"p{pid}.blk"
+                atomic_write_bytes(
+                    path, encode_block(partition.lanes, partition.row_count)
                 )
-                partition = table.partitions[pid]
+                reader = BlockReader(path)
                 assert _same(reader.row_tuples(), list(partition.rows()))
                 assert (
                     reader.float_matrix([1, 2]).tobytes("F")

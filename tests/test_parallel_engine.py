@@ -386,7 +386,7 @@ class TestQueryMetrics:
         result = db.execute("SELECT i MOD 4, count(*) FROM x GROUP BY i MOD 4")
         assert result.metrics.groups == 4
 
-    def test_parallel_worker_count_recorded(self):
+    def test_worker_count_recorded(self):
         db = _loaded_nlq_db(n=100)
         db.executor_workers = 3
         result = db.execute("SELECT sum(x1) FROM x")
