@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.nlq_udf import NLQ_UDF_NAMES, NlqListUdf
 from repro.core.summary import MatrixType, SummaryStatistics
 from repro.dbms.blocks import drop_null_rows
+from repro.dbms.cost import UdfRows, Work
 from repro.dbms.database import Database
-from repro.dbms.udf import RowCost
 from repro.errors import ModelError
 
 
@@ -39,6 +40,9 @@ class IncrementalSummary:
         self._table_name = table
         self.dimensions = list(dimensions)
         self.matrix_type = matrix_type
+        #: the list-passing nLQ UDF a refresh stands in for (its
+        #: ``cost_per_row`` prices the refreshed rows)
+        self._udf = NlqListUdf(NLQ_UDF_NAMES[(matrix_type, "list")], matrix_type)
         table_obj = db.table(table)
         self._positions = [
             table_obj.schema.position_of(name) for name in self.dimensions
@@ -100,18 +104,13 @@ class IncrementalSummary:
             new_rows += count - mark
             self._watermarks[index] = count
         if new_rows:
-            scale = table.row_scale
-            cost = self._db.cost
-            cost.charge_scan(new_rows * scale, len(self.dimensions))
-            profile = RowCost(
-                list_params=d + 1,
-                arith_ops=3 * d + self.matrix_type.update_ops(d),
-            )
-            cost.charge_udf_rows(
-                new_rows * scale,
-                list_params=profile.list_params,
-                arith_ops=profile.arith_ops,
-            )
+            # The suffix scan and the list UDF's per-row calls over it;
+            # the running merge is free, like a cache serve.
+            rows = new_rows * table.row_scale
+            work = Work()
+            work.scan(rows, d)
+            work.udfs.append(UdfRows(rows, self._udf.cost_per_row(d + 1)))
+            self._db.cost.charge(work)
             self._stats = self._stats.merge(delta)
         self._refreshes += 1
         return self._stats

@@ -219,8 +219,7 @@ class _NlqUdfBase(AggregateUdf):
             else self.max_d * self.max_d
         return 3 + self.max_d + q_values + 2 * self.max_d
 
-    def _arith_ops(self) -> int:
-        d = self._observed_d or self.max_d
+    def _arith_ops(self, d: int) -> int:
         # L update (d) + Q update (type-dependent) + extrema (2d).
         return d + self.matrix_type.update_ops(d) + 2 * d
 
@@ -267,7 +266,11 @@ class NlqListUdf(_NlqUdfBase):
         return state
 
     def cost_per_row(self, arg_count: int) -> RowCost:
-        return RowCost(list_params=arg_count, arith_ops=self._arith_ops())
+        # The call names d: (d, x1, ..., xd).  So the price is known
+        # before any row is read, and EXPLAIN's estimate needs no scan.
+        return RowCost(
+            list_params=arg_count, arith_ops=self._arith_ops(arg_count - 1)
+        )
 
 
 class NlqStringUdf(_NlqUdfBase):
@@ -292,11 +295,12 @@ class NlqStringUdf(_NlqUdfBase):
         return state
 
     def cost_per_row(self, arg_count: int) -> RowCost:
+        # d is inside the packed string: known once a row was parsed.
         d = self._observed_d or self.max_d
         return RowCost(
             list_params=1,
             string_chars=vector_char_cost(d),
-            arith_ops=self._arith_ops(),
+            arith_ops=self._arith_ops(d),
         )
 
 

@@ -3,39 +3,25 @@
 The paper's evaluation ran on a 2007 Teradata system (20 parallel AMP
 threads) and a 1.6 GHz workstation.  We cannot rerun that hardware, so
 the engine executes every query for real (numeric results are exact)
-while *time* is accounted by this module: each scan, parse, spool write,
-UDF call, parameter transfer and arithmetic update charges simulated
-seconds against a :class:`SimulatedClock`.
+while *time* is accounted here, in two steps:
 
-The charging rules encode the mechanisms the paper identifies as the
-drivers of its curves:
+* a statement fills one :class:`Work` record of what ran — rows scanned
+  × width, expression nodes per row, UDF calls with their parameters,
+  spooled cells, sorted rows, inserted values — through the record's
+  per-operator helpers and :func:`record_aggregate`;
+* :func:`simulate` prices a record in simulated seconds.  It is the only
+  code that reads a :class:`CostParameters` field.
 
-* table scans cost ``rows × (row overhead + width × value cost)``,
-  divided across the AMPs — the dominant linear-in-``n`` term;
-* a SQL aggregate query pays per select-list *term* at parse/spool time
-  (the ``1 + d + d²``-term query of Section 3.4 is what makes plain SQL
-  superlinear in ``d``: the wide one-row spool) and per expression
-  *node* per row at evaluation time (interpreted arithmetic);
-* aggregate UDFs pay a per-row invocation overhead, a per-parameter
-  transfer cost (list passing) or a per-character pack/parse cost
-  (string passing), and a small per multiply-add update cost — cheap
-  enough that ``d²`` in-memory operations barely show, exactly as
-  Section 4.2 observes;
-* scalar (scoring) UDFs run in the projection pipeline and are far
-  cheaper per call than the aggregate machinery, as [17] measures;
-* GROUP BY pays a hash per row and a graded spill multiplier as the
-  combined group state presses on the 64 KB heap segment (Table 5's
-  climb at k=16 and jump at k=32 with the diagonal struct).
-
-All default constants were fitted against the paper's Tables 1-5 and
-Figures 1-5; the fit, per experiment, is documented in
-:mod:`repro.bench.calibration` (which also asserts the resulting
-qualitative shapes).
+The executor charges a statement's record to the :class:`SimulatedClock`
+once, when the statement ends.  EXPLAIN fills one record per plan
+operator with the same helpers from estimated cardinalities.  The rules,
+the paper mechanisms they encode and their fit to Tables 1-5 and
+Figures 1-5 are in ``docs/cost_model.md`` and :mod:`repro.bench.calibration`.
 
 Tables may carry a ``row_scale`` factor: the storage holds ``n / scale``
-physical rows but every per-row charge is multiplied by the scale, so
+physical rows but every per-row quantity is multiplied by the scale, so
 benchmarks can simulate the paper's 1.6M-row data sets while computing
-on a reduced sample.  Every per-row charge is linear, so the accounting
+on a reduced sample.  Every per-row price is linear, so the accounting
 is exact.
 """
 
@@ -44,15 +30,20 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
+
+from repro.dbms.functions import AGGREGATE_BUILTINS, SCALAR_BUILTINS
+from repro.dbms.sql import ast
+from repro.dbms.types import VALUE_WIDTH_BYTES
+from repro.dbms.udf import RowCost
 
 
 @dataclass
 class CostParameters:
-    """Charging constants, all in simulated seconds (or bytes where noted).
+    """Pricing constants, all in simulated seconds (or bytes where noted).
 
-    Per-row constants are *pre-parallelism*: the charge for one row on
-    one worker; the model divides by ``amps`` where work is spread.
+    Per-row constants are *pre-parallelism*: the price of one row on
+    one worker; :func:`simulate` divides by ``amps`` where work is spread.
     """
 
     #: number of parallel AMP threads the server divides scan work across
@@ -168,134 +159,200 @@ class _Span:
         return end - self._start
 
 
+class UdfRows(NamedTuple):
+    """*rows* calls of one aggregate UDF's *profile*; per group,
+    *partitions* partials of *state_values* merged and a payload packed.
+    *grouped* state presses on the heap segment (the spill grades)."""
+
+    rows: float
+    profile: RowCost
+    state_values: int = 0
+    partitions: int = 0
+    groups: int = 1
+    grouped: bool = False
+
+
+@dataclass
+class Work:
+    """What ran, in the quantities :func:`simulate` prices.  Per-row
+    quantities are nominal (physical rows × row scale)."""
+
+    statements: int = 0
+    select_terms: int = 0
+    scanned_rows: float = 0.0
+    #: rows × width read by scans
+    scanned_values: float = 0.0
+    #: rows × interpreted AST nodes (:func:`expression_nodes`)
+    evaluated_nodes: float = 0.0
+    #: ``(rows, profile)`` per scalar UDF call site
+    scalar_udfs: list[tuple[float, RowCost]] = field(default_factory=list)
+    grouped_rows: float = 0.0
+    udfs: list[UdfRows] = field(default_factory=list)
+    #: columns of result relations
+    result_columns: int = 0
+    #: rows × width written to multi-row spools
+    spooled_cells: float = 0.0
+    #: the row count of every sort
+    sorts: list[float] = field(default_factory=list)
+    inserted_values: float = 0.0
+
+    def statement(self, select_terms: int) -> None:
+        self.statements += 1
+        self.select_terms += select_terms
+
+    def scan(self, rows: float, width: int) -> None:
+        self.scanned_rows += rows
+        self.scanned_values += rows * width
+
+    def evaluate(
+        self,
+        rows: float,
+        expressions: Sequence[ast.Expression],
+        scalar_udf: "Callable[[str], Any] | None" = None,
+    ) -> None:
+        """Interpret *expressions* once per row; with a *scalar_udf*
+        lookup, each scalar UDF called in them runs once per row too."""
+        self.evaluated_nodes += rows * expression_nodes(expressions)
+        if scalar_udf is None:
+            return
+        for expression in expressions:
+            for node in ast.walk(expression):
+                if isinstance(node, ast.FuncCall):
+                    udf = scalar_udf(node.name)
+                    if udf is not None:
+                        profile = udf.cost_per_row(len(node.args))
+                        self.scalar_udfs.append((rows, profile))
+
+    def group(self, rows: float) -> None:
+        self.grouped_rows += rows
+
+    def result(self, rows: float, width: int) -> None:
+        """A result relation: per *column* (the paper blames SQL's
+        superlinear growth in d on the 1 + d + d²-column result table),
+        plus a per-cell spool share for more than one row."""
+        self.result_columns += width
+        if rows > 1:
+            self.spool(rows - 1, width)
+
+    def spool(self, rows: float, width: int) -> None:
+        self.spooled_cells += rows * width
+
+    def sort(self, rows: float) -> None:
+        if rows > 1:  # one row needs no comparison
+            self.sorts.append(rows)
+
+    def insert(self, rows: float, width: int) -> None:
+        self.inserted_values += rows * width
+
+
+def record_aggregate(
+    work: Work,
+    select: ast.Select,
+    rows: float,
+    udfs: "Sequence[tuple[Any, int]]",
+    partitions: int,
+    groups: int,
+    scalar_udf: "Callable[[str], Any]",
+) -> None:
+    """The aggregate operator over *rows* input rows: the select list and
+    GROUP BY keys per row (scalar UDFs counted in the keys only), the
+    group hash, and each ``(aggregate UDF, argument count)`` of *udfs*.
+    A WHERE is the caller's own operator over the same rows."""
+    work.evaluate(rows, [item.expression for item in select.items])
+    work.evaluate(rows, select.group_by, scalar_udf)
+    grouped = bool(select.group_by)
+    if grouped:
+        work.group(rows)
+    for udf, arg_count in udfs:
+        profile, state = udf.cost_per_row(arg_count), udf.state_value_count()
+        work.udfs.append(
+            UdfRows(rows, profile, state, partitions, max(groups, 1), grouped)
+        )
+
+
+def expression_nodes(expressions: Sequence[ast.Expression]) -> int:
+    """AST-node count the interpreted evaluator pays per row.  A UDF
+    call skips its plain column-ref and literal arguments: they ride the
+    run-time stack, priced with the call.  Builtin calls count fully."""
+    total = 0
+    pending = list(expressions)
+    while pending:
+        node = pending.pop()
+        total += 1
+        if isinstance(node, ast.FuncCall) and not (
+            node.name in SCALAR_BUILTINS or node.name in AGGREGATE_BUILTINS
+        ):
+            pending.extend(
+                arg for arg in node.args
+                if not isinstance(arg, (ast.ColumnRef, ast.Literal))
+            )
+        else:
+            pending.extend(ast.children(node))
+    return total
+
+
+def simulate(work: Work, params: CostParameters) -> float:
+    """Simulated seconds of *work* under *params* — a pure function."""
+    p = params
+    seconds = (
+        work.statements * p.sql_statement_overhead
+        + work.select_terms * p.sql_parse_per_term
+        + work.result_columns * p.sql_spool_cell
+        + work.inserted_values * p.insert_value
+    )
+    # Everything per row divides across the AMPs.
+    per_amp = (
+        work.scanned_rows * p.scan_row
+        + work.scanned_values * p.scan_value
+        + work.evaluated_nodes * p.sql_eval_node
+        + work.grouped_rows * p.groupby_hash_row
+        + work.spooled_cells * p.sql_spool_row_cell
+        + sum(rows * math.log2(rows) for rows in work.sorts) * p.sort_compare
+    )
+    for rows, profile in work.scalar_udfs:
+        per_amp += rows * (
+            p.scalar_udf_overhead
+            + profile.list_params * p.scalar_udf_param
+            + profile.arith_ops * p.scalar_udf_arith
+        )
+    for udf in work.udfs:
+        multiplier = 1.0
+        if udf.grouped:
+            # Gentle under half the 64 KB segment (k=1..8), cache pressure
+            # up to all of it (k=16), a spill past it (k=32).
+            ratio = (
+                udf.groups * udf.state_values * VALUE_WIDTH_BYTES
+                / p.heap_segment_bytes
+            )
+            if ratio > 1.0:
+                multiplier = p.groupby_spill_factor
+            elif ratio > 0.5:
+                multiplier = p.groupby_pressure_factor
+            else:
+                multiplier = 1.0 + 0.25 * ratio
+        profile = udf.profile
+        per_amp += udf.rows * multiplier * (
+            p.udf_row_overhead
+            + profile.list_params * p.udf_param
+            + profile.arith_ops * p.udf_arith_op
+        )
+        # String pack/parse is not state management: never multiplied.
+        per_amp += udf.rows * profile.string_chars * p.udf_string_char
+        seconds += udf.state_values * udf.groups * (
+            udf.partitions * p.udf_merge_value + p.udf_return_value
+        )
+    return seconds + per_amp / p.amps
+
+
 @dataclass
 class CostModel:
-    """Translates engine operations into charges on a simulated clock."""
+    """The cost constants and the clock a database charges."""
 
     params: CostParameters = field(default_factory=CostParameters)
     clock: SimulatedClock = field(default_factory=SimulatedClock)
 
-    # ------------------------------------------------------------------ scans
-    def charge_scan(self, rows: float, width: int) -> None:
-        """A full scan of *rows* rows reading *width* columns each.
-
-        Scan work divides across the AMPs (each reads its own horizontal
-        partition in parallel), which is what gives the 20-way server its
-        edge over the single-threaded workstation.
-        """
-        per_row = self.params.scan_row + width * self.params.scan_value
-        self.clock.charge(rows * per_row / self.params.amps)
-
-    # ------------------------------------------------------------ SQL queries
-    def charge_sql_statement(self, select_terms: int) -> None:
-        """Parse/plan cost of a statement with *select_terms* select items."""
-        self.clock.charge(
-            self.params.sql_statement_overhead
-            + select_terms * self.params.sql_parse_per_term
-        )
-
-    def charge_sql_evaluation(self, rows: float, nodes: float) -> None:
-        """Interpreted evaluation of expressions totalling *nodes* AST
-        nodes, once per row."""
-        self.clock.charge(
-            rows * nodes * self.params.sql_eval_node / self.params.amps
-        )
-
-    def charge_spool_result(self, rows: float, width: int) -> None:
-        """Creating the result relation: per *column* (the paper blames
-        SQL's superlinear growth in d on building the 1 + d + d²-column
-        result table) plus a per-cell share for multi-row results."""
-        self.clock.charge(width * self.params.sql_spool_cell)
-        if rows > 1:
-            self.charge_spool_rows(rows - 1, width)
-
-    def charge_spool_rows(self, rows: float, width: int) -> None:
-        """Writing a multi-row intermediate spool (join output, derived
-        table)."""
-        per_row = self.params.sql_spool_row_cell * width
-        self.clock.charge(rows * per_row / self.params.amps)
-
-    # ---------------------------------------------------------- aggregate UDF
-    def charge_udf_rows(
-        self,
-        rows: float,
-        list_params: int = 0,
-        string_chars: float = 0.0,
-        arith_ops: float = 0.0,
-    ) -> None:
-        """Per-row aggregate-UDF work over *rows* rows, across AMPs.
-
-        *list_params* is the number of scalar parameters transferred per
-        call; *string_chars* the packed-string length per call;
-        *arith_ops* the multiply-adds per call (``d`` for a diagonal Q,
-        ``d(d+1)/2`` triangular, ``d²`` full, plus the L and min/max
-        updates).
-        """
-        per_row = (
-            self.params.udf_row_overhead
-            + list_params * self.params.udf_param
-            + string_chars * self.params.udf_string_char
-            + arith_ops * self.params.udf_arith_op
-        )
-        self.clock.charge(rows * per_row / self.params.amps)
-
-    def charge_udf_string_transfer(self, rows: float, string_chars: float) -> None:
-        """The pack/parse cost of string-passed parameters alone.
-
-        Charged separately so the GROUP BY spill multiplier (which
-        models state management, not parsing) never scales it.
-        """
-        self.clock.charge(
-            rows * string_chars * self.params.udf_string_char / self.params.amps
-        )
-
-    def charge_udf_merge(self, partials: int, state_values: int) -> None:
-        """Merging *partials* per-AMP states of *state_values* values each."""
-        self.clock.charge(partials * state_values * self.params.udf_merge_value)
-
-    def charge_udf_return(self, state_values: int) -> None:
-        """Packing the final (n, L, Q) payload string returned to the user."""
-        self.clock.charge(state_values * self.params.udf_return_value)
-
-    # ------------------------------------------------------------- scalar UDF
-    def charge_scalar_udf_rows(
-        self, rows: float, params: int, arith_ops: float
-    ) -> None:
-        """Per-row scoring-UDF calls in the projection pipeline."""
-        per_row = (
-            self.params.scalar_udf_overhead
-            + params * self.params.scalar_udf_param
-            + arith_ops * self.params.scalar_udf_arith
-        )
-        self.clock.charge(rows * per_row / self.params.amps)
-
-    # ----------------------------------------------------------------- groups
-    def charge_groupby(self, rows: float) -> None:
-        """Hashing *rows* rows to their groups."""
-        self.clock.charge(rows * self.params.groupby_hash_row / self.params.amps)
-
-    def groupby_spill_multiplier(self, groups: int, state_bytes: int) -> float:
-        """Aggregation-work multiplier as group state presses on the heap.
-
-        Below half the 64 KB segment the penalty grows gently with the
-        fill ratio (the paper's slow k=1..8 growth).  Between half and
-        the whole segment: cache pressure (the climb at k=16).  Over the
-        segment: the state spills and per-row work jumps (the ~4× jump
-        at k=32)."""
-        ratio = groups * state_bytes / self.params.heap_segment_bytes
-        if ratio > 1.0:
-            return self.params.groupby_spill_factor
-        if ratio > 0.5:
-            return self.params.groupby_pressure_factor
-        return 1.0 + 0.25 * ratio
-
-    # ------------------------------------------------------------------- DML
-    def charge_insert(self, rows: float, width: int) -> None:
-        self.clock.charge(rows * width * self.params.insert_value)
-
-    def charge_sort(self, rows: float) -> None:
-        """An ORDER BY over *rows* rows (n log n comparisons)."""
-        if rows <= 1:
-            return
-        comparisons = rows * math.log2(rows)
-        self.clock.charge(comparisons * self.params.sort_compare / self.params.amps)
+    def charge(self, work: Work) -> float:
+        """Charge the simulated seconds of *work*; returns them."""
+        seconds = simulate(work, self.params)
+        self.clock.charge(seconds)
+        return seconds

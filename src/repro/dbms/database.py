@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.dbms.catalog import Catalog
-from repro.dbms.cost import CostModel, CostParameters
+from repro.dbms.cost import CostModel, CostParameters, Work
 from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.metrics import QueryMetrics
@@ -646,7 +646,7 @@ class Database:
         """Bulk load column arrays into a table, charging insert cost."""
         table = self.catalog.table(table_name)
         loaded = table.bulk_load_arrays(columns)
-        self.cost.charge_insert(loaded * table.row_scale, table.width)
+        self._clock_insert(table, loaded)
         return loaded
 
     def insert_rows(
@@ -654,8 +654,13 @@ class Database:
     ) -> int:
         table = self.catalog.table(table_name)
         inserted = table.insert_many(rows)
-        self.cost.charge_insert(inserted * table.row_scale, table.width)
+        self._clock_insert(table, inserted)
         return inserted
+
+    def _clock_insert(self, table: Table, rows: int) -> None:
+        work = Work()
+        work.insert(rows * table.row_scale, table.width)
+        self.cost.charge(work)
 
     # ------------------------------------------------------------------ time
     @property

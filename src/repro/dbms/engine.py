@@ -56,8 +56,7 @@ Fault tolerance knobs (all default off; see ``docs/fault_tolerance.md``):
 
 With the defaults (``NULL_FAULTS``, no timeout, no retries) ``map``
 takes the exact pre-supervision code path: no wrapper closures, no
-bookkeeping, one extra attribute check — benchmarked by
-``benchmarks/test_fault_overhead.py``.
+bookkeeping, one extra attribute check.
 
 ``workers=1`` (the default everywhere) bypasses the pool entirely and
 runs tasks inline, preserving the seed engine's bit-identical behaviour

@@ -343,6 +343,28 @@ def count_select_terms(select: Select) -> int:
     return len(select.items)
 
 
+def children(node: Expression) -> list[Expression]:
+    """The direct sub-expressions of *node*, in source order."""
+    if isinstance(node, Unary):
+        return [node.operand]
+    if isinstance(node, Binary):
+        return [node.left, node.right]
+    if isinstance(node, FuncCall):
+        return list(node.args)
+    if isinstance(node, Case):
+        found: list[Expression] = []
+        for condition, result in node.whens:
+            found.extend((condition, result))
+        if node.else_result is not None:
+            found.append(node.else_result)
+        return found
+    if isinstance(node, IsNull):
+        return [node.operand]
+    if isinstance(node, InList):
+        return [node.operand, *node.items]
+    return []
+
+
 def walk(expression: Expression) -> Sequence[Expression]:
     """All nodes of an expression tree, preorder."""
     found: list[Expression] = []

@@ -1,7 +1,7 @@
 """Plan execution over partitioned storage.
 
-The executor runs bound SELECT/DML statements and charges the cost model
-as it goes.  Two execution styles coexist:
+The executor runs bound SELECT/DML statements.  Two execution styles
+coexist:
 
 * a **row path** — compiled closures evaluated row by row — which is the
   reference semantics for everything, and
@@ -21,15 +21,14 @@ statements, block-wise projections, factorized folds — is one call of
 database configured with ``executor_workers > 1`` runs partitions
 concurrently; partials are always merged in partition order, which keeps
 results bit-identical to serial execution.  Real (wall-clock) per-stage
-timings land in a :class:`repro.dbms.metrics.QueryMetrics` record next
-to the analytical cost charges.
+timings land in a :class:`repro.dbms.metrics.QueryMetrics` record.
 
-Cost accounting: scans charge per (nominal) row and column; SQL select
-lists charge per term per row; aggregate UDFs charge call overhead,
-parameter transfer, and update arithmetic per row plus merge/return
-packing; GROUP BY charges hashing and a spill multiplier once the group
-state outgrows the 64 KB heap segment.  Nominal rows are physical rows ×
-the table's row scale (see :mod:`repro.dbms.cost`).
+Simulated time: a statement only adds what ran — nominal rows ×
+width scanned, expression nodes, UDF calls, spooled cells, sorted rows,
+inserted values — to one :class:`repro.dbms.cost.Work` record, and
+:meth:`Executor.execute` charges :func:`repro.dbms.cost.simulate` of it
+once, at the end.  The row and block routes add the same quantities, so
+a degraded attempt has nothing to unwind.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 from repro.core import factorized as fcore
 from repro.dbms.blocks import ScanBlock, take_rows
 from repro.dbms.catalog import Catalog
-from repro.dbms.cost import CostModel
+from repro.dbms.cost import CostModel, Work, record_aggregate
 from repro.dbms.engine import PartitionEngine
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.metrics import QueryMetrics, StageTimer
@@ -73,8 +72,8 @@ from repro.dbms.sql.planner import (
     AggregateCall,
     Binder,
     BoundColumn,
-    find_aggregates,
     output_name,
+    select_aggregates,
     substitute,
 )
 from repro.dbms.storage import BlockCacheStats, Table
@@ -552,7 +551,8 @@ class _BatchStatement:
 
 
 class Executor:
-    """Executes statements against a catalog, charging a cost model.
+    """Executes statements against a catalog, charging a cost model
+    once per statement.
 
     ``engine`` decides whether per-partition aggregation tasks run
     inline (one worker, the default) or on a thread pool; it may be
@@ -570,6 +570,8 @@ class Executor:
         self.engine = engine or PartitionEngine()
         #: wall-clock record of the most recently executed statement
         self.last_metrics = QueryMetrics()
+        #: what the most recent statement ran, priced by the cost model
+        self.last_work = Work()
         #: span tracer for the statement in flight; NULL_TRACER (the
         #: default) allocates nothing — only EXPLAIN ANALYZE swaps in a
         #: real Tracer for the duration of the inner statement
@@ -803,32 +805,43 @@ class Executor:
     def execute(
         self, statement: ast.Statement, statement_cache_hits: int = 0
     ) -> Relation:
+        started = self._begin(statement_cache_hits)
+        try:
+            return self._dispatch(statement)
+        finally:
+            self._end(started)
+
+    def _begin(self, statement_cache_hits: int) -> float:
+        """Start one statement, or one consolidated batch: fresh metrics
+        and work record.  Returns the wall-clock start for :meth:`_end`."""
         self.last_metrics = QueryMetrics(
             workers=self.engine.workers,
             statement_cache_hits=statement_cache_hits,
         )
+        self.last_work = Work()
         self.last_plan = None
-        started = time.perf_counter()
-        try:
-            return self._dispatch(statement)
-        finally:
-            self.last_metrics.total_seconds = time.perf_counter() - started
-            # rows_scanned equals rows_processed for every scan-path
-            # statement; only a summary-cache serve sets it lower (a
-            # fresh hit scans zero rows, a stale hit only the suffix).
-            self.last_metrics.rows_scanned = max(
-                self.last_metrics.rows_scanned,
-                self.last_metrics.rows_processed,
-            )
+        return time.perf_counter()
+
+    def _end(self, started: float) -> None:
+        """Close the unit :meth:`_begin` opened: the wall clock, and the
+        one charge of the simulated seconds its record prices (also when
+        it raised — what ran before the error was paid for)."""
+        metrics = self.last_metrics
+        metrics.total_seconds = time.perf_counter() - started
+        # rows_scanned equals rows_processed for every scan-path
+        # statement; only a summary-cache serve sets it lower (a fresh
+        # hit scans zero rows, a stale hit only the suffix).
+        metrics.rows_scanned = max(metrics.rows_scanned, metrics.rows_processed)
+        self._cost.charge(self.last_work)
 
     def _dispatch(self, statement: ast.Statement) -> Relation:
         if isinstance(statement, ast.Explain):
-            # Before any charging: plain EXPLAIN costs nothing.
+            # Adds nothing to the record: plain EXPLAIN costs nothing.
             return self._execute_explain(statement)
         if isinstance(statement, ast.Select):
-            self._cost.charge_sql_statement(len(statement.items))
+            self.last_work.statement(len(statement.items))
             return self.execute_select(statement)
-        self._cost.charge_sql_statement(1)
+        self.last_work.statement(1)
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateView):
@@ -949,12 +962,12 @@ class Executor:
                 full_rows.append(tuple(full))
             rows = full_rows
         inserted = table.insert_many(rows)
-        self._cost.charge_insert(inserted * table.row_scale, table.width)
+        self.last_work.insert(inserted * table.row_scale, table.width)
         return _empty_result()
 
     def _execute_delete(self, statement: ast.Delete) -> Relation:
         table = self._catalog.table(statement.table)
-        self._cost.charge_scan(table.nominal_rows, table.width)
+        self.last_work.scan(table.nominal_rows, table.width)
         if statement.where is None:
             table.truncate()
             return _empty_result()
@@ -970,7 +983,7 @@ class Executor:
 
     def _execute_update(self, statement: ast.Update) -> Relation:
         table = self._catalog.table(statement.table)
-        self._cost.charge_scan(table.nominal_rows, table.width)
+        self.last_work.scan(table.nominal_rows, table.width)
         columns = [BoundColumn(table.name, c.name) for c in table.schema.columns]
         binder = Binder(columns)
         predicate = (
@@ -1004,7 +1017,7 @@ class Executor:
         table.truncate()
         if rows:
             table.insert_columns(columns)
-        self._cost.charge_insert(sum(hits) * table.row_scale, len(targets))
+        self.last_work.insert(sum(hits) * table.row_scale, len(targets))
         return _empty_result()
 
     # ---------------------------------------------------------------- SELECT
@@ -1014,7 +1027,7 @@ class Executor:
             if factorized is not None:
                 return factorized
         env = self._build_from_environment(select)
-        aggregate_calls = self._collect_aggregates(select)
+        aggregate_calls = select_aggregates(select, self._catalog.is_aggregate)
         if aggregate_calls or select.group_by:
             result, order_context = self._execute_aggregate(
                 select, env, aggregate_calls
@@ -1042,20 +1055,11 @@ class Executor:
         (*statement_cache_hits*: how many of its texts the database's
         statement cache supplied).
         """
-        self.last_metrics = QueryMetrics(
-            workers=self.engine.workers,
-            statement_cache_hits=statement_cache_hits,
-        )
-        self.last_plan = None
-        started = time.perf_counter()
+        started = self._begin(statement_cache_hits)
         try:
             return self._execute_batch_consolidated(selects, decision)
         finally:
-            self.last_metrics.total_seconds = time.perf_counter() - started
-            self.last_metrics.rows_scanned = max(
-                self.last_metrics.rows_scanned,
-                self.last_metrics.rows_processed,
-            )
+            self._end(started)
 
     def _execute_batch_consolidated(
         self, selects: Sequence[ast.Select], decision: "Any"
@@ -1066,27 +1070,21 @@ class Executor:
         prepared: list[_BatchStatement] = []
         for input_index in decision.distinct:
             select = selects[input_index]
-            # Duplicates of this statement charge nothing — folding them
+            # Duplicates of this statement add nothing — folding them
             # into one accumulation is the rewrite's analytical saving.
-            self._cost.charge_sql_statement(len(select.items))
+            self.last_work.statement(len(select.items))
             env = _base_scan(table, select.from_sources[0].binding_name, select)
-            prepared.append(
-                self._prepare_statement(
-                    select, env, self._collect_aggregates(select)
-                )
-            )
+            calls = select_aggregates(select, self._catalog.is_aggregate)
+            prepared.append(self._prepare_statement(select, env, calls))
 
         scan_statements = [stmt for stmt in prepared if not stmt.served]
         if scan_statements:
-            # ONE scan charge for the whole batch — this replaces the
-            # per-statement charge serial execution makes in
-            # _relation_for_source.
-            self._cost.charge_scan(table.nominal_rows, table.width)
+            # ONE scan for the whole batch — this replaces the scan per
+            # statement serial execution records in _relation_for_source.
+            self.last_work.scan(table.nominal_rows, table.width)
             self._shared_scan(table, scan_statements, batch=True)
             for stmt in scan_statements:
-                self._charge_aggregate_costs(
-                    stmt.select, stmt.env, stmt.aggregates, len(stmt.groups)
-                )
+                self._record_aggregate(stmt)
 
         # Every input statement that would have scanned (cache serves
         # already counted their own scans_saved) shares the one scan.
@@ -1132,7 +1130,7 @@ class Executor:
         if served is not None:
             # The cache (or its incremental watermark refresh) already
             # charged exactly the rows it re-read, so the per-row
-            # aggregation charges are skipped along with the scan.
+            # aggregation work is skipped along with the fold.
             stmt.groups = {(): [served]}
             stmt.served = True
             return stmt
@@ -1320,9 +1318,7 @@ class Executor:
             current = Relation(
                 columns=joined_columns, rows=joined_rows, row_scale=scale
             )
-            self._cost.charge_spool_rows(
-                len(joined_rows) * scale, len(joined_columns)
-            )
+            self.last_work.spool(len(joined_rows) * scale, len(joined_columns))
         return current
 
     def _relation_for_source(
@@ -1332,8 +1328,8 @@ class Executor:
             inner = self.execute_select(source.select).materialize()
             # The derived result is spooled and re-read by the outer query
             # (this is the paper's "two scans on a pivoted version of X").
-            self._cost.charge_spool_rows(inner.nominal_rows, inner.width)
-            self._cost.charge_scan(inner.nominal_rows, inner.width)
+            self.last_work.spool(inner.nominal_rows, inner.width)
+            self.last_work.scan(inner.nominal_rows, inner.width)
             columns = [
                 BoundColumn(source.alias, column.name) for column in inner.columns
             ]
@@ -1349,7 +1345,7 @@ class Executor:
                 columns=columns, rows=inner.rows, row_scale=inner.row_scale
             )
         table = self._catalog.table(source.name)
-        self._cost.charge_scan(table.nominal_rows, table.width)
+        self.last_work.scan(table.nominal_rows, table.width)
         return _base_scan(table, binding, statement)
 
     # ------------------------------------------------------------ projection
@@ -1359,17 +1355,14 @@ class Executor:
         binder = Binder(env.columns)
         items = self._expand_stars(select.items, binder)
 
-        charged_expressions = [item.expression for item in items]
+        evaluated = [item.expression for item in items]
         if select.where is not None:
-            charged_expressions.append(select.where)
-        self._cost.charge_sql_evaluation(
-            env.nominal_rows, self._expression_nodes(charged_expressions)
+            evaluated.append(select.where)
+        # Recorded once for both paths — the block path is a pure
+        # wall-clock optimization, invisible to the simulated seconds.
+        self.last_work.evaluate(
+            env.nominal_rows, evaluated, self._catalog.scalar_udf
         )
-        self._charge_scalar_udf_calls(charged_expressions, env.nominal_rows)
-
-        # All analytical charges are identical for both paths — the
-        # block path is a pure wall-clock optimization, invisible to the
-        # simulated-seconds benchmarks.
         plan: "VectorizedSelectPlan | None" = None
         if (
             self.vectorized_select
@@ -1390,7 +1383,7 @@ class Executor:
             BoundColumn(None, output_name(item, position))
             for position, item in enumerate(items)
         ]
-        self._cost.charge_spool_rows(len(out_rows) * env.row_scale, len(out_columns))
+        self.last_work.spool(len(out_rows) * env.row_scale, len(out_columns))
         result = Relation(
             columns=out_columns, rows=out_rows, row_scale=env.row_scale
         )
@@ -1477,24 +1470,6 @@ class Executor:
         return expanded
 
     # ----------------------------------------------------------- aggregation
-    def _collect_aggregates(self, select: ast.Select) -> list[AggregateCall]:
-        expressions = [item.expression for item in select.items]
-        if select.having is not None:
-            expressions.append(select.having)
-        calls = find_aggregates(expressions, self._catalog.is_aggregate)
-        # ORDER BY may sort on an aggregate that is not selected
-        # (``ORDER BY count(*)``); those must be computed too.  Only
-        # when the query already aggregates — a bare projection cannot
-        # be turned into an aggregate by its ORDER BY.
-        if (calls or select.group_by) and select.order_by:
-            order_expressions = list(expressions) + [
-                expr for expr, _ in select.order_by
-            ]
-            calls = find_aggregates(
-                order_expressions, self._catalog.is_aggregate
-            )
-        return calls
-
     def _aggregate_object(self, name: str) -> AggregateFunction | AggregateUdf:
         factory = AGGREGATE_BUILTINS.get(name.lower())
         if factory is not None:
@@ -1513,9 +1488,7 @@ class Executor:
         stmt = self._prepare_statement(select, env, aggregate_calls)
         if not stmt.served:
             self._accumulate_groups(stmt)
-            self._charge_aggregate_costs(
-                select, env, stmt.aggregates, len(stmt.groups)
-            )
+            self._record_aggregate(stmt)
         return self._finalize_aggregate(
             select, stmt.aggregates, stmt.group_exprs, stmt.groups
         )
@@ -1585,7 +1558,7 @@ class Executor:
                 post_rows.append(post_row)
                 out_rows.append(tuple(fn(post_row) for fn in item_fns))
 
-        self._cost.charge_spool_result(max(len(out_rows), 1), len(out_columns))
+        self.last_work.result(max(len(out_rows), 1), len(out_columns))
         result = Relation(columns=out_columns, rows=out_rows, row_scale=1.0)
 
         def rewrite(expression: ast.Expression) -> ast.Expression:
@@ -1641,7 +1614,7 @@ class Executor:
         ):
             return None
         table = self._catalog.table(source.name)
-        calls = self._collect_aggregates(select)
+        calls = select_aggregates(select, self._catalog.is_aggregate)
         if len(calls) != 1:
             return None
         udf = self._catalog.aggregate_udf(calls[0].name)
@@ -1797,7 +1770,7 @@ class Executor:
                 for column in table.schema.columns
             )
         binder = Binder(columns)
-        aggregate_calls = self._collect_aggregates(select)
+        aggregate_calls = select_aggregates(select, self._catalog.is_aggregate)
         aggregates = [
             _AggregateSpec(call, self._aggregate_object(call.name), binder, self)
             for call in aggregate_calls
@@ -1837,7 +1810,7 @@ class Executor:
                 return self._apply_order_limit(select, result, order_context)
 
         for table in base_tables:
-            self._cost.charge_scan(table.nominal_rows, table.width)
+            self.last_work.scan(table.nominal_rows, table.width)
 
         dim_maps: "list[tuple[dict, set]]" = []
         dim_values: "list[dict]" = []
@@ -1873,7 +1846,17 @@ class Executor:
         if cache_key is not None and stats is not None:
             cache.store_join(cache_key, base_tables, stats, avoided)
 
-        self._charge_factorized_costs(select, aggregates, fact, dim_tables)
+        # The select list evaluates once per *fact* row (the argument
+        # gathering), and the merge covers every base table's partials.
+        record_aggregate(
+            self.last_work,
+            select,
+            fact.nominal_rows,
+            _udf_calls(aggregates),
+            sum(table.partition_count for table in base_tables),
+            1,
+            self._catalog.scalar_udf,
+        )
         result, order_context = self._finalize_aggregate(
             select, aggregates, [], {(): states}
         )
@@ -2010,42 +1993,6 @@ class Executor:
             functools.partial(_fold_factorized, fold),
         )
 
-    def _charge_factorized_costs(
-        self,
-        select: ast.Select,
-        aggregates: list["_AggregateSpec"],
-        fact: Table,
-        dim_tables: "list[Table]",
-    ) -> None:
-        """Analytical charges for the factorized path.
-
-        The select list evaluates once per *fact* row (the aggregate
-        argument gathering); each base table's scan was charged up
-        front, and the per-partition merge covers every base table's
-        partials.
-        """
-        rows = fact.nominal_rows
-        charged = [item.expression for item in select.items]
-        self._cost.charge_sql_evaluation(rows, self._expression_nodes(charged))
-        partitions = fact.partition_count + sum(
-            table.partition_count for table in dim_tables
-        )
-        for spec in aggregates:
-            if spec.is_builtin:
-                continue
-            udf = spec.aggregate
-            assert isinstance(udf, AggregateUdf)
-            profile = udf.cost_per_row(len(spec.call.call.args))
-            self._cost.charge_udf_rows(
-                rows,
-                list_params=profile.list_params,
-                arith_ops=profile.arith_ops,
-            )
-            if profile.string_chars:
-                self._cost.charge_udf_string_transfer(rows, profile.string_chars)
-            self._cost.charge_udf_merge(partitions, udf.state_value_count())
-            self._cost.charge_udf_return(udf.state_value_count())
-
     def _factorized_cache_note(self, select: ast.Select) -> "str | None":
         """EXPLAIN annotation for a join-cacheable factorized statement."""
         cache = self.summary_cache
@@ -2096,52 +2043,27 @@ class Executor:
                 span.attributes["strategy"] = "row-serial"
                 span.attributes["groups"] = len(stmt.groups)
 
-    def _charge_aggregate_costs(
-        self,
-        select: ast.Select,
-        env: Relation,
-        aggregates: list["_AggregateSpec"],
-        group_count: int,
-    ) -> None:
+    def _record_aggregate(self, stmt: "_BatchStatement") -> None:
+        """Add an accumulated statement's work: its WHERE over every
+        input row, then the aggregate operator with the actual group
+        count (:func:`~repro.dbms.cost.record_aggregate`, which EXPLAIN
+        calls with its estimates).  The per-row select list is where the
+        long 1+d+d²-term SQL query pays; an aggregate-UDF call is one
+        node."""
+        env = stmt.env
         rows = env.nominal_rows
-        # Interpreted per-row evaluation of the select list (and WHERE,
-        # and GROUP BY keys) — this is where the long 1+d+d²-term SQL
-        # query pays, while an aggregate-UDF call is a single node.
-        charged: list[ast.Expression] = [item.expression for item in select.items]
-        charged.extend(select.group_by)
-        if select.where is not None:
-            charged.append(select.where)
-        self._cost.charge_sql_evaluation(rows, self._expression_nodes(charged))
-        self._charge_scalar_udf_calls(list(select.group_by), rows)
-        if select.group_by:
-            self._cost.charge_groupby(rows)
-        groups = max(group_count, 1)
-        for spec in aggregates:
-            if spec.is_builtin:
-                continue
-            udf = spec.aggregate
-            assert isinstance(udf, AggregateUdf)
-            profile = udf.cost_per_row(len(spec.call.call.args))
-            multiplier = 1.0
-            if select.group_by:
-                state_bytes = udf.state_value_count() * 8
-                multiplier = self._cost.groupby_spill_multiplier(groups, state_bytes)
-            # The spill multiplier models state management pressure; the
-            # string pack/parse work is unaffected by it.
-            self._cost.charge_udf_rows(
-                rows * multiplier,
-                list_params=profile.list_params,
-                arith_ops=profile.arith_ops,
-            )
-            if profile.string_chars:
-                self._cost.charge_udf_string_transfer(rows, profile.string_chars)
-            partitions = (
-                env.base_table.partition_count if env.base_table is not None else 1
-            )
-            self._cost.charge_udf_merge(
-                partitions * groups, udf.state_value_count()
-            )
-            self._cost.charge_udf_return(udf.state_value_count() * groups)
+        if stmt.where is not None:
+            self.last_work.evaluate(rows, [stmt.where])
+        table = env.base_table
+        record_aggregate(
+            self.last_work,
+            stmt.select,
+            rows,
+            _udf_calls(stmt.aggregates),
+            table.partition_count if table is not None else 1,
+            len(stmt.groups),
+            self._catalog.scalar_udf,
+        )
 
     # -------------------------------------------------------- order and limit
     def _apply_order_limit(
@@ -2207,7 +2129,7 @@ class Executor:
                 )
                 if sort_span is not None:
                     sort_span.attributes["rows"] = len(result.rows)
-            self._cost.charge_sort(result.nominal_rows)
+            self.last_work.sort(result.nominal_rows)
         if select.limit is not None:
             result = Relation(
                 columns=result.columns,
@@ -2223,67 +2145,15 @@ class Executor:
             return builtin
         return self._catalog.scalar_udf(name)
 
-    def _charge_scalar_udf_calls(
-        self, expressions: Sequence[ast.Expression], rows: float
-    ) -> None:
-        for expression in expressions:
-            for node in ast.walk(expression):
-                if isinstance(node, ast.FuncCall):
-                    udf = self._catalog.scalar_udf(node.name)
-                    if udf is not None:
-                        profile = udf.cost_per_row(len(node.args))
-                        self._cost.charge_scalar_udf_rows(
-                            rows,
-                            params=profile.list_params,
-                            arith_ops=profile.arith_ops,
-                        )
 
-    def _expression_nodes(self, expressions: Sequence[ast.Expression]) -> int:
-        """AST-node count the interpreted evaluator pays per row.
-
-        A UDF call (scalar or aggregate) counts as a single node with
-        only its non-trivial arguments descended into: UDF parameters
-        are handed over on the run-time stack, so plain column refs and
-        literals in the argument list cost nothing extra — the UDF's own
-        per-call cost is charged separately.  Builtin calls (sum, sqrt,
-        ...) are interpreted and count fully.
-        """
-        total = 0
-
-        def visit(node: ast.Expression) -> None:
-            nonlocal total
-            total += 1
-            if isinstance(node, ast.FuncCall) and not (
-                node.name in SCALAR_BUILTINS or node.name in AGGREGATE_BUILTINS
-            ):
-                for arg in node.args:
-                    if not isinstance(arg, (ast.ColumnRef, ast.Literal)):
-                        visit(arg)
-                return
-            if isinstance(node, ast.Unary):
-                visit(node.operand)
-            elif isinstance(node, ast.Binary):
-                visit(node.left)
-                visit(node.right)
-            elif isinstance(node, ast.FuncCall):
-                for arg in node.args:
-                    visit(arg)
-            elif isinstance(node, ast.Case):
-                for condition, result in node.whens:
-                    visit(condition)
-                    visit(result)
-                if node.else_result is not None:
-                    visit(node.else_result)
-            elif isinstance(node, ast.IsNull):
-                visit(node.operand)
-            elif isinstance(node, ast.InList):
-                visit(node.operand)
-                for item in node.items:
-                    visit(item)
-
-        for expression in expressions:
-            visit(expression)
-        return total
+def _udf_calls(aggregates: "list[_AggregateSpec]") -> "list[tuple[Any, int]]":
+    """``(aggregate UDF, argument count)`` of every non-builtin call —
+    what :func:`~repro.dbms.cost.record_aggregate` prices."""
+    return [
+        (spec.aggregate, len(spec.call.call.args))
+        for spec in aggregates
+        if not spec.is_builtin
+    ]
 
 
 @dataclass

@@ -587,8 +587,8 @@ def _substitute_rendered(
 def explain(catalog: Catalog, select: ast.Select) -> str:
     """A human-readable account of binding, rewrites and estimated cost.
 
-    Purely analytical — nothing is executed; cost estimates use the same
-    constants the executor charges, applied to catalog row counts.  The
+    Purely analytical — nothing is executed; cost estimates price the
+    executor's work record, filled from catalog row counts.  The
     heavy lifting lives in :mod:`repro.dbms.sql.plan`; this wrapper is
     kept for callers that only want the text.
     """

@@ -8,9 +8,12 @@ aggregate, project, sort, limit), and each operator is annotated with
 
 * the optimizer decisions that produced it (eliminated joins, pushed
   predicates, group-by pushdown, partition fan-out), and
-* its per-operator estimate in *simulated seconds* from the cost-model
-  constants in :class:`~repro.dbms.cost.CostParameters` — the same
-  constants the executor charges, applied to catalog row counts.
+* its per-operator estimate in *simulated seconds*: the operator's
+  :class:`~repro.dbms.cost.Work` record, filled by the same helpers the
+  executor calls but from catalog row counts, priced by
+  :func:`~repro.dbms.cost.simulate`.  Where the catalog knows the
+  cardinalities (no WHERE, no GROUP BY) the plan's total is the
+  simulated seconds ``execute()`` charges.
 
 For ``EXPLAIN ANALYZE`` the executor runs the optimized statement under
 a :class:`~repro.dbms.trace.Tracer` and calls :meth:`Plan.attach_trace`,
@@ -27,17 +30,16 @@ things like "the nLQ model build is exactly one scan" via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.dbms.catalog import Catalog
-from repro.dbms.cost import CostParameters
+from repro.dbms.cost import CostParameters, Work, record_aggregate, simulate
 from repro.dbms.metrics import QueryMetrics
 from repro.dbms.sql import ast
 from repro.dbms.sql.factorize import plan_factorize
 from repro.dbms.sql.optimizer import OptimizationReport, QueryOptimizer
-from repro.dbms.sql.planner import find_aggregates
+from repro.dbms.sql.planner import select_aggregates
 from repro.dbms.sql.vectorized import plan_vectorized_select
 from repro.dbms.trace import Span
 
@@ -261,40 +263,62 @@ class _PlanBuilder:
         self._vectorized_select = vectorized_select
         self._factorized_joins = factorized_joins
 
+    def _node(self, operator, detail, work: Work, rows, *children, notes=None):
+        """An operator estimated at :func:`simulate` of its *work*."""
+        seconds = simulate(work, self._params)
+        return PlanNode(operator, detail, seconds, rows, notes or [], [*children])
+
     # ------------------------------------------------------------- operators
     def select_node(
         self,
         select: ast.Select,
         report: OptimizationReport | None = None,
+        top: bool = True,
     ) -> PlanNode:
-        params = self._params
+        """The plan of *select*; *top* is a statement of its own, which
+        pays the statement overhead (a derived table or view does not)."""
         factorize_decision = None
         if select.joins and self._factorized_joins:
             factorize_decision = plan_factorize(self._catalog, select, report)
         if factorize_decision is not None and factorize_decision.factorized:
-            current, rows = self._factorized_join_node(factorize_decision)
-        else:
-            current, rows = self._input_tree(select)
-
-        if select.where is not None:
-            nodes = len(ast.walk(select.where))
-            current = PlanNode(
-                "filter",
-                ast.render(select.where),
-                estimated_seconds=rows * nodes * params.sql_eval_node
-                / params.amps,
-                estimated_rows=rows,
-                children=[current],
+            current, rows, partitions = self._factorized_join_node(
+                factorize_decision
             )
+        else:
+            current, rows, _ = self._input_tree(select)
+            base = self._single_base_table(select)
+            partitions = base.partition_count if base is not None else 1
 
-        aggregates = self._aggregates(select)
-        group_count = 1
+        aggregates = select_aggregates(select, self._catalog.is_aggregate)
         aggregated = bool(aggregates or select.group_by)
+        if select.where is not None:
+            # Scalar UDFs in a WHERE are priced on the projection path
+            # only, as the executor does.
+            work = Work()
+            scalar_udf = None if aggregated else self._catalog.scalar_udf
+            work.evaluate(rows, [select.where], scalar_udf)
+            current = self._node(
+                "filter", ast.render(select.where), work, rows, current
+            )
         if aggregated:
-            current = self._aggregate_node(select, aggregates, rows, current)
-            rows = float(group_count)
+            current = self._aggregate_node(
+                select, aggregates, rows, partitions, current
+            )
+            rows = 1.0  # the catalog knows no group count
 
-        current = self._project_node(select, rows, current)
+        # Parse the select list, then build the result relation: from the
+        # group states after an aggregate, else per input row and spooled.
+        width = len(select.items)
+        work = Work()
+        if top:
+            work.statement(width)
+        if aggregated:
+            work.result(rows, width)
+        else:
+            expressions = [item.expression for item in select.items]
+            work.evaluate(rows, expressions, self._catalog.scalar_udf)
+            work.spool(rows, width)
+        current = self._node("project", f"{width} columns", work, rows, current)
         if not aggregated:
             self._annotate_projection_strategy(select, current)
 
@@ -303,15 +327,9 @@ class _PlanBuilder:
                 ast.render(expr) + ("" if ascending else " DESC")
                 for expr, ascending in select.order_by
             )
-            comparisons = rows * math.log2(rows) if rows > 1 else 0.0
-            current = PlanNode(
-                "sort",
-                keys,
-                estimated_seconds=comparisons * params.sort_compare
-                / params.amps,
-                estimated_rows=rows,
-                children=[current],
-            )
+            work = Work()
+            work.sort(rows)
+            current = self._node("sort", keys, work, rows, current)
         if select.limit is not None:
             current = PlanNode(
                 "limit", str(select.limit), estimated_rows=float(select.limit),
@@ -319,18 +337,18 @@ class _PlanBuilder:
             )
 
         if report is not None:
-            for binding in report.eliminated_joins:
-                current.notes.append(
-                    f"join eliminated: {binding} (unused, cardinality-safe)"
-                )
+            current.notes.extend(
+                f"join eliminated: {binding} (unused, cardinality-safe)"
+                for binding in report.eliminated_joins
+            )
             if report.pushed_group_by:
                 current.notes.append(
                     "group-by pushed below the join (pre-aggregated fact)"
                 )
-            for predicate in report.pushed_predicates:
-                current.notes.append(
-                    f"predicate pushed into subquery: {predicate}"
-                )
+            current.notes.extend(
+                f"predicate pushed into subquery: {predicate}"
+                for predicate in report.pushed_predicates
+            )
         if (
             factorize_decision is not None
             and not factorize_decision.factorized
@@ -341,24 +359,21 @@ class _PlanBuilder:
             )
         return current
 
-    def _factorized_join_node(self, decision) -> tuple[PlanNode, float]:
-        """The factorized replacement for a star-join input tree.
-
-        One scan per base table; partial aggregates are combined through
-        the FK->PK keys, so the joined table is never materialized.  The
-        note carries the avoided-rows accounting that tests and
-        ``BENCH_factorized.json`` assert against: a nested-loop join
-        reads |fact| + Sum_i |fact| x |dim_i| input rows, the factorized
-        path reads Sum |base tables|.
-        """
-        params = self._params
+    def _factorized_join_node(self, decision) -> tuple[PlanNode, float, int]:
+        """The factorized replacement for a star-join input tree: (node,
+        fact rows, partials merged).  One scan per base table, partials
+        combined through the FK->PK keys; the operator adds no work of
+        its own.  The note carries the avoided-rows accounting: a
+        nested-loop join reads |fact| + Sum_i |fact| x |dim_i| input
+        rows, the factorized path reads Sum |base tables|."""
         children: list[PlanNode] = []
         fact = self._catalog.table(decision.fact_table)
         fact_rows = fact.nominal_rows
         scanned = 0.0
         nested_loop_reads = 0.0
+        partitions = fact.partition_count
         for dim in decision.dims:
-            node, dim_rows = self._source_node(
+            node, dim_rows, _ = self._source_node(
                 ast.TableName(dim.table, alias=dim.binding)
             )
             node.notes.append(
@@ -368,7 +383,8 @@ class _PlanBuilder:
             children.append(node)
             scanned += dim_rows
             nested_loop_reads += fact_rows * (1 + dim_rows)
-        fact_node, _ = self._source_node(
+            partitions += self._catalog.table(dim.table).partition_count
+        fact_node, _, _ = self._source_node(
             ast.TableName(decision.fact_table, alias=decision.fact_binding)
         )
         children.append(fact_node)
@@ -378,10 +394,6 @@ class _PlanBuilder:
             "factorized-join",
             f"{decision.fact_table} star over {len(decision.dims)} "
             f"dimension(s), shape {decision.shape}",
-            # Per fact row: one hash probe per dimension arm during the
-            # fold (the dim scans carry their own scan estimates).
-            estimated_seconds=fact_rows * len(decision.dims)
-            * params.sql_eval_node / params.amps,
             estimated_rows=fact_rows,
             notes=[
                 f"factorized-join: scans {scanned:.0f} base-table rows "
@@ -390,86 +402,63 @@ class _PlanBuilder:
             ],
             children=children,
         )
-        return node, fact_rows
+        return node, fact_rows, partitions
 
-    def _input_tree(self, select: ast.Select) -> tuple[PlanNode, float]:
-        """The FROM clause as a left-deep tree; returns (node, est rows)."""
+    def _input_tree(self, select: ast.Select) -> tuple[PlanNode, float, int]:
+        """The FROM clause as a left-deep tree: (node, est rows, width).
+
+        Nested-loop joins spool their output; without statistics we
+        estimate it at the larger input (the PK-join and one-row
+        model-table shapes the workload actually uses)."""
         if not select.from_sources:
-            return PlanNode("values", "1 row", estimated_rows=1.0), 1.0
-        current, rows = self._source_node(select.from_sources[0])
-        for source in select.from_sources[1:]:
-            right, right_rows = self._source_node(source)
-            current, rows = self._join_node(
-                "cross join", "", current, rows, right, right_rows
-            )
+            return PlanNode("values", "1 row", estimated_rows=1.0), 1.0, 0
+        joins = [("cross join", "", source) for source in select.from_sources]
         for join in select.joins:
-            right, right_rows = self._source_node(join.source)
             if join.condition is None:
-                operator, detail = "cross join", ""
+                joins.append(("cross join", "", join.source))
             else:
                 operator = "left outer join" if join.outer else "join"
                 detail = f"on {ast.render(join.condition)}"
-            current, rows = self._join_node(
-                operator, detail, current, rows, right, right_rows
-            )
-        return current, rows
+                joins.append((operator, detail, join.source))
+        current, rows, width = self._source_node(joins[0][2])
+        for operator, detail, source in joins[1:]:
+            right, right_rows, right_width = self._source_node(source)
+            rows, width = max(rows, right_rows), width + right_width
+            work = Work()
+            work.spool(rows, width)
+            current = self._node(operator, detail, work, rows, current, right)
+        return current, rows, width
 
-    def _join_node(
-        self,
-        operator: str,
-        detail: str,
-        left: PlanNode,
-        left_rows: float,
-        right: PlanNode,
-        right_rows: float,
-    ) -> tuple[PlanNode, float]:
-        # Nested-loop joins spool their output; without statistics we
-        # estimate the output at the larger input (the PK-join and
-        # one-row model-table shapes the workload actually uses).
-        rows = max(left_rows, right_rows)
-        node = PlanNode(
-            operator,
-            detail,
-            estimated_seconds=left_rows * right_rows
-            * self._params.sql_eval_node / self._params.amps,
-            estimated_rows=rows,
-            children=[left, right],
-        )
-        return node, rows
-
-    def _source_node(self, source: ast.FromSource) -> tuple[PlanNode, float]:
-        params = self._params
+    def _source_node(
+        self, source: ast.FromSource
+    ) -> tuple[PlanNode, float, int]:
+        """One FROM source: (node, est rows, width)."""
         if isinstance(source, ast.DerivedTable):
-            child = self.select_node(source.select)
+            child = self.select_node(source.select, top=False)
             rows = child.estimated_rows or 1.0
-            node = PlanNode(
-                "subquery",
-                f"{source.alias} (spooled and re-scanned)",
-                estimated_seconds=rows
-                * (params.scan_row + params.sql_spool_row_cell) / params.amps,
-                estimated_rows=rows,
-                children=[child],
-            )
-            return node, rows
+            width = len(source.select.items)
+            work = Work()
+            work.spool(rows, width)
+            work.scan(rows, width)
+            detail = f"{source.alias} (spooled and re-scanned)"
+            return self._node("subquery", detail, work, rows, child), rows, width
         if self._catalog.has_view(source.name):
-            child = self.select_node(self._catalog.view(source.name))
+            view = self._catalog.view(source.name)
+            child = self.select_node(view, top=False)
             rows = child.estimated_rows or 1.0
-            node = PlanNode(
-                "view",
-                f"{source.name} (expanded inline)",
-                estimated_rows=rows,
-                children=[child],
-            )
-            return node, rows
+            detail = f"{source.name} (expanded inline)"
+            node = self._node("view", detail, Work(), rows, child)
+            return node, rows, len(view.items)
         table = self._catalog.table(source.name)
         rows = table.nominal_rows
-        per_row = params.scan_row + table.width * params.scan_value
-        node = PlanNode(
+        work = Work()
+        work.scan(rows, table.width)
+        node = self._node(
             "scan",
             f"table {table.name} ({rows:.0f} rows x {table.width} cols, "
             f"{table.partition_count} partitions)",
-            estimated_seconds=rows * per_row / params.amps,
-            estimated_rows=rows,
+            work,
+            rows,
         )
         config = getattr(self._catalog, "cache_config", None)
         if config is not None and config.max_bytes is not None:
@@ -478,60 +467,32 @@ class _PlanBuilder:
                 f"({config.max_entries} entries): LRU eviction spills "
                 "cold blocks to disk"
             )
-        return node, rows
-
-    def _aggregates(self, select: ast.Select):
-        # Mirrors the executor: ORDER BY expressions only contribute
-        # aggregates when the query already aggregates.
-        expressions = [item.expression for item in select.items]
-        if select.having is not None:
-            expressions.append(select.having)
-        calls = find_aggregates(expressions, self._catalog.is_aggregate)
-        if (calls or select.group_by) and select.order_by:
-            calls = find_aggregates(
-                expressions + [expr for expr, _ in select.order_by],
-                self._catalog.is_aggregate,
-            )
-        return calls
+        return node, rows, table.width
 
     def _aggregate_node(
         self,
         select: ast.Select,
         aggregates,
         rows: float,
+        partitions: int,
         child: PlanNode,
     ) -> PlanNode:
-        params = self._params
         names = ", ".join(a.call.name for a in aggregates)
         keys = ", ".join(ast.render(g) for g in select.group_by) or "()"
-        seconds = 0.0
-        if select.group_by:
-            seconds += rows * params.groupby_hash_row / params.amps
         notes: list[str] = []
         base = self._single_base_table(select)
-        partitions = params.amps
         if base is not None:
-            partitions = base.partition_count
             notes.append(
                 f"fan-out: {base.non_empty_partition_count} partition tasks "
                 f"over {base.partition_count} partitions of {base.name}"
             )
             notes.append("single-scan aggregation (no spool between scans)")
+        udfs = []
         for aggregate in aggregates:
             udf = self._catalog.aggregate_udf(aggregate.call.name)
             if udf is None:
                 continue
-            profile = udf.cost_per_row(len(aggregate.call.args))
-            seconds += rows * (
-                params.udf_row_overhead
-                + profile.list_params * params.udf_param
-                + profile.string_chars * params.udf_string_char
-                + profile.arith_ops * params.udf_arith_op
-            ) / params.amps
-            seconds += (
-                partitions * udf.state_value_count() * params.udf_merge_value
-            )
-            seconds += udf.state_value_count() * params.udf_return_value
+            udfs.append((udf, len(aggregate.call.args)))
             notes.append(
                 f"aggregate UDF {udf.name}: "
                 f"{udf.state_value_count()} state values/partition, "
@@ -542,34 +503,12 @@ class _PlanBuilder:
                     f"fused clustering iteration ({udf.name}): assignment "
                     "+ (N, L, Q) accumulation in one scan"
                 )
-        node = PlanNode(
-            "aggregate",
-            f"[{names}] group by {keys}",
-            estimated_seconds=seconds,
-            estimated_rows=rows,
-            notes=notes,
-            children=[child],
+        work = Work()
+        record_aggregate(
+            work, select, rows, udfs, partitions, 1, self._catalog.scalar_udf
         )
-        return node
-
-    def _project_node(
-        self, select: ast.Select, rows: float, child: PlanNode
-    ) -> PlanNode:
-        params = self._params
-        nodes = sum(len(ast.walk(item.expression)) for item in select.items)
-        seconds = (
-            params.sql_statement_overhead
-            + len(select.items)
-            * (params.sql_parse_per_term + params.sql_spool_cell)
-            + rows * nodes * params.sql_eval_node / params.amps
-        )
-        return PlanNode(
-            "project",
-            f"{len(select.items)} columns",
-            estimated_seconds=seconds,
-            estimated_rows=rows,
-            children=[child],
-        )
+        detail = f"[{names}] group by {keys}"
+        return self._node("aggregate", detail, work, rows, child, notes=notes)
 
     def _annotate_projection_strategy(
         self, select: ast.Select, project_node: PlanNode

@@ -101,7 +101,7 @@ def find_aggregates(
             for arg in node.args:
                 visit(arg, True)
             return
-        for child in _children(node):
+        for child in ast.children(node):
             visit(child, inside_aggregate)
 
     for expression in expressions:
@@ -109,25 +109,21 @@ def find_aggregates(
     return list(found.values())
 
 
-def _children(node: ast.Expression) -> list[ast.Expression]:
-    if isinstance(node, ast.Unary):
-        return [node.operand]
-    if isinstance(node, ast.Binary):
-        return [node.left, node.right]
-    if isinstance(node, ast.FuncCall):
-        return list(node.args)
-    if isinstance(node, ast.Case):
-        children: list[ast.Expression] = []
-        for condition, result in node.whens:
-            children.extend((condition, result))
-        if node.else_result is not None:
-            children.append(node.else_result)
-        return children
-    if isinstance(node, ast.IsNull):
-        return [node.operand]
-    if isinstance(node, ast.InList):
-        return [node.operand, *node.items]
-    return []
+def select_aggregates(
+    select: ast.Select, is_aggregate: "callable[[str], bool]"
+) -> list[AggregateCall]:
+    """The aggregates *select* computes: its select list's and HAVING's,
+    and ORDER BY's (``ORDER BY count(*)``) only when the query already
+    aggregates — a bare projection cannot be turned into an aggregate by
+    its ORDER BY."""
+    expressions = [item.expression for item in select.items]
+    if select.having is not None:
+        expressions.append(select.having)
+    calls = find_aggregates(expressions, is_aggregate)
+    if (calls or select.group_by) and select.order_by:
+        expressions.extend(expr for expr, _ in select.order_by)
+        calls = find_aggregates(expressions, is_aggregate)
+    return calls
 
 
 def contains_aggregate(

@@ -95,8 +95,9 @@ class _NestedCallGuard:
 class RowCost:
     """Per-row cost profile of one UDF invocation.
 
-    The executor multiplies this by the (nominal) row count and hands it
-    to :meth:`repro.dbms.cost.CostModel.charge_udf_rows`.
+    The executor records it with the (nominal) row count in a
+    :class:`repro.dbms.cost.Work` record, which
+    :func:`repro.dbms.cost.simulate` prices.
     """
 
     list_params: int = 0

@@ -316,9 +316,10 @@ class TestFactorizedParity:
             assert result.metrics.rows_scanned == base
             assert result.metrics.rows_join_avoided > 0
             # The reference truly materialized: no factorized join, and
-            # it read the nested-loop join input, not Σ|base|.
+            # it read the nested-loop join input, not Σ|base| — at this
+            # fan-out (15 fact rows per dimension row) >= 3x the rows.
             assert reference.metrics.factorized_joins == 0
-            assert reference.metrics.rows_scanned > base
+            assert reference.metrics.rows_scanned >= 3 * base
 
     @given(
         seed=st.integers(0, 2**16),

@@ -494,6 +494,26 @@ class TestGracefulDegradation:
             assert db._executor.last_metrics.fallbacks == 1
             assert db._executor.engine.active_tasks == 0
 
+    def test_armed_but_silent_supervision_changes_nothing(self):
+        # The default database runs unsupervised.  A plan armed at every
+        # task site, filtered to a partition that does not exist, runs
+        # fire() for real and never trips: same rows, no counters.
+        with _scoring_db(4) as bare:
+            assert bare.faults is NULL_FAULTS
+            assert not bare._executor.engine.supervised
+            expected = bare.execute(self.AGG)
+        silent = FaultPlan([
+            FaultSpec(site, partition=99)
+            for site in ("partition.scan", "block.materialize", "engine.task")
+        ])
+        with _scoring_db(4, faults=silent, task_retries=2) as armed:
+            result = armed.execute(self.AGG)
+        assert result.rows == expected.rows
+        assert silent.trips() == 0
+        metrics = result.metrics
+        assert (metrics.task_retries, metrics.task_timeouts) == (0, 0)
+        assert metrics.fallbacks == 0 and not metrics.fallback_reason
+
     def test_retries_preempt_fallback(self):
         # A flaky kernel healed by engine retries never degrades.
         with _scoring_db(4) as db:

@@ -14,6 +14,7 @@ from repro.core.nlq_udf import compute_nlq_udf
 from repro.core.scoring.scorer import scores_as_matrix
 from repro.core.sqlgen import NlqSqlGenerator
 from repro.core.summary import SummaryStatistics
+from repro.dbms.cost import Work, simulate
 from repro.external.cpp_tool import CppAnalysisTool
 from repro.odbc.export import OdbcExporter
 from repro.twm.miner import WarehouseMiner
@@ -129,9 +130,9 @@ class TestSingleScanClaims:
         db.reset_clock()
 
         marginal = at_2n - at_n  # pure per-row cost of n extra rows
-        db.cost.charge_scan(table.nominal_rows, table.width)
-        one_scan = db.simulated_time
-        db.reset_clock()
+        scan = Work()
+        scan.scan(table.nominal_rows, table.width)
+        one_scan = simulate(scan, db.cost.params)
         assert marginal < 30 * one_scan
         # And the fixed part did not double: far from two full passes.
         assert at_2n < 2 * at_n

@@ -205,8 +205,7 @@ class TestSqlGeneration:
 
     def test_cost_profiles(self):
         list_udf = NlqListUdf("a1", MatrixType.TRIANGULAR)
-        list_udf._observed_d = 8
-        profile = list_udf.cost_per_row(9)
+        profile = list_udf.cost_per_row(9)  # (d, x1..x8): d = 8, no scan
         assert profile.list_params == 9
         assert profile.arith_ops == 8 * 3 + 36
         string_udf = NlqStringUdf("a2", MatrixType.DIAGONAL)

@@ -161,16 +161,17 @@ class TestWorkstationModel:
     def test_single_threaded_slower_than_server_scan(self):
         """The headline comparison: the workstation has no 20-way
         parallelism, so at equal n it loses to the in-DBMS UDF."""
-        from repro.dbms.cost import CostModel
+        from repro.dbms.cost import CostParameters, UdfRows, Work, simulate
+        from repro.dbms.udf import RowCost
 
         n, d = 500_000, 32
         workstation = WorkstationCostModel().nlq_scan_seconds(n, d)
-        server = CostModel()
-        server.charge_scan(n, d + 1)
-        server.charge_udf_rows(
-            n, list_params=d + 1, arith_ops=3 * d + d * (d + 1) // 2
+        server = Work()
+        server.scan(n, d + 1)
+        server.udfs.append(
+            UdfRows(n, RowCost(d + 1, arith_ops=3 * d + d * (d + 1) // 2))
         )
-        assert workstation > 3 * server.clock.elapsed
+        assert workstation > 3 * simulate(server, CostParameters())
 
     def test_model_build_techniques(self):
         for technique in (

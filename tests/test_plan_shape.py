@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import PlanShape, plan_shape, scaled_dataset
+from repro.bench.harness import (
+    PlanShape,
+    batch_plan_shape,
+    plan_shape,
+    plan_shape_gate,
+    scaled_dataset,
+)
 from repro.core.nlq_udf import nlq_call_sql
 from repro.core.scoring.sqlgen import ScoringSqlGenerator
 from repro.dbms.schema import dimension_names
@@ -128,3 +134,26 @@ class TestBenchHarnessPlanShape:
         before = data.db.simulated_time
         plan_shape(data, nlq_call_sql(data.table, data.dimensions))
         assert data.db.simulated_time == before
+
+    def test_multimodel_batch_is_one_cheaper_scan(self):
+        """``build_all_models``' four summary statements — three
+        identical base summaries and regression's augmented one — ride
+        one scan, pass the plan-shape gate against a single statement,
+        answer exactly as serially, and cost at most 1/1.9 of the serial
+        simulated seconds (the duplicates are folded, the scan paid
+        once)."""
+        data = scaled_dataset(2000, d=4, with_y=True, physical_rows=64)
+        dims = data.dimensions
+        statements = [nlq_call_sql(data.table, dims)] * 3 + [
+            nlq_call_sql(data.table, ["1.0", *dims, "y"])
+        ]
+        batch = batch_plan_shape(data, statements)
+        assert batch.single_scan
+        assert plan_shape_gate(plan_shape(data, statements[0]), batch) is None
+        serial = [data.db.execute(sql) for sql in statements]
+        batched = data.db.execute_batch(statements)
+        assert [r.rows for r in batched] == [r.rows for r in serial]
+        assert batched[0].metrics.statements_batched == 4
+        assert batched[0].metrics.scans_saved == 3
+        serial_seconds = sum(r.simulated_seconds for r in serial)
+        assert serial_seconds >= 1.9 * batched[0].simulated_seconds
