@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""What one durable 500-row ``insert_rows`` pays, by part.
+
+Prints the rows of the "What a durable insert pays" table in
+``docs/durability.md``: a ``durable_ingest``-shaped batch (``id INTEGER
+PRIMARY KEY, a, b, c FLOAT, tag VARCHAR``, 8 AMPs, ``fsync_mode=
+"always"`` so every insert pays its own fsync) split by wrapping the
+named functions with ``perf_counter`` pairs.  Only functions called once
+per insert (or once per column) are wrapped, so the wrappers add a few
+microseconds, not one call per row.  Then the guard: the median latency
+of 1-, 16-, 64- and 500-row inserts into a plain 16-AMP table, where a
+per-batch fixed cost would show first.  The wrappers look functions up
+by name, so the same file runs against any commit since the columnar
+write path::
+
+    PYTHONPATH=<checkout>/src python3 benchmarks/write_path.py
+
+Not a test and not part of ``benchmarks/e2e``: the numbers that gate a
+change come from there (see ``.claude/skills/verify/SKILL.md`` for the
+A/B recipe); this only says where inside the insert the time sits.
+"""
+
+from __future__ import annotations
+
+import importlib
+import shutil
+import statistics
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.dbms import open_durable
+from repro.dbms.database import Database
+
+BATCH, DURABLE_AMPS, CALLS = 500, 8, 300
+#: batch rows -> inserts timed on the plain table
+SMALL = {1: 3000, 16: 2000, 64: 1000, 500: 300}
+SCHEMA = (
+    "CREATE TABLE ev (id INTEGER PRIMARY KEY, a FLOAT, b FLOAT, c FLOAT, "
+    "tag VARCHAR)"
+)
+
+#: part -> (module, dotted name); every one is called once per insert,
+#: ``validate`` once per column
+PARTS = {
+    "statement": ("repro.dbms.database", "Database.insert_rows"),
+    "insert_many": ("repro.dbms.storage", "Table.insert_many"),
+    "insert_columns": ("repro.dbms.storage", "Table.insert_columns"),
+    "validate": ("repro.dbms.storage", "_valid_prefix"),
+    "split+append": ("repro.dbms.storage", "Table._flush"),
+    "notify": ("repro.dbms.storage", "Table._notify"),
+    "log append": ("repro.dbms.wal", "WriteAheadLog.append"),
+    "encode": ("repro.dbms.wal", "encode_record"),
+    "fsync": ("repro.dbms.wal", "WriteAheadLog.sync"),
+}
+
+
+def _wrap(spent: "dict[str, float]", part: str) -> None:
+    module_name, dotted = PARTS[part]
+    owner = importlib.import_module(module_name)
+    *path, name = dotted.split(".")
+    for attribute in path:
+        owner = getattr(owner, attribute)
+    original = getattr(owner, name)
+
+    def timed(*args, __original=original, **kwargs):
+        started = time.perf_counter()
+        try:
+            return __original(*args, **kwargs)
+        finally:
+            spent[part] += time.perf_counter() - started
+
+    setattr(owner, name, timed)
+
+
+def _rows(rng: np.random.Generator, start: int, count: int) -> "list[tuple]":
+    values = rng.normal(50.0, 20.0, size=(count, 3)).tolist()
+    tags = rng.integers(0, 97, size=count).tolist()
+    return [
+        (start + j, a, b, c, f"t{tag}")
+        for j, ((a, b, c), tag) in enumerate(zip(values, tags))
+    ]
+
+
+def split_durable_insert(rng: np.random.Generator) -> None:
+    home = Path(tempfile.mkdtemp()) / "d"
+    db = open_durable(home, fsync_mode="always", amps=DURABLE_AMPS)
+    try:
+        db.execute(SCHEMA)
+        batches = [_rows(rng, k * BATCH, BATCH) for k in range(CALLS + 20)]
+        for batch in batches[:20]:
+            db.insert_rows("ev", batch)
+        spent = dict.fromkeys(PARTS, 0.0)
+        for part in PARTS:
+            _wrap(spent, part)
+        samples = []
+        for batch in batches[20:]:
+            before = dict(spent)
+            db.insert_rows("ev", batch)
+            samples.append({part: spent[part] - before[part] for part in spent})
+    finally:
+        db.close()
+        shutil.rmtree(home.parent, ignore_errors=True)
+    median = {
+        part: 1e6 * statistics.median(sample[part] for sample in samples)
+        for part in PARTS
+    }
+    rows = {
+        "transpose": median["insert_many"] - median["insert_columns"],
+        "validate": median["validate"],
+        "constrain + route": median["insert_columns"] - median["validate"]
+        - median["split+append"] - median["notify"],
+        "split+append": median["split+append"],
+        "encode": median["encode"],
+        "write": median["log append"] - median["encode"],
+        "fsync": median["fsync"],
+        "commit bookkeeping": median["notify"] - median["log append"]
+        - median["fsync"],
+        "statement": median["statement"],
+    }
+    print(f"one durable {BATCH}-row insert_rows, {DURABLE_AMPS} AMPs, "
+          f"fsync_mode='always', median of {CALLS}")
+    for part, micros in rows.items():
+        print(f"  {part:24s} {micros:9.1f} us")
+
+
+def small_batches(rng: np.random.Generator) -> None:
+    print("insert_rows into a plain 16-AMP table, median")
+    db = Database(amps=16)
+    db.execute(SCHEMA)
+    start = 0
+    for size, calls in SMALL.items():
+        batches = [_rows(rng, start + k * size, size) for k in range(calls)]
+        start += calls * size
+        times = []
+        for batch in batches:
+            started = time.perf_counter()
+            db.insert_rows("ev", batch)
+            times.append(time.perf_counter() - started)
+        warm = times[calls // 10:]
+        print(f"  {size:4d} rows {1e6 * statistics.median(warm):9.1f} us "
+              f"({calls - calls // 10} inserts)")
+    db.close()
+
+
+def main() -> None:
+    rng = np.random.default_rng(7)
+    small_batches(rng)
+    split_durable_insert(rng)
+
+
+if __name__ == "__main__":
+    main()

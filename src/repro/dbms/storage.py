@@ -173,6 +173,13 @@ class BlockCacheStats:
     facts: BlockFacts = field(default_factory=BlockFacts, compare=False)
 
 
+#: the encoding of an integral key (a bool, an int, or an integral float)
+_INT_KEY = b"i:%d"
+#: every int within this bound converts to float exactly, so its
+#: :func:`stable_key_hash` encoding is :data:`_INT_KEY` of the int itself
+_EXACT_INT = 2**53
+
+
 def stable_key_hash(key: Any) -> int:
     """A process-independent hash of a primary-key value.
 
@@ -181,16 +188,21 @@ def stable_key_hash(key: Any) -> int:
     partition layouts are reproducible run-to-run and survive
     persistence reloads.  Numeric values that compare equal hash equal
     (``3``, ``3.0`` and ``True``→``1`` collapse to one encoding), which
-    mirrors Python's own cross-type hash contract.
+    mirrors Python's own cross-type hash contract.  An int too large for
+    a float equals no float and is encoded by its exact digits.
     """
     if key is None:
         encoded = b"n:"
     elif isinstance(key, (bool, int, float)):
-        value = float(key)
-        if value.is_integer():
-            encoded = b"i:%d" % int(value)
+        try:
+            value = float(key)
+        except OverflowError:
+            encoded = _INT_KEY % key
         else:
-            encoded = b"f:" + repr(value).encode("ascii")
+            if value.is_integer():
+                encoded = _INT_KEY % int(value)
+            else:
+                encoded = b"f:" + repr(value).encode("ascii")
     elif isinstance(key, str):
         encoded = b"s:" + key.encode("utf-8")
     elif isinstance(key, bytes):
@@ -198,6 +210,26 @@ def stable_key_hash(key: Any) -> int:
     else:
         encoded = b"r:" + repr(key).encode("utf-8", "backslashreplace")
     return zlib.crc32(encoded)
+
+
+def route_keys(keys: Sequence[Any], fanout: int) -> list[int]:
+    """``[stable_key_hash(key) % fanout for key in keys]``, the partition
+    of every key of a batch.
+
+    A batch of plain ints within ±2**53 (every INTEGER key a float holds
+    exactly) is hashed from the ``_INT_KEY`` bytes :func:`stable_key_hash`
+    would encode, without its float round trip; any other batch goes
+    through :func:`stable_key_hash` key by key.
+    """
+    if (
+        keys
+        and set(map(type, keys)) == {int}
+        and -_EXACT_INT <= min(keys)
+        and max(keys) <= _EXACT_INT
+    ):
+        crc32 = zlib.crc32
+        return [crc32(_INT_KEY % key) % fanout for key in keys]
+    return [stable_key_hash(key) % fanout for key in keys]
 
 
 class Partition:
@@ -510,17 +542,30 @@ _STORED_TYPES = {
     SqlType.FLOAT: {float, _NONE_TYPE},
     SqlType.VARCHAR: {str, _NONE_TYPE},
 }
+#: the shortest batch whose NULL-free FLOAT columns become float64
+#: arrays.  Below it, building the arrays costs about what the lane
+#: appends and the log encode save: 64-row inserts into a plain 16-AMP
+#: table are at parity either way, 128-row inserts 6 % faster as arrays
+#: (``benchmarks/write_path.py``, "What a durable insert pays" in
+#: ``docs/durability.md``)
+ARRAY_MIN_ROWS = 128
 
 
 def _valid_prefix(
-    values: "np.ndarray | Sequence[Any]", column: Any, stored: "set[type]"
+    values: "np.ndarray | Sequence[Any]",
+    column: Any,
+    stored: "set[type]",
+    as_array: bool,
 ) -> "np.ndarray | Sequence[Any]":
     """One insert column as :func:`coerce_value` leaves it, cut before
     the first value the column rejects.  A column holding only its
     *stored* types (``_STORED_TYPES``) is, value for value, what
     ``coerce_value`` returns, so it passes through untouched — as does
     the float64 array a replay hands a FLOAT column; only a column of
-    other or mixed types pays per-value coercion."""
+    other or mixed types pays per-value coercion.  With *as_array* (a
+    non-key FLOAT column), a NULL-free column of at least
+    :data:`ARRAY_MIN_ROWS` values comes back as one float64 array: the
+    array the partition split takes, the lanes copy and the log writes."""
     sql_type = column.sql_type
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64 and sql_type is SqlType.FLOAT:
@@ -538,8 +583,11 @@ def _valid_prefix(
             pass  # Table._check_row raises it again, for the row
         values = coerced
         has_null = None in coerced
-    if has_null and not column.nullable:
-        return values[: values.index(None)]
+    if has_null:
+        if not column.nullable:
+            return values[: values.index(None)]
+    elif as_array and len(values) >= ARRAY_MIN_ROWS:
+        return np.array(values, dtype=np.float64)
     return values
 
 
@@ -587,6 +635,13 @@ class Table:
         #: per column, looked up once (hashing an enum member is slow)
         self._stored_types = [
             _STORED_TYPES[column.sql_type] for column in schema.columns
+        ]
+        #: per column, whether a batch may hand it over as a float64
+        #: array: FLOAT, and not the key (a FLOAT key keeps its Python
+        #: objects — two NaN objects are two keys)
+        self._as_array = [
+            column.sql_type is SqlType.FLOAT and position != self._pk_position
+            for position, column in enumerate(schema.columns)
         ]
         #: monotonically increasing mutation counter: bumped once per
         #: successful insert / batch flush / bulk load / truncate.  The
@@ -714,7 +769,9 @@ class Table:
         total = len(columns[0])
         if set(map(len, columns)) != {total}:
             raise SchemaError("insert_columns lengths differ")
-        lanes = list(map(_valid_prefix, columns, specs, self._stored_types))
+        lanes = list(
+            map(_valid_prefix, columns, specs, self._stored_types, self._as_array)
+        )
         valid = min(map(len, lanes))
         fanout = len(self._partitions)
         cursor = self._next_partition
@@ -731,7 +788,7 @@ class Table:
                 valid = len(fresh)
             # Teradata's hash distribution, PYTHONHASHSEED-independent:
             # the layout is the same in every process and after reload.
-            targets = [stable_key_hash(key) % fanout for key in keys[:valid]]
+            targets = route_keys(keys[:valid], fanout)
         else:
             targets = [(cursor + row) % fanout for row in range(valid)]
             cursor = (cursor + valid) % fanout
@@ -753,33 +810,43 @@ class Table:
     ) -> None:
         """Extend each partition with its rows of *lanes*, atomically: if
         any partition's flush raises (including the ``insert.flush``
-        fault site), those already extended are rolled back first."""
+        fault site), those already extended are rolled back first.
+
+        One stable sort of *targets* orders every lane by partition,
+        keeping input order within a partition; each partition then
+        takes one contiguous slice per lane."""
         faults = self.faults
-        picks: list[list[int]] = [[] for _ in self._partitions]
-        for row, target in enumerate(targets):
-            picks[target].append(row)
+        if len(targets) == 1:
+            runs = [(targets[0], 1)]
+        else:
+            targets = np.array(targets)
+            order = np.argsort(targets, kind="stable")
+            take = itemgetter(*order.tolist())
+            lanes = [
+                values[order] if isinstance(values, np.ndarray) else take(values)
+                for values in lanes
+            ]
+            # (partition, rows) for every partition the batch reaches
+            runs = [
+                run for run in enumerate(np.bincount(targets).tolist()) if run[1]
+            ]
         flushed: list[tuple[Partition, int]] = []
+        stop = 0
         try:
-            for index, (partition, picked) in enumerate(
-                zip(self._partitions, picks)
-            ):
-                if not picked:
-                    continue
+            for index, count in runs:
+                partition = self._partitions[index]
                 if faults.enabled:
                     faults.fire(
                         "insert.flush", partition=index, table=self.name
                     )
-                if len(picked) == 1:
-                    partition.append([values[picked[0]] for values in lanes])
+                start, stop = stop, stop + count
+                if count == 1:
+                    partition.append([values[start] for values in lanes])
                 else:
-                    take = itemgetter(*picked)
-                    partition.extend_columns([
-                        values[picked]
-                        if isinstance(values, np.ndarray)
-                        else take(values)
-                        for values in lanes
-                    ])
-                flushed.append((partition, len(picked)))
+                    partition.extend_columns(
+                        [values[start:stop] for values in lanes]
+                    )
+                flushed.append((partition, count))
         except BaseException:
             for partition, added in flushed:
                 partition.rollback_rows(added)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,6 +253,24 @@ def _batches(draw, schema: TableSchema) -> list:
 )
 @given(data=st.data())
 def test_batches_match_the_row_loop(data):
+    _insert_drawn_batches(data)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_float_arrays_match_the_row_loop(data):
+    """The same, with every NULL-free non-key FLOAT column handed to the
+    split, the lanes and the listener as a float64 array — what batches
+    of ``ARRAY_MIN_ROWS`` rows or more do."""
+    with mock.patch.object(storage, "ARRAY_MIN_ROWS", 1):
+        _insert_drawn_batches(data)
+
+
+def _insert_drawn_batches(data) -> None:
     schema = data.draw(_schemas())
     pair = Pair(schema, data.draw(st.integers(1, 5)))
     for _ in range(data.draw(st.integers(1, 4))):
