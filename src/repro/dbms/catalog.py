@@ -14,7 +14,7 @@ from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.functions import AGGREGATE_BUILTINS, SCALAR_BUILTINS
 from repro.dbms.schema import TableSchema, validate_identifier
 from repro.dbms.sql import ast
-from repro.dbms.storage import BlockCacheConfig, Table
+from repro.dbms.storage import Table
 from repro.dbms.udf import AggregateUdf, ScalarUdf
 from repro.errors import CatalogError, UdfRegistrationError
 
@@ -30,11 +30,6 @@ class Catalog:
         #: creates (storage-level ``insert.flush`` site); installed by
         #: ``Database(faults=...)``
         self.faults: FaultPlan | NullFaults = NULL_FAULTS
-        #: block-cache policy handed to every table this catalog
-        #: creates (entry capacity, byte budget, spill directory);
-        #: ``None`` keeps the module default.  Installed by
-        #: ``Database(block_cache_entries=..., block_cache_bytes=...)``
-        self.cache_config: BlockCacheConfig | None = None
         #: callbacks fired with the lowercased table name after a DROP;
         #: caches keyed by table name (SummaryCache) subscribe here so a
         #: DROP — or DROP/CREATE of the same name — can't leave
@@ -53,13 +48,6 @@ class Catalog:
         self.faults = faults
         for table in self._tables.values():
             table.faults = faults
-
-    def install_cache_config(self, config: BlockCacheConfig) -> None:
-        """Point this catalog — and every existing table — at *config*
-        (existing cached blocks are invalidated by the swap)."""
-        self.cache_config = config
-        for table in self._tables.values():
-            table.install_cache_config(config)
 
     def add_mutation_listener(
         self, listener: Callable[[str, str, dict], object]
@@ -95,8 +83,6 @@ class Catalog:
             row_scale=row_scale,
         )
         table.faults = self.faults
-        if self.cache_config is not None:
-            table.install_cache_config(self.cache_config)
         table.mutation_listeners = self.mutation_listeners
         self._tables[key] = table
         if self.mutation_listeners:

@@ -107,9 +107,8 @@ def encode_block(
 
     *columns* are per-column value lists, or a partition's lanes with
     *rows* its published row count — a typed float lane is written
-    from its own buffer (the in-memory lane, the block-file lane and a
-    spilled block are the same bytes), its NULL mask becoming the
-    bitmap.
+    from its own buffer (the in-memory lane and the block-file lane
+    are the same bytes), its NULL mask becoming the bitmap.
     """
     if rows is None:
         rows = len(columns[0]) if columns else 0

@@ -9,12 +9,9 @@ reports.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +26,7 @@ from repro.dbms.sql.ast import Explain, Select, Statement
 from repro.dbms.sql.executor import Executor, Relation
 from repro.dbms.sql.parser import parse_statements
 from repro.dbms.sql.plan import Plan
-from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheConfig, Table
+from repro.dbms.storage import Table
 from repro.dbms.udf import AggregateUdf, ScalarUdf
 from repro.errors import SqlSyntaxError
 
@@ -168,23 +165,11 @@ class Database:
         scans).  0 — the default — preserves fail-fast seed behaviour.
         Attempts are spaced by the engine's exponential backoff (0.01 s,
         doubling).
-    block_cache_entries:
-        Per-partition entry capacity of the float-block LRU cache
-        (historically hard-coded at 8).
-    block_cache_bytes:
-        Optional byte budget shared by every partition block cache of
-        this database.  When the cached float blocks outgrow it, LRU
-        entries are evicted and **spilled to disk**; later scans reload
-        them as read-only mmaps instead of rebuilding from the lanes.
-        Eviction/spill activity is reported per statement in
-        ``QueryMetrics`` (``cache_evictions``, ``blocks_spilled``,
-        ``bytes_spilled``).
 
     A database holding a parallel engine owns a persistent thread pool;
     :meth:`close` releases it (the database stays usable — the pool is
-    lazily re-created) along with the scratch directory backing the
-    spill files.  ``Database`` is also a context manager that closes on
-    exit.
+    lazily re-created).  ``Database`` is also a context manager that
+    closes on exit.
     """
 
     def __init__(
@@ -196,8 +181,6 @@ class Database:
         faults: "FaultPlan | NullFaults | None" = None,
         task_timeout_seconds: float | None = None,
         task_retries: int = 0,
-        block_cache_entries: int | None = None,
-        block_cache_bytes: int | None = None,
     ) -> None:
         params = cost_parameters or CostParameters()
         params.amps = amps
@@ -214,20 +197,6 @@ class Database:
         if faults is not None:
             self._executor.faults = faults
             self.catalog.install_faults(faults)
-        #: scratch directory holding spilled cache blocks; created
-        #: lazily, removed by close()
-        self._scratch_dir: str | None = None
-        if block_cache_entries is not None or block_cache_bytes is not None:
-            config = BlockCacheConfig(
-                max_entries=(
-                    block_cache_entries
-                    if block_cache_entries is not None
-                    else BLOCK_CACHE_CAPACITY
-                ),
-                max_bytes=block_cache_bytes,
-                spill_dir=Path(self._scratch_root()) / "spill",
-            )
-            self.catalog.install_cache_config(config)
         #: parsed SELECT texts (``execute`` / ``execute_batch`` look a
         #: text up before they parse it)
         self._statements = _StatementCache()
@@ -235,11 +204,6 @@ class Database:
         #: released; the serving layer subscribes here so in-flight
         #: score requests drain instead of deadlocking on a dead pool
         self._close_listeners: list[Any] = []
-
-    def _scratch_root(self) -> str:
-        if self._scratch_dir is None:
-            self._scratch_dir = tempfile.mkdtemp(prefix="repro-db-")
-        return self._scratch_dir
 
     @property
     def executor_workers(self) -> int:
@@ -252,11 +216,6 @@ class Database:
         # Keep timeout/retry/fault configuration across swaps.
         self._executor.engine = old.configured_like(workers)
         old.close()
-
-    @property
-    def block_cache_config(self) -> "BlockCacheConfig | None":
-        """The installed block-cache policy (``None`` = module default)."""
-        return self.catalog.cache_config
 
     @property
     def faults(self) -> "FaultPlan | NullFaults":
@@ -371,14 +330,6 @@ class Database:
         for listener in self._close_listeners:
             listener()
         self._executor.engine.close()
-        if self._scratch_dir is not None:
-            # Cached blocks may be backed by spill files under the
-            # scratch dir; drop them before the files disappear.
-            for table in self.catalog._tables.values():
-                for partition in table.partitions:
-                    partition._invalidate_cache()
-            shutil.rmtree(self._scratch_dir, ignore_errors=True)
-            self._scratch_dir = None
 
     def serve(self, **kwargs: Any) -> "Any":
         """A :class:`~repro.serving.ServingServer` over this database.

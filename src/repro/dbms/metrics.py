@@ -64,7 +64,7 @@ class QueryMetrics:
     project_seconds: float = 0.0
     #: partition block-cache hits/misses this statement incurred.
     #: Summed from per-task local counts merged in partition order —
-    #: never read from shared partition counters while workers run, so
+    #: never read from shared partition state while workers run, so
     #: a straggler task from an earlier (timed-out) statement can never
     #: tear this statement's numbers.
     block_cache_hits: int = 0
@@ -117,15 +117,9 @@ class QueryMetrics:
     #: tables| rows the factorized path actually scanned
     rows_join_avoided: int = 0
     #: cached numeric blocks evicted from partition block caches while
-    #: this statement ran (entry-capacity or byte-budget pressure)
+    #: this statement ran (each partition's LRU holds
+    #: ``storage.BLOCK_CACHE_CAPACITY`` column selections)
     cache_evictions: int = 0
-    #: evicted blocks that were spilled to disk instead of discarded
-    #: (a spill directory was configured, so the float block can be
-    #: reloaded from its spill file via mmap instead of being rebuilt
-    #: from the column lanes)
-    blocks_spilled: int = 0
-    #: bytes those spilled blocks occupy on disk
-    bytes_spilled: int = 0
 
     def to_dict(self) -> dict[str, float | int]:
         """A plain-dict snapshot; inverse of :meth:`from_dict`.

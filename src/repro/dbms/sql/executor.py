@@ -682,7 +682,7 @@ class Executor:
             # Each task reports its own block-cache outcome, so the
             # statement totals are assembled from per-task locals in
             # partition order — immune to a straggler task from another
-            # statement racing the shared partition counters.
+            # statement.
             for stats in result.cache_stats:
                 self._fold_cache_stats(stats)
         partials = [result.partial for result in results]
@@ -720,8 +720,8 @@ class Executor:
 
     def _fold_cache_stats(self, stats: "BlockCacheStats") -> None:
         """Fold one task's block-cache outcome into this statement's
-        metrics (hits/misses, the NULL scans its folds ran, plus the
-        eviction and spill counters the byte-budgeted cache reports)."""
+        metrics (hit or miss, the NULL scans its folds ran and the
+        evictions its insert caused)."""
         metrics = self.last_metrics
         if stats.hit:
             metrics.block_cache_hits += 1
@@ -729,8 +729,6 @@ class Executor:
             metrics.block_cache_misses += 1
         metrics.null_scans += stats.null_scans
         metrics.cache_evictions += stats.evictions
-        metrics.blocks_spilled += stats.spilled_blocks
-        metrics.bytes_spilled += stats.spilled_bytes
 
     # ----------------------------------------------------------- degradation
     def _vector_then_row(

@@ -175,12 +175,6 @@ class Plan:
             project_spans = _operator_spans(trace, "finalize")
         for node, span in zip(self.root.find("project"), project_spans):
             node.span = span
-        if metrics.blocks_spilled:
-            self.root.notes.append(
-                f"spilled {metrics.blocks_spilled} cache blocks "
-                f"({metrics.bytes_spilled} bytes) to disk under the "
-                "block-cache byte budget"
-            )
 
     # --------------------------------------------------------------- render
     def render(self) -> list[str]:
@@ -460,13 +454,6 @@ class _PlanBuilder:
             work,
             rows,
         )
-        config = getattr(self._catalog, "cache_config", None)
-        if config is not None and config.max_bytes is not None:
-            node.notes.append(
-                f"block cache budget {config.max_bytes} bytes "
-                f"({config.max_entries} entries): LRU eviction spills "
-                "cold blocks to disk"
-            )
         return node, rows, table.width
 
     def _aggregate_node(

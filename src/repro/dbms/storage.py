@@ -21,23 +21,13 @@ Each partition caches the float block for a given column selection
 until the partition is mutated: repeated scans (iterative algorithms,
 scoring sweeps) then skip even the lane copy, leaving pure
 GIL-releasing numpy work for the parallel engine's threads.  The cache
-is an LRU governed by a :class:`BlockCacheConfig`
-(entry capacity, default :data:`BLOCK_CACHE_CAPACITY`; optional byte
-budget shared across every partition of a database; optional spill
-directory) so mixed workloads cannot grow it without bound, and each
-partition counts its lifetime cache hits, misses, evictions and spills
-— the executor surfaces the per-statement delta in
-:class:`~repro.dbms.metrics.QueryMetrics`.
-
-When a byte budget is configured, evicted float blocks can **spill to
-disk** instead of being discarded: the block is written to the spill
-directory in ``.npy`` form and later reloads come back as read-only
-``np.load(..., mmap_mode="r")`` maps whose pages the OS reclaims under
-memory pressure.  A scan over float blocks much larger than the budget
-then streams — the working set in RAM stays near the budget while the
-overflow lives in spill files.  Spill files are invalidated (and
-unlinked) whenever their partition mutates, exactly like the in-memory
-entries they shadow.
+is an in-memory LRU of :data:`BLOCK_CACHE_CAPACITY` entries per
+partition, so mixed workloads cannot grow it without bound; a cached
+block is read-only, and each read reports its hit, miss and evictions
+in a :class:`BlockCacheStats` the executor sums into
+:class:`~repro.dbms.metrics.QueryMetrics`.  There is no disk tier: a
+block is a copy of lanes that stay in RAM, and rebuilding an evicted
+one from them is cheap.
 
 A table may carry a *row scale*: benchmarks store ``n / scale`` physical
 rows but the cost model charges for ``n`` (every per-row charge is
@@ -48,12 +38,10 @@ physical rows.
 from __future__ import annotations
 
 import itertools
-import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,91 +53,9 @@ from repro.dbms.schema import TableSchema
 from repro.dbms.types import SqlType, coerce_value
 from repro.errors import ConstraintViolation, SchemaError, TypeMismatchError
 
-#: default distinct column selections each partition keeps cached as
-#: float blocks; the least recently used entry is evicted beyond this
-#: (override per database via :class:`BlockCacheConfig`)
+#: distinct column selections each partition keeps cached as float
+#: blocks; the least recently used entry is evicted beyond this
 BLOCK_CACHE_CAPACITY = 8
-
-#: unique ids for partition spill files (module-lifetime, never reused)
-_SPILL_IDS = itertools.count()
-
-#: serializes spill-file reloads: ``np.load`` parses the ``.npy`` header
-#: with ``ast.literal_eval``, whose recursion-depth bookkeeping is not
-#: thread-safe on CPython 3.11 — two engine threads reloading at once
-#: can fail with "AST constructor recursion depth mismatch"
-_SPILL_LOAD_LOCK = threading.Lock()
-
-
-class BlockCacheConfig:
-    """Shared block-cache policy for every partition of a database.
-
-    * ``max_entries`` — per-partition LRU entry capacity (the historic
-      hard-coded 8).
-    * ``max_bytes`` — optional byte budget for cached float blocks,
-      accounted **across all partitions sharing this config** (one
-      config per ``Database``): when the shared total exceeds it, each
-      partition that inserts a block evicts its own LRU entries until
-      the total fits or its cache is empty.
-    * ``spill_dir`` — optional directory; when set, evicted blocks are
-      spilled there instead of discarded, and reloads come back as
-      read-only mmaps (see the module docs).
-
-    The byte accounting is a single lock-guarded counter; the lock is
-    only ever touched when ``max_bytes`` is configured, so the default
-    configuration costs the hot path nothing new.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = BLOCK_CACHE_CAPACITY,
-        max_bytes: int | None = None,
-        spill_dir: "str | Path | None" = None,
-    ) -> None:
-        if max_entries < 1:
-            raise SchemaError(
-                f"block cache needs >= 1 entry, got {max_entries}"
-            )
-        if max_bytes is not None and max_bytes < 1:
-            raise SchemaError(
-                f"block cache byte budget must be >= 1, got {max_bytes}"
-            )
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._lock = threading.Lock()
-        self._current_bytes = 0
-
-    @property
-    def current_bytes(self) -> int:
-        """Float-block bytes currently charged against the budget."""
-        return self._current_bytes
-
-    def charge(self, nbytes: int) -> None:
-        with self._lock:
-            self._current_bytes += nbytes
-
-    def discharge(self, nbytes: int) -> None:
-        with self._lock:
-            self._current_bytes -= nbytes
-
-    def over_budget(self) -> bool:
-        return (
-            self.max_bytes is not None
-            and self._current_bytes > self.max_bytes
-        )
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-#: the config used when no database installed one (module-level tables)
-DEFAULT_BLOCK_CACHE = BlockCacheConfig()
 
 
 @dataclass
@@ -158,14 +64,12 @@ class BlockCacheStats:
 
     Engine tasks carry one of these back with their partial result so
     the coordinator can sum cache activity in partition order without
-    ever reading the shared lifetime counters mid-run (the same
-    straggler-safety argument as the hit/miss pair).
+    ever reading shared partition state mid-run, so a straggler task
+    from an earlier (timed-out) statement cannot tear the numbers.
     """
 
     hit: bool = False
     evictions: int = 0
-    spilled_blocks: int = 0
-    spilled_bytes: int = 0
     #: NULL pre-test passes the task's folds ran over the block
     null_scans: int = 0
     #: what earlier folds learned about the block; a cached block's
@@ -245,7 +149,6 @@ class Partition:
     def __init__(
         self,
         width: int,
-        cache_config: BlockCacheConfig | None = None,
         sql_types: "Sequence[SqlType] | None" = None,
     ) -> None:
         #: the column lanes themselves (the columnar encoder reads the
@@ -260,23 +163,8 @@ class Partition:
         self._block_cache: "OrderedDict[tuple[int, ...], np.ndarray]" = (
             OrderedDict()
         )
-        self.cache_config = cache_config or DEFAULT_BLOCK_CACHE
-        #: bytes each cached entry is charged against the shared budget
-        self._cache_bytes: dict[tuple[int, ...], int] = {}
         #: what folds learned about each cached entry's block
         self._block_facts: dict[tuple[int, ...], BlockFacts] = {}
-        #: spill files shadowing evicted entries (cleared on mutation)
-        self._spilled: dict[tuple[int, ...], Path] = {}
-        self._spill_id = next(_SPILL_IDS)
-        #: lifetime block-cache counters; only this partition's engine
-        #: task touches them during a scan, and the coordinator reads
-        #: them after the task completes (the future's result is the
-        #: happens-before edge), so no locking is needed
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.blocks_spilled = 0
-        self.bytes_spilled = 0
 
     @property
     def row_count(self) -> int:
@@ -290,7 +178,7 @@ class Partition:
         for lane, value in zip(self.lanes, row):
             lane.append(value)
         self._rows += 1
-        if self._block_cache or self._spilled:
+        if self._block_cache:
             self._invalidate_cache()
 
     def extend_columns(self, columns: Sequence[Sequence[Any]]) -> None:
@@ -317,7 +205,7 @@ class Partition:
         for lane, source in zip(self.lanes, columns):
             lane.extend(source)
         self._rows += added
-        if self._block_cache or self._spilled:
+        if self._block_cache:
             self._invalidate_cache()
 
     def rollback_rows(self, count: int) -> None:
@@ -337,7 +225,7 @@ class Partition:
         self._rows -= count
         for lane in self.lanes:
             lane.truncate_tail(count)
-        if self._block_cache or self._spilled:
+        if self._block_cache:
             self._invalidate_cache()
 
     def values(
@@ -400,25 +288,18 @@ class Partition:
         :mod:`repro.dbms.blocks`); used by the vectorized
         execution paths, which must produce bit-identical results to
         the per-row reference path.  Blocks are cached per column
-        selection in an LRU governed by this partition's
-        :class:`BlockCacheConfig` (entry capacity, shared byte budget,
-        spill-on-evict; cleared when the partition is mutated); callers
-        must treat a returned block as read-only.
+        selection in an LRU of :data:`BLOCK_CACHE_CAPACITY` entries
+        (cleared when the partition is mutated); a cached block is
+        read-only, so a write through it raises ``ValueError``.
         """
         return self.numeric_matrix_with_cache_stats(positions)[0]
 
     def numeric_matrix_with_cache_stats(
         self, positions: Sequence[int]
     ) -> tuple[np.ndarray, BlockCacheStats]:
-        """:meth:`numeric_matrix` plus the full per-call cache outcome
-        (hit, evictions performed, blocks/bytes spilled) — the
-        straggler-safe accounting variant the executor sums into
-        :class:`~repro.dbms.metrics.QueryMetrics`.
-
-        A spill-file reload counts as a *hit*: the block is served from
-        the cache's disk tier as a read-only mmap without redoing the
-        lane copy.
-        """
+        """:meth:`numeric_matrix` plus the per-call cache outcome (hit,
+        evictions performed) — the straggler-safe accounting variant the
+        executor sums into :class:`~repro.dbms.metrics.QueryMetrics`."""
         key = tuple(positions)
         stats = BlockCacheStats()
         if self._rows == 0 or not key:
@@ -426,109 +307,26 @@ class Partition:
             return self.block(key), stats
         cached = self._block_cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
             stats.hit = True
             stats.facts = self._block_facts.get(key, stats.facts)
             self._block_cache.move_to_end(key)
             return cached, stats
-        spill_path = self._spilled.get(key)
-        if spill_path is not None:
-            try:
-                with _SPILL_LOAD_LOCK:
-                    reloaded = np.load(spill_path, mmap_mode="r")
-            except (OSError, ValueError):
-                # Spill file raced away (directory cleanup): rebuild.
-                self._spilled.pop(key, None)
-            else:
-                self.cache_hits += 1
-                stats.hit = True
-                self._cache_insert(key, reloaded, stats)
-                return reloaded, stats
-        self.cache_misses += 1
         stacked = self.block(key)
-        self._cache_insert(key, stacked, stats)
+        # Every later scan shares this array: a write would change their
+        # answers but not the row path's.
+        stacked.flags.writeable = False
+        self._block_cache[key] = stacked
+        self._block_facts[key] = stats.facts
+        while len(self._block_cache) > BLOCK_CACHE_CAPACITY:
+            old_key, _ = self._block_cache.popitem(last=False)
+            self._block_facts.pop(old_key, None)
+            stats.evictions += 1
         return stacked, stats
 
-    def _cache_insert(
-        self,
-        key: tuple[int, ...],
-        block: np.ndarray,
-        stats: BlockCacheStats,
-    ) -> None:
-        """Insert a block and enforce the cache policy (evict + spill).
-
-        Spill-backed mmaps are charged zero bytes — the budget tracks
-        RAM-resident float blocks, and a mapped spill file's pages are
-        the OS's to reclaim.  Eviction is strictly local: under shared
-        byte pressure a partition evicts its **own** LRU entries until
-        the shared total fits or its cache is empty (which can evict the
-        block just inserted — the caller still holds the reference, and
-        the next scan streams it back from its spill file).
-        """
-        config = self.cache_config
-        charged = 0 if isinstance(block, np.memmap) else int(block.nbytes)
-        self._block_cache[key] = block
-        self._cache_bytes[key] = charged
-        self._block_facts[key] = stats.facts
-        if config.max_bytes is not None and charged:
-            config.charge(charged)
-        while self._block_cache and (
-            len(self._block_cache) > config.max_entries
-            or config.over_budget()
-        ):
-            old_key, old_block = self._block_cache.popitem(last=False)
-            old_charged = self._cache_bytes.pop(old_key, 0)
-            self._block_facts.pop(old_key, None)
-            if config.max_bytes is not None and old_charged:
-                config.discharge(old_charged)
-            self.cache_evictions += 1
-            stats.evictions += 1
-            if config.spill_dir is None or old_key in self._spilled:
-                continue
-            self._spill(old_key, old_block, stats)
-
-    def _spill(
-        self,
-        key: tuple[int, ...],
-        block: np.ndarray,
-        stats: BlockCacheStats,
-    ) -> None:
-        """Write one evicted block to the spill directory (best effort:
-        a full disk degrades to plain eviction, never an error)."""
-        spill_dir = self.cache_config.spill_dir
-        assert spill_dir is not None
-        name = f"p{self._spill_id}-" + "_".join(map(str, key)) + ".npy"
-        path = spill_dir / name
-        try:
-            spill_dir.mkdir(parents=True, exist_ok=True)
-            with path.open("wb") as handle:
-                np.save(handle, block)
-        except OSError:  # pragma: no cover - disk full / permissions
-            return
-        self._spilled[key] = path
-        nbytes = int(block.nbytes)
-        self.blocks_spilled += 1
-        self.bytes_spilled += nbytes
-        stats.spilled_blocks += 1
-        stats.spilled_bytes += nbytes
-
     def _invalidate_cache(self) -> None:
-        """Drop every cached and spilled block (the partition mutated)."""
-        config = self.cache_config
-        if config.max_bytes is not None:
-            total = sum(self._cache_bytes.values())
-            if total:
-                config.discharge(total)
+        """Drop every cached block and its facts (the partition mutated)."""
         self._block_cache.clear()
-        self._cache_bytes.clear()
         self._block_facts.clear()
-        if self._spilled:
-            for path in self._spilled.values():
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            self._spilled.clear()
 
 
 def _as_list(column: "np.ndarray | Sequence[Any]") -> "Sequence[Any]":
@@ -600,7 +398,6 @@ class Table:
         schema: TableSchema,
         partitions: int = 20,
         row_scale: float = 1.0,
-        cache_config: BlockCacheConfig | None = None,
     ) -> None:
         if partitions < 1:
             raise SchemaError(f"partition count must be >= 1, got {partitions}")
@@ -621,9 +418,6 @@ class Table:
         #: never notifies.  Empty by default: the un-durable hot path
         #: pays one truthiness check.
         self.mutation_listeners: "list[Any]" = []
-        #: block-cache policy shared by every partition; the catalog
-        #: installs the database's config here (same pattern as faults)
-        self.cache_config = cache_config or DEFAULT_BLOCK_CACHE
         self._partitions = self._fresh_partitions(partitions)
         self._pk_position = (
             schema.position_of(schema.primary_key)
@@ -656,7 +450,7 @@ class Table:
     def _fresh_partitions(self, count: int) -> list[Partition]:
         sql_types = [column.sql_type for column in self.schema.columns]
         return [
-            Partition(len(sql_types), self.cache_config, sql_types)
+            Partition(len(sql_types), sql_types)
             for _ in range(count)
         ]
 
@@ -952,17 +746,6 @@ class Table:
         if not blocks:
             return np.empty((0, len(columns)))
         return np.vstack(blocks)
-
-    def install_cache_config(self, config: BlockCacheConfig) -> None:
-        """Swap the block-cache policy on this table and every partition.
-
-        Existing cached/spilled blocks are invalidated first so byte
-        accounting never straddles two configs.
-        """
-        self.cache_config = config
-        for partition in self._partitions:
-            partition._invalidate_cache()
-            partition.cache_config = config
 
     def truncate(self) -> None:
         """Remove all rows, keeping the schema and partition layout."""

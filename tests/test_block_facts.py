@@ -21,7 +21,7 @@ from repro.core.packing import unpack_summary
 from repro.dbms.blocks import BlockFacts, ScanBlock, lane_block
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema
-from repro.dbms.storage import BlockCacheStats
+from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheStats
 from repro.errors import ConstraintViolation
 
 AMPS = 4
@@ -307,38 +307,34 @@ class TestGroupBySubBlocks:
             )
 
 
-# ------------------------------------------------------- eviction and spill
-class TestEvictedAndSpilledBlocks:
-    def test_a_spill_reloaded_block_answers_the_same(self):
-        with _database(_rows()) as plain, _database(
-            _rows(), block_cache_bytes=256
-        ) as tight:
-            expected = plain.execute(NLQ).rows
-            runs = [tight.execute(NLQ) for _ in range(3)]
-            assert all(run.rows == expected for run in runs)
-            assert runs[0].metrics.blocks_spilled > 0
-            assert runs[-1].metrics.block_cache_hits == AMPS  # mmap reloads
-            # An evicted entry's fact goes with it, so the reload is
-            # asked again; the mmap is charged no bytes and stays.
-            assert [run.metrics.null_scans for run in runs] == [AMPS, AMPS, 0]
-            for partition in tight.table("x").partitions:
-                assert set(partition._block_facts) == set(partition._block_cache)
+# ----------------------------------------------------------------- eviction
+#: BLOCK_CACHE_CAPACITY column selections other than NLQ's (x1, x2, x3)
+OTHER_SELECTIONS = [
+    f"SELECT nlq_diag({len(columns)}, {', '.join(columns)}) FROM x"
+    for columns in [
+        ("x1",), ("x2",), ("x3",), ("x1", "x2"),
+        ("x1", "x3"), ("x2", "x1"), ("x2", "x3"), ("x3", "x1"),
+    ]
+]
 
-    def test_entry_capacity_eviction_drops_the_fact(self):
-        with _database(_rows(), block_cache_entries=1) as db:
+
+class TestEvictedBlocks:
+    def test_eviction_drops_the_block_and_its_fact(self):
+        assert len(OTHER_SELECTIONS) == BLOCK_CACHE_CAPACITY
+        with _database(_rows()) as db:
             db.execute(NLQ)
             assert db.execute(NLQ).metrics.null_scans == 0
-            db.execute("SELECT nlq_diag(1, x2) FROM x")  # evicts (x1, x2, x3)
-            back = db.execute(NLQ)
-            assert back.metrics.block_cache_hits == AMPS  # spill reloads
-            assert back.metrics.null_scans == AMPS
-            assert back.rows == _cold(db, NLQ)
+            evictions = [
+                db.execute(sql).metrics.cache_evictions
+                for sql in OTHER_SELECTIONS
+            ]
+            # The ninth selection evicts the oldest, (x1, x2, x3).
+            assert evictions == [0] * (BLOCK_CACHE_CAPACITY - 1) + [AMPS]
             for partition in db.table("x").partitions:
-                assert len(partition._block_facts) == len(partition._block_cache) == 1
-
-    def test_close_clears_facts_with_blocks(self):
-        db = _database(_rows(), block_cache_bytes=1 << 20)
-        db.execute(NLQ)
-        db.close()
-        for partition in db.table("x").partitions:
-            assert not partition._block_facts and not partition._block_cache
+                assert not partition.has_cached_block([1, 2, 3])
+                assert set(partition._block_facts) == set(partition._block_cache)
+                assert len(partition._block_cache) == BLOCK_CACHE_CAPACITY
+            back = db.execute(NLQ)
+            assert back.metrics.block_cache_misses == AMPS
+            assert back.metrics.null_scans == AMPS  # asked again
+            assert back.rows == _cold(db, NLQ)

@@ -2,12 +2,12 @@
 
 Five groups of checks:
 
-* every block producer — partition cache (miss, hit, spill reload)
-  over typed float lanes and object lanes, whole-table matrix, mmap
-  ``BlockReader``, serving snapshot, incremental refresh, UDF argument
-  matrices and filtered / grouped sub-blocks — hands out F-contiguous
-  float64, and the in-memory lane, the block file's lane and a spilled
-  block hold the same bytes;
+* every block producer — partition cache (miss, hit) over typed float
+  lanes and object lanes, whole-table matrix, mmap ``BlockReader``,
+  serving snapshot, incremental refresh, UDF argument matrices and
+  filtered / grouped sub-blocks — hands out F-contiguous float64, a
+  cached block refuses writes, and the in-memory lane, the block
+  file's lane and a cached block hold the same bytes;
 * every vectorized kernel gives the same answer on a lane-major block
   and on a C-ordered copy of it: bit for bit where the kernel is
   elementwise per lane, within a *derived* reordering bound where it
@@ -105,7 +105,7 @@ class TestEveryProducerIsLaneMajor:
                 miss, first = partition.numeric_matrix_with_cache_stats([1, 2, 3])
                 hit, again = partition.numeric_matrix_with_cache_stats([1, 2, 3])
                 assert not first.hit and again.hit and hit is miss
-                assert _is_lane_major(miss)
+                assert _is_lane_major(miss) and not miss.flags.writeable
                 assert miss.shape == (partition.row_count, 3)
                 assert _is_lane_major(partition.numeric_matrix([]))
         with _make_db([], 3) as db:  # every partition empty
@@ -152,31 +152,6 @@ class TestEveryProducerIsLaneMajor:
         assert stats.n == 40.0
         assert seen and all(_is_lane_major(X) for X in seen)
 
-    def test_spill_reloaded_block(self):
-        """A block evicted to the spill directory comes back as an
-        F-contiguous mmap and yields a bit-identical (n, L, Q)."""
-        rows = _normal_rows(200, 3)
-        with _make_db(rows, 3, block_cache_bytes=256) as db:
-            partition = next(
-                p for p in db.table("x").partitions if p.row_count
-            )
-            block, first = partition.numeric_matrix_with_cache_stats([1, 2, 3])
-            assert first.spilled_blocks >= 1  # over budget immediately
-            reloaded, again = partition.numeric_matrix_with_cache_stats(
-                [1, 2, 3]
-            )
-            assert again.hit and isinstance(reloaded, np.memmap)
-            assert _is_lane_major(reloaded)
-            fresh = SummaryStatistics.from_matrix(block)
-            spilled = SummaryStatistics.from_matrix(reloaded)
-            assert spilled.n == fresh.n
-            assert np.array_equal(spilled.L, fresh.L)
-            assert np.array_equal(spilled.Q, fresh.Q)
-            sql = _nlq_sql("nlq_tri", 3)
-            through_spill = db.execute(sql).scalar()
-        with _make_db(rows, 3) as db:
-            assert db.execute(sql).scalar() == through_spill
-
     def test_blocks_are_copies_of_typed_and_object_lanes(self):
         """Column 0 (``i INTEGER``) is an object lane, the rest are typed
         float lanes: either way the block is a fresh lane-major copy
@@ -199,19 +174,18 @@ class TestEveryProducerIsLaneMajor:
             assert _is_lane_major(grown) and np.isnan(grown[rows:, 2]).all()
             np.testing.assert_array_equal(grown[:rows], frozen)
 
-    def test_memory_lane_block_file_and_spill_are_the_same_bytes(self, tmp_path):
+    def test_memory_lane_block_file_and_cached_block_are_the_same_bytes(
+        self, tmp_path
+    ):
         rows = _normal_rows(60, 3)
         rows[7] = (1.0, None, float("nan"))
-        with _make_db(rows, 3, amps=1, block_cache_bytes=256) as db:
-            table = db.table("x")
-            partition = table.partitions[0]
-            partition.numeric_matrix([1, 2, 3])  # over budget: spills
-            spilled = partition.numeric_matrix([1, 2, 3])
-            assert isinstance(spilled, np.memmap)
+        with _make_db(rows, 3, amps=1) as db:
+            partition = db.table("x").partitions[0]
+            cached = partition.numeric_matrix([1, 2, 3])
             reader = _block_file(tmp_path / "p0.blk", partition)
             for index, position in enumerate((1, 2, 3)):
                 lane = partition.lanes[position].floats(0, 60).tobytes()
-                assert spilled[:, index].tobytes() == lane
+                assert cached[:, index].tobytes() == lane
                 assert reader.float_column(position).tobytes() == lane
             reader.close()
 

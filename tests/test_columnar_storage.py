@@ -1,12 +1,9 @@
-"""The on-disk columnar block format and the block-cache knobs.
+"""The on-disk columnar block format and the in-memory block cache.
 
 Covers :mod:`repro.dbms.columnar` (exact round trips through the
 numeric lanes and the object sidecar, zero-copy mmap reads, corruption
 rejection, atomic writes, a partition's lanes written as one block),
-plus the ``Database``-level block-cache
-knobs: entry capacity, shared byte budget, spill-to-disk with
-bit-identical reloads, and the EXPLAIN / QueryMetrics surfaces that
-report it all.
+plus the block cache's fixed capacity and its read-only blocks.
 """
 
 import numpy as np
@@ -19,8 +16,8 @@ from repro.dbms.columnar import (
 )
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema, dimension_names
-from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheConfig
-from repro.errors import ExportError, SchemaError
+from repro.dbms.storage import BLOCK_CACHE_CAPACITY
+from repro.errors import ExportError
 
 
 def _write_block(tmp_path, columns, name="block.blk"):
@@ -138,11 +135,11 @@ class TestBlockFormat:
         assert list(tmp_path.iterdir()) == [path]
 
 
-# ------------------------------------------------- database cache knobs
-def _loaded_db(n=60, workers=1, **kwargs):
+# ------------------------------------------------------- partition blocks
+def _loaded_db(n=60):
     rng = np.random.default_rng(11)
     d = 2
-    db = Database(amps=4, executor_workers=workers, **kwargs)
+    db = Database(amps=4)
     db.create_table("x", dataset_schema(d, with_y=True))
     columns = {"i": np.arange(1, n + 1), "y": rng.normal(size=n)}
     for index, name in enumerate(dimension_names(d)):
@@ -153,8 +150,7 @@ def _loaded_db(n=60, workers=1, **kwargs):
 
 class TestPartitionBlocks:
     """A partition's lanes written as one block file (``encode_block``
-    with the partition's row count), as persistence and the spill tier
-    see them."""
+    with the partition's row count), as persistence sees them."""
 
     def test_blocks_round_trip_partition_rows(self, tmp_path):
         with _loaded_db() as db:
@@ -191,87 +187,21 @@ class TestPartitionBlocks:
                 )
 
 
-class TestDatabaseCacheKnobs:
+class TestBlockCache:
     def test_default_capacity_unchanged(self):
-        with _loaded_db() as db:
-            assert db.block_cache_config is None  # historic default
         assert BLOCK_CACHE_CAPACITY == 8
 
-    def test_entry_capacity_knob_installed_on_all_tables(self):
-        with _loaded_db(block_cache_entries=2) as db:
-            config = db.block_cache_config
-            assert config is not None and config.max_entries == 2
-            table = db.catalog.table("x")
-            assert table.cache_config is config
-            assert all(
-                p.cache_config is config for p in table.partitions
-            )
-            # Tables created after the knob inherit it too.
-            db.create_table("later", dataset_schema(1))
-            assert db.catalog.table("later").cache_config is config
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(SchemaError, match=">= 1 entry"):
-            BlockCacheConfig(max_entries=0)
-        with pytest.raises(SchemaError, match="byte budget"):
-            BlockCacheConfig(max_bytes=0)
-
-    def test_byte_budget_spills_and_reloads_bit_identically(self):
-        sql = "SELECT sum(x1 * x1 + x2), count(*) FROM x"
-        with _loaded_db(n=400) as db:
-            expected = db.execute(sql).rows
-        # A budget far below one partition's float block forces every
-        # insert over budget: evictions spill, reloads must not change
-        # one bit of the answer.
-        with _loaded_db(n=400, block_cache_bytes=256) as db:
-            first = db.execute(sql)
-            assert first.rows == expected
-            assert first.metrics.cache_evictions > 0
-            assert first.metrics.blocks_spilled > 0
-            assert first.metrics.bytes_spilled > 0
-            again = db.execute(sql)
-            assert again.rows == expected
-
-    def test_spill_reload_counts_as_hit(self):
-        with _loaded_db(n=200, block_cache_bytes=256) as db:
-            table = db.catalog.table("x")
+    def test_a_cached_block_is_read_only(self):
+        with Database(amps=2) as db:
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
+            db.execute("INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)")
+            assert db.execute("SELECT sum(x) FROM t").scalar() == 10.0
             partition = next(
-                p for p in table.partitions if p.row_count
+                p for p in db.table("t").partitions if p.row_count
             )
-            block, stats = partition.numeric_matrix_with_cache_stats(
-                [1, 2]
-            )
-            assert not stats.hit
-            assert stats.spilled_blocks >= 1  # over budget immediately
-            reloaded, stats2 = partition.numeric_matrix_with_cache_stats(
-                [1, 2]
-            )
-            assert stats2.hit  # served from the disk tier
-            np.testing.assert_array_equal(np.asarray(reloaded), block)
-
-    def test_mutation_unlinks_spill_files(self):
-        with _loaded_db(n=200, block_cache_bytes=256) as db:
-            db.execute("SELECT sum(x1), count(*) FROM x")
-            table = db.catalog.table("x")
-            spilled = [
-                path
-                for p in table.partitions
-                for path in p._spilled.values()
-            ]
-            assert spilled and all(path.exists() for path in spilled)
-            # Truncate invalidates every partition: all spill files go.
-            table.truncate()
-            assert all(not path.exists() for path in spilled)
-            assert all(not p._spilled for p in table.partitions)
-
-    def test_explain_notes_budget_and_analyze_notes_spills(self):
-        with _loaded_db(n=200, block_cache_bytes=256) as db:
-            plain = db.explain_plan("SELECT sum(x1), count(*) FROM x")
-            assert "block cache budget 256 bytes" in plain.text()
-            analyzed = db.explain_plan(
-                "SELECT sum(x1), count(*) FROM x", analyze=True
-            )
-            assert "spilled" in analyzed.text()
-        with _loaded_db(n=200) as db:
-            plain = db.explain_plan("SELECT sum(x1), count(*) FROM x")
-            assert "block cache budget" not in plain.text()
+            block = partition.numeric_matrix([1])
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1000.0
+            # The block path still answers what the row path reads.
+            row_path = db.execute("SELECT sum(x) FROM t WHERE i > 0").scalar()
+            assert db.execute("SELECT sum(x) FROM t").scalar() == row_path == 10.0

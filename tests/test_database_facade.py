@@ -1,5 +1,8 @@
 """The Database facade: loading, clock control, misc surface."""
 
+import inspect
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,33 @@ class TestConstruction:
         db = Database(amps=2, cost_parameters=params)
         assert db.cost.params.scan_row == 1.0
         assert db.cost.params.amps == 2  # amps arg wins
+
+    def test_constructor_options_are_pinned(self):
+        # A new knob has to be added here, in plain view.
+        assert list(inspect.signature(Database).parameters) == [
+            "amps",
+            "cost_parameters",
+            "executor_workers",
+            "vectorized_select",
+            "faults",
+            "task_timeout_seconds",
+            "task_retries",
+        ]
+
+    def test_a_plain_database_creates_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with Database(amps=2) as db:
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT, y FLOAT)")
+            db.insert_rows("t", [(i, float(i), -float(i)) for i in range(50)])
+            # More column selections than a partition caches.
+            evictions = sum(
+                db.execute(f"SELECT sum({a}), sum({b} * 2.0) FROM t")
+                .metrics.cache_evictions
+                for a in ("x", "y", "i")
+                for b in ("x", "y", "i")
+            )
+            assert evictions > 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_drop_table_facade(self, db: Database):
         db.create_table("t", dataset_schema(1))

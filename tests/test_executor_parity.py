@@ -1,19 +1,17 @@
-"""Executor parity: serial, thread-pool and spilled-block answers match.
+"""Executor parity: serial, thread-pool and cached-block answers match.
 
 Every partial is produced by the same deterministic per-partition fold
 over the same stored values, and partials merge strictly in partition
-order, so three executions must agree **bit for bit** — not
-approximately — on every workload class the paper's pipeline
-exercises: row-path and vectorized aggregation, vectorized scoring
-projections, fused clustering iterations, and factorized fact-table
-folds.  The three are the serial engine, a thread pool, and a thread
-pool whose block cache has a one-byte budget, so every float block is
-evicted to a spill file and the next scan reads it back as a read-only
-mmap (each spilled workload runs twice: once building the blocks, once
-reading them back).
+order, so the serial engine and a thread pool must agree **bit for
+bit** — not approximately — on every workload class the paper's
+pipeline exercises: row-path and vectorized aggregation, vectorized
+scoring projections, fused clustering iterations, and factorized
+fact-table folds.  The thread-pool run of each workload repeats once:
+the repeat builds no block (every read is a block-cache hit) and must
+give the same answer.
 
-A chaos regime over spilled blocks then replays the fault-injection
-contract while the blocks come back from disk: typed errors with
+A chaos regime over cached blocks then replays the fault-injection
+contract while every block comes from the cache: typed errors with
 partition attribution, bounded retries healing flaky tasks, timeouts
 draining every task, and full reusability afterwards.
 """
@@ -41,9 +39,7 @@ from repro.errors import PartitionExecutionError, ReproError
 
 D = 2
 N_ROWS = 96
-KINDS = ("serial", "thread", "spill")
-#: a block-cache byte budget below any block: every build spills
-SPILL_BUDGET = 1
+KINDS = ("serial", "thread")
 
 _SETTINGS = dict(
     max_examples=4,
@@ -72,12 +68,8 @@ def _columns(seed):
 
 
 def _options(kind, workers):
-    """serial = one worker (inline); thread = a pool; spill = a pool
-    over blocks that live in spill files."""
-    options = {"amps": 4, "executor_workers": 1 if kind == "serial" else workers}
-    if kind == "spill":
-        options["block_cache_bytes"] = SPILL_BUDGET
-    return options
+    """serial = one worker (inline); thread = a pool."""
+    return {"amps": 4, "executor_workers": 1 if kind == "serial" else workers}
 
 
 def _db(columns, kind, workers=4):
@@ -89,15 +81,35 @@ def _db(columns, kind, workers=4):
     return db
 
 
+def _counting_misses(db, run):
+    """``(run(db), block-cache misses of every statement it ran)``."""
+    executor = db._executor
+    fold = executor._fold_cache_stats
+    misses = []
+
+    def counting(stats):
+        misses.append(not stats.hit)
+        fold(stats)
+
+    executor._fold_cache_stats = counting
+    try:
+        return run(db), sum(misses)
+    finally:
+        del executor._fold_cache_stats
+
+
 def _each_kind(columns, workers, run):
-    """Run *run* under every kind and return the results; the spilled
-    run repeats and must match its own first pass."""
+    """Run *run* under every kind and return the results; the thread
+    run repeats, reads only cached blocks and must match its first
+    pass."""
     out = {}
     for kind in KINDS:
         with _db(columns, kind, workers) as db:
             out[kind] = run(db)
-            if kind == "spill":
-                assert repr(run(db)) == repr(out[kind])
+            if kind == "thread":
+                again, misses = _counting_misses(db, run)
+                assert misses == 0
+                assert repr(again) == repr(out[kind])
     return out
 
 
@@ -110,7 +122,6 @@ class TestExecutorParity:
             _columns(seed), workers, lambda db: db.execute(AGG_ROW).rows
         )
         assert results["thread"] == results["serial"]
-        assert results["spill"] == results["serial"]
 
     @given(seed=st.integers(0, 2**16), workers=st.sampled_from([2, 4]))
     @settings(**_SETTINGS)
@@ -122,7 +133,6 @@ class TestExecutorParity:
 
         results = _each_kind(_columns(seed), workers, run)
         assert results["thread"] == results["serial"]
-        assert results["spill"] == results["serial"]
 
     @given(seed=st.integers(0, 2**16), workers=st.sampled_from([2, 4]))
     @settings(**_SETTINGS)
@@ -131,7 +141,6 @@ class TestExecutorParity:
             _columns(seed), workers, lambda db: db.execute(SCORING).rows
         )
         assert results["thread"] == results["serial"]
-        assert results["spill"] == results["serial"]
 
     @given(seed=st.integers(0, 2**16), workers=st.sampled_from([2, 4]))
     @settings(**_SETTINGS)
@@ -143,9 +152,8 @@ class TestExecutorParity:
             return model.centroids, model.radii, model.weights
 
         results = _each_kind(_columns(seed), workers, fit)
-        for kind in ("thread", "spill"):
-            for got, want in zip(results[kind], results["serial"]):
-                assert np.array_equal(got, want)
+        for got, want in zip(results["thread"], results["serial"]):
+            assert np.array_equal(got, want)
 
     @given(
         seed=st.integers(0, 2**16),
@@ -211,13 +219,12 @@ class TestExecutorParity:
                 )
                 assert db.last_factorize_decision.factorized
                 results[kind] = (stats.n, stats.L, stats.Q)
-        for kind in ("thread", "spill"):
-            assert results[kind][0] == results["serial"][0]
-            assert np.array_equal(results[kind][1], results["serial"][1])
-            assert np.array_equal(results[kind][2], results["serial"][2])
+        assert results["thread"][0] == results["serial"][0]
+        assert np.array_equal(results["thread"][1], results["serial"][1])
+        assert np.array_equal(results["thread"][2], results["serial"][2])
 
 
-# ------------------------------------------------ chaos over spilled blocks
+# ------------------------------------------------- chaos over cached blocks
 _CHAOS_SITES = [
     "partition.scan",
     "block.materialize",
@@ -241,7 +248,7 @@ def _chaos_specs():
     )
 
 
-class TestSpilledChaos:
+class TestCachedBlockChaos:
     @given(
         specs=_chaos_specs(),
         retries=st.sampled_from([0, 2]),
@@ -268,18 +275,18 @@ class TestSpilledChaos:
         timeout=0.1,
     )
     @settings(**_SETTINGS)
-    def test_spilled_query_chaos(self, specs, retries, timeout):
+    def test_cached_block_query_chaos(self, specs, retries, timeout):
         columns = _columns(77)
         with _db(columns, "thread") as db:
             vectorized = db.execute(AGG_VECTOR).rows
             db.vectorized_select = False
             db.faults = FaultPlan().fail("block.materialize")
             row = db.execute(AGG_VECTOR).rows
-        db = _db(columns, "spill")
+        db = _db(columns, "thread")
         try:
-            # Build and spill every block, so the faulted run reads
-            # them back from disk.
-            assert db.execute(AGG_VECTOR).metrics.blocks_spilled > 0
+            # Build every block, so the faulted run reads them from the
+            # block cache.
+            assert db.execute(AGG_VECTOR).metrics.block_cache_misses > 0
             db.faults = FaultPlan(specs, seed=7)
             db.task_retries = retries
             db.task_timeout_seconds = timeout
@@ -296,7 +303,7 @@ class TestSpilledChaos:
             while engine.active_tasks and time.perf_counter() < deadline:
                 time.sleep(0.005)
             assert engine.active_tasks == 0
-            # Reusable after any outcome, still serving spilled blocks.
+            # Reusable after any outcome, still serving cached blocks.
             db.faults = None
             db.task_timeout_seconds = None
             again = db.execute(AGG_VECTOR)

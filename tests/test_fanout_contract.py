@@ -2,16 +2,12 @@
 
 Every partition fan-out the executor makes goes through one operator
 (``Executor._scan_partitions``, see ``docs/parallel_engine.md``).  Its
-six callers are driven here through the public API over the matrix
-workers {1, 4} × blocks {in memory, spilled to disk}; the ``spill``
-databases run under a one-byte block-cache budget, so every float
-block a task builds is evicted to a spill file and read back as a
-read-only mmap:
+six callers are driven here through the public API at workers {1, 4}:
 
 * rows are bit-identical to ``workers=1`` and the work counters do not
-  depend on how the tasks ran or where the blocks live;
-* every block a cold spilled run builds goes to disk once, and a warm
-  run serves each one back from its spill file;
+  depend on how the tasks ran;
+* a warm run builds no block: it hits the cache once for every block
+  the cold run built, and its rows are the cold run's;
 * under ``EXPLAIN ANALYZE`` the task spans reconcile *exactly* with the
   ``QueryMetrics`` stage seconds and carry one uniform set of
   attributes;
@@ -20,9 +16,8 @@ read-only mmap:
   ``CHAOS_WORKERS`` the pool size — the CI chaos job runs three seeds);
 * vector and row paths agree on GROUP BY keys (one NULL group, key
   types from the key *expression*);
-* what a block cache remembers about a block's NULLs (in memory) or
-  loses with each eviction (spilled) changes no byte of an aggregate
-  UDF's answer, cold or warm.
+* what a block cache remembers about a block's NULLs changes no byte
+  of an aggregate UDF's answer, cold or warm.
 """
 
 from __future__ import annotations
@@ -75,17 +70,8 @@ CALLERS = {
     ),
 }
 VECTOR_CALLERS = [name for name, spec in CALLERS.items() if spec[2]]
-MATRIX = [(1, "thread"), (4, "thread"), (1, "spill"), (4, "spill")]
+WORKERS = (1, 4)
 COUNTERS = ("parallel_tasks", "partitions_processed", "rows_processed")
-#: a block-cache byte budget below any block: every build spills
-SPILL_BUDGET = 1
-
-
-def _options(workers: int, kind: str) -> dict:
-    """``Database`` options of one matrix cell."""
-    if kind == "spill":
-        return {"executor_workers": workers, "block_cache_bytes": SPILL_BUDGET}
-    return {"executor_workers": workers}
 
 
 def _build_db(seed: int = 0, **options) -> Database:
@@ -160,10 +146,7 @@ def _analyze(db: Database, statements: list[str]):
 
 @pytest.fixture(scope="module")
 def databases():
-    dbs = {
-        (workers, kind): _build_db(**_options(workers, kind))
-        for workers, kind in MATRIX
-    }
+    dbs = {workers: _build_db(executor_workers=workers) for workers in WORKERS}
     yield dbs
     for db in dbs.values():
         db.close()
@@ -175,51 +158,48 @@ def test_rows_and_counters_independent_of_workers_and_executor(
     databases, caller
 ):
     statements, _, _ = CALLERS[caller]
-    reference_rows, reference = _run(databases[(1, "thread")], statements)
+    reference_rows, reference = _run(databases[1], statements)
     assert reference.parallel_tasks > 0
-    for key in MATRIX[1:]:
-        rows, metrics = _run(databases[key], statements)
-        assert repr(rows) == repr(reference_rows), key
+    for workers in WORKERS[1:]:
+        rows, metrics = _run(databases[workers], statements)
+        assert repr(rows) == repr(reference_rows), workers
         for counter in COUNTERS:
             assert getattr(metrics, counter) == getattr(reference, counter), (
-                key,
+                workers,
                 counter,
             )
         assert (
             metrics.block_cache_hits + metrics.block_cache_misses
             == reference.block_cache_hits + reference.block_cache_misses
-        ), key
+        ), workers
         assert metrics.fallbacks == 0
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("caller", VECTOR_CALLERS)
-def test_spilled_blocks_are_read_back_from_disk(databases, caller, workers):
+def test_warm_run_reads_only_cached_blocks(databases, caller, workers):
     statements, _, _ = CALLERS[caller]
-    reference_rows, _ = _run(databases[(1, "thread")], statements)
-    with _build_db(**_options(workers, "spill")) as db:
+    reference_rows, _ = _run(databases[1], statements)
+    with _build_db(executor_workers=workers) as db:
         cold_rows, cold = _run(db, statements)
-        # Each block the cold run built went over budget and to disk.
         assert cold.block_cache_misses > 0
-        assert cold.blocks_spilled == cold.block_cache_misses
-        assert cold.bytes_spilled > 0
         warm_rows, warm = _run(db, statements)
-        # The warm run builds nothing: every block is a spill-file mmap.
+        # The warm run builds nothing: every block the cold run built
+        # is served from the cache.
         assert warm.block_cache_misses == 0
         assert warm.block_cache_hits == cold.block_cache_misses
-        assert warm.blocks_spilled == 0
         assert warm.fallbacks == 0
     assert repr(cold_rows) == repr(warm_rows) == repr(reference_rows)
 
 
 # ------------------------------------------------------------ trace contract
-@pytest.mark.parametrize("workers,kind", MATRIX)
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("caller", CALLERS)
 def test_task_spans_reconcile_and_carry_uniform_attributes(
-    databases, caller, workers, kind
+    databases, caller, workers
 ):
     statements, reads_rows, reads_blocks = CALLERS[caller]
-    plan = _analyze(databases[(workers, kind)], statements)
+    plan = _analyze(databases[workers], statements)
     trace, metrics = plan.trace, plan.metrics
     # The same floats, summed in the same order — not approximately.
     assert trace.total_seconds("scan") == metrics.scan_seconds
@@ -309,7 +289,7 @@ def test_block_fault_degrades_each_vector_caller_once(caller):
 
 # ------------------------------------------------------- NULL / typed group keys
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("workers,kind", MATRIX)
+@pytest.mark.parametrize("workers", WORKERS)
 class TestGroupKeysMatchRowPath:
     """``GROUP BY`` on a nullable numeric column: the vector path used to
     make one ``nan`` group per NULL row and to return FLOAT keys as
@@ -317,8 +297,8 @@ class TestGroupKeysMatchRowPath:
     WHERE) is the reference, for values *and* key types."""
 
     @pytest.fixture
-    def db(self, databases, workers, kind):
-        return databases[(workers, kind)]
+    def db(self, databases, workers):
+        return databases[workers]
 
     def _rows(self, db, sql, batch):
         if not batch:
@@ -365,9 +345,8 @@ class TestGroupKeysMatchRowPath:
 
 
 # ------------------------------------------------------ NULL facts and answers
-#: statement -> NULL scans of a warm repeat, whose in-memory block cache
-#: keeps what the cold run learned (a spilled block's facts leave with
-#: its evicted entry, so there the count is only a floor)
+#: statement -> NULL scans of a warm repeat, whose block cache keeps
+#: what the cold run learned
 UDF_STATEMENTS = {
     # NULL-free block, bare columns: asked once, then never
     "SELECT nlq_tri(2, x, y) FROM t": 0,
@@ -386,18 +365,15 @@ UDF_STATEMENTS = {
 
 @pytest.mark.parametrize("sql", UDF_STATEMENTS)
 def test_null_facts_change_no_byte_on_any_executor(databases, sql):
-    reference_db = databases[(1, "thread")]
+    reference_db = databases[1]
     reference = reference_db.execute(sql)
-    for key in MATRIX:
-        db = databases[key]
+    for workers in WORKERS:
+        db = databases[workers]
         cold = db.execute(sql)
         warm = db.execute(sql)
-        assert repr(cold.rows) == repr(warm.rows) == repr(reference.rows), key
+        assert repr(cold.rows) == repr(warm.rows) == repr(reference.rows), workers
+        assert warm.metrics.null_scans == UDF_STATEMENTS[sql], workers
         assert warm.metrics.fallbacks == 0
-        if key[1] == "thread":
-            assert warm.metrics.null_scans == UDF_STATEMENTS[sql], key
-        else:
-            assert warm.metrics.null_scans >= UDF_STATEMENTS[sql], key
     # The row path drops the same rows (payload field 2 is n).
     tail = sql.index(" GROUP BY") if " GROUP BY" in sql else len(sql)
     row = reference_db.execute(sql[:tail] + " WHERE k > 0" + sql[tail:])

@@ -546,18 +546,6 @@ class TestBlockCacheAccounting:
                 assert metrics.block_cache_hits == tasks
                 assert metrics.block_cache_misses == 0
 
-    def test_partition_counters_still_served_for_tests(self):
-        # The shared per-partition counters remain (storage-level tests
-        # and EXPLAIN ANALYZE use them); per-statement metrics just no
-        # longer read them.  Pinned to the thread executor: these are
-        # in-process counters — under ``kind="process"`` the scan runs
-        # in worker processes and the parent's partitions never touch
-        # their caches at all.
-        with _scoring_db(4) as db:
-            db.execute("SELECT sum(x1) FROM x")
-            partitions = db.table("x").partitions
-            assert sum(p.cache_misses for p in partitions) > 0
-
 
 # -------------------------------------------------- insert_many atomicity
 def _pk_table(db):

@@ -290,11 +290,17 @@ class TestBlockCache:
         partition = Partition(12)
         for row in ([float(v)] * 12 for v in range(5)):
             partition.append(row)
-        for start in range(12):
-            partition.numeric_matrix([start, (start + 1) % 12])
+        stats = [
+            partition.numeric_matrix_with_cache_stats(
+                [start, (start + 1) % 12]
+            )[1]
+            for start in range(12)
+        ]
         assert len(partition._block_cache) == BLOCK_CACHE_CAPACITY
-        assert partition.cache_misses == 12
-        assert partition.cache_hits == 0
+        assert not any(s.hit for s in stats)
+        assert [s.evictions for s in stats] == (
+            [0] * BLOCK_CACHE_CAPACITY + [1] * (12 - BLOCK_CACHE_CAPACITY)
+        )
 
     def test_lru_keeps_recently_used(self):
         partition = Partition(12)
@@ -302,11 +308,11 @@ class TestBlockCache:
         partition.numeric_matrix([0])
         for position in range(1, BLOCK_CACHE_CAPACITY):
             partition.numeric_matrix([position])
-        partition.numeric_matrix([0])  # refresh [0] to most-recent
+        # refresh [0] to most-recent
+        assert partition.numeric_matrix_with_cache_stats([0])[1].hit
         partition.numeric_matrix([BLOCK_CACHE_CAPACITY])  # evicts [1]
         assert partition.has_cached_block([0])
         assert not partition.has_cached_block([1])
-        assert partition.cache_hits == 1
 
     def test_mutation_clears_cache(self):
         partition = Partition(2)
