@@ -319,6 +319,22 @@ OTHER_SELECTIONS = [
 
 
 class TestEvictedBlocks:
+    def test_a_cached_block_answers_the_same(self):
+        with _database(_rows()) as db:
+            runs = [db.execute(NLQ) for _ in range(3)]
+            expected = _cold(db, NLQ)
+            assert all(run.rows == expected for run in runs)
+            assert runs[0].metrics.block_cache_misses == AMPS
+            assert all(
+                run.metrics.block_cache_hits == AMPS
+                and run.metrics.block_cache_misses == 0
+                for run in runs[1:]
+            )
+            # The fact lives with its entry: asked once, then never.
+            assert [run.metrics.null_scans for run in runs] == [AMPS, 0, 0]
+            for partition in db.table("x").partitions:
+                assert set(partition._block_facts) == set(partition._block_cache)
+
     def test_eviction_drops_the_block_and_its_fact(self):
         assert len(OTHER_SELECTIONS) == BLOCK_CACHE_CAPACITY
         with _database(_rows()) as db:

@@ -152,6 +152,31 @@ class TestEveryProducerIsLaneMajor:
         assert stats.n == 40.0
         assert seen and all(_is_lane_major(X) for X in seen)
 
+    def test_cached_block_yields_the_same_summary(self):
+        """A block served from the cache is the F-contiguous, read-only
+        array the miss built and yields a bit-identical (n, L, Q) to a
+        fresh uncached copy of the same lanes."""
+        rows = _normal_rows(200, 3)
+        with _make_db(rows, 3) as db:
+            partition = next(
+                p for p in db.table("x").partitions if p.row_count
+            )
+            partition.numeric_matrix([1, 2, 3])
+            cached, stats = partition.numeric_matrix_with_cache_stats([1, 2, 3])
+            assert stats.hit and _is_lane_major(cached)
+            assert not cached.flags.writeable
+            fresh = SummaryStatistics.from_matrix(partition.block([1, 2, 3]))
+            served = SummaryStatistics.from_matrix(cached)
+            assert served.n == fresh.n
+            assert np.array_equal(served.L, fresh.L)
+            assert np.array_equal(served.Q, fresh.Q)
+            sql = _nlq_sql("nlq_tri", 3)
+            db.execute(sql)
+            warm = db.execute(sql)
+            assert warm.metrics.block_cache_misses == 0
+        with _make_db(rows, 3) as db:
+            assert db.execute(sql).scalar() == warm.scalar()
+
     def test_blocks_are_copies_of_typed_and_object_lanes(self):
         """Column 0 (``i INTEGER``) is an object lane, the rest are typed
         float lanes: either way the block is a fresh lane-major copy

@@ -3,7 +3,8 @@
 Covers :mod:`repro.dbms.columnar` (exact round trips through the
 numeric lanes and the object sidecar, zero-copy mmap reads, corruption
 rejection, atomic writes, a partition's lanes written as one block),
-plus the block cache's fixed capacity and its read-only blocks.
+plus the block cache's fixed capacity, its read-only blocks and their
+invalidation by every kind of mutation.
 """
 
 import numpy as np
@@ -205,3 +206,75 @@ class TestBlockCache:
             # The block path still answers what the row path reads.
             row_path = db.execute("SELECT sum(x) FROM t WHERE i > 0").scalar()
             assert db.execute("SELECT sum(x) FROM t").scalar() == row_path == 10.0
+
+    def test_every_table_caps_its_cache_at_capacity(self):
+        # Tables created before and after a load share the one constant.
+        selections = [
+            f"SELECT sum({expr}) FROM {{table}}"
+            for expr in ("x1", "x2", "y", "x1 + x2", "x1 + y", "x2 + x1",
+                         "x2 + y", "y + x1", "y + x2")
+        ]
+        assert len(selections) == BLOCK_CACHE_CAPACITY + 1
+        with _loaded_db() as db:
+            db.create_table("later", dataset_schema(2, with_y=True))
+            db.load_columns("later", {
+                name: db.table("x").column_values(name)
+                for name in ("i", "x1", "x2", "y")
+            })
+            for table in ("x", "later"):
+                evictions = sum(
+                    db.execute(sql.format(table=table)).metrics.cache_evictions
+                    for sql in selections
+                )
+                partitions = [p for p in db.table(table).partitions if p.row_count]
+                assert evictions == len(partitions)
+                assert all(
+                    len(p._block_cache) == BLOCK_CACHE_CAPACITY
+                    for p in partitions
+                )
+
+
+#: mutation -> how it changes table ``x`` of :func:`_loaded_db`
+MUTATIONS = {
+    "insert": lambda db: db.execute(
+        "INSERT INTO x (i, x1, x2, y) VALUES (1001, 7.0, 8.0, 9.0)"
+    ),
+    "insert_rows": lambda db: db.insert_rows(
+        "x", [(1000 + k, float(k), 1.0, None) for k in range(1, 9)]
+    ),
+    "load_columns": lambda db: db.load_columns(
+        "x",
+        {
+            "i": np.arange(2001, 2009),
+            "x1": np.arange(8.0),
+            "x2": np.ones(8),
+            "y": np.zeros(8),
+        },
+    ),
+    "delete": lambda db: db.execute("DELETE FROM x WHERE x1 > 50"),
+    "update": lambda db: db.execute("UPDATE x SET x1 = x1 + 1.0 WHERE x2 > 50"),
+    "truncate": lambda db: db.table("x").truncate(),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_every_mutation_drops_the_cached_blocks_it_stales(mutation):
+    sql = "SELECT sum(x1), count(*) FROM x"
+    with _loaded_db() as db:
+        db.execute(sql)
+        old = list(db.table("x").partitions)
+        counts = [p.row_count for p in old]
+        assert all(p.has_cached_block([1]) for p in old)
+        MUTATIONS[mutation](db)
+        stale = [
+            partition
+            for partition in db.table("x").partitions
+            if not any(partition is p for p in old)
+            or partition.row_count != counts[old.index(partition)]
+        ]
+        assert stale
+        for partition in stale:
+            assert not partition.has_cached_block([1]), mutation
+        # No stale block answers: the block path reads what the rows say.
+        row_path = db.execute(sql + " WHERE i > 0").rows
+        assert db.execute(sql).rows == row_path

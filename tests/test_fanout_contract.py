@@ -2,10 +2,14 @@
 
 Every partition fan-out the executor makes goes through one operator
 (``Executor._scan_partitions``, see ``docs/parallel_engine.md``).  Its
-six callers are driven here through the public API at workers {1, 4}:
+six callers are driven here through the public API over the matrix
+workers {1, 4} × blocks {cold, warm}; a ``cold`` cell empties every
+block cache before the run it checks, so each task builds its block,
+and a ``warm`` cell primes the caches with one run first, so each task
+reads a cached, read-only block:
 
 * rows are bit-identical to ``workers=1`` and the work counters do not
-  depend on how the tasks ran;
+  depend on how the tasks ran or where the blocks come from;
 * a warm run builds no block: it hits the cache once for every block
   the cold run built, and its rows are the cold run's;
 * under ``EXPLAIN ANALYZE`` the task spans reconcile *exactly* with the
@@ -71,6 +75,7 @@ CALLERS = {
 }
 VECTOR_CALLERS = [name for name, spec in CALLERS.items() if spec[2]]
 WORKERS = (1, 4)
+MATRIX = [(1, "cold"), (4, "cold"), (1, "warm"), (4, "warm")]
 COUNTERS = ("parallel_tasks", "partitions_processed", "rows_processed")
 
 
@@ -144,9 +149,20 @@ def _analyze(db: Database, statements: list[str]):
     return db.explain_batch(statements, analyze=True)
 
 
+def _settle(db: Database, blocks: str, run) -> None:
+    """Put ``db``'s block caches in the state of one matrix cell before
+    ``run()`` is checked: empty (``cold``) or primed by ``run`` (``warm``)."""
+    if blocks == "cold":
+        for name in ("t", "d", "nk"):
+            for partition in db.table(name).partitions:
+                partition._invalidate_cache()
+    else:
+        run()
+
+
 @pytest.fixture(scope="module")
 def databases():
-    dbs = {workers: _build_db(executor_workers=workers) for workers in WORKERS}
+    dbs = {key: _build_db(executor_workers=key[0]) for key in MATRIX}
     yield dbs
     for db in dbs.values():
         db.close()
@@ -158,20 +174,29 @@ def test_rows_and_counters_independent_of_workers_and_executor(
     databases, caller
 ):
     statements, _, _ = CALLERS[caller]
-    reference_rows, reference = _run(databases[1], statements)
+    reference_db = databases[MATRIX[0]]
+    _settle(reference_db, MATRIX[0][1], lambda: _run(reference_db, statements))
+    reference_rows, reference = _run(reference_db, statements)
     assert reference.parallel_tasks > 0
-    for workers in WORKERS[1:]:
-        rows, metrics = _run(databases[workers], statements)
-        assert repr(rows) == repr(reference_rows), workers
+    for key in MATRIX[1:]:
+        db = databases[key]
+        _settle(db, key[1], lambda: _run(db, statements))
+        rows, metrics = _run(db, statements)
+        assert repr(rows) == repr(reference_rows), key
         for counter in COUNTERS:
             assert getattr(metrics, counter) == getattr(reference, counter), (
-                workers,
+                key,
                 counter,
             )
         assert (
             metrics.block_cache_hits + metrics.block_cache_misses
             == reference.block_cache_hits + reference.block_cache_misses
-        ), workers
+        ), key
+        # A cold cell builds every block it reads; a warm one builds none.
+        if key[1] == "cold":
+            assert metrics.block_cache_hits == 0, key
+        else:
+            assert metrics.block_cache_misses == 0, key
         assert metrics.fallbacks == 0
 
 
@@ -179,7 +204,7 @@ def test_rows_and_counters_independent_of_workers_and_executor(
 @pytest.mark.parametrize("caller", VECTOR_CALLERS)
 def test_warm_run_reads_only_cached_blocks(databases, caller, workers):
     statements, _, _ = CALLERS[caller]
-    reference_rows, _ = _run(databases[1], statements)
+    reference_rows, _ = _run(databases[MATRIX[0]], statements)
     with _build_db(executor_workers=workers) as db:
         cold_rows, cold = _run(db, statements)
         assert cold.block_cache_misses > 0
@@ -193,13 +218,15 @@ def test_warm_run_reads_only_cached_blocks(databases, caller, workers):
 
 
 # ------------------------------------------------------------ trace contract
-@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("workers,blocks", MATRIX)
 @pytest.mark.parametrize("caller", CALLERS)
 def test_task_spans_reconcile_and_carry_uniform_attributes(
-    databases, caller, workers
+    databases, caller, workers, blocks
 ):
     statements, reads_rows, reads_blocks = CALLERS[caller]
-    plan = _analyze(databases[workers], statements)
+    db = databases[(workers, blocks)]
+    _settle(db, blocks, lambda: _run(db, statements))
+    plan = _analyze(db, statements)
     trace, metrics = plan.trace, plan.metrics
     # The same floats, summed in the same order — not approximately.
     assert trace.total_seconds("scan") == metrics.scan_seconds
@@ -218,6 +245,8 @@ def test_task_spans_reconcile_and_carry_uniform_attributes(
     for task in tasks:
         assert 0 <= task.attributes["partition"] < AMPS
         assert ("cached_block" in task.attributes) == reads_blocks
+        if reads_blocks:
+            assert task.attributes["cached_block"] == (blocks == "warm")
         (scan,) = [child for child in task.children if child.name == "scan"]
         assert ("lanes_read" in scan.attributes) == reads_rows
         (fold,) = [
@@ -289,7 +318,7 @@ def test_block_fault_degrades_each_vector_caller_once(caller):
 
 # ------------------------------------------------------- NULL / typed group keys
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("workers,blocks", MATRIX)
 class TestGroupKeysMatchRowPath:
     """``GROUP BY`` on a nullable numeric column: the vector path used to
     make one ``nan`` group per NULL row and to return FLOAT keys as
@@ -297,13 +326,17 @@ class TestGroupKeysMatchRowPath:
     WHERE) is the reference, for values *and* key types."""
 
     @pytest.fixture
-    def db(self, databases, workers):
-        return databases[workers]
+    def db(self, databases, workers, blocks):
+        return databases[(workers, blocks)]
 
-    def _rows(self, db, sql, batch):
-        if not batch:
-            return db.execute(sql).rows
-        return db.execute_batch([sql, "SELECT count(*) FROM nk"])[0].rows
+    def _rows(self, db, sql, batch, blocks):
+        def run():
+            if not batch:
+                return db.execute(sql).rows
+            return db.execute_batch([sql, "SELECT count(*) FROM nk"])[0].rows
+
+        _settle(db, blocks, run)
+        return run()
 
     @pytest.mark.parametrize(
         "tail",
@@ -315,12 +348,15 @@ class TestGroupKeysMatchRowPath:
             "GROUP BY g ORDER BY sum(x) DESC",
         ],
     )
-    def test_null_group_and_float_keys(self, db, batch, tail):
+    def test_null_group_and_float_keys(self, db, batch, blocks, tail):
         vector = self._rows(
-            db, f"SELECT g, sum(x), count(*) FROM nk {tail}", batch
+            db, f"SELECT g, sum(x), count(*) FROM nk {tail}", batch, blocks
         )
         row = self._rows(
-            db, f"SELECT g, sum(x), count(*) FROM nk WHERE x > 0 {tail}", batch
+            db,
+            f"SELECT g, sum(x), count(*) FROM nk WHERE x > 0 {tail}",
+            batch,
+            blocks,
         )
         assert repr(vector) == repr(row)
         if "HAVING" not in tail:
@@ -333,12 +369,15 @@ class TestGroupKeysMatchRowPath:
                 key is None or type(key) is float for key, _, _ in vector
             )
 
-    def test_integer_expression_keys_stay_int(self, db, batch):
+    def test_integer_expression_keys_stay_int(self, db, batch, blocks):
         vector = self._rows(
-            db, "SELECT i % 4, count(*) FROM nk GROUP BY i % 4", batch
+            db, "SELECT i % 4, count(*) FROM nk GROUP BY i % 4", batch, blocks
         )
         row = self._rows(
-            db, "SELECT i % 4, count(*) FROM nk WHERE x > 0 GROUP BY i % 4", batch
+            db,
+            "SELECT i % 4, count(*) FROM nk WHERE x > 0 GROUP BY i % 4",
+            batch,
+            blocks,
         )
         assert repr(vector) == repr(row)
         assert {type(key) for key, _ in vector} == {int}
@@ -365,14 +404,15 @@ UDF_STATEMENTS = {
 
 @pytest.mark.parametrize("sql", UDF_STATEMENTS)
 def test_null_facts_change_no_byte_on_any_executor(databases, sql):
-    reference_db = databases[1]
+    reference_db = databases[MATRIX[0]]
     reference = reference_db.execute(sql)
-    for workers in WORKERS:
-        db = databases[workers]
+    for key in MATRIX:
+        db = databases[key]
+        _settle(db, key[1], lambda: db.execute(sql))
         cold = db.execute(sql)
         warm = db.execute(sql)
-        assert repr(cold.rows) == repr(warm.rows) == repr(reference.rows), workers
-        assert warm.metrics.null_scans == UDF_STATEMENTS[sql], workers
+        assert repr(cold.rows) == repr(warm.rows) == repr(reference.rows), key
+        assert warm.metrics.null_scans == UDF_STATEMENTS[sql], key
         assert warm.metrics.fallbacks == 0
     # The row path drops the same rows (payload field 2 is n).
     tail = sql.index(" GROUP BY") if " GROUP BY" in sql else len(sql)
