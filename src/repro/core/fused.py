@@ -231,10 +231,10 @@ class KMeansIterUdf(_FusedIterUdf):
     """One fused K-means iteration: assign + per-cluster (N, L, Q).
 
     ``accumulate_block`` replays the exact kernel arithmetic of the
-    two-scan route — ``kmeansdistance``'s per-dimension
+    GROUP BY reference route — ``kmeansdistance``'s per-dimension
     ``diff * diff`` accumulation, ``clusterscore``'s 1-based arg-min —
     and then the GROUP BY nLQ path's per-cluster masked-slice sums, so
-    fused and two-scan iterations produce bit-identical summaries.
+    fused and GROUP BY iterations produce bit-identical summaries.
     """
 
     def __init__(self, name: str = "kmeansiter") -> None:
@@ -278,7 +278,7 @@ class KMeansIterUdf(_FusedIterUdf):
         for j in range(1, state.k + 1):
             # A plain gather, which numpy returns row-major: axis-0 sums
             # over it add rows in order, the row-path GROUP BY arithmetic
-            # the two-scan reference runs.  take_rows would switch these
+            # the GROUP BY reference runs.  take_rows would switch these
             # sums to pairwise and break that bit-identity.
             members = X[labels == j]
             if not members.shape[0]:
@@ -476,10 +476,10 @@ def unpack_fused_payload(
 def assignment_expression(
     dimensions: Sequence[str], centroids: np.ndarray
 ) -> str:
-    """The two-scan route's assignment expression: ``clusterscore`` over
-    per-centroid ``kmeansdistance`` calls with the centroids inlined as
-    float literals (``repr`` round-trips exactly, so the SQL carries the
-    precise binary values)."""
+    """The GROUP BY reference route's assignment expression:
+    ``clusterscore`` over per-centroid ``kmeansdistance`` calls with the
+    centroids inlined as float literals (``repr`` round-trips exactly,
+    so the SQL carries the precise binary values)."""
     xs = ", ".join(dimensions)
     distances = []
     for centroid in np.asarray(centroids, dtype=float):

@@ -39,6 +39,33 @@ class GaussianMixtureModel:
 
     # --------------------------------------------------------------- fitting
     @classmethod
+    def initial(
+        cls, X: np.ndarray, k: int, variance_floor: float, seed: int
+    ) -> "GaussianMixtureModel":
+        """The starting mixture: k random distinct rows of the complete
+        rows *X* as means, the floored global variance, equal weights."""
+        n = X.shape[0]
+        if not 1 <= k <= n:
+            raise ModelError(f"k must be in [1, {n}] (complete rows), got {k}")
+        rng = np.random.default_rng(seed)
+        means = X[rng.choice(n, size=k, replace=False)].astype(float)
+        global_variance = np.maximum(X.var(axis=0), variance_floor)
+        return cls(means, np.tile(global_variance, (k, 1)), np.full(k, 1.0 / k))
+
+    @classmethod
+    def from_weighted_sums(
+        cls, Nj, Lj, Qj, n, variance_floor, log_likelihood, iteration
+    ) -> "GaussianMixtureModel":
+        """The M step from weighted per-cluster sums N_j = Σ r_ij,
+        L_j = Σ r_ij x_i, Q_j(diag) = Σ r_ij x_i² — the weighted analogue
+        of the paper's per-cluster summaries."""
+        if np.any(Nj <= 0):
+            raise ModelError("a mixture component collapsed to zero weight")
+        means = Lj / Nj[:, None]
+        variances = np.maximum(Qj / Nj[:, None] - means**2, variance_floor)
+        return cls(means, variances, Nj / n, log_likelihood, iteration)
+
+    @classmethod
     def fit_matrix(
         cls,
         X: np.ndarray,
@@ -48,45 +75,25 @@ class GaussianMixtureModel:
         variance_floor: float = 1e-6,
         seed: int = 0,
     ) -> "GaussianMixtureModel":
-        X = np.asarray(X, dtype=float)
-        n, d = X.shape
-        if not 1 <= k <= n:
-            raise ModelError(f"k must be in [1, {n}], got {k}")
-        rng = np.random.default_rng(seed)
-        # Initialize from random distinct points with global variances.
-        means = X[rng.choice(n, size=k, replace=False)].astype(float)
-        global_variance = np.maximum(X.var(axis=0), variance_floor)
-        variances = np.tile(global_variance, (k, 1))
-        weights = np.full(k, 1.0 / k)
-        model = cls(means, variances, weights)
-
+        """In-memory EM (the reference fit) over the complete rows of X."""
+        X = _complete_rows(np.asarray(X, dtype=float))
+        model = cls.initial(X, k, variance_floor, seed)
         previous = -np.inf
         for iteration in range(1, max_iterations + 1):
             log_resp, log_likelihood = model._e_step(X)
             responsibilities = np.exp(log_resp)
-            # M step from weighted sufficient statistics: N_j = Σ r_ij,
-            # L_j = Σ r_ij x_i, Q_j(diag) = Σ r_ij x_i² — the weighted
-            # analogue of the paper's per-cluster summaries.
-            Nj = responsibilities.sum(axis=0)
-            if np.any(Nj <= 0):
-                raise ModelError("a mixture component collapsed to zero weight")
-            Lj = responsibilities.T @ X
-            Qj = responsibilities.T @ (X * X)
-            means = Lj / Nj[:, None]
-            variances = np.maximum(
-                Qj / Nj[:, None] - means**2, variance_floor
+            model = cls.from_weighted_sums(
+                responsibilities.sum(axis=0),
+                responsibilities.T @ X,
+                responsibilities.T @ (X * X),
+                X.shape[0], variance_floor, log_likelihood, iteration,
             )
-            weights = Nj / n
-            model = cls(means, variances, weights, log_likelihood, iteration)
-            if np.isfinite(previous) and (
-                log_likelihood - previous <= tolerance * max(abs(previous), 1.0)
-            ):
+            if _converged(log_likelihood, previous, tolerance):
                 break
             previous = log_likelihood
         # The loop's log-likelihood was evaluated at the *pre-M-step*
         # parameters; store the value the final parameters achieve.
-        _, final_log_likelihood = model._e_step(X)
-        model.log_likelihood = final_log_likelihood
+        _, model.log_likelihood = model._e_step(X)
         return model
 
     @classmethod
@@ -101,15 +108,40 @@ class GaussianMixtureModel:
         variance_floor: float = 1e-6,
         seed: int = 0,
     ) -> "GaussianMixtureModel":
-        """DBMS-driven EM, one fused scan per iteration.
+        """DBMS-driven EM over *table*, one fused scan per iteration.
+
+        Initialization replays :meth:`fit_matrix`'s RNG draws exactly
+        over the complete rows (the rows the ``emiter`` scan folds); the
+        per-cluster sums merge per partition, so parameters match an
+        in-memory fit to float merge-order (not bitwise).
+        """
+        X = _complete_rows(db.table(table).numeric_matrix(dimensions))
+        initial = cls.initial(X, k, variance_floor, seed)
+        return cls.iterate_fused(
+            db, table, dimensions, initial, X.shape[0],
+            max_iterations, tolerance, variance_floor,
+        )
+
+    @classmethod
+    def iterate_fused(
+        cls,
+        db,
+        source: str,
+        dimensions: "list[str]",
+        model: "GaussianMixtureModel",
+        n: "float | None",
+        max_iterations: int,
+        tolerance: float,
+        variance_floor: float,
+    ) -> "GaussianMixtureModel":
+        """The DBMS-driven EM loop from the starting mixture *model*.
 
         Each iteration installs the current mixture on the ``emiter``
-        aggregate UDF and runs one SELECT: the E step's responsibilities
-        and the weighted per-cluster summaries are computed inside the
-        scan, with no materialized responsibility table.  Initialization
-        replays :meth:`fit_matrix`'s RNG draws exactly; the per-cluster
-        matrix products are merged per partition, so parameters match an
-        in-memory fit to float merge-order (not bitwise).
+        aggregate UDF and runs one SELECT over *source* (a table, or a
+        star's FROM clause): the E step and the weighted per-cluster
+        sums happen inside the scan, with no materialized responsibility
+        table.  Weights divide by *n*, the rows the scan folds; ``None``
+        takes the first scan's ΣN_j (a star's join size).
         """
         from repro.core.fused import (
             fused_call_sql,
@@ -118,50 +150,31 @@ class GaussianMixtureModel:
         )
 
         udf = register_fused_udfs(db)["emiter"]
-        X = db.table(table).numeric_matrix(dimensions)
-        n, d = X.shape
-        if not 1 <= k <= n:
-            raise ModelError(f"k must be in [1, {n}], got {k}")
-        rng = np.random.default_rng(seed)
-        means = X[rng.choice(n, size=k, replace=False)].astype(float)
-        global_variance = np.maximum(X.var(axis=0), variance_floor)
-        variances = np.tile(global_variance, (k, 1))
-        weights = np.full(k, 1.0 / k)
-        model = cls(means, variances, weights)
-        sql = fused_call_sql("emiter", table, dimensions)
-
+        sql = fused_call_sql("emiter", source, dimensions)
+        k, d = model.k, model.d
         previous = -np.inf
         for iteration in range(1, max_iterations + 1):
             udf.set_model(model)
-            payload = db.execute(sql).scalar()
-            groups, log_likelihood = unpack_fused_payload(payload)
-            Nj = np.zeros(k)
-            Lj = np.zeros((k, d))
-            Qj = np.zeros((k, d))
+            groups, log_likelihood = unpack_fused_payload(
+                db.execute(sql).scalar()
+            )
+            Nj, Lj, Qj = np.zeros(k), np.zeros((k, d)), np.zeros((k, d))
             for j, stats in groups.items():
                 Nj[j - 1] = stats.n
                 Lj[j - 1] = stats.L
                 Qj[j - 1] = np.diag(stats.Q)
-            if np.any(Nj <= 0):
-                raise ModelError("a mixture component collapsed to zero weight")
-            means = Lj / Nj[:, None]
-            variances = np.maximum(
-                Qj / Nj[:, None] - means**2, variance_floor
+            if n is None:
+                n = float(Nj.sum())
+            model = cls.from_weighted_sums(
+                Nj, Lj, Qj, n, variance_floor, log_likelihood, iteration
             )
-            weights = Nj / n
-            model = cls(means, variances, weights, log_likelihood, iteration)
-            if np.isfinite(previous) and (
-                log_likelihood - previous <= tolerance * max(abs(previous), 1.0)
-            ):
+            if _converged(log_likelihood, previous, tolerance):
                 break
             previous = log_likelihood
         # One more fused scan evaluates the log-likelihood the *final*
         # parameters achieve (the loop's value predates its M step).
         udf.set_model(model)
-        _, final_log_likelihood = unpack_fused_payload(
-            db.execute(sql).scalar()
-        )
-        model.log_likelihood = final_log_likelihood
+        _, model.log_likelihood = unpack_fused_payload(db.execute(sql).scalar())
         return model
 
     # --------------------------------------------------------------- scoring
@@ -207,3 +220,16 @@ class GaussianMixtureModel:
         """Total log-likelihood of X under the mixture."""
         _, log_likelihood = self._e_step(X)
         return log_likelihood
+
+
+def _converged(log_likelihood: float, previous: float, tolerance: float) -> bool:
+    return bool(np.isfinite(previous)) and (
+        log_likelihood - previous <= tolerance * max(abs(previous), 1.0)
+    )
+
+
+def _complete_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of *X* without a NaN (a NULL feature); *X* itself, not a
+    copy, when every row is complete."""
+    complete = ~np.isnan(X).any(axis=1)
+    return X if complete.all() else X[complete]

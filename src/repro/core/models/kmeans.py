@@ -10,9 +10,11 @@ the *update* needs only per-cluster sufficient statistics
     W_j = N_j / n
 
 which are exactly a GROUP BY form of (n, L, Q) with a diagonal Q — one
-aggregate query per iteration.  Both an in-memory fit and a fit that
-drives the DBMS (scoring UDF for assignment + GROUP BY nLQ UDF for the
-update) are provided, and they produce identical models from identical
+aggregate query per iteration.  :meth:`KMeansModel.fit_matrix` is the
+in-memory reference; :meth:`KMeansModel.iterate` is the one DBMS-driven
+loop, fed per-cluster summaries by a fused ``kmeansiter`` scan
+(:meth:`KMeansModel.fit_dbms`, the miner's default) or by the miner's
+GROUP BY routes.  They produce identical models from identical
 assignments.
 
 An incremental one-pass variant (the paper cites incremental K-means
@@ -23,6 +25,7 @@ that reaches a good solution in one scan) is included as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +69,9 @@ class KMeansModel:
             raise ModelError("no group summaries and no previous centroids")
         any_stats = next(iter(groups.values())) if groups else None
         d = any_stats.d if any_stats is not None else previous_centroids.shape[1]
-        total = sum(stats.n for stats in groups.values())
+        # Only clusters 1..k count: a plain-SQL CASE assignment puts rows
+        # with a NULL feature in a NULL-key group that no cluster owns.
+        total = sum(groups[j].n for j in range(1, k + 1) if j in groups)
         centroids = np.zeros((k, d))
         radii = np.zeros((k, d))
         weights = np.zeros(k)
@@ -119,6 +124,33 @@ class KMeansModel:
         return model
 
     @classmethod
+    def iterate(
+        cls,
+        centroids: np.ndarray,
+        groups_of: "Callable[[np.ndarray], dict[int, SummaryStatistics]]",
+        max_iterations: int,
+        tolerance: float,
+    ) -> "KMeansModel":
+        """The DBMS-driven Lloyd loop, whatever runs each iteration.
+
+        ``groups_of(centroids)`` returns the per-cluster (N_j, L_j, Q_j)
+        summaries of one assignment against *centroids* — one fused
+        ``kmeansiter`` scan, a GROUP BY nLQ UDF query or its plain-SQL
+        twin.  Iteration stops once no centroid coordinate moves more
+        than *tolerance*.
+        """
+        k = centroids.shape[0]
+        model = cls(centroids, np.zeros_like(centroids), np.zeros(k))
+        for iteration in range(1, max_iterations + 1):
+            previous = model.centroids
+            model = cls.from_group_summaries(groups_of(previous), k, previous)
+            model.iterations = iteration
+            shift = float(np.max(np.abs(model.centroids - previous)))
+            if shift <= tolerance:
+                break
+        return model
+
+    @classmethod
     def fit_dbms(
         cls,
         db,
@@ -134,81 +166,17 @@ class KMeansModel:
         Each iteration installs the current centroids on the
         ``kmeansiter`` aggregate UDF and runs one SELECT: assignment and
         per-cluster (N, L, Q) aggregation happen inside the scan, with
-        no materialized assignment table.  Bit-identical to
-        :meth:`fit_dbms_two_scan` (the fused kernel replays the scoring
-        and GROUP BY arithmetic exactly), at half the scans.
+        no materialized assignment table.  Bit-identical to the GROUP BY
+        reference ``WarehouseMiner.kmeans(method="udf")`` (the fused
+        kernel replays the scoring and GROUP BY arithmetic exactly).
         """
-        from repro.core.fused import (
-            fused_call_sql,
-            register_fused_udfs,
-            unpack_fused_payload,
+        centroids = _seed_centroids_dbms(db, table, dimensions, k, seed)
+        return cls.iterate(
+            centroids,
+            fused_groups(db, table, dimensions),
+            max_iterations,
+            tolerance,
         )
-
-        udf = register_fused_udfs(db)["kmeansiter"]
-        centroids = _seed_centroids_dbms(db, table, dimensions, k, seed)
-        model = cls(centroids, np.zeros((k, len(dimensions))), np.zeros(k))
-        sql = fused_call_sql("kmeansiter", table, dimensions)
-        for iteration in range(1, max_iterations + 1):
-            previous = model.centroids
-            udf.set_centroids(previous)
-            payload = db.execute(sql).scalar()
-            groups, _ = unpack_fused_payload(payload)
-            model = cls.from_group_summaries(groups, k, previous)
-            model.iterations = iteration
-            shift = float(np.max(np.abs(model.centroids - previous)))
-            if shift <= tolerance:
-                break
-        return model
-
-    @classmethod
-    def fit_dbms_two_scan(
-        cls,
-        db,
-        table: str,
-        dimensions: "list[str]",
-        k: int,
-        max_iterations: int = 10,
-        tolerance: float = 1e-4,
-        seed: int = 0,
-    ) -> "KMeansModel":
-        """The reference two-scan iteration the fused path replaces.
-
-        Scan 1 evaluates the assignment expression (``clusterscore``
-        over inlined ``kmeansdistance`` calls) across the table — the
-        pass that classically materializes the assignment table.  Scan 2
-        re-aggregates per-cluster (N, L, Q) with the GROUP BY nLQ UDF
-        keyed on the same expression.  Kept as the parity and benchmark
-        baseline for :meth:`fit_dbms`.
-        """
-        from repro.core.fused import assignment_expression
-        from repro.core.nlq_udf import compute_nlq_udf_groups, register_nlq_udfs
-        from repro.core.scoring.udfs import register_scoring_udfs
-        from repro.core.summary import MatrixType
-
-        # Register-if-missing: duplicate registration raises, and callers
-        # (the miner) may have installed these already.
-        if db.catalog.scalar_udf("clusterscore") is None:
-            register_scoring_udfs(db)
-        if db.catalog.aggregate_udf("nlq_diag") is None:
-            register_nlq_udfs(db)
-        centroids = _seed_centroids_dbms(db, table, dimensions, k, seed)
-        model = cls(centroids, np.zeros((k, len(dimensions))), np.zeros(k))
-        for iteration in range(1, max_iterations + 1):
-            previous = model.centroids
-            expression = assignment_expression(dimensions, previous)
-            # Scan 1: the assignment pass (its result set is the
-            # materialized assignment table the fused path avoids).
-            db.execute(f"SELECT {expression} FROM {table}")
-            # Scan 2: per-cluster summaries keyed by the assignment.
-            groups = compute_nlq_udf_groups(
-                db, table, dimensions, expression, MatrixType.DIAGONAL
-            )
-            model = cls.from_group_summaries(groups, k, previous)
-            model.iterations = iteration
-            shift = float(np.max(np.abs(model.centroids - previous)))
-            if shift <= tolerance:
-                break
-        return model
 
     @classmethod
     def fit_incremental(
@@ -298,6 +266,29 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         probabilities = distances / total
         centroids.append(X[rng.choice(n, p=probabilities)])
     return np.asarray(centroids, dtype=float)
+
+
+def fused_groups(
+    db, source: str, dimensions: "list[str]"
+) -> "Callable[[np.ndarray], dict[int, SummaryStatistics]]":
+    """``groups_of`` for :meth:`KMeansModel.iterate`: one fused
+    ``kmeansiter`` scan of *source* (a table, or a star's FROM clause)
+    per call, with the given centroids installed on the UDF."""
+    from repro.core.fused import (
+        fused_call_sql,
+        register_fused_udfs,
+        unpack_fused_payload,
+    )
+
+    udf = register_fused_udfs(db)["kmeansiter"]
+    sql = fused_call_sql("kmeansiter", source, dimensions)
+
+    def groups_of(centroids: np.ndarray) -> "dict[int, SummaryStatistics]":
+        udf.set_centroids(centroids)
+        groups, _ = unpack_fused_payload(db.execute(sql).scalar())
+        return groups
+
+    return groups_of
 
 
 #: rows of the engine-side seeding sample; plenty for spreading k

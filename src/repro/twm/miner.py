@@ -6,11 +6,14 @@ UDFs and mathematical libraries.  :class:`WarehouseMiner` plays that
 role here: it owns (or attaches to) a :class:`~repro.dbms.Database`,
 registers the UDFs, generates the summary/scoring SQL, and builds the
 four statistical models from the summaries — the complete build-and-
-score workflow of the paper in a few method calls.
+score workflow of the paper in a few method calls.  The clustering
+builders only pick the source (a table or a star) and what runs each
+iteration; the iteration loops live on the models
+(:meth:`KMeansModel.iterate`, :meth:`GaussianMixtureModel.iterate_fused`).
 
     miner = WarehouseMiner()
     miner.load_synthetic("x", n=10_000, d=8)
-    model = miner.kmeans("x", k=4)
+    model = miner.kmeans("x", k=4)          # one fused scan per iteration
     scores = miner.scorer("x").score_clustering(4)
 """
 
@@ -21,12 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.blockwise import NlqBlockUdf, compute_nlq_blockwise
+from repro.core.fused import assignment_expression
 from repro.core.models.correlation import CorrelationModel
 from repro.core.models.em_mixture import GaussianMixtureModel
 from repro.core.models.factor_analysis import FactorAnalysisModel
 from repro.core.models.kmeans import (
+    SEED_SAMPLE_CAP,
     KMeansModel,
+    _plus_plus_init,
     _seed_centroids_dbms,
+    fused_groups,
 )
 from repro.core.models.pca import PCAModel
 from repro.core.models.regression import LinearRegressionModel
@@ -353,23 +360,21 @@ class WarehouseMiner:
         max_iterations: int = 10,
         tolerance: float = 1e-4,
         seed: int = 0,
-        method: str = "udf",
+        method: str = "fused",
     ) -> KMeansModel:
         """K-means driven entirely through the DBMS.
 
-        Each iteration is one GROUP BY aggregate query: rows are grouped
-        by their nearest current centroid (inlined as literals, the way
-        a generated scoring query embeds the model) and per-cluster
-        (N_j, L_j, Q_j) come back in one scan, from which C, R, W are
-        recomputed.
+        Seeds come from a bounded NULL-filtered reservoir sample; each
+        iteration of :meth:`KMeansModel.iterate` is then one aggregate
+        scan returning per-cluster (N_j, L_j, Q_j) for the nearest
+        current centroid.  *method* selects that scan:
 
-        *method* selects the assignment/summary machinery:
-
-        * ``"fused"`` — one scan per iteration: the ``kmeansiter``
-          aggregate UDF fuses assignment and per-cluster summaries
-          (see ``docs/clustering.md``);
-        * ``"udf"`` — group by ``clusterscore(kmeansdistance(...), ...)``
-          and aggregate with the diagonal nLQ UDF;
+        * ``"fused"`` — the ``kmeansiter`` aggregate UDF fuses assignment
+          and per-cluster summaries (see ``docs/clustering.md``); the
+          only route over a :class:`StarSchema`, join never materialized;
+        * ``"udf"`` — the GROUP BY reference the fused route is pinned
+          against bitwise: group by ``clusterscore(kmeansdistance(...),
+          ...)`` and aggregate with the diagonal nLQ UDF;
         * ``"sql"`` — no UDFs at all: the nearest centroid is a generated
           CASE over inline distance expressions and the summaries come
           from the plain-SQL GROUP BY query (the route of the author's
@@ -385,92 +390,37 @@ class WarehouseMiner:
                     "star-schema k-means runs through the fused "
                     f"kmeansiter UDF; got method={method!r}"
                 )
-            return self._kmeans_star(
-                table, k, dims, max_iterations, tolerance, seed
+            sample = reservoir_sample_star(
+                self.db, table, dims, cap=SEED_SAMPLE_CAP, seed=seed
             )
-        # Seed from a bounded NULL-filtered reservoir sample gathered
-        # through the engine (every partition contributes, so the seeds
-        # aren't biased toward the first partitions' rows) instead of
-        # materializing the whole table client-side.
-        centroids = _seed_centroids_dbms(self.db, table, dims, k, seed)
-        fused_udf = None
-        fused_sql = None
-        if method == "fused":
-            from repro.core.fused import fused_call_sql, register_fused_udfs
-
-            fused_udf = register_fused_udfs(self.db)["kmeansiter"]
-            fused_sql = fused_call_sql("kmeansiter", table, dims)
-        model = KMeansModel(centroids, np.zeros_like(centroids), np.zeros(k))
-        for iteration in range(1, max_iterations + 1):
+            if sample.shape[0] < k:
+                raise ModelError(
+                    f"star over {table.fact!r} joins {sample.shape[0]} "
+                    f"complete rows over {dims}; need >= k={k}"
+                )
+            centroids = _plus_plus_init(sample, k, np.random.default_rng(seed))
+            groups_of = fused_groups(self.db, table.from_sql(), dims)
+        else:
+            centroids = _seed_centroids_dbms(self.db, table, dims, k, seed)
             if method == "fused":
-                from repro.core.fused import unpack_fused_payload
-
-                fused_udf.set_centroids(model.centroids)
-                payload = self.db.execute(fused_sql).scalar()
-                groups, _ = unpack_fused_payload(payload)
+                groups_of = fused_groups(self.db, table, dims)
             elif method == "udf":
-                group_expr = self._assignment_expression(dims, model.centroids)
-                groups = compute_nlq_udf_groups(
-                    self.db, table, dims, group_expr, MatrixType.DIAGONAL
-                )
+                def groups_of(current):
+                    return compute_nlq_udf_groups(
+                        self.db, table, dims,
+                        assignment_expression(dims, current),
+                        MatrixType.DIAGONAL,
+                    )
             else:
-                group_expr = self._assignment_case_expression(
-                    dims, model.centroids
-                )
-                groups = NlqSqlGenerator(table, dims).compute_groups(
-                    self.db, group_expr, MatrixType.DIAGONAL
-                )
-            previous = model.centroids.copy()
-            model = KMeansModel.from_group_summaries(groups, k, previous)
-            model.iterations = iteration
-            shift = float(np.max(np.abs(model.centroids - previous)))
-            if shift <= tolerance:
-                break
-        return model
-
-    def _kmeans_star(
-        self,
-        star: StarSchema,
-        k: int,
-        dims: "list[str]",
-        max_iterations: int,
-        tolerance: float,
-        seed: int,
-    ) -> KMeansModel:
-        """Fused k-means over a star: seed from a joined reservoir
-        sample, then one factorized ``kmeansiter`` scan per iteration —
-        Σ|base tables| rows read, join never materialized (the Rk-means
-        observation: the iteration only needs per-cluster (N, L, Q))."""
-        from repro.core.fused import (
-            fused_call_sql,
-            register_fused_udfs,
-            unpack_fused_payload,
+                def groups_of(current):
+                    return NlqSqlGenerator(table, dims).compute_groups(
+                        self.db,
+                        self._assignment_case_expression(dims, current),
+                        MatrixType.DIAGONAL,
+                    )
+        return KMeansModel.iterate(
+            centroids, groups_of, max_iterations, tolerance
         )
-        from repro.core.models.kmeans import SEED_SAMPLE_CAP, _plus_plus_init
-
-        sample = reservoir_sample_star(
-            self.db, star, dims, cap=SEED_SAMPLE_CAP, seed=seed
-        )
-        if sample.shape[0] < k:
-            raise ModelError(
-                f"star over {star.fact!r} joins {sample.shape[0]} complete "
-                f"rows over {dims}; need >= k={k}"
-            )
-        centroids = _plus_plus_init(sample, k, np.random.default_rng(seed))
-        fused_udf = register_fused_udfs(self.db)["kmeansiter"]
-        fused_sql = fused_call_sql("kmeansiter", star.from_sql(), dims)
-        model = KMeansModel(centroids, np.zeros_like(centroids), np.zeros(k))
-        for iteration in range(1, max_iterations + 1):
-            fused_udf.set_centroids(model.centroids)
-            payload = self.db.execute(fused_sql).scalar()
-            groups, _ = unpack_fused_payload(payload)
-            previous = model.centroids.copy()
-            model = KMeansModel.from_group_summaries(groups, k, previous)
-            model.iterations = iteration
-            shift = float(np.max(np.abs(model.centroids - previous)))
-            if shift <= tolerance:
-                break
-        return model
 
     def naive_bayes(
         self,
@@ -520,115 +470,50 @@ class WarehouseMiner:
         k: int,
         dimensions: Sequence[str] | None = None,
         method: str = "matrix",
-        **kwargs,
+        max_iterations: int = 100,
+        tolerance: float = 1e-6,
+        variance_floor: float = 1e-6,
+        seed: int = 0,
     ) -> GaussianMixtureModel:
         """EM clustering on the table's points.
 
         ``method="matrix"`` runs the in-memory reference fit;
         ``method="fused"`` drives the DBMS with one fused ``emiter``
         scan per iteration (see ``docs/clustering.md``).  A
-        :class:`StarSchema` source requires ``method="fused"`` and
-        runs each scan factorized over the base tables."""
+        :class:`StarSchema` source requires ``method="fused"``: it
+        initializes from a bounded joined reservoir sample instead of
+        the (never materialized) wide matrix and runs each scan
+        factorized over the base tables."""
         if method not in ("matrix", "fused"):
             raise ModelError(f"unknown gaussian_mixture method {method!r}")
         dims = list(dimensions) if dimensions is not None \
             else self.dimensions_of(table)
+        fit = dict(
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+            variance_floor=variance_floor,
+        )
         if isinstance(table, StarSchema):
             if method != "fused":
                 raise ModelError(
                     "star-schema EM runs through the fused emiter UDF; "
                     f"got method={method!r}"
                 )
-            return self._gaussian_mixture_star(table, k, dims, **kwargs)
+            sample = reservoir_sample_star(
+                self.db, table, dims, cap=SEED_SAMPLE_CAP, seed=seed
+            )
+            initial = GaussianMixtureModel.initial(
+                sample, k, variance_floor, seed
+            )
+            return GaussianMixtureModel.iterate_fused(
+                self.db, table.from_sql(), dims, initial, None, **fit
+            )
         if method == "fused":
             return GaussianMixtureModel.fit_dbms(
-                self.db, table, dims, k, **kwargs
+                self.db, table, dims, k, seed=seed, **fit
             )
         matrix = self.db.table(table).numeric_matrix(dims)
-        return GaussianMixtureModel.fit_matrix(matrix, k, **kwargs)
-
-    def _gaussian_mixture_star(
-        self,
-        star: StarSchema,
-        k: int,
-        dims: "list[str]",
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-        variance_floor: float = 1e-6,
-        seed: int = 0,
-    ) -> GaussianMixtureModel:
-        """DBMS-driven EM over a star, one factorized fused scan per
-        iteration.  Mirrors :meth:`GaussianMixtureModel.fit_dbms` but
-        initializes from a bounded joined reservoir sample instead of
-        the (never materialized) wide matrix."""
-        from repro.core.fused import (
-            fused_call_sql,
-            register_fused_udfs,
-            unpack_fused_payload,
-        )
-        from repro.core.models.kmeans import SEED_SAMPLE_CAP
-
-        udf = register_fused_udfs(self.db)["emiter"]
-        sample = reservoir_sample_star(
-            self.db, star, dims, cap=SEED_SAMPLE_CAP, seed=seed
-        )
-        n_sample, d = sample.shape
-        if not 1 <= k <= n_sample:
-            raise ModelError(
-                f"k must be in [1, {n_sample}] (complete sampled join "
-                f"rows), got {k}"
-            )
-        rng = np.random.default_rng(seed)
-        means = sample[rng.choice(n_sample, size=k, replace=False)].astype(
-            float
-        )
-        global_variance = np.maximum(sample.var(axis=0), variance_floor)
-        variances = np.tile(global_variance, (k, 1))
-        weights = np.full(k, 1.0 / k)
-        model = GaussianMixtureModel(means, variances, weights)
-        sql = fused_call_sql("emiter", star.from_sql(), dims)
-
-        n = None  # |join| comes back with the first scan's Nj
-        previous = -np.inf
-        for iteration in range(1, max_iterations + 1):
-            udf.set_model(model)
-            payload = self.db.execute(sql).scalar()
-            groups, log_likelihood = unpack_fused_payload(payload)
-            Nj = np.zeros(k)
-            Lj = np.zeros((k, d))
-            Qj = np.zeros((k, d))
-            for j, stats in groups.items():
-                Nj[j - 1] = stats.n
-                Lj[j - 1] = stats.L
-                Qj[j - 1] = np.diag(stats.Q)
-            if n is None:
-                n = float(Nj.sum())
-            if np.any(Nj <= 0):
-                raise ModelError(
-                    "a mixture component collapsed to zero weight"
-                )
-            means = Lj / Nj[:, None]
-            variances = np.maximum(
-                Qj / Nj[:, None] - means**2, variance_floor
-            )
-            weights = Nj / n
-            model = GaussianMixtureModel(
-                means, variances, weights, log_likelihood, iteration
-            )
-            if np.isfinite(previous) and (
-                log_likelihood - previous
-                <= tolerance * max(abs(previous), 1.0)
-            ):
-                break
-            previous = log_likelihood
-        # One more fused scan evaluates the log-likelihood the *final*
-        # parameters achieve (the loop's value predates its M step).
-        udf.set_model(model)
-        _, final_log_likelihood = unpack_fused_payload(
-            self.db.execute(sql).scalar()
-        )
-        model.log_likelihood = final_log_likelihood
-        return model
+        return GaussianMixtureModel.fit_matrix(matrix, k, seed=seed, **fit)
 
     # --------------------------------------------------------------- scoring
     def scorer(
@@ -671,14 +556,6 @@ class WarehouseMiner:
                 key = int(key)
             summaries[key] = stats
         return summaries
-
-    @staticmethod
-    def _assignment_expression(
-        dimensions: Sequence[str], centroids: np.ndarray
-    ) -> str:
-        from repro.core.fused import assignment_expression
-
-        return assignment_expression(dimensions, centroids)
 
     @staticmethod
     def _assignment_case_expression(

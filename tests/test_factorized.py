@@ -761,6 +761,21 @@ class TestMinerStarApi:
         assert np.array_equal(em1.means, em4.means)
         assert em1.log_likelihood == em4.log_likelihood
 
+    def test_star_kmeans_defaults_to_fused(self):
+        with _star_db(seed=13, n_fact=150, n_dim=8,
+                      register_udfs=False) as db:
+            miner = WarehouseMiner(db)
+            star = miner.star(
+                "sales",
+                ["stores", "products"],
+                [("sid", "sid"), ("pid", "pid")],
+            )
+            default = miner.kmeans(star, 3, seed=13)
+            fused = miner.kmeans(star, 3, method="fused", seed=13)
+        assert np.array_equal(default.centroids, fused.centroids)
+        assert np.array_equal(default.weights, fused.weights)
+        assert default.iterations == fused.iterations
+
     def test_star_requires_fused_methods(self):
         from repro.errors import ModelError
 

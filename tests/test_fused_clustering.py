@@ -4,9 +4,9 @@ Two properties hold this PR together:
 
 * **Fused parity** — a fused ``kmeansiter`` iteration (assignment and
   per-cluster (N, L, Q) accumulation inside one scan) is **bit-identical**
-  to the two-scan reference (assignment SELECT + GROUP BY nLQ UDF) at
-  any worker count, because the fused kernel replays the scoring and
-  GROUP BY arithmetic exactly.
+  to the GROUP BY reference ``miner.kmeans(method="udf")`` at any
+  worker count, because the fused kernel replays the scoring and GROUP
+  BY arithmetic exactly.
 * **Cache freshness** — the Database-level summary cache may serve a
   statement with zero rows scanned only when the table's version
   counters prove the entry current; appends trigger an incremental
@@ -34,6 +34,7 @@ from repro.core.nlq_udf import compute_nlq_udf, nlq_call_sql, register_nlq_udfs
 from repro.core.summary import MatrixType, SummaryStatistics
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema, dimension_names
+from repro.twm.miner import WarehouseMiner
 
 D = 3
 DIMS = dimension_names(D)
@@ -67,19 +68,18 @@ class TestFusedKMeansParity:
     @pytest.mark.parametrize("workers", [1, 4])
     @given(seed=st.integers(0, 2**20), k=st.sampled_from([1, 2, 3, 5]))
     @settings(**_SETTINGS)
-    def test_fused_matches_two_scan_bitwise(self, workers, seed, k):
+    def test_fused_matches_groupby_udf_bitwise(self, workers, seed, k):
         X = _dataset(seed)
         db = _make_db(X, workers=workers)
         try:
+            miner = WarehouseMiner(db)
             fused = KMeansModel.fit_dbms(db, "x", DIMS, k, seed=seed)
-            two_scan = KMeansModel.fit_dbms_two_scan(
-                db, "x", DIMS, k, seed=seed
-            )
-            assert np.array_equal(fused.centroids, two_scan.centroids)
-            assert np.array_equal(fused.radii, two_scan.radii)
-            assert np.array_equal(fused.weights, two_scan.weights)
-            assert fused.iterations == two_scan.iterations
-            assert fused.inertia == two_scan.inertia
+            grouped = miner.kmeans("x", k, DIMS, seed=seed, method="udf")
+            assert np.array_equal(fused.centroids, grouped.centroids)
+            assert np.array_equal(fused.radii, grouped.radii)
+            assert np.array_equal(fused.weights, grouped.weights)
+            assert fused.iterations == grouped.iterations
+            assert fused.inertia == grouped.inertia
         finally:
             db.close()
 
@@ -99,9 +99,13 @@ class TestFusedKMeansParity:
         assert np.array_equal(one.radii, four.radii)
         assert np.array_equal(one.weights, four.weights)
 
-    def test_single_fused_scan_per_iteration(self):
-        """The fused fit issues exactly one SELECT per iteration —
-        the materialized assignment pass is gone."""
+    @pytest.mark.parametrize("fit", [
+        lambda db: KMeansModel.fit_dbms(db, "x", DIMS, 3, seed=3),
+        lambda db: WarehouseMiner(db).kmeans("x", 3, seed=3),
+    ], ids=["fit_dbms", "miner_default"])
+    def test_single_fused_scan_per_iteration(self, fit):
+        """The fused fit — also the miner's default — issues exactly one
+        SELECT per iteration: the materialized assignment pass is gone."""
         X = _dataset(3)
         db = _make_db(X)
         try:
@@ -113,7 +117,7 @@ class TestFusedKMeansParity:
                 return original(sql)
 
             db.execute = counting_execute
-            model = KMeansModel.fit_dbms(db, "x", DIMS, 3, seed=3)
+            model = fit(db)
             assert len(statements) == model.iterations
             assert all("kmeansiter" in sql for sql in statements)
         finally:

@@ -1,4 +1,4 @@
-"""Regression tests for three mining-path bugs.
+"""Regression tests for mining-path bugs.
 
 1. K-means seeding materialized the whole table client-side with
    ``numeric_matrix`` — a single NULL row became NaN and poisoned every
@@ -13,6 +13,11 @@
    ``int(key)`` when the label column held NULLs (grouped under
    None/NaN) or non-integral floats.  NULL-label groups are skipped and
    non-integral labels raise a clear :class:`ModelError`.
+4. EM initialized from a matrix holding the NULL rows as NaN: the fused
+   fit collapsed a component and the matrix fit went all-NaN.  Both fit
+   the complete rows only.
+5. ``kmeans(method="sql")`` divided the weights by every group's rows,
+   the NULL-key group's included.  Only clusters 1..k count now.
 """
 
 from __future__ import annotations
@@ -222,6 +227,62 @@ def test_integral_float_labels_accepted():
 def test_nan_distance_poisoning_is_fixed_end_to_end():
     """The original symptom: with NULLs present, every centroid ended
     NaN because one NaN distance made every assignment NaN."""
-    with _clustering_db(null_rows=4) as db:
-        model = KMeansModel.fit_dbms_two_scan(db, "x", DIMS, k=2, seed=0)
+    with _clustering_db(null_rows=4, register=False) as db:
+        model = WarehouseMiner(db).kmeans("x", k=2, seed=0, method="udf")
     assert not any(math.isnan(v) for v in model.centroids.ravel())
+
+
+# ------------------------------------------- clustering over NULL features
+def _mixture_db(null_rows: int) -> Database:
+    """x(i, x1, x2): 200 complete rows in two clusters of 80 and 120,
+    then *null_rows* rows whose x1 is NULL."""
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1, (80, D)), rng.normal(8, 1, (120, D))])
+    rows = [(i + 1, float(a), float(b)) for i, (a, b) in enumerate(X)]
+    rows += [(201 + j, None, float(j)) for j in range(null_rows)]
+    db = Database(amps=4)
+    db.create_table("x", dataset_schema(D))
+    db.insert_rows("x", rows)
+    return db
+
+
+#: EM over the complete rows only.  The fused scan may fold a partition
+#: holding NULL rows in another order than the NULL-free one, so the
+#: two fits agree to summation error: about n·ε relative per sum.
+EM_RTOL = 205 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("method", ["fused", "matrix"])
+def test_em_fits_the_complete_rows_of_a_table_with_nulls(method):
+    """Pre-fix the init read the NULL rows as NaN into the global
+    variance: ``fit_dbms`` raised "a mixture component collapsed to
+    zero weight" and the matrix fit returned all-NaN parameters."""
+    fits = []
+    for null_rows in (5, 0):
+        with _mixture_db(null_rows) as db:
+            fits.append(WarehouseMiner(db).gaussian_mixture(
+                "x", 2, dimensions=DIMS, method=method, max_iterations=5
+            ))
+    with_nulls, complete = fits
+    assert with_nulls.iterations == complete.iterations
+    for name in ("means", "variances", "weights"):
+        np.testing.assert_allclose(
+            getattr(with_nulls, name), getattr(complete, name),
+            rtol=EM_RTOL, atol=0.0,
+        )
+    assert with_nulls.log_likelihood == pytest.approx(
+        complete.log_likelihood, rel=EM_RTOL, abs=0.0
+    )
+
+
+def test_sql_kmeans_weights_ignore_the_null_key_group():
+    """The CASE assignment puts the NULL-feature rows in a NULL-key
+    group; pre-fix its rows counted in every weight's denominator, so
+    the weights summed to 200/205."""
+    with _mixture_db(5) as db:
+        miner = WarehouseMiner(db)
+        via_sql = miner.kmeans("x", 2, dimensions=DIMS, method="sql")
+        via_udf = miner.kmeans("x", 2, dimensions=DIMS, method="udf")
+    assert via_sql.weights.sum() == 1.0
+    assert np.array_equal(via_sql.weights, via_udf.weights)
+    assert np.array_equal(via_sql.centroids, via_udf.centroids)
