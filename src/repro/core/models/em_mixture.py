@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.scoring.udfs import ScoringSpec, gaussian_score_params
 from repro.errors import ModelError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -36,6 +37,23 @@ class GaussianMixtureModel:
     @property
     def d(self) -> int:
         return int(self.means.shape[1])
+
+    # --------------------------------------------------------------- scoring
+    registry_kind = "gmm"
+    registry_parts = ("c", "r", "w")
+
+    def scoring_parts(self) -> dict:
+        """Means, variances and weights in k-means' C / R / W layout."""
+        arrays = (self.means, self.variances, self.weights)
+        return dict(zip(self.registry_parts, arrays))
+
+    @staticmethod
+    def scoring_spec(parts: "dict[str, np.ndarray]") -> ScoringSpec:
+        """J = ``classifyscore`` over one ``nbscore(x, µ_j, iv_j, bias_j)``
+        per component: the most likely component."""
+        mu, iv, bias = gaussian_score_params(parts["c"], parts["r"], parts["w"])
+        params = np.column_stack([mu, iv, bias])
+        return ScoringSpec("nbscore", params, "classifyscore", mu.shape[1], "j")
 
     # --------------------------------------------------------------- fitting
     @classmethod

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.scoring.udfs import ScoringSpec
 from repro.core.summary import SummaryStatistics
 from repro.errors import ModelError
 
@@ -50,6 +51,24 @@ class KMeansModel:
     @property
     def d(self) -> int:
         return int(self.centroids.shape[1])
+
+    # --------------------------------------------------------------- scoring
+    registry_kind = "kmeans"
+    registry_parts = ("c", "r", "w")
+
+    def scoring_parts(self) -> dict:
+        """C(j, x1..xd), R(j, x1..xd) and W(w1..wk)."""
+        arrays = (self.centroids, self.radii, self.weights)
+        return dict(zip(self.registry_parts, arrays))
+
+    @staticmethod
+    def scoring_spec(parts: "dict[str, np.ndarray]") -> ScoringSpec:
+        """J = ``clusterscore`` over one ``kmeansdistance(x, C_j)`` per
+        centroid."""
+        centroids = parts["c"]
+        return ScoringSpec(
+            "kmeansdistance", centroids, "clusterscore", centroids.shape[1], "j"
+        )
 
     # ------------------------------------------------------------ from stats
     @classmethod

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.scoring.udfs import ScoringSpec
 from repro.core.summary import MatrixType, SummaryStatistics
 from repro.errors import ModelError
 
@@ -39,6 +40,26 @@ class LdaModel:
     @property
     def d(self) -> int:
         return int(self.weights.shape[1])
+
+    # --------------------------------------------------------------- scoring
+    registry_kind = "lda"
+    registry_parts = ("w", "b", "cls")
+
+    def scoring_parts(self) -> dict:
+        """Discriminant weights (j, x1..xd), biases and class labels."""
+        arrays = (self.weights, self.biases, self.classes)
+        return dict(zip(self.registry_parts, arrays))
+
+    @staticmethod
+    def scoring_spec(parts: "dict[str, np.ndarray]") -> ScoringSpec:
+        """label = ``classifyscore`` over one affine discriminant
+        ``linearregscore(x, b_c, w_c)`` per class."""
+        params = np.column_stack([parts["b"], parts["w"]])
+        labels = tuple(int(v) for v in parts["cls"])
+        d = parts["w"].shape[1]
+        return ScoringSpec(
+            "linearregscore", params, "classifyscore", d, "label", labels
+        )
 
     @classmethod
     def from_class_summaries(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.scoring.udfs import ScoringSpec, gaussian_score_params
 from repro.core.summary import SummaryStatistics
 from repro.errors import ModelError
 
@@ -41,6 +42,27 @@ class NaiveBayesModel:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    # --------------------------------------------------------------- scoring
+    registry_kind = "naive_bayes"
+    registry_parts = ("mu", "var", "prior", "cls")
+
+    def scoring_parts(self) -> dict:
+        """Class means and variances (j, x1..xd), priors and labels."""
+        arrays = (self.means, self.variances, self.priors, self.classes)
+        return dict(zip(self.registry_parts, arrays))
+
+    @staticmethod
+    def scoring_spec(parts: "dict[str, np.ndarray]") -> ScoringSpec:
+        """label = ``classifyscore`` over one ``nbscore(x, µ_c, iv_c,
+        bias_c)`` per class, mapped through the class labels."""
+        mu, iv, bias = gaussian_score_params(
+            parts["mu"], parts["var"], parts["prior"]
+        )
+        params = np.column_stack([mu, iv, bias])
+        labels = tuple(int(v) for v in parts["cls"])
+        d = mu.shape[1]
+        return ScoringSpec("nbscore", params, "classifyscore", d, "label", labels)
 
     @classmethod
     def from_class_summaries(

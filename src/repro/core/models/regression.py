@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.scoring.udfs import ScoringSpec
 from repro.core.summary import AugmentedSummary
 from repro.errors import ModelError
 
@@ -76,6 +77,21 @@ class LinearRegressionModel:
     def beta(self) -> np.ndarray:
         """The full coefficient vector [β₀, β₁, ..., β_d]."""
         return np.concatenate([[self.intercept], self.coefficients])
+
+    # --------------------------------------------------------------- scoring
+    registry_kind = "regression"
+    registry_parts = ("beta",)
+
+    def scoring_parts(self) -> dict:
+        """BETA(b0..bd), the one array a stored model scores from."""
+        return dict(zip(self.registry_parts, (self.beta,)))
+
+    @staticmethod
+    def scoring_spec(parts: "dict[str, np.ndarray]") -> ScoringSpec:
+        """ŷ = ``linearregscore(x, b0..bd)``: one group, no combine."""
+        beta = parts["beta"]
+        d = beta.shape[0] - 1
+        return ScoringSpec("linearregscore", beta.reshape(1, -1), None, d, "yhat")
 
     # ----------------------------------------------------------------- score
     def predict(self, X: np.ndarray) -> np.ndarray:

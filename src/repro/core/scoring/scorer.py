@@ -10,21 +10,25 @@ the DBMS instead of exporting, scoring outside and importing back).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.models.base import store_matrix, store_vector
-from repro.core.models.kmeans import KMeansModel
-from repro.core.models.lda import LdaModel
-from repro.core.models.naive_bayes import NaiveBayesModel
-from repro.core.models.pca import PCAModel
-from repro.core.models.regression import LinearRegressionModel
 from repro.core.scoring.sqlgen import ScoringSqlGenerator
+from repro.core.scoring.udfs import gaussian_score_params
 from repro.dbms.database import Database, QueryResult
 from repro.dbms.schema import Column, TableSchema
 from repro.dbms.types import SqlType
 from repro.errors import ModelError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the models import
+    # their ScoringSpec from this package
+    from repro.core.models.kmeans import KMeansModel
+    from repro.core.models.lda import LdaModel
+    from repro.core.models.naive_bayes import NaiveBayesModel
+    from repro.core.models.pca import PCAModel
+    from repro.core.models.regression import LinearRegressionModel
 
 
 class ModelScorer:
@@ -58,10 +62,10 @@ class ModelScorer:
     ) -> QueryResult:
         sql = (
             self._generator.regression_udf_sql(beta_table)
-            if method == "udf"
+            if _uses_udf(method)
             else self._generator.regression_expression_sql(beta_table)
         )
-        return self._run(sql, into, [("yhat", SqlType.FLOAT)])
+        return self._run(sql, into, [("yhat", SqlType.FLOAT)], [beta_table])
 
     # ------------------------------------------------------------------- PCA
     def store_pca(
@@ -94,11 +98,11 @@ class ModelScorer:
     ) -> QueryResult:
         sql = (
             self._generator.pca_udf_sql(k, lambda_table, mu_table)
-            if method == "udf"
+            if _uses_udf(method)
             else self._generator.pca_expression_sql(k, lambda_table, mu_table)
         )
         columns = [(f"f{j}", SqlType.FLOAT) for j in range(1, k + 1)]
-        return self._run(sql, into, columns)
+        return self._run(sql, into, columns, [lambda_table, mu_table])
 
     # --------------------------------------------------------- classification
     def store_lda(self, model: "LdaModel", discriminant_table: str = "disc") -> None:
@@ -116,7 +120,9 @@ class ModelScorer:
     ) -> QueryResult:
         """One-scan LDA classification: k linearregscore calls + arg-max."""
         sql = self._generator.lda_udf_sql(model.classes, discriminant_table)
-        return self._run(sql, into, [("label", SqlType.INTEGER)])
+        return self._run(
+            sql, into, [("label", SqlType.INTEGER)], [discriminant_table]
+        )
 
     def store_naive_bayes(
         self,
@@ -129,13 +135,11 @@ class ModelScorer:
         normalization folded into the per-class bias."""
         self._check_d(model.d)
         names = list(self._generator.dimensions)
-        store_matrix(self._db, mean_table, model.means, names)
-        store_matrix(self._db, inverse_variance_table, 1.0 / model.variances, names)
-        biases = (
-            np.log(model.priors)
-            - 0.5 * np.sum(np.log(model.variances), axis=1)
-            - 0.5 * model.d * np.log(2.0 * np.pi)
+        means, inverse_variances, biases = gaussian_score_params(
+            model.means, model.variances, model.priors
         )
+        store_matrix(self._db, mean_table, means, names)
+        store_matrix(self._db, inverse_variance_table, inverse_variances, names)
         store_vector(
             self._db,
             bias_table,
@@ -155,7 +159,8 @@ class ModelScorer:
         sql = self._generator.naive_bayes_udf_sql(
             model.classes, mean_table, inverse_variance_table, bias_table
         )
-        return self._run(sql, into, [("label", SqlType.INTEGER)])
+        reads = [mean_table, inverse_variance_table, bias_table]
+        return self._run(sql, into, [("label", SqlType.INTEGER)], reads)
 
     # ------------------------------------------------------------ clustering
     def store_clustering(
@@ -186,10 +191,10 @@ class ModelScorer:
     ) -> QueryResult:
         sql = (
             self._generator.clustering_udf_sql(k, centroid_table)
-            if method == "udf"
+            if _uses_udf(method)
             else self._generator.clustering_expression_sql(k, centroid_table)
         )
-        return self._run(sql, into, [("j", SqlType.INTEGER)])
+        return self._run(sql, into, [("j", SqlType.INTEGER)], [centroid_table])
 
     # -------------------------------------------------------------- plumbing
     def _check_d(self, model_d: int) -> None:
@@ -203,9 +208,17 @@ class ModelScorer:
         sql: str,
         into: str | None,
         value_columns: list[tuple[str, SqlType]],
+        model_tables: Sequence[str],
     ) -> QueryResult:
         if into is None:
             return self._db.execute(sql)
+        # Replacing a table the statement reads would destroy it before
+        # the statement runs; refuse before anything is dropped.
+        reads = {self._generator.table, *model_tables}
+        if into.lower() in {name.lower() for name in reads}:
+            raise ModelError(
+                f"cannot score into {into!r}: the scoring statement reads it"
+            )
         if self._db.catalog.has_table(into):
             self._db.drop_table(into)
         columns = [Column(self._generator.id_column, SqlType.INTEGER, False)]
@@ -214,6 +227,14 @@ class ModelScorer:
             into, TableSchema(tuple(columns), self._generator.id_column)
         )
         return self._db.execute(f"INSERT INTO {into} {sql}")
+
+
+def _uses_udf(method: str) -> bool:
+    """The scoring route: ``"udf"`` (scalar UDFs) or ``"sql"`` (generated
+    arithmetic expressions), the two sides of the paper's Table 4."""
+    if method not in ("udf", "sql"):
+        raise ModelError(f"method must be 'udf' or 'sql', got {method!r}")
+    return method == "udf"
 
 
 def scores_as_matrix(result: QueryResult, value_columns: int) -> np.ndarray:

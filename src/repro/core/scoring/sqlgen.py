@@ -51,6 +51,27 @@ class ScoringSqlGenerator:
     def d(self) -> int:
         return len(self.dimensions)
 
+    def inline_sql(
+        self,
+        kernel: str,
+        rows: Sequence[Sequence[float]],
+        combine: "str | None",
+        alias: str,
+    ) -> str:
+        """``combine(kernel(xs, lits_1), …, kernel(xs, lits_g)) AS alias``
+        with row j of *rows* inlined as group j's literals (one bare
+        ``kernel`` call when *combine* is None) — the one emitter behind
+        every ``*_inline_sql`` scoring route and serving's EXPLAIN."""
+        xs = ", ".join(f"t.{dim}" for dim in self.dimensions)
+        calls = [
+            f"{kernel}({xs}, {', '.join(_lit(v) for v in row)})" for row in rows
+        ]
+        score = calls[0] if combine is None else f"{combine}({', '.join(calls)})"
+        return (
+            f"SELECT t.{self.id_column} AS {self.id_column}, "
+            f"{score} AS {alias} FROM {self.table} t"
+        )
+
     # ------------------------------------------------------------ regression
     def regression_udf_sql(self, beta_table: str = "beta") -> str:
         """ŷ via ``linearregscore``; BETA(b0, b1..bd) is one row."""
@@ -84,11 +105,8 @@ class ScoringSqlGenerator:
                 f"{self.d} dimensions need {self.d} coefficients, "
                 f"got {len(coefficients)}"
             )
-        xs = ", ".join(f"t.{dim}" for dim in self.dimensions)
-        bs = ", ".join([_lit(intercept), *(_lit(b) for b in coefficients)])
-        return (
-            f"SELECT t.{self.id_column} AS {self.id_column}, "
-            f"linearregscore({xs}, {bs}) AS yhat FROM {self.table} t"
+        return self.inline_sql(
+            "linearregscore", [[intercept, *coefficients]], None, "yhat"
         )
 
     # ------------------------------------------------------------------- PCA
@@ -237,21 +255,14 @@ class ScoringSqlGenerator:
         """
         if len(biases) != len(weights):
             raise ValueError("biases and weights must align per class")
-        xs = ", ".join(f"t.{dim}" for dim in self.dimensions)
-        scores = []
-        for bias, weight in zip(biases, weights):
+        for weight in weights:
             if len(weight) != self.d:
                 raise ValueError(
                     f"each weight vector needs {self.d} values, "
                     f"got {len(weight)}"
                 )
-            ws = ", ".join(_lit(w) for w in weight)
-            scores.append(f"linearregscore({xs}, {_lit(bias)}, {ws})")
-        return (
-            f"SELECT t.{self.id_column} AS {self.id_column}, "
-            f"classifyscore({', '.join(scores)}) AS idx "
-            f"FROM {self.table} t"
-        )
+        rows = [[bias, *weight] for bias, weight in zip(biases, weights)]
+        return self.inline_sql("linearregscore", rows, "classifyscore", "idx")
 
     def naive_bayes_inline_sql(
         self,
@@ -267,17 +278,11 @@ class ScoringSqlGenerator:
         """
         if not (len(means) == len(inverse_variances) == len(biases)):
             raise ValueError("means, inverse_variances, biases must align")
-        xs = ", ".join(f"t.{dim}" for dim in self.dimensions)
-        scores = []
-        for mu, iv, bias in zip(means, inverse_variances, biases):
-            mus = ", ".join(_lit(m) for m in mu)
-            ivs = ", ".join(_lit(v) for v in iv)
-            scores.append(f"nbscore({xs}, {mus}, {ivs}, {_lit(bias)})")
-        return (
-            f"SELECT t.{self.id_column} AS {self.id_column}, "
-            f"classifyscore({', '.join(scores)}) AS idx "
-            f"FROM {self.table} t"
-        )
+        rows = [
+            [*mu, *iv, bias]
+            for mu, iv, bias in zip(means, inverse_variances, biases)
+        ]
+        return self.inline_sql("nbscore", rows, "classifyscore", "idx")
 
     # ------------------------------------------------------------ clustering
     def _centroid_joins(self, k: int, centroid_table: str) -> str:
@@ -302,20 +307,12 @@ class ScoringSqlGenerator:
     def clustering_inline_sql(self, centroids: Sequence[Sequence[float]]) -> str:
         """J via ``clusterscore`` over inlined-centroid distances — one
         table, one scan, block-compilable."""
-        xs = ", ".join(f"t.{dim}" for dim in self.dimensions)
-        distances = []
         for j, centroid in enumerate(centroids, start=1):
             if len(centroid) != self.d:
                 raise ValueError(
                     f"centroid {j} needs {self.d} values, got {len(centroid)}"
                 )
-            cs = ", ".join(_lit(value) for value in centroid)
-            distances.append(f"kmeansdistance({xs}, {cs})")
-        return (
-            f"SELECT t.{self.id_column} AS {self.id_column}, "
-            f"clusterscore({', '.join(distances)}) AS j "
-            f"FROM {self.table} t"
-        )
+        return self.inline_sql("kmeansdistance", centroids, "clusterscore", "j")
 
     def clustering_expression_sql(self, k: int, centroid_table: str = "c") -> str:
         """J via plain SQL: an inner query materializes the k distances

@@ -13,6 +13,11 @@ single SELECT whose scalar UDFs evaluate the model equation per row:
 * :class:`ClusterScoreUdf` — ``clusterscore(d1..dk)`` returns the
   1-based subscript J of the minimum distance: the cluster score.
 
+A :class:`ScoringSpec` says how one stored model kind scores with these
+kernels — one kernel call per group, then an optional combining arg-min
+or arg-max — so the serving registry, its micro-batcher, its per-row
+reference and the inline SQL all read one record per kind.
+
 All are variadic (the engine imposes no parameter-count cap of its own;
 the *paper's* observation that some DBMSs cap parameters is modeled by
 the string-passing aggregate variant instead).  NULL inputs yield NULL,
@@ -31,7 +36,8 @@ to None.  Argument-count validation is shared between both paths.
 from __future__ import annotations
 
 import math
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -330,6 +336,114 @@ class NaiveBayesScoreUdf(ScalarUdf):
     def cost_per_row(self, arg_count: int) -> RowCost:
         d = (arg_count - 1) // 3
         return RowCost(list_params=arg_count, arith_ops=3 * d)
+
+
+#: stateless kernel singletons the :class:`ScoringSpec` names resolve to
+_KERNELS: dict[str, ScalarUdf] = {
+    udf.name: udf
+    for udf in (
+        LinearRegScoreUdf(),
+        KMeansDistanceUdf(),
+        NaiveBayesScoreUdf(),
+        ClusterScoreUdf(),
+        ClassifyScoreUdf(),
+    )
+}
+
+
+@dataclass(frozen=True)
+class ScoringSpec:
+    """How one model kind scores a point ``x`` with the scalar UDFs.
+
+    Row j of ``params`` holds group j's literal arguments after ``x``:
+    ``kernel(x, *params[j])`` scores group j, and ``combine`` (None for a
+    single group) folds the g scores into the result — the same
+    ``combine(kernel(x, lits_1), …, kernel(x, lits_g))`` a one-scan
+    scoring SELECT evaluates.  ``labels`` maps a 1-based arg-max index
+    back to class labels.
+    """
+
+    kernel: str
+    params: np.ndarray
+    combine: "str | None"
+    d: int
+    output_column: str
+    labels: "tuple[int, ...] | None" = None
+
+    @property
+    def integer_result(self) -> bool:
+        return self.combine is not None
+
+    @property
+    def sql_column(self) -> str:
+        """The inline SELECT's score column: an arg-max emits the 1-based
+        class index ``idx`` (a CASE label mapping is not block-compilable)."""
+        return "idx" if self.combine == "classifyscore" else self.output_column
+
+    def score_batch(self, X: np.ndarray) -> np.ndarray:
+        """One ``compute_batch`` per group over an ``(m, d)`` block, then
+        the combine; NaN marks a NULL result (see :meth:`finalize`)."""
+        m, d = X.shape
+        kernel = _KERNELS[self.kernel]
+        scores = []
+        for lits in self.params:
+            args = np.empty((m, d + lits.shape[0]))
+            args[:, :d] = X
+            args[:, d:] = lits
+            scores.append(kernel.compute_batch(args))
+        if self.combine is None:
+            return scores[0]
+        return _KERNELS[self.combine].compute_batch(np.column_stack(scores))
+
+    def score_rows(self, X: np.ndarray) -> "list[Any]":
+        """The per-row reference: ``compute`` per point, NaN read as NULL,
+        bit-identical to :meth:`score_batch` by the kernel contract."""
+        kernel = _KERNELS[self.kernel]
+        results: "list[Any]" = []
+        for row in X:
+            values = [None if np.isnan(v) else float(v) for v in row]
+            scores = [
+                kernel.compute(*values, *map(float, lits))
+                for lits in self.params
+            ]
+            # A combine UDF, like every scoring UDF, maps a NULL in to NULL.
+            raw = (
+                scores[0]
+                if self.combine is None
+                else _KERNELS[self.combine].compute(*scores)
+            )
+            results.append(None if raw is None else self._value(raw))
+        return results
+
+    def finalize(self, raw: np.ndarray) -> "list[Any]":
+        """Batch output → Python values: NaN → None, an arg-min/arg-max
+        index → int (mapped through ``labels``), a score → float."""
+        return [None if np.isnan(v) else self._value(v) for v in raw]
+
+    def _value(self, raw: Any) -> Any:
+        if self.combine is None:
+            return float(raw)
+        index = int(raw)
+        return index if self.labels is None else self.labels[index - 1]
+
+
+def gaussian_score_params(
+    means: np.ndarray, variances: np.ndarray, weights: Sequence[float]
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``nbscore``'s per-group literals ``(µ, iv, bias)`` of a diagonal
+    Gaussian per group: iv is the inverse variance and bias folds the log
+    weight (prior) and the normalizer, so ``bias − ½ Σ (x−µ)²·iv`` is the
+    group's log-density.  Naive Bayes and Gaussian mixtures both score
+    through it.
+    """
+    variances = np.maximum(variances, 1e-12)
+    d = means.shape[1]
+    bias = (
+        np.log(np.maximum(weights, 1e-300))
+        - 0.5 * np.sum(np.log(variances), axis=1)
+        - 0.5 * d * np.log(2.0 * np.pi)
+    )
+    return means, 1.0 / variances, bias
 
 
 def register_scoring_udfs(db: Database) -> dict[str, ScalarUdf]:

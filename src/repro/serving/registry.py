@@ -20,11 +20,13 @@ adopts that pattern for the five scoreable model families of the paper:
   register → validate → promote lifecycle — via plain SQL UPDATEs on
   the metadata table.
 
-Scoring goes through the same batched kernels as the vectorized SELECT
-path (:mod:`repro.core.scoring.udfs`): :meth:`RegisteredModel.score_batch`
-builds one dense argument block and makes one ``compute_batch`` call
-per UDF, bit-identical to the per-row ``compute`` reference the
-isolation fallback uses.
+Each model class names its kind (``registry_kind``), the arrays it
+persists (``scoring_parts``) and how it scores (``scoring_spec``), so
+nothing here switches on the kind.  Scoring goes through the same
+batched kernels as the vectorized SELECT path: the loaded handle's
+:class:`~repro.core.scoring.udfs.ScoringSpec` builds one dense argument
+block and makes one ``compute_batch`` call per UDF, bit-identical to the
+per-row ``compute`` reference the isolation fallback uses.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from repro.core.models.kmeans import KMeansModel
 from repro.core.models.lda import LdaModel
 from repro.core.models.naive_bayes import NaiveBayesModel
 from repro.core.models.regression import LinearRegressionModel
-from repro.core.scoring.udfs import (
-    ClassifyScoreUdf,
-    ClusterScoreUdf,
-    KMeansDistanceUdf,
-    LinearRegScoreUdf,
-    NaiveBayesScoreUdf,
-)
+from repro.core.scoring.udfs import ScoringSpec
 from repro.dbms.schema import Column, TableSchema, validate_identifier
 from repro.dbms.types import SqlType
 from repro.errors import RegistryError
@@ -58,12 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the metadata catalog table every registry operation reads and writes
 REGISTRY_TABLE = "model_registry"
 
-# Stateless kernel singletons shared by every RegisteredModel.
-_LINREG = LinearRegScoreUdf()
-_DISTANCE = KMeansDistanceUdf()
-_CLUSTER = ClusterScoreUdf()
-_CLASSIFY = ClassifyScoreUdf()
-_NBSCORE = NaiveBayesScoreUdf()
+#: the registrable model classes by the ``kind`` the metadata table records
+_KINDS = {
+    cls.registry_kind: cls
+    for cls in (
+        LinearRegressionModel,
+        KMeansModel,
+        GaussianMixtureModel,
+        NaiveBayesModel,
+        LdaModel,
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ class ModelVersion:
     @property
     def tables(self) -> "tuple[str, ...]":
         """The catalog tables holding this version's parameters."""
-        parts = _COMPONENTS[self.kind]
         return tuple(
-            component_table(self.name, self.version, part) for part in parts
+            component_table(self.name, self.version, part)
+            for part in _KINDS[self.kind].registry_parts
         )
 
 
@@ -90,17 +91,16 @@ class ModelVersion:
 class RegisteredModel:
     """A version-stamped, immutable scoring handle.
 
-    ``params`` holds the parameter arrays loaded back from the catalog
-    tables; ``score_batch`` dispatches the batched scoring kernels over
-    an ``(m, d)`` point block, ``score_rows`` is the per-row reference
-    path the micro-batcher degrades to for per-request isolation.
+    ``spec`` is the model kind's :class:`ScoringSpec`, built once from
+    the parameter arrays loaded back from the catalog tables; scoring,
+    batched or per row, delegates to it.
     """
 
     name: str
     version: int
     kind: str
     promoted: bool
-    params: dict[str, np.ndarray] = field(repr=False)
+    spec: ScoringSpec = field(repr=False)
 
     @property
     def key(self) -> "tuple[str, int]":
@@ -108,27 +108,15 @@ class RegisteredModel:
 
     @property
     def d(self) -> int:
-        if self.kind == "regression":
-            return int(self.params["beta"].shape[0]) - 1
-        if self.kind in ("kmeans", "gmm"):
-            return int(self.params["c"].shape[1])
-        if self.kind == "naive_bayes":
-            return int(self.params["mu"].shape[1])
-        return int(self.params["w"].shape[1])  # lda
+        return self.spec.d
 
     @property
     def output_column(self) -> str:
-        return {
-            "regression": "yhat",
-            "kmeans": "j",
-            "gmm": "j",
-            "naive_bayes": "label",
-            "lda": "label",
-        }[self.kind]
+        return self.spec.output_column
 
     @property
     def integer_result(self) -> bool:
-        return self.kind != "regression"
+        return self.spec.integer_result
 
     # -------------------------------------------------------------- scoring
     def validate_points(self, points: "np.ndarray | Sequence[Any]") -> np.ndarray:
@@ -144,164 +132,16 @@ class RegisteredModel:
         return X
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
-        """Score a whole block with one ``compute_batch`` call per UDF.
-
-        Returns a float vector of length ``m``; NaN marks a NULL result
-        (a point with a NULL coordinate), which :meth:`finalize_scores`
-        restores to None exactly like the vectorized SELECT path does.
-        """
-        if self.kind == "regression":
-            beta = self.params["beta"]
-            args = np.empty((X.shape[0], X.shape[1] + beta.shape[0]))
-            args[:, : X.shape[1]] = X
-            args[:, X.shape[1] :] = beta
-            return _LINREG.compute_batch(args)
-        if self.kind == "kmeans":
-            distances = self._per_group_scores(
-                X, lambda j: self._distance_args(X, j)
-            )
-            return _CLUSTER.compute_batch(distances)
-        # gmm / naive_bayes / lda: per-group scores then arg-max.
-        scores = self._per_group_scores(X, lambda j: self._score_args(X, j))
-        return _CLASSIFY.compute_batch(scores)
+        """One ``compute_batch`` per UDF over the block; NaN is NULL."""
+        return self.spec.score_batch(X)
 
     def score_rows(self, X: np.ndarray) -> "list[Any]":
-        """Per-row reference scoring (``compute`` per point).
-
-        Bit-identical to :meth:`score_batch` by the kernel contract; the
-        micro-batcher uses it to isolate a poisoned request from its
-        batch siblings.  NULL results come back as None directly.
-        """
-        results: "list[Any]" = []
-        for row in X:
-            values = [None if np.isnan(v) else float(v) for v in row]
-            results.append(self._score_one(values))
-        return results
+        """The per-row reference the micro-batcher isolates requests with."""
+        return self.spec.score_rows(X)
 
     def finalize_scores(self, raw: np.ndarray) -> "list[Any]":
-        """Kernel output → python values (ints for labels, None for NaN),
-        with NB/LDA arg-max indices mapped back to class labels."""
-        values: "list[Any]" = []
-        classes = self.params.get("cls")
-        for v in raw:
-            if np.isnan(v):
-                values.append(None)
-            elif self.integer_result:
-                index = int(v)
-                if classes is not None:
-                    index = int(classes[index - 1])
-                values.append(index)
-            else:
-                values.append(float(v))
-        return values
-
-    # ------------------------------------------------------------ internals
-    def _group_count(self) -> int:
-        if self.kind in ("kmeans", "gmm"):
-            return int(self.params["c"].shape[0])
-        if self.kind == "naive_bayes":
-            return int(self.params["mu"].shape[0])
-        return int(self.params["w"].shape[0])  # lda
-
-    def _per_group_scores(self, X: np.ndarray, args_for) -> np.ndarray:
-        k = self._group_count()
-        out = np.empty((X.shape[0], k))
-        for j in range(k):
-            udf, args = args_for(j)
-            out[:, j] = udf.compute_batch(args)
-        return out
-
-    def _distance_args(self, X: np.ndarray, j: int):
-        d = X.shape[1]
-        args = np.empty((X.shape[0], 2 * d))
-        args[:, :d] = X
-        args[:, d:] = self.params["c"][j]
-        return _DISTANCE, args
-
-    def _score_args(self, X: np.ndarray, j: int):
-        d = X.shape[1]
-        if self.kind == "lda":
-            # Affine discriminant: linearregscore(x, b0, w).
-            args = np.empty((X.shape[0], 2 * d + 1))
-            args[:, :d] = X
-            args[:, d] = self.params["b"][j]
-            args[:, d + 1 :] = self.params["w"][j]
-            return _LINREG, args
-        # gmm / naive_bayes share the Gaussian log-density form:
-        # nbscore(x, mu, iv, bias).
-        args = np.empty((X.shape[0], 3 * d + 1))
-        args[:, :d] = X
-        args[:, d : 2 * d] = self.params["nb_mu"][j]
-        args[:, 2 * d : 3 * d] = self.params["nb_iv"][j]
-        args[:, 3 * d] = self.params["nb_bias"][j]
-        return _NBSCORE, args
-
-    def _score_one(self, values: "list[Any]") -> Any:
-        if self.kind == "regression":
-            beta = self.params["beta"]
-            raw = _LINREG.compute(*values, *(float(b) for b in beta))
-            return None if raw is None else float(raw)
-        if self.kind == "kmeans":
-            distances = [
-                _DISTANCE.compute(*values, *(float(c) for c in centroid))
-                for centroid in self.params["c"]
-            ]
-            raw = (
-                None
-                if any(v is None for v in distances)
-                else _CLUSTER.compute(*distances)
-            )
-        elif self.kind == "lda":
-            scores = [
-                _LINREG.compute(
-                    *values, float(self.params["b"][j]), *map(float, weight)
-                )
-                for j, weight in enumerate(self.params["w"])
-            ]
-            raw = (
-                None
-                if any(v is None for v in scores)
-                else _CLASSIFY.compute(*scores)
-            )
-        else:  # gmm / naive_bayes
-            scores = [
-                _NBSCORE.compute(
-                    *values,
-                    *map(float, self.params["nb_mu"][j]),
-                    *map(float, self.params["nb_iv"][j]),
-                    float(self.params["nb_bias"][j]),
-                )
-                for j in range(self._group_count())
-            ]
-            raw = (
-                None
-                if any(v is None for v in scores)
-                else _CLASSIFY.compute(*scores)
-            )
-        if raw is None:
-            return None
-        classes = self.params.get("cls")
-        return int(classes[int(raw) - 1]) if classes is not None else int(raw)
-
-
-#: component-table suffixes persisted per model kind
-_COMPONENTS: dict[str, tuple[str, ...]] = {
-    "regression": ("beta",),
-    "kmeans": ("c", "r", "w"),
-    "gmm": ("c", "r", "w"),
-    "naive_bayes": ("mu", "var", "prior", "cls"),
-    "lda": ("w", "b", "cls"),
-}
-
-#: which components use the (j, x1..xd) matrix layout (the rest are
-#: one-row vector tables)
-_MATRIX_PARTS: dict[str, frozenset[str]] = {
-    "regression": frozenset(),
-    "kmeans": frozenset({"c", "r"}),
-    "gmm": frozenset({"c", "r"}),
-    "naive_bayes": frozenset({"mu", "var"}),
-    "lda": frozenset({"w"}),
-}
+        """:meth:`score_batch` output → python values (labels, None)."""
+        return self.spec.finalize(raw)
 
 
 def component_table(name: str, version: int, part: str) -> str:
@@ -355,14 +195,19 @@ class ModelRegistry:
         """
         validate_identifier(name, "model name")
         name = name.lower()
-        kind, components = _components_of(model)
+        kind = getattr(model, "registry_kind", None)
+        if kind not in _KINDS:
+            raise RegistryError(
+                f"cannot register a {type(model).__name__}; supported "
+                f"models: {', '.join(c.__name__ for c in _KINDS.values())}"
+            )
         with self._lock:
             self._ensure_metadata_table()
             rows = self._metadata_rows()
             versions = [r.version for r in rows if r.name == name]
             version = max(versions, default=0) + 1
             next_id = max((r.model_id for r in rows), default=0) + 1
-            self._store_components(name, version, components)
+            self._store_components(name, version, model.scoring_parts())
             promoted = not versions
             self._db.insert_rows(
                 REGISTRY_TABLE,
@@ -469,10 +314,11 @@ class ModelRegistry:
         ]
 
     def _store_components(
-        self, name: str, version: int, components: dict[str, np.ndarray]
+        self, name: str, version: int, components: "dict[str, Any]"
     ) -> None:
         for part, values in components.items():
             table = component_table(name, version, part)
+            values = np.asarray(values, dtype=float)
             if values.ndim == 2:
                 store_matrix(self._db, table, values)
             else:
@@ -480,91 +326,26 @@ class ModelRegistry:
 
     def _load(self, row: ModelVersion) -> RegisteredModel:
         params: dict[str, np.ndarray] = {}
-        matrix_parts = _MATRIX_PARTS[row.kind]
-        for part in _COMPONENTS[row.kind]:
-            table = component_table(row.name, row.version, part)
+        for part, table in zip(_KINDS[row.kind].registry_parts, row.tables):
             if not self._db.catalog.has_table(table):
                 raise RegistryError(
                     f"model {row.name!r} v{row.version} is missing its "
                     f"parameter table {table!r} (dropped?)"
                 )
-            loader = load_matrix if part in matrix_parts else load_vector
-            params[part] = loader(self._db, table)
-        if row.kind in ("gmm", "naive_bayes"):
-            params.update(_gaussian_score_params(row.kind, params))
-        if "cls" in params:
-            params["cls"] = np.asarray(
-                [int(v) for v in params["cls"]], dtype=int
+            # store_matrix keys its (j, x1..xd) layout by j; a vector
+            # table is one row of x1..xk.
+            matrix = self._db.table(table).schema.primary_key == "j"
+            params[part] = (load_matrix if matrix else load_vector)(
+                self._db, table
             )
         return RegisteredModel(
             name=row.name,
             version=row.version,
             kind=row.kind,
             promoted=row.promoted,
-            params=params,
+            spec=_KINDS[row.kind].scoring_spec(params),
         )
 
     def _on_drop(self, table_name: str) -> None:
         if table_name == REGISTRY_TABLE or table_name.startswith("mdl_"):
             self._loaded.clear()
-
-
-def _components_of(model: object) -> "tuple[str, dict[str, np.ndarray]]":
-    """Dispatch a fitted model object to (kind, component arrays)."""
-    if isinstance(model, LinearRegressionModel):
-        return "regression", {"beta": np.asarray(model.beta, dtype=float)}
-    if isinstance(model, KMeansModel):
-        return "kmeans", {
-            "c": np.asarray(model.centroids, dtype=float),
-            "r": np.asarray(model.radii, dtype=float),
-            "w": np.asarray(model.weights, dtype=float),
-        }
-    if isinstance(model, GaussianMixtureModel):
-        return "gmm", {
-            "c": np.asarray(model.means, dtype=float),
-            "r": np.asarray(model.variances, dtype=float),
-            "w": np.asarray(model.weights, dtype=float),
-        }
-    if isinstance(model, NaiveBayesModel):
-        return "naive_bayes", {
-            "mu": np.asarray(model.means, dtype=float),
-            "var": np.asarray(model.variances, dtype=float),
-            "prior": np.asarray(model.priors, dtype=float),
-            "cls": np.asarray(model.classes, dtype=float),
-        }
-    if isinstance(model, LdaModel):
-        return "lda", {
-            "w": np.asarray(model.weights, dtype=float),
-            "b": np.asarray(model.biases, dtype=float),
-            "cls": np.asarray(model.classes, dtype=float),
-        }
-    raise RegistryError(
-        f"cannot register a {type(model).__name__}; supported models: "
-        f"LinearRegressionModel, KMeansModel, GaussianMixtureModel, "
-        f"NaiveBayesModel, LdaModel"
-    )
-
-
-def _gaussian_score_params(
-    kind: str, params: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Precompute the nbscore argument form for gmm / naive Bayes.
-
-    Both score a point per group with the diagonal Gaussian log-density
-    ``bias − ½ Σ (x−µ)²·iv`` where iv is the inverse variance and bias
-    folds the log prior/weight and the normalizer — exactly the
-    ``nbscore`` UDF's parameterization.
-    """
-    if kind == "gmm":
-        mu, var, weight = params["c"], params["r"], params["w"]
-    else:
-        mu, var, weight = params["mu"], params["var"], params["prior"]
-    var = np.maximum(var, 1e-12)
-    iv = 1.0 / var
-    d = mu.shape[1]
-    bias = (
-        np.log(np.maximum(weight, 1e-300))
-        - 0.5 * np.sum(np.log(var), axis=1)
-        - 0.5 * d * np.log(2.0 * np.pi)
-    )
-    return {"nb_mu": mu, "nb_iv": iv, "nb_bias": bias}

@@ -420,7 +420,10 @@ class ServingServer:
             generator = ScoringSqlGenerator(
                 table=table, dimensions=list(columns), id_column=id_column
             )
-            sql = self._inline_sql(generator, model)
+            spec = model.spec
+            sql = generator.inline_sql(
+                spec.kernel, spec.params, spec.combine, spec.sql_column
+            )
             with self._write_lock:
                 plan = self.db.explain(sql)
             lines.append(
@@ -428,28 +431,6 @@ class ServingServer:
             )
             lines.append(plan)
         return "\n".join(lines)
-
-    @staticmethod
-    def _inline_sql(
-        generator: ScoringSqlGenerator, model: RegisteredModel
-    ) -> str:
-        if model.kind == "regression":
-            beta = model.params["beta"]
-            return generator.regression_inline_sql(
-                float(beta[0]), [float(b) for b in beta[1:]]
-            )
-        if model.kind == "kmeans":
-            return generator.clustering_inline_sql(model.params["c"])
-        if model.kind == "lda":
-            return generator.lda_inline_sql(
-                model.params["b"], model.params["w"]
-            )
-        # gmm / naive_bayes share the nbscore parameterization.
-        return generator.naive_bayes_inline_sql(
-            model.params["nb_mu"],
-            model.params["nb_iv"],
-            model.params["nb_bias"],
-        )
 
     # ------------------------------------------------------------- shutdown
     def close(self, drain: bool = True) -> None:

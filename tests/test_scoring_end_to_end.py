@@ -148,3 +148,47 @@ class TestGeneratedSqlText:
         sql = generator.clustering_udf_sql(k=2)
         assert sql.count("SELECT") == 1
         assert sql.count("kmeansdistance(") == 2
+
+
+class TestScorerRefusals:
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda s: s.score_regression("udf", into="x"),
+            lambda s: s.score_regression("sql", into="X"),
+            lambda s: s.score_regression("udf", into="beta"),
+            lambda s: s.score_pca(2, "udf", into="MU"),
+            lambda s: s.score_pca(2, "sql", into="lambda_"),
+            lambda s: s.score_clustering(3, "udf", into="c"),
+        ],
+        ids=["x", "X", "beta", "MU", "lambda_", "c"],
+    )
+    def test_into_a_table_the_statement_reads_is_refused(self, fitted, score):
+        db, _X, _y, scorer, *_models = fitted
+        tables = ("x", "beta", "mu", "lambda_", "c")
+
+        def contents():
+            return {
+                t: (db.table(t).schema, sorted(db.table(t).rows()))
+                for t in tables
+            }
+
+        before = contents()
+        with pytest.raises(ModelError, match="reads it"):
+            score(scorer)
+        assert contents() == before
+
+    @pytest.mark.parametrize("method", ["UDF", "expr", "SQL", ""])
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda s, m: s.score_regression(m),
+            lambda s, m: s.score_pca(2, m),
+            lambda s, m: s.score_clustering(3, m),
+        ],
+        ids=["regression", "pca", "clustering"],
+    )
+    def test_unknown_method_is_refused(self, fitted, score, method):
+        _db, _X, _y, scorer, *_models = fitted
+        with pytest.raises(ModelError, match="'udf' or 'sql'"):
+            score(scorer, method)

@@ -29,6 +29,7 @@ from repro.core.models.kmeans import KMeansModel
 from repro.core.models.lda import LdaModel
 from repro.core.models.naive_bayes import NaiveBayesModel
 from repro.core.models.regression import LinearRegressionModel
+from repro.core.scoring.scorer import ModelScorer
 from repro.core.summary import AugmentedSummary, MatrixType, SummaryStatistics
 from repro.dbms.database import Database
 from repro.dbms.faults import FaultPlan, FaultSpec
@@ -48,6 +49,8 @@ RNG = np.random.default_rng(11)
 X_DATA = RNG.normal(size=(120, D))
 Y_DATA = X_DATA @ np.array([1.5, -2.0, 0.5]) + 3.0 + RNG.normal(0, 0.1, 120)
 LABELS = (X_DATA[:, 0] > 0).astype(int)
+D2_MEANS = np.array([[0.0, 1.0], [2.5, -1.5]])
+D2_VARIANCES = np.array([[1.0, 0.5], [2.0, 0.25]])
 
 
 @pytest.fixture
@@ -63,11 +66,27 @@ def models():
     }
 
 
+KINDS = ["reg", "km", "gmm", "nb", "lda"]
+
+
 @pytest.fixture
 def server(db):
     server = db.serve(max_wait_ms=1.0)
     yield server
     server.close()
+
+
+def _explained_sql(monkeypatch, server, name: str, columns) -> str:
+    """The single-scan statement ``explain_score`` hands to EXPLAIN."""
+    seen = []
+    explain = server.db.explain
+    monkeypatch.setattr(
+        server.db, "explain", lambda sql: (seen.append(sql), explain(sql))[1]
+    )
+    server.explain_score(name, table="pts", columns=columns)
+    monkeypatch.undo()
+    (sql,) = seen
+    return sql
 
 
 def _load_points(db: Database, n: int = 60) -> None:
@@ -165,12 +184,15 @@ class TestScoringParity:
             gmm_scores = session.score("gmm", pts).values
             assert all(1 <= j <= 2 for j in gmm_scores)
 
-    def test_batch_equals_per_row_reference(self, server, models):
-        server.registry.register("m", models["nb"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_equals_per_row_reference(self, server, models, kind):
+        server.registry.register("m", models[kind])
         handle = server.registry.get("m")
-        pts = np.asarray(X_DATA[:20], dtype=float)
+        pts = X_DATA[:20].copy()
+        pts[3, 1] = pts[11, 0] = np.nan  # true NULL coordinates
         batched = handle.finalize_scores(handle.score_batch(pts))
         assert batched == handle.score_rows(pts)
+        assert batched[3] is None and batched[11] is None
 
     def test_null_coordinate_scores_null(self, server, models):
         server.registry.register("m", models["reg"])
@@ -199,6 +221,108 @@ class TestScoringParity:
         # ... while a fresh session binds the newly promoted version.
         with server.session() as session:
             assert session.score("m", X_DATA[0]).model_version == 2
+
+
+class TestScoringRoutes:
+    """Every route a registered model scores through agrees value for
+    value: the batched kernels, the per-row reference, the inline SQL
+    serving EXPLAINs, and the stored-model ``ModelScorer`` statement."""
+
+    STORED = {  # GMM has no stored-model route
+        "reg": lambda s, m: (s.store_regression(m), s.score_regression())[1],
+        "km": lambda s, m: (
+            s.store_clustering(m), s.score_clustering(m.k)
+        )[1],
+        "nb": lambda s, m: (s.store_naive_bayes(m), s.score_naive_bayes(m))[1],
+        "lda": lambda s, m: (s.store_lda(m), s.score_lda(m))[1],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_route_agrees(self, models, monkeypatch, kind, workers):
+        db = Database(amps=4, executor_workers=workers)
+        rows = [(i + 1, *map(float, X_DATA[i])) for i in range(60)]
+        rows[4] = (5, rows[4][1], None, rows[4][3])
+        rows[40] = (41, None, None, None)
+        db.create_table("pts", dataset_schema(D))
+        db.insert_rows("pts", rows)
+        ids = [row[0] for row in rows]
+        points = np.asarray(
+            [[np.nan if v is None else v for v in row[1:]] for row in rows]
+        )
+        server = db.serve()
+        model = models[kind]
+        server.registry.register(kind, model)
+        handle = server.registry.get(kind)
+
+        served = handle.finalize_scores(handle.score_batch(points))
+        assert served[4] is None and served[40] is None
+        assert handle.score_rows(points) == served
+
+        sql = _explained_sql(monkeypatch, server, kind, dimension_names(D))
+        inline = dict(db.execute(sql).rows)
+        labels = getattr(model, "classes", None)
+        assert [
+            inline[i] if inline[i] is None or labels is None
+            else labels[inline[i] - 1]
+            for i in ids
+        ] == served
+
+        if kind in self.STORED:
+            scorer = ModelScorer(db, "pts", dimension_names(D))
+            stored = dict(self.STORED[kind](scorer, model).rows)
+            assert [stored[i] for i in ids] == served
+        db.close()
+
+    # d = 2 models with round parameters; the statements were copied
+    # from the per-kind generators the emitter replaced.
+    PINNED = {
+        "reg": (
+            LinearRegressionModel(
+                0.5, np.array([1.25, -2.0]), 10.0,
+                np.eye(3), np.zeros(3), 0.0, 0.0,
+            ),
+            "SELECT t.i AS i, linearregscore(t.x1, t.x2, 0.5, 1.25, -2.0) "
+            "AS yhat FROM pts t",
+        ),
+        "km": (
+            KMeansModel(D2_MEANS, D2_VARIANCES, np.array([0.25, 0.75])),
+            "SELECT t.i AS i, clusterscore(kmeansdistance(t.x1, t.x2, 0.0, "
+            "1.0), kmeansdistance(t.x1, t.x2, 2.5, -1.5)) AS j FROM pts t",
+        ),
+        "gmm": (
+            GaussianMixtureModel(
+                D2_MEANS, D2_VARIANCES, np.array([0.25, 0.75])
+            ),
+            "SELECT t.i AS i, classifyscore(nbscore(t.x1, t.x2, 0.0, 1.0, "
+            "1.0, 2.0, -2.8775978372492634), nbscore(t.x1, t.x2, 2.5, -1.5, "
+            "0.5, 4.0, -1.7789855485811537)) AS idx FROM pts t",
+        ),
+        "nb": (
+            NaiveBayesModel(
+                [3, 7], np.array([0.4, 0.6]), D2_MEANS, D2_VARIANCES
+            ),
+            "SELECT t.i AS i, classifyscore(nbscore(t.x1, t.x2, 0.0, 1.0, "
+            "1.0, 2.0, -2.4075942080035277), nbscore(t.x1, t.x2, 2.5, -1.5, "
+            "0.5, 4.0, -2.0021290998953636)) AS idx FROM pts t",
+        ),
+        "lda": (
+            LdaModel(
+                [3, 7], np.array([[1.0, -0.5], [0.25, 2.0]]),
+                np.array([-1.0, 0.5]), D2_MEANS, np.eye(2),
+            ),
+            "SELECT t.i AS i, classifyscore(linearregscore(t.x1, t.x2, -1.0, "
+            "1.0, -0.5), linearregscore(t.x1, t.x2, 0.5, 0.25, 2.0)) AS idx "
+            "FROM pts t",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inline_sql_text_is_pinned(self, db, server, monkeypatch, kind):
+        model, expected = self.PINNED[kind]
+        db.create_table("pts", dataset_schema(2))
+        server.registry.register(kind, model)
+        assert _explained_sql(monkeypatch, server, kind, ["x1", "x2"]) == expected
 
 
 # ---------------------------------------------------- sessions/snapshots
