@@ -9,9 +9,12 @@ named functions with ``perf_counter`` pairs.  Only functions called once
 per insert (or once per column) are wrapped, so the wrappers add a few
 microseconds, not one call per row.  Then the guard: the median latency
 of 1-, 16-, 64- and 500-row inserts into a plain 16-AMP table, where a
-per-batch fixed cost would show first.  The wrappers look functions up
-by name, so the same file runs against any commit since the columnar
-write path::
+per-batch fixed cost would show first.  Last, recovery: a checkpoint of a
+600,000-row ``ev`` table is reopened in a fresh interpreter, which
+reports how long ``open_durable`` took and how far it raised the
+process's peak resident set (``ru_maxrss``).  The wrappers look
+functions up by name, so the same file runs against any commit since
+the columnar write path::
 
     PYTHONPATH=<checkout>/src python3 benchmarks/write_path.py
 
@@ -23,8 +26,11 @@ A/B recipe); this only says where inside the insert the time sits.
 from __future__ import annotations
 
 import importlib
+import json
 import shutil
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -35,6 +41,8 @@ from repro.dbms import open_durable
 from repro.dbms.database import Database
 
 BATCH, DURABLE_AMPS, CALLS = 500, 8, 300
+#: rows of the checkpoint the recovery section reopens, loaded in chunks
+RECOVERY_ROWS, RECOVERY_CHUNK = 600_000, 50_000
 #: batch rows -> inserts timed on the plain table
 SMALL = {1: 3000, 16: 2000, 64: 1000, 500: 300}
 SCHEMA = (
@@ -145,10 +153,68 @@ def small_batches(rng: np.random.Generator) -> None:
     db.close()
 
 
+#: run in a fresh interpreter: what reopening the checkpoint costs
+_REOPEN = """
+import json, resource, sys, time
+from repro.dbms import open_durable
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+started = time.perf_counter()
+db = open_durable(sys.argv[1], amps=int(sys.argv[2]))
+seconds = time.perf_counter() - started
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"seconds": seconds, "maxrss_kb": [before, after],
+                  "rows": db.table("ev").row_count}))
+db.close()
+"""
+
+
+#: a new process starts with the ``ru_maxrss`` of the one it was spawned
+#: from, so the reopen is spawned by a small interpreter, not this one
+_LAUNCH = (
+    "import subprocess, sys; "
+    "subprocess.run([sys.executable, '-c', *sys.argv[1:]], check=True)"
+)
+
+
+def recovery(rng: np.random.Generator) -> None:
+    home = Path(tempfile.mkdtemp()) / "d"
+    try:
+        db = open_durable(home, fsync_mode="off", amps=DURABLE_AMPS)
+        db.execute(SCHEMA)
+        for start in range(0, RECOVERY_ROWS, RECOVERY_CHUNK):
+            values = rng.normal(50.0, 20.0, size=(RECOVERY_CHUNK, 3))
+            tags = rng.integers(0, 97, size=RECOVERY_CHUNK).tolist()
+            db.load_columns("ev", {
+                "id": np.arange(start, start + RECOVERY_CHUNK),
+                "a": values[:, 0], "b": values[:, 1], "c": values[:, 2],
+                "tag": [f"t{tag}" for tag in tags],
+            })
+        started = time.perf_counter()
+        db.checkpoint()
+        checkpoint_s = time.perf_counter() - started
+        db.close()
+        child = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, _REOPEN, str(home),
+             str(DURABLE_AMPS)],
+            check=True, capture_output=True, text=True,
+        )
+    finally:
+        shutil.rmtree(home.parent, ignore_errors=True)
+    reopened = json.loads(child.stdout)
+    before, after = reopened["maxrss_kb"]
+    print(f"recovery: checkpoint of {reopened['rows']:,} rows, "
+          f"{DURABLE_AMPS} AMPs, reopened in a fresh interpreter")
+    print(f"  checkpoint               {checkpoint_s:9.2f} s")
+    print(f"  restore (open_durable)   {reopened['seconds']:9.2f} s")
+    print(f"  ru_maxrss delta          {(after - before) / 1024:9.1f} MB "
+          f"({before / 1024:.1f} -> {after / 1024:.1f} MB)")
+
+
 def main() -> None:
     rng = np.random.default_rng(7)
     small_batches(rng)
     split_durable_insert(rng)
+    recovery(rng)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.dbms.blocks import lane_block
-from repro.dbms.lanes import FloatLane, ObjectLane
+from repro.dbms.lanes import FloatLane, IntLane, ObjectLane, VarcharLane
 from repro.errors import ExportError
 
 _MAGIC = b"RCOL1\n"
@@ -100,15 +100,16 @@ def _classify_column(values: Sequence[Any]) -> tuple[str, bool]:
 
 
 def encode_block(
-    columns: "Sequence[Sequence[Any] | FloatLane | ObjectLane]",
+    columns: "Sequence[Sequence[Any] | FloatLane | IntLane | VarcharLane]",
     rows: int | None = None,
 ) -> bytes:
     """Serialize columns into one block-file payload.
 
     *columns* are per-column value lists, or a partition's lanes with
-    *rows* its published row count — a typed float lane is written
-    from its own buffer (the in-memory lane and the block-file lane
-    are the same bytes), its NULL mask becoming the bitmap.
+    *rows* its published row count — a float lane and an int lane are
+    written from their own buffers (the in-memory lane and the
+    block-file lane are the same bytes), the NULL mask becoming the
+    bitmap.
     """
     if rows is None:
         rows = len(columns[0]) if columns else 0
@@ -120,13 +121,17 @@ def encode_block(
     objects: dict[int, list[Any]] = {}
     offset = 0
     for index, column in enumerate(columns):
+        data = None
         if isinstance(column, FloatLane):
             kind, data = "f8", column.floats(0, rows)
+        elif isinstance(column, IntLane):
+            kind, data = "i8", column.ints(0, rows)
+        if data is not None:
             nulls = column.nulls(0, rows)
             if nulls is not None and not nulls.any():
                 nulls = None
         else:
-            if isinstance(column, ObjectLane):
+            if isinstance(column, (IntLane, VarcharLane, ObjectLane)):
                 column = column.values(0, rows)
             kind, has_null = _classify_column(column)
             if kind == "obj":

@@ -49,6 +49,11 @@ _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 #: rows of a table CSV decoded and inserted at a time on restore
 _RESTORE_CHUNK_ROWS = 65_536
+#: rows of a partition read into Python values at a time on save: a
+#: typed lane makes a fresh object per value it hands out, and a small
+#: chunk keeps those temporaries in memory the allocator already holds
+#: instead of a whole partition's worth of new pages per lane
+_WRITE_CHUNK_ROWS = 4_096
 
 
 def _encode_field(value: Any) -> Any:
@@ -67,6 +72,26 @@ def _decode_field(value: str, escaped: bool) -> "str | None":
     if escaped and "\\" in value:
         return value.replace("\\\\", "\\")
     return value
+
+
+def _decode_column(
+    fields: "tuple[str, ...]", sql_type: SqlType, escaped: bool
+) -> "list[Any]":
+    """One CSV column of a chunk as the values an insert stores.  A
+    numeric column is parsed with ``int`` / ``float`` — what
+    :func:`~repro.dbms.types.coerce_value` does to a text number —
+    unless a field does not parse; then it goes in as text and the
+    insert reports that row."""
+    if sql_type is not SqlType.VARCHAR:
+        parse = int if sql_type is SqlType.INTEGER else float
+        try:
+            return [
+                None if value == _NULL_SENTINEL else parse(value)
+                for value in fields
+            ]
+        except ValueError:
+            pass
+    return [_decode_field(value, escaped) for value in fields]
 
 
 def _fsync_path(path: Path) -> None:
@@ -251,8 +276,16 @@ def _write_table_csv(table, path: Path, fsync: bool = False) -> None:
         with tmp.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(table.schema.column_names)
-            for row in table.scan():
-                writer.writerow([_encode_field(value) for value in row])
+            for partition in table.partitions:
+                count, width = partition.row_count, partition.width
+                for start in range(0, count, _WRITE_CHUNK_ROWS):
+                    stop = min(count, start + _WRITE_CHUNK_ROWS)
+                    columns = [
+                        partition.values(position, start, stop)
+                        for position in range(width)
+                    ]
+                    for row in zip(*columns):
+                        writer.writerow([_encode_field(v) for v in row])
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -273,13 +306,23 @@ def _read_table_csv(table, path: Path, escaped: bool = True) -> None:
                 raise ExportError(
                     f"{path} header {header} does not match schema {expected}"
                 )
-            # Bounded chunks: the file's rows never all exist as Python
-            # objects beside the lanes.  Routing is per row, so the
+            # Bounded chunks, each transposed once: the file's rows never
+            # all exist as Python objects beside the lanes, and a chunk
+            # is decoded a column at a time.  Routing is per row, so the
             # layout is the one a single insert of the file would give.
+            types = [column.sql_type for column in table.schema.columns]
             while chunk := list(islice(reader, _RESTORE_CHUNK_ROWS)):
-                table.insert_many([
-                    [_decode_field(value, escaped) for value in row]
-                    for row in chunk
+                if set(map(len, chunk)) != {len(types)}:
+                    # A short or long row: insert_many commits the rows
+                    # before it and raises its error.
+                    table.insert_many([
+                        [_decode_field(value, escaped) for value in row]
+                        for row in chunk
+                    ])
+                    continue
+                table.insert_columns([
+                    _decode_column(column, sql_type, escaped)
+                    for column, sql_type in zip(zip(*chunk), types)
                 ])
     except OSError as exc:
         raise ExportError(f"cannot read {path}: {exc}") from exc

@@ -13,14 +13,16 @@ so a table loads into the same layout under any ``PYTHONHASHSEED`` and
 after a persistence round-trip.
 
 Data is stored column-wise inside each partition, one lane per column
-(:mod:`repro.dbms.lanes`): FLOAT columns are float64 buffers, so the
-vectorized execution paths (aggregate accumulation and block-wise
-SELECT) build their numpy blocks by copying lanes, and the row path
-converts only the lanes a statement references back to Python values.
-Each partition caches the float block for a given column selection
-until the partition is mutated: repeated scans (iterative algorithms,
-scoring sweeps) then skip even the lane copy, leaving pure
-GIL-releasing numpy work for the parallel engine's threads.  The cache
+(:mod:`repro.dbms.lanes`): FLOAT and INTEGER columns are float64 and
+int64 buffers, VARCHAR columns int32 codes into a per-lane dictionary,
+so no lane holds a Python object per value; the vectorized execution
+paths (aggregate accumulation and block-wise SELECT) build their numpy
+blocks by copying lanes, and the row path converts only the lanes a
+statement references back to Python values.  Each partition caches the
+float block for a given column selection until the partition is
+mutated: repeated scans (iterative algorithms, scoring sweeps) then
+skip even the lane copy, leaving pure GIL-releasing numpy work for the
+parallel engine's threads.  The cache
 is an in-memory LRU of :data:`BLOCK_CACHE_CAPACITY` entries per
 partition, so mixed workloads cannot grow it without bound; a cached
 block is read-only, and each read reports its hit, miss and evictions
@@ -48,7 +50,14 @@ import numpy as np
 
 from repro.dbms.blocks import BlockFacts, lane_block
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
-from repro.dbms.lanes import PRUNED, FloatLane, ObjectLane
+from repro.dbms.lanes import (
+    PRUNED,
+    FloatLane,
+    IntLane,
+    ObjectLane,
+    VarcharLane,
+    as_list,
+)
 from repro.dbms.schema import TableSchema
 from repro.dbms.types import SqlType, coerce_value
 from repro.errors import ConstraintViolation, SchemaError, TypeMismatchError
@@ -136,12 +145,22 @@ def route_keys(keys: Sequence[Any], fanout: int) -> list[int]:
     return [stable_key_hash(key) % fanout for key in keys]
 
 
+#: the lane that stores each SQL type
+_LANES = {
+    SqlType.FLOAT: FloatLane,
+    SqlType.INTEGER: IntLane,
+    SqlType.VARCHAR: VarcharLane,
+}
+
+
 class Partition:
     """One horizontal partition: one lane per column.
 
-    *sql_types* picks each lane's representation (FLOAT columns get a
-    typed :class:`~repro.dbms.lanes.FloatLane`); without it every lane
-    holds Python objects.  ``row_count`` is the *published* length: it
+    *sql_types* picks each lane's representation (FLOAT, INTEGER and
+    VARCHAR columns get a :class:`~repro.dbms.lanes.FloatLane`,
+    :class:`~repro.dbms.lanes.IntLane` and
+    :class:`~repro.dbms.lanes.VarcharLane`); without it every lane holds
+    Python objects.  ``row_count`` is the *published* length: it
     moves only after every lane holds the new values, so rows below a
     count a reader pinned never change (see :mod:`repro.dbms.lanes`).
     """
@@ -153,10 +172,8 @@ class Partition:
     ) -> None:
         #: the column lanes themselves (the columnar encoder reads the
         #: typed buffers directly); valid up to :attr:`row_count`
-        self.lanes: "list[FloatLane | ObjectLane]" = [
-            FloatLane()
-            if sql_types is not None and sql_types[position] is SqlType.FLOAT
-            else ObjectLane()
+        self.lanes: "list[FloatLane | IntLane | VarcharLane | ObjectLane]" = [
+            ObjectLane() if sql_types is None else _LANES[sql_types[position]]()
             for position in range(width)
         ]
         self._rows = 0
@@ -329,10 +346,6 @@ class Partition:
         self._block_facts.clear()
 
 
-def _as_list(column: "np.ndarray | Sequence[Any]") -> "Sequence[Any]":
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 _NONE_TYPE = type(None)
 #: the Python types :func:`coerce_value` returns unchanged, per SQL type
 _STORED_TYPES = {
@@ -340,12 +353,12 @@ _STORED_TYPES = {
     SqlType.FLOAT: {float, _NONE_TYPE},
     SqlType.VARCHAR: {str, _NONE_TYPE},
 }
-#: the shortest batch whose NULL-free FLOAT columns become float64
-#: arrays.  Below it, building the arrays costs about what the lane
-#: appends and the log encode save: 64-row inserts into a plain 16-AMP
-#: table are at parity either way, 128-row inserts 6 % faster as arrays
-#: (``benchmarks/write_path.py``, "What a durable insert pays" in
-#: ``docs/durability.md``)
+#: the shortest batch whose NULL-free FLOAT and INTEGER columns become
+#: float64 and int64 arrays.  Below it, building the arrays costs about
+#: what the lane appends and the log encode save: 64-row inserts into a
+#: plain 16-AMP table are at parity either way, 128-row inserts 6 %
+#: faster as arrays (``benchmarks/write_path.py``, "What a durable
+#: insert pays" in ``docs/durability.md``)
 ARRAY_MIN_ROWS = 128
 
 
@@ -353,26 +366,34 @@ def _valid_prefix(
     values: "np.ndarray | Sequence[Any]",
     column: Any,
     stored: "set[type]",
-    as_array: bool,
+    as_array: "type | None",
 ) -> "np.ndarray | Sequence[Any]":
     """One insert column as :func:`coerce_value` leaves it, cut before
     the first value the column rejects.  A column holding only its
     *stored* types (``_STORED_TYPES``) is, value for value, what
-    ``coerce_value`` returns, so it passes through untouched — as does
-    the float64 array a replay hands a FLOAT column; only a column of
-    other or mixed types pays per-value coercion.  With *as_array* (a
-    non-key FLOAT column), a NULL-free column of at least
-    :data:`ARRAY_MIN_ROWS` values comes back as one float64 array: the
-    array the partition split takes, the lanes copy and the log writes."""
+    ``coerce_value`` returns, so it passes through untouched — as do
+    the float64 array a replay hands a FLOAT column and an int64 array
+    for an INTEGER column (the lane copies it as it is); only a column of
+    other or mixed types pays per-value coercion.  With *as_array* (the
+    dtype of a non-key FLOAT or any INTEGER column), a NULL-free column
+    of at least :data:`ARRAY_MIN_ROWS` values comes back as one array:
+    the array the partition split takes, the lanes copy and the log
+    writes.  An INTEGER column becomes one only if it held plain ints
+    within int64 from the start (``coerce_value`` keeps an ``int``
+    subclass, which an int64 lane would not)."""
     sql_type = column.sql_type
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64 and sql_type is SqlType.FLOAT:
+        if (values.dtype == np.float64 and sql_type is SqlType.FLOAT) or (
+            values.dtype == np.int64 and sql_type is SqlType.INTEGER
+        ):
             return values
         values = values.tolist()
     kinds = set(map(type, values))
     if kinds <= stored:
         has_null = _NONE_TYPE in kinds
     else:
+        if sql_type is SqlType.INTEGER:
+            as_array = None
         coerced: list[Any] = []
         try:
             for value in values:
@@ -384,8 +405,11 @@ def _valid_prefix(
     if has_null:
         if not column.nullable:
             return values[: values.index(None)]
-    elif as_array and len(values) >= ARRAY_MIN_ROWS:
-        return np.array(values, dtype=np.float64)
+    elif as_array is not None and len(values) >= ARRAY_MIN_ROWS:
+        try:
+            return np.fromiter(values, as_array, len(values))
+        except OverflowError:
+            pass  # an int beyond int64: the lane keeps the objects
     return values
 
 
@@ -430,11 +454,14 @@ class Table:
         self._stored_types = [
             _STORED_TYPES[column.sql_type] for column in schema.columns
         ]
-        #: per column, whether a batch may hand it over as a float64
-        #: array: FLOAT, and not the key (a FLOAT key keeps its Python
-        #: objects — two NaN objects are two keys)
+        #: per column, the dtype a batch may hand it over as: float64
+        #: for FLOAT but not the key (a FLOAT key keeps its Python
+        #: objects — two NaN objects are two keys), int64 for INTEGER
         self._as_array = [
-            column.sql_type is SqlType.FLOAT and position != self._pk_position
+            np.float64
+            if column.sql_type is SqlType.FLOAT and position != self._pk_position
+            else np.int64 if column.sql_type is SqlType.INTEGER
+            else None
             for position, column in enumerate(schema.columns)
         ]
         #: monotonically increasing mutation counter: bumped once per
@@ -571,7 +598,7 @@ class Table:
         cursor = self._next_partition
         fresh: set[Any] = set()
         if self._pk_position is not None:
-            keys = _as_list(lanes[self._pk_position][:valid])
+            keys = as_list(lanes[self._pk_position][:valid])
             fresh = set(keys)
             if len(fresh) != valid or not fresh.isdisjoint(self._pk_values):
                 fresh = set()
@@ -596,7 +623,9 @@ class Table:
             if self.mutation_listeners:
                 self._notify("insert", {"columns": lanes})
         if valid < total:
-            self._check_row([values[valid] for values in columns])
+            self._check_row(
+                [as_list(values[valid : valid + 1])[0] for values in columns]
+            )
         return valid
 
     def _flush(
@@ -671,7 +700,7 @@ class Table:
             for c in self.schema.columns
         ]
         if self._pk_position is not None:
-            key_set = set(_as_list(ordered[self._pk_position]))
+            key_set = set(as_list(ordered[self._pk_position]))
             if len(key_set) != total or key_set & self._pk_values:
                 raise ConstraintViolation(
                     f"duplicate primary key values in bulk load into {self.name!r}"
@@ -694,15 +723,19 @@ class Table:
         self, values: "np.ndarray | Sequence[Any]", column: Any
     ) -> "np.ndarray | list[Any]":
         """One bulk-load column in its lane's representation: a float64
-        array for a NULL-free FLOAT column, else a list of coerced
-        Python values — :func:`coerce_value` semantics either way."""
+        array for a NULL-free FLOAT column, an int64 array for an integer
+        array within int64 loaded into an INTEGER column, else a list of
+        coerced Python values — :func:`coerce_value` semantics either
+        way."""
         array = np.asarray(values)
         kind = array.dtype.kind
         if column.sql_type is SqlType.FLOAT and kind in "fiub":
             return array.astype(np.float64, copy=False)
-        if (column.sql_type is SqlType.INTEGER and kind in "iu") or (
-            column.sql_type is SqlType.VARCHAR and kind == "U"
-        ):
+        if column.sql_type is SqlType.INTEGER and kind in "iu":
+            if kind == "i" or array.max() <= np.iinfo(np.int64).max:
+                return array.astype(np.int64, copy=False)
+            return array.tolist()
+        if column.sql_type is SqlType.VARCHAR and kind == "U":
             return array.tolist()
         # Not *array*: numpy turns a list mixing numbers and strings
         # into all strings.

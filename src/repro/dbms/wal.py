@@ -99,9 +99,14 @@ def _encode_lane(values: Any, lanes: "list[bytes]") -> "str | list":
     """One column of a batch as its header entry.  A typed column puts
     its little-endian bytes on *lanes* and is named by a tag — ``"f8"``
     (float64), ``"f8?"`` (float64 with NaN at NULLs, then one mask byte
-    per row) or ``"i8"`` (int64); anything else is a JSON list."""
-    if isinstance(values, np.ndarray) and values.dtype != np.float64:
-        values = values.tolist()
+    per row) or ``"i8"`` (int64); anything else is a JSON list.  A
+    float64 or int64 array goes out as the bytes it already is."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            lanes.append(values.astype("<i8", copy=False).tobytes())
+            return "i8"
+        if values.dtype != np.float64:
+            values = values.tolist()
     is_lane = isinstance(values, np.ndarray)
     kinds = {float} if is_lane else set(map(type, values))
     if kinds == {float} or kinds == {float, _NONE_TYPE}:
@@ -123,21 +128,20 @@ def _decode_lane(
     entry: "str | list", count: int, payload: bytes, offset: int
 ) -> "tuple[Any, int]":
     """Inverse of :func:`_encode_lane`: the column and the offset after
-    its bytes.  A NULL-free float lane stays a float64 array (a view of
-    *payload*) that ``FloatLane.extend`` copies straight in."""
+    its bytes.  A NULL-free float lane and an int lane stay arrays
+    (views of *payload*) that ``FloatLane.extend`` and
+    ``IntLane.extend`` copy straight in."""
     if isinstance(entry, list):
         return entry, offset
     lane = np.frombuffer(payload, "<" + entry[:2], count, offset)
     offset += 8 * count
-    if entry == "f8":
+    if entry != "f8?":
         return lane, offset
     column = lane.tolist()
-    if entry == "f8?":
-        mask = np.frombuffer(payload, bool, count, offset)
-        for index in np.flatnonzero(mask).tolist():
-            column[index] = None
-        offset += count
-    return column, offset
+    mask = np.frombuffer(payload, bool, count, offset)
+    for index in np.flatnonzero(mask).tolist():
+        column[index] = None
+    return column, offset + count
 
 
 def encode_record(lsn: int, ops: "list[dict]") -> bytes:

@@ -1,13 +1,17 @@
 """Typed column lanes as the partition's column store.
 
 * the lane contract itself (``append``/``extend``, ``truncate_tail``,
-  ``values``, ``floats``) for the typed float lane and the object lane;
+  ``values``, ``floats``) for the float, int, varchar and object lanes,
+  the int lane's demotion past int64 included;
 * a state machine over the storage mutations, checked against a
   list-of-lists model on the row path and ``np.asarray(model)`` on the
   vector path;
 * NaN-the-value versus NULL through every path that could confuse them:
   rows, blocks, CSV checkpoint/restore, the columnar block file, WAL
   replay;
+* exact ints (±2**53, ±2**63) and awkward strings through every write
+  path — insert, int64 batches, bulk loads, WAL replay, checkpoint
+  restore — and the block file;
 * pinned edge cases: all-NULL lane, empty partition, ±inf, −0.0, ints
   beyond 2**53 in an INTEGER column;
 * ``bulk_load_arrays`` coercion, constraint checks and atomicity.
@@ -31,11 +35,16 @@ from hypothesis.stateful import (
 from repro.dbms import open_durable
 from repro.dbms.columnar import BlockReader, atomic_write_bytes, encode_block
 from repro.dbms.database import Database
-from repro.dbms.lanes import FloatLane, ObjectLane
-from repro.dbms.persistence import load_database, save_database
+from repro.dbms.lanes import FloatLane, IntLane, ObjectLane, VarcharLane
+from repro.dbms.persistence import (
+    database_fingerprint,
+    load_database,
+    save_database,
+)
 from repro.dbms.schema import Column, TableSchema
 from repro.dbms.storage import Partition, Table
 from repro.dbms.types import SqlType
+from repro.dbms.wal import encode_record
 from repro.errors import ConstraintViolation, TypeMismatchError
 
 NAN = float("nan")
@@ -95,6 +104,104 @@ class TestFloatLane:
         assert _same(lane.values(0, 4), [1.0, 2.0, None, 2.5])
         with pytest.raises(ValueError):
             lane.extend(("abc",))
+
+
+class TestIntLane:
+    def test_values_are_ints_and_nulls_stay_apart_from_zero(self):
+        lane = IntLane()
+        lane.extend((2**53, None, 0, -(2**53)))
+        lane.append(None)
+        lane.append(np.int64(7))  # one row of an int64 batch
+        values = lane.values(0, 6)
+        assert values == [2**53, None, 0, -(2**53), None, 7]
+        assert {type(v) for v in values} == {int, type(None)}
+        assert lane.nulls(0, 6).tolist() == [False, True, False, False, True, False]
+        assert lane.ints(0, 6).dtype == np.int64
+
+    def test_floats_round_like_a_list_of_ints(self):
+        lane = IntLane()
+        ints = [2**53 + 1, -(2**63), 2**63 - 1, None, 3]
+        lane.extend(ints)
+        expected = np.asarray(
+            [np.nan if v is None else v for v in ints], dtype=float
+        )
+        assert lane.floats(0, 5).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("huge", [2**63, -(2**63) - 1, 2**70])
+    def test_beyond_int64_demotes_to_exact_objects(self, huge):
+        lane = IntLane()
+        lane.extend((2**63 - 1, None, 1))
+        pinned = lane.ints(0, 3)
+        lane.extend((huge, None))
+        assert lane.ints(0, 5) is None
+        assert lane.values(0, 5) == [2**63 - 1, None, 1, huge, None]
+        # The buffer a reader loaded before the swap is never written.
+        assert pinned.tolist() == [2**63 - 1, 0, 1]
+        assert lane.nulls(0, 5).tolist() == [False, True, False, False, True]
+        lane.truncate_tail(2)
+        lane.append(huge)
+        assert lane.values(0, 4) == [2**63 - 1, None, 1, huge]
+
+    def test_other_types_demote_instead_of_converting(self):
+        for odd in (True, 1.0, "3"):
+            lane = IntLane()
+            lane.extend((1, odd))
+            assert _same(lane.values(0, 2), [1, odd])
+
+    def test_unsigned_arrays(self):
+        lane = IntLane()
+        lane.extend(np.asarray([0, 2**63 - 1], dtype=np.uint64))
+        assert lane.ints(0, 2) is not None
+        lane.extend(np.asarray([2**64 - 1], dtype=np.uint64))
+        assert lane.values(0, 3) == [0, 2**63 - 1, 2**64 - 1]
+        assert all(type(v) is int for v in lane.values(0, 3))
+
+
+class TestVarcharLane:
+    TEXTS = ["", None, "\\N", "\r\n", "naïve 雪 😀", "", None, "x"]
+
+    def test_round_trip_and_one_entry_per_distinct_string(self):
+        lane = VarcharLane()
+        lane.extend(self.TEXTS[:5])
+        for text in self.TEXTS[5:]:
+            lane.append(text)
+        assert lane.values(0, 8) == self.TEXTS
+        assert lane.values(2, 4) == ["\\N", "\r\n"]
+        assert lane.distinct() == 6  # five strings and NULL
+        assert lane.nulls(0, 8).tolist() == [v is None for v in self.TEXTS]
+        lane.truncate_tail(3)
+        lane.extend(("y", None))
+        assert lane.values(0, 7) == self.TEXTS[:5] + ["y", None]
+
+    def test_values_share_the_first_string_object(self):
+        lane = VarcharLane()
+        first, second = "".join(["a", "b"]), "".join(["a", "b"])
+        lane.extend((first, second))
+        left, right = lane.values(0, 2)
+        assert left is first and right is first
+
+    @pytest.mark.parametrize(
+        "texts", [["a", None], [None, None], ["1.5", None], ["1e3"]]
+    )
+    def test_floats_behave_like_the_object_lane(self, texts):
+        lane, reference = VarcharLane(), ObjectLane()
+        lane.extend(texts)
+        reference.extend(texts)
+        try:
+            expected = reference.floats(0, len(texts))
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                lane.floats(0, len(texts))
+            assert str(raised.value) == str(error)
+        else:
+            assert lane.floats(0, len(texts)).tobytes() == expected.tobytes()
+
+    def test_non_strings_are_refused_whole(self):
+        lane = VarcharLane()
+        lane.extend(("a",))
+        with pytest.raises(TypeMismatchError):
+            lane.extend(("b", 3))
+        assert lane.values(0, 1) == ["a"]
 
 
 class TestObjectLane:
@@ -309,6 +416,147 @@ class TestNanIsNotNull:
         recovered.close()
 
 
+# ------------------------------------------- exact round trips, per write path
+_TYPED_INTS = [2**53, -(2**53), 2**53 + 1, 2**63 - 1, -(2**63), 0, None]
+_HUGE_INTS = [2**63, -(2**63) - 1, 2**70]
+_TEXTS = ["", None, "\\N", "\r\n", "naïve 雪 😀", 'a,"b"', "plain"]
+
+
+def _write_every_path(db) -> None:
+    """Rows through insert_rows, insert_columns (int64 arrays) and
+    load_columns (int64 and uint64 arrays); INTEGER ``n`` of table
+    ``big`` leaves int64, of table ``typed`` it never does."""
+    for name in ("typed", "big"):
+        db.execute(
+            f"CREATE TABLE {name} (k INTEGER PRIMARY KEY, n INTEGER, "
+            "s VARCHAR, v FLOAT)"
+        )
+    rows = [
+        (k, n, _TEXTS[k % len(_TEXTS)], k / 8.0)
+        for k, n in enumerate(_TYPED_INTS)
+    ]
+    db.insert_rows("typed", rows)
+    db.insert_rows("big", rows)
+    db.insert_rows(
+        "big", [(100 + k, n, None, None) for k, n in enumerate(_HUGE_INTS)]
+    )
+    db.table("typed").insert_columns([
+        np.arange(200, 300),
+        np.arange(100) * -(2**40),
+        [_TEXTS[k % len(_TEXTS)] for k in range(100)],
+        np.linspace(0.0, 1.0, 100),
+    ])
+    db.load_columns("typed", {
+        "k": np.arange(400, 404, dtype=np.int64),
+        "n": np.asarray([2**62, -(2**62), 0, 1], dtype=np.int64),
+        "s": ["a", "b", "\\N", ""],
+        "v": np.zeros(4),
+    })
+    db.load_columns("big", {
+        "k": np.arange(500, 503, dtype=np.uint64),
+        "n": np.asarray([0, 2**63, 2**64 - 1], dtype=np.uint64),
+        "s": ["", "x", "\r\n"],
+        "v": [None, 1.0, 2.0],
+    })
+
+
+def _assert_exact_lanes(db) -> None:
+    for name, typed in (("typed", True), ("big", False)):
+        table = db.table(name)
+        for column in ("k", "n"):
+            assert all(
+                type(v) is int or v is None for v in table.column_values(column)
+            )
+        lanes = [p.lanes[1] for p in table.partitions if p.row_count]
+        assert all(type(lane) is IntLane for lane in lanes)
+        assert all((lane.ints(0, 0) is not None) == typed for lane in lanes)
+    assert set(db.table("typed").column_values("s")) == set(_TEXTS + ["a", "b"])
+    assert sorted(db.table("big").column_values("n"), key=repr) == sorted(
+        _TYPED_INTS + _HUGE_INTS + [0, 2**63, 2**64 - 1], key=repr
+    )
+
+
+class TestExactRoundTrips:
+    def test_in_memory_and_block_file(self, tmp_path):
+        with Database(amps=3) as db:
+            _write_every_path(db)
+            _assert_exact_lanes(db)
+            for name in ("typed", "big"):
+                for pid, partition in enumerate(db.table(name).partitions):
+                    path = tmp_path / f"{name}{pid}.blk"
+                    atomic_write_bytes(
+                        path, encode_block(partition.lanes, partition.row_count)
+                    )
+                    reader = BlockReader(path)
+                    assert _same(reader.row_tuples(), list(partition.rows()))
+                    reader.close()
+
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["wal", "checkpoint"])
+    def test_recovery(self, tmp_path, checkpoint):
+        db = open_durable(tmp_path / "home", amps=3)
+        _write_every_path(db)
+        before = database_fingerprint(db)
+        if checkpoint:
+            db.checkpoint()
+        db.close()
+        recovered = open_durable(tmp_path / "home", amps=3)
+        assert recovered.durability.recovery_replayed_records == (
+            0 if checkpoint else 8
+        )
+        assert database_fingerprint(recovered) == before
+        _assert_exact_lanes(recovered)
+        recovered.close()
+
+    def test_an_int64_batch_reports_the_bad_rows_own_error(self):
+        table = _typed_table()
+        with pytest.raises(ConstraintViolation, match="duplicate primary key 1"):
+            table.insert_columns([
+                np.asarray([1, 2, 1]), [0.0, 0.0, 0.0], np.asarray([5, 6, 7])
+            ])
+        assert sorted(table.column_values("n")) == [5, 6]
+
+    def test_int64_arrays_log_the_bytes_of_int_lists(self):
+        keys = [0, 2**63 - 1, -(2**63), 5]
+        assert encode_record(
+            1, [{"op": "insert", "name": "t", "columns": [keys]}]
+        ) == encode_record(
+            1,
+            [{"op": "insert", "name": "t",
+              "columns": [np.asarray(keys, dtype=np.int64)]}],
+        )
+
+    def test_restored_ingest_table_is_typed(self, tmp_path):
+        """A durable_ingest-shaped table: after a checkpoint restore every
+        INTEGER lane is an int64 buffer and each tag lane holds the 97
+        tags plus NULL."""
+        db = open_durable(tmp_path / "home", amps=8)
+        db.execute(
+            "CREATE TABLE ev (id INTEGER PRIMARY KEY, a FLOAT, b FLOAT, "
+            "c FLOAT, tag VARCHAR)"
+        )
+        rng = np.random.default_rng(3)
+        for start in range(0, 20_000, 500):
+            values = rng.normal(size=(500, 3)).tolist()
+            tags = rng.integers(0, 97, size=500).tolist()
+            db.insert_rows("ev", [
+                (start + j, a, b, c, f"t{tag}")
+                for j, ((a, b, c), tag) in enumerate(zip(values, tags))
+            ])
+        before = database_fingerprint(db)
+        db.checkpoint()
+        db.close()
+        recovered = open_durable(tmp_path / "home", amps=8)
+        assert database_fingerprint(recovered) == before
+        for partition in recovered.table("ev").partitions:
+            lanes = partition.lanes
+            assert [type(lane) for lane in lanes] == [
+                IntLane, FloatLane, FloatLane, FloatLane, VarcharLane
+            ]
+            assert lanes[0].ints(0, partition.row_count) is not None
+            assert lanes[4].distinct() == 97 + 1
+        recovered.close()
+
+
 # ------------------------------------------------------------ pinned cases
 class TestPinnedCases:
     def test_all_null_lane_and_empty_partition(self):
@@ -339,9 +587,11 @@ class TestPinnedCases:
         table.insert_many([(float(i), i, "s", None) for i in range(100)])
         lanes = table.partitions[0].lanes
         assert [type(lane) for lane in lanes] == [
-            FloatLane, ObjectLane, ObjectLane, FloatLane
+            FloatLane, IntLane, VarcharLane, FloatLane
         ]
         assert lanes[0].floats(0, 100).dtype == np.float64
+        assert lanes[1].ints(0, 100).dtype == np.int64
+        assert lanes[2].distinct() == 2  # "s" and NULL
 
     def test_untyped_partition_holds_objects(self):
         partition = Partition(2)

@@ -99,6 +99,36 @@ class TestRoundTrip:
         after = compute_nlq_udf(restored, "x", dimension_names(3))
         assert before.allclose(after, rtol=1e-12)
 
+    def test_chunked_write_keeps_scan_order_and_layout(
+        self, tmp_path, monkeypatch
+    ):
+        """The writer reads each partition a few rows at a time; the
+        file still lists every row once, in scan order, so it restores
+        into the same partition layout (a row's partition follows its
+        key, its place in the partition the file's order)."""
+        from repro.dbms import persistence
+
+        monkeypatch.setattr(persistence, "_WRITE_CHUNK_ROWS", 7)
+        db = Database(amps=3)
+        db.execute(
+            "CREATE TABLE t (i INTEGER PRIMARY KEY, v FLOAT, s VARCHAR)"
+        )
+        db.insert_rows("t", [
+            (i, None if i % 5 == 0 else i / 4,
+             None if i % 3 == 0 else f"s{i % 4}")
+            for i in range(100)
+        ])
+        save_database(db, tmp_path / "snap")
+        restored = load_database(tmp_path / "snap", amps=3)
+
+        def layout(database):
+            return [
+                list(partition.rows())
+                for partition in database.table("t").partitions
+            ]
+
+        assert layout(restored) == layout(db)
+
 
 class TestErrors:
     def test_missing_directory(self, tmp_path):

@@ -26,7 +26,9 @@ clients.
 from __future__ import annotations
 
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -304,3 +306,128 @@ def test_micro_batched_scores_exact_under_flaky_flush(serving):
     _run_clients(client)
     db.faults = None
     assert server.metrics.requests_failed == 0
+
+
+# ------------------------------------------------------- typed lane races
+HUGE_EVERY = 10
+LANE_STEPS = 120
+PRELOAD = 4_000
+REREADS = 10
+
+
+def _lane_row(key: int, huge: bool) -> tuple:
+    """``ev(k, n, tag, v)``: every value a function of ``k``; a fresh
+    tag per key (a new dictionary entry), NULLs in ``n`` and ``tag``,
+    and with *huge* every 10th ``n`` beyond int64."""
+    if key % 11 == 0:
+        n = None
+    elif huge and key % HUGE_EVERY == 0:
+        n = 2**70 + key
+    else:
+        n = 3 * key
+    tag = None if key % 7 == 0 else f"tag-{key}"
+    return (key, n, tag, key / 4.0)
+
+
+def _check_lane_rows(rows: list) -> None:
+    for key, n, tag, v in rows:
+        assert n in (None, 3 * key, 2**70 + key), f"torn n at k={key}"
+        assert n is None or type(n) is int
+        assert tag == (None if key % 7 == 0 else f"tag-{key}"), key
+        assert v == key / 4.0, f"torn v at k={key}"
+
+
+def test_pinned_prefix_survives_dictionary_growth_and_int_demotion(seed):
+    """Writers append rows that add VARCHAR dictionary entries and, part
+    way through, ints beyond int64 that demote every partition's
+    ``IntLane`` to objects; each reader keeps re-reading exactly the
+    prefix its serving snapshot pinned, on the row and the block path."""
+    db = Database(amps=8, executor_workers=CHAOS_WORKERS)
+    db.execute(
+        "CREATE TABLE ev (k INTEGER PRIMARY KEY, n INTEGER, tag VARCHAR, "
+        "v FLOAT)"
+    )
+    server = db.serve(max_sessions=CLIENTS + 2)
+    # Long lanes make each demotion's copy a window worth racing for.
+    server.insert_rows("ev", [_lane_row(k, False) for k in range(PRELOAD)])
+    next_key = [PRELOAD]
+    key_lock = threading.Lock()
+    done = threading.Event()
+    reads = [0] * CLIENTS
+
+    def writer(offset: int) -> None:
+        rng = np.random.default_rng(seed + offset)
+        for step in range(LANE_STEPS):
+            # Paced by the slowest reader, so pins overlap the demotion.
+            while min(reads) < step // 10 and not done.is_set():
+                time.sleep(0.0005)
+            with key_lock:
+                start = next_key[0]
+                next_key[0] = start + int(rng.integers(1, 10))
+                stop = next_key[0]
+            huge = step >= LANE_STEPS // 3
+            server.insert_rows(
+                "ev", [_lane_row(k, huge) for k in range(start, stop)]
+            )
+
+    def reader(index: int) -> None:
+        while not done.is_set():
+            with server.session() as session:
+                snapshot = session.snapshot("ev")
+                pinned = list(snapshot.rows())
+                assert len(pinned) == snapshot.row_count
+                _check_lane_rows(pinned)
+                matrix = snapshot.numeric_matrix(["k", "n", "v"])
+                expected = np.asarray(
+                    [[k, np.nan if n is None else n, v] for k, n, _, v in pinned],
+                    dtype=float,
+                ).reshape(len(pinned), 3)
+                assert matrix.tobytes() == expected.tobytes()
+                # The lanes that demote and grow, re-read while writers
+                # keep appending.
+                pinned_n = [row[1] for row in pinned]
+                pinned_tags = [row[2] for row in pinned]
+                for _ in range(REREADS):
+                    assert snapshot.column_values("n") == pinned_n
+                    assert snapshot.column_values("tag") == pinned_tags
+                assert list(snapshot.rows()) == pinned
+            reads[index] += 1
+
+    writers = [threading.Thread(target=writer, args=(w,)) for w in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    for thread in writers:
+        thread.start()
+    try:
+        def run_reader(index: int) -> None:
+            try:
+                reader(index)
+            finally:
+                reads[index] = LANE_STEPS  # a reader that left paces no one
+
+        def stop_when_written() -> None:
+            for thread in writers:
+                thread.join(timeout=60.0)
+            done.set()
+
+        closer = threading.Thread(target=stop_when_written)
+        closer.start()
+        _run_clients(run_reader)
+        closer.join(timeout=60.0)
+    finally:
+        done.set()
+        for thread in writers:
+            thread.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers)
+    table = db.table("ev")
+    rows = sorted(table.rows())
+    assert [row[0] for row in rows] == list(range(next_key[0]))
+    _check_lane_rows(rows)
+    # The race covered a demotion in every partition and a growing
+    # dictionary in each tag lane.
+    for partition in table.partitions:
+        assert partition.lanes[1].ints(0, 0) is None
+        assert partition.lanes[2].distinct() > 50
+    server.close()
+    db.close()

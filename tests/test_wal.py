@@ -67,9 +67,12 @@ class TestCodec:
         ops2 = [{"op": "truncate", "name": "t"}]
         path.write_bytes(encode_record(1, ops1) + encode_record(2, ops2))
         records, good, torn = read_wal(path)
-        # A batch decodes column-major, whichever way it was passed.
+        # A batch decodes column-major, whichever way it was passed; an
+        # "i8" lane comes back as an int64 array.
+        (ids, floats), = [op["columns"] for op in records[0].ops]
+        assert ids.dtype == np.int64 and ids.tolist() == [1, 2]
         decoded = [
-            {"op": "insert", "name": "t", "columns": [[1, 2], [0.5, None]]}
+            {"op": "insert", "name": "t", "columns": [ids, [0.5, None]]}
         ]
         assert [(r.lsn, r.ops) for r in records] == [(1, decoded), (2, ops2)]
         assert good == path.stat().st_size and torn == 0
@@ -204,6 +207,8 @@ class TestLaneCodec:
             "i8", beyond, nullable,
         ]
         decoded = _round_trip([fits, beyond, nullable])
+        assert decoded[0].dtype == np.int64  # the lane's bytes, as an array
+        decoded[0] = decoded[0].tolist()
         assert decoded == [fits, beyond, nullable]
         assert all(type(v) is int for v in decoded[0] + decoded[1])
 
@@ -250,7 +255,7 @@ class TestLaneCodec:
         ]
         decoded = _try_decode(encode_record(4, ops), 0)[0].ops
         assert decoded[0] == ops[0]
-        assert decoded[1]["columns"][0] == [1, 2]
+        assert decoded[1]["columns"][0].tolist() == [1, 2]
         assert decoded[1]["columns"][1].tolist() == [0.5, 1.5]
         assert decoded[2]["columns"] == [[None, 2.0, 3.0]]
 
