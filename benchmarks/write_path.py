@@ -11,8 +11,11 @@ microseconds, not one call per row.  Then the guard: the median latency
 of 1-, 16-, 64- and 500-row inserts into a plain 16-AMP table, where a
 per-batch fixed cost would show first.  Last, recovery: a checkpoint of a
 600,000-row ``ev`` table is reopened in a fresh interpreter, which
-reports how long ``open_durable`` took and how far it raised the
-process's peak resident set (``ru_maxrss``).  The wrappers look
+reports how long ``open_durable`` took, how far it raised the process's
+peak resident set (``ru_maxrss``) and how many bytes a key the table's
+primary-key bookkeeping holds; then it closes that handle, keeps it
+referenced and reopens once more, as ``durable_ingest``'s crash check
+does, and reports the peak after both.  The wrappers look
 functions up by name, so the same file runs against any commit since
 the columnar write path::
 
@@ -153,18 +156,42 @@ def small_batches(rng: np.random.Generator) -> None:
     db.close()
 
 
-#: run in a fresh interpreter: what reopening the checkpoint costs
+#: run in a fresh interpreter: what reopening the checkpoint costs, the
+#: bytes per key of the table's primary-key bookkeeping (a ``set`` of
+#: ints before the key index), and a second reopen while the closed
+#: first handle is still referenced, as ``durable_ingest``'s crash check
+#: holds it
 _REOPEN = """
 import json, resource, sys, time
 from repro.dbms import open_durable
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def deep_size(keys):
+    return sys.getsizeof(keys) + sum(map(sys.getsizeof, keys))
+
+def key_bytes(table):
+    index = getattr(table, "_key_index", None)
+    if index is None:
+        return deep_size(table._pk_values)
+    return index._base.nbytes + deep_size(index._recent) + deep_size(index._other)
+
+before = maxrss()
 started = time.perf_counter()
 db = open_durable(sys.argv[1], amps=int(sys.argv[2]))
 seconds = time.perf_counter() - started
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"seconds": seconds, "maxrss_kb": [before, after],
-                  "rows": db.table("ev").row_count}))
+after = maxrss()
+table = db.table("ev")
+rows, per_key = table.row_count, key_bytes(table) / table.row_count
 db.close()
+started = time.perf_counter()
+again = open_durable(sys.argv[1], amps=int(sys.argv[2]))
+again_seconds = time.perf_counter() - started
+print(json.dumps({"seconds": seconds, "maxrss_kb": [before, after, maxrss()],
+                  "rows": rows, "key_bytes_per_key": per_key,
+                  "again_seconds": again_seconds}))
+again.close()
 """
 
 
@@ -201,13 +228,17 @@ def recovery(rng: np.random.Generator) -> None:
     finally:
         shutil.rmtree(home.parent, ignore_errors=True)
     reopened = json.loads(child.stdout)
-    before, after = reopened["maxrss_kb"]
+    before, after, again = reopened["maxrss_kb"]
     print(f"recovery: checkpoint of {reopened['rows']:,} rows, "
           f"{DURABLE_AMPS} AMPs, reopened in a fresh interpreter")
     print(f"  checkpoint               {checkpoint_s:9.2f} s")
     print(f"  restore (open_durable)   {reopened['seconds']:9.2f} s")
     print(f"  ru_maxrss delta          {(after - before) / 1024:9.1f} MB "
           f"({before / 1024:.1f} -> {after / 1024:.1f} MB)")
+    print(f"  primary-key bookkeeping  {reopened['key_bytes_per_key']:9.1f} "
+          f"B/key (sys.getsizeof)")
+    print(f"  reopen, first handle held {reopened['again_seconds']:8.2f} s, "
+          f"ru_maxrss {again / 1024:.1f} MB")
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeMismatchError
 
 
 # ------------------------------------------------------------ scalar builtins
@@ -163,6 +163,12 @@ def _non_null(values: np.ndarray) -> np.ndarray:
     return values if mask.all() else values[mask]
 
 
+def _not_numeric(name: str, value: Any) -> TypeMismatchError:
+    return TypeMismatchError(
+        f"{name} needs numeric arguments, got {type(value).__name__} {value!r}"
+    )
+
+
 class _SumAggregate(AggregateFunction):
     def initialize(self) -> Any:
         return None
@@ -170,8 +176,14 @@ class _SumAggregate(AggregateFunction):
     def accumulate(self, state: Any, args: Sequence[Any]) -> Any:
         (value,) = args
         if state is None:
+            # The first value is the state: text would concatenate.
+            if isinstance(value, (str, bytes)):
+                raise _not_numeric("sum", value)
             return value
-        return state + value
+        try:
+            return state + value
+        except TypeError:
+            raise _not_numeric("sum", value) from None
 
     def merge(self, state: Any, other: Any) -> Any:
         if state is None:
@@ -226,7 +238,10 @@ class _AvgAggregate(AggregateFunction):
 
     def accumulate(self, state: tuple[float, int], args: Sequence[Any]) -> Any:
         total, count = state
-        return (total + args[0], count + 1)
+        try:
+            return (total + args[0], count + 1)
+        except TypeError:
+            raise _not_numeric("avg", args[0]) from None
 
     def merge(self, state: Any, other: Any) -> Any:
         return (state[0] + other[0], state[1] + other[1])

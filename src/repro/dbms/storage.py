@@ -51,6 +51,8 @@ import numpy as np
 from repro.dbms.blocks import BlockFacts, lane_block
 from repro.dbms.faults import NULL_FAULTS, FaultPlan, NullFaults
 from repro.dbms.lanes import (
+    _INT64_MAX,
+    _INT64_MIN,
     PRUNED,
     FloatLane,
     IntLane,
@@ -413,6 +415,211 @@ def _valid_prefix(
     return values
 
 
+#: keys the recent tier of a :class:`_KeyIndex` holds before they fold
+#: into its sorted base: one ``np.insert`` per this many new keys keeps
+#: the set small and the base's copy amortised
+_KEY_FOLD = 16_384
+
+
+def _int64_form(key: Any) -> "int | None":
+    """The int within int64 that *key* equals (a bool equals 0 or 1, an
+    integral float its int), or ``None`` when there is none."""
+    if type(key) is not int:
+        if not isinstance(key, (int, float)):
+            return None
+        if isinstance(key, float) and not key.is_integer():
+            return None
+        key = int(key)
+    return key if _INT64_MIN <= key <= _INT64_MAX else None
+
+
+def _is_int64(keys: "np.ndarray | Sequence[Any]") -> bool:
+    """Whether a batch of keys is an int64 array (a typed key column)."""
+    return isinstance(keys, np.ndarray) and keys.dtype == np.int64
+
+
+class _KeyIndex:
+    """A table's primary-key values, with ``set`` semantics (``1``,
+    ``1.0`` and ``True`` are one key; two NaN objects are two).
+
+    New keys go to a bounded set of *recent* keys.  When it reaches
+    :data:`_KEY_FOLD` keys it folds: its plain ints within int64 go into
+    a sorted int64 *base* (8 bytes a key) with one ``searchsorted`` +
+    ``np.insert`` (a concatenate when every one is above the base's
+    maximum), and every other key — VARCHAR and FLOAT keys, NULL, ints
+    past int64, bools — into the *other* set, where it stays a Python
+    object: the overflow tier, as in :class:`~repro.dbms.lanes.IntLane`.
+    An int64 batch (an INTEGER key column the write path typed) of that
+    many keys merges into the base directly.  The three tiers are
+    disjoint.
+    """
+
+    __slots__ = ("_base", "_low", "_high", "_recent", "_other")
+
+    def __init__(self) -> None:
+        self._base = np.empty(0, np.int64)
+        #: the base's first and last key as Python ints (None: empty),
+        #: so a key outside them skips the search
+        self._low: "int | None" = None
+        self._high: "int | None" = None
+        self._recent: set[Any] = set()
+        self._other: set[Any] = set()
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._recent) + len(self._other)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._recent or key in self._other or self._in_base(key)
+
+    def keys(self) -> list[Any]:
+        """Every key, the base's as Python ints."""
+        return [*self._base.tolist(), *self._recent, *self._other]
+
+    def _in_base(self, key: Any) -> bool:
+        if self._high is None:
+            return False
+        value = _int64_form(key)
+        if value is None or not self._low <= value <= self._high:
+            return False
+        base = self._base
+        return int(base[base.searchsorted(value)]) == value
+
+    def _base_holds_any(self, ints: np.ndarray) -> bool:
+        """Whether the base holds any of the int64 *ints*."""
+        base = self._base
+        positions = base.searchsorted(ints)
+        np.minimum(positions, len(base) - 1, out=positions)
+        return bool((base[positions] == ints).any())
+
+    def _sets_hold_any(self, keys: "np.ndarray | Sequence[Any]") -> bool:
+        """Whether the recent or the other tier holds any of *keys* (an
+        array becomes Python values only if a tier is non-empty)."""
+        recent, other = self._recent, self._other
+        if not (recent or other):
+            return False
+        keys = as_list(keys)
+        return bool(
+            (recent and not recent.isdisjoint(keys))
+            or (other and not other.isdisjoint(keys))
+        )
+
+    def _holds_any(self, fresh: "set[Any]", keys: "Sequence[Any]") -> bool:
+        """Whether the index holds any of *keys*, whose distinct values
+        are *fresh*."""
+        if self._sets_hold_any(fresh):
+            return True
+        if self._high is None:
+            return False
+        if len(fresh) > 1:
+            try:
+                low, high = min(keys), max(keys)
+                # Sound with NaNs too: min and max then return a NaN,
+                # which compares false, or the bound of the others.
+                outside = low > self._high or high < self._low
+            except TypeError:  # keys that do not order with ints
+                pass
+            else:
+                if outside:
+                    return False
+                if (
+                    set(map(type, fresh)) == {int}
+                    and _INT64_MIN <= low
+                    and high <= _INT64_MAX
+                ):
+                    return self._base_holds_any(
+                        np.fromiter(fresh, np.int64, len(fresh))
+                    )
+        return any(map(self._in_base, fresh))
+
+    def first_repeat(
+        self,
+        keys: "np.ndarray | Sequence[Any]",
+        values: "Sequence[Any] | None" = None,
+    ) -> int:
+        """The position of the first key of the batch that equals an
+        earlier key of the batch or one the index holds; ``len(keys)``
+        when there is none.  *values* is an array batch's keys as Python
+        values, when the caller has them already."""
+        count = len(keys)
+        if not count:
+            return 0
+        if _is_int64(keys):
+            if count >= _KEY_FOLD:
+                self._fold()  # a large batch meets the base alone
+            ordered = np.sort(keys)
+            if not (
+                (ordered[1:] == ordered[:-1]).any()
+                or self._sets_hold_any(keys if values is None else values)
+                or (
+                    self._high is not None
+                    and ordered[0] <= self._high
+                    and ordered[-1] >= self._low
+                    and self._base_holds_any(ordered)
+                )
+            ):
+                return count
+        else:
+            keys = as_list(keys)
+            fresh = set(keys)
+            if len(fresh) == count and not self._holds_any(fresh, keys):
+                return count
+        seen: set[Any] = set()
+        for position, key in enumerate(as_list(keys)):
+            if key in seen or key in self:
+                return position
+            seen.add(key)
+        return count
+
+    def add(
+        self,
+        keys: "np.ndarray | Sequence[Any]",
+        values: "Sequence[Any] | None" = None,
+    ) -> None:
+        """Add a batch of keys :meth:`first_repeat` found new (*values*
+        as there)."""
+        if _is_int64(keys) and len(keys) >= _KEY_FOLD:
+            self._merge(keys)
+            return
+        self._recent.update(as_list(keys) if values is None else values)
+        if len(self._recent) >= _KEY_FOLD:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the recent keys into the base and the other set."""
+        recent = self._recent
+        if not recent:
+            return
+        self._recent = set()
+        kinds = set(map(type, recent))
+        if kinds == {int} and (
+            _INT64_MIN <= min(recent) and max(recent) <= _INT64_MAX
+        ):
+            ints = recent
+        elif int in kinds:
+            ints = {
+                key
+                for key in recent
+                if type(key) is int and _INT64_MIN <= key <= _INT64_MAX
+            }
+        else:  # strings, floats: every key stays an object
+            ints = set()
+        if len(ints) < len(recent):
+            self._other.update(recent - ints)
+        self._merge(np.fromiter(ints, np.int64, len(ints)))
+
+    def _merge(self, ints: np.ndarray) -> None:
+        """Insert distinct int64 keys the base does not hold."""
+        if not len(ints):
+            return
+        new = np.sort(ints)
+        base = self._base
+        if self._high is None or new[0] > self._high:
+            self._base = np.concatenate((base, new))
+        else:
+            self._base = np.insert(base, base.searchsorted(new), new)
+        self._low, self._high = int(self._base[0]), int(self._base[-1])
+
+
 class Table:
     """A partitioned, typed relation."""
 
@@ -448,7 +655,7 @@ class Table:
             if schema.primary_key is not None
             else None
         )
-        self._pk_values: set[Any] = set()
+        self._key_index = _KeyIndex()
         self._next_partition = 0
         #: per column, looked up once (hashing an enum member is slow)
         self._stored_types = [
@@ -530,7 +737,7 @@ class Table:
                 )
         if self._pk_position is not None:
             key = coerced[self._pk_position]
-            if key in self._pk_values:
+            if key in self._key_index:
                 raise ConstraintViolation(
                     f"duplicate primary key {key!r} in {self.name!r}"
                 )
@@ -563,10 +770,11 @@ class Table:
         """Insert a batch held as one sequence per schema column.
 
         Each column is validated whole (:func:`_valid_prefix`), primary
-        keys are checked with set operations, rows are routed in input
-        order (so routing and PK bookkeeping match a loop of single-row
-        inserts exactly) and each partition's lanes are extended once —
-        its block cache is cleared once per batch.  Mutation listeners
+        keys are checked a batch at a time against the table's
+        :class:`_KeyIndex`, rows are routed in input order (so routing
+        and PK bookkeeping match a loop of single-row inserts exactly)
+        and each partition's lanes are extended once — its block cache
+        is cleared once per batch.  Mutation listeners
         (the write-ahead log) get the validated columns in input order:
         what a replay must insert to reproduce the routing.
 
@@ -596,17 +804,10 @@ class Table:
         valid = min(map(len, lanes))
         fanout = len(self._partitions)
         cursor = self._next_partition
-        fresh: set[Any] = set()
         if self._pk_position is not None:
-            keys = as_list(lanes[self._pk_position][:valid])
-            fresh = set(keys)
-            if len(fresh) != valid or not fresh.isdisjoint(self._pk_values):
-                fresh = set()
-                for key in keys:
-                    if key in fresh or key in self._pk_values:
-                        break
-                    fresh.add(key)
-                valid = len(fresh)
+            column = lanes[self._pk_position][:valid]
+            keys = as_list(column)
+            valid = self._key_index.first_repeat(column, keys)
             # Teradata's hash distribution, PYTHONHASHSEED-independent:
             # the layout is the same in every process and after reload.
             targets = route_keys(keys[:valid], fanout)
@@ -618,7 +819,8 @@ class Table:
         if valid:
             self._flush(lanes, targets)
             self._next_partition = cursor
-            self._pk_values |= fresh
+            if self._pk_position is not None:
+                self._key_index.add(column[:valid], keys[:valid])
             self.version += 1
             if self.mutation_listeners:
                 self._notify("insert", {"columns": lanes})
@@ -700,12 +902,12 @@ class Table:
             for c in self.schema.columns
         ]
         if self._pk_position is not None:
-            key_set = set(as_list(ordered[self._pk_position]))
-            if len(key_set) != total or key_set & self._pk_values:
+            keys = ordered[self._pk_position]
+            if self._key_index.first_repeat(keys) != total:
                 raise ConstraintViolation(
                     f"duplicate primary key values in bulk load into {self.name!r}"
                 )
-            self._pk_values.update(key_set)
+            self._key_index.add(keys)
         bounds = np.linspace(0, total, len(self._partitions) + 1).astype(int)
         for index, partition in enumerate(self._partitions):
             start, stop = bounds[index], bounds[index + 1]
@@ -736,7 +938,12 @@ class Table:
                 return array.astype(np.int64, copy=False)
             return array.tolist()
         if column.sql_type is SqlType.VARCHAR and kind == "U":
-            return array.tolist()
+            if isinstance(values, np.ndarray):
+                return array.tolist()
+            if set(map(type, values)) == {str}:
+                # The list's own strings: a numpy str array drops
+                # trailing NULs ('a\x00' would load as 'a').
+                return list(values)
         # Not *array*: numpy turns a list mixing numbers and strings
         # into all strings.
         raw = values.tolist() if isinstance(values, np.ndarray) else values
@@ -785,7 +992,7 @@ class Table:
         for partition in self._partitions:
             partition._invalidate_cache()
         self._partitions = self._fresh_partitions(len(self._partitions))
-        self._pk_values.clear()
+        self._key_index = _KeyIndex()
         self._next_partition = 0
         self.version += 1
         self.data_version = self.version

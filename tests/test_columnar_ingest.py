@@ -166,10 +166,11 @@ class Pair:
                     assert [value is None for value in column] == (
                         [False] * len(column) if nulls is None else nulls.tolist()
                     )
-        assert sorted(map(_exact, table._pk_values), key=repr) == sorted(
+        keys = table._key_index.keys()
+        assert sorted(map(_exact, keys), key=repr) == sorted(
             map(_exact, reference.pk_values), key=repr
         )
-        assert len(table._pk_values) == len(reference.pk_values)
+        assert len(keys) == len(table._key_index) == len(reference.pk_values)
         assert table._next_partition == reference.next_partition
         assert table.version == reference.version
         assert [(op, name) for op, name, _ in self.heard] == [
@@ -316,7 +317,7 @@ class TestPinnedAnomalies:
         assert pair.table.rows() == [(3, 1.0, "a")]
         pair.insert([(True, 1.0, "a"), ("1", 2.0, "b")])
         pair.insert([(5, 1.0, "a"), (6, 1.0, "a"), (5, 1.0, "a"), (7, 1.0, "a")])
-        assert sorted(pair.table._pk_values) == [1, 3, 5, 6]
+        assert sorted(pair.table._key_index.keys()) == [1, 3, 5, 6]
 
     def test_varchar_keys_keep_their_spelling(self):
         pair = Pair(
@@ -324,14 +325,16 @@ class TestPinnedAnomalies:
         )
         pair.insert([(3,), (3.0,), (None,), ("3",), ("4",)])
         pair.insert([("4",), (None,)])
-        assert sorted(pair.table._pk_values, key=repr) == ["3", "3.0", "4", None]
+        assert sorted(pair.table._key_index.keys(), key=repr) == [
+            "3", "3.0", "4", None
+        ]
 
     def test_float_keys(self):
         pair = Pair(_schema(("k", SqlType.FLOAT, True), primary_key="k"), 3)
         nan = float("nan")
         pair.insert([(0.0,), (2.5,), (nan,), (float("nan"),), (-0.0,)])
         # Two NaN objects are two keys; 0.0 and -0.0 are one.
-        assert len(pair.table._pk_values) == 4
+        assert len(pair.table._key_index.keys()) == 4
         pair.insert([(3,), (nan,)])
 
     def test_each_kind_of_invalid_row_ends_the_batch_where_it_stands(self):
@@ -361,7 +364,7 @@ class TestPinnedAnomalies:
         # Row 2 is short, row 1 has a bad float: row 1's error, row 0 kept.
         pair.insert([(1, 1.0, "a"), (2, "abc", "b"), (3, 1.0)])
         pair.insert([(4, 1.0, "a"), (5, 1.0), (6, "abc", "b")])
-        assert sorted(pair.table._pk_values) == [1, 4]
+        assert sorted(pair.table._key_index.keys()) == [1, 4]
 
     def test_mixed_numeric_spellings_coerce_like_the_row_loop(self):
         pair = Pair(EVENTS, 3)
@@ -398,7 +401,7 @@ def _lane_state(table: Table) -> list:
     ]
     return [
         lanes,
-        sorted(map(repr, table._pk_values)),
+        sorted(map(repr, table._key_index.keys())),
         table._next_partition,
         table.version,
     ]
@@ -440,7 +443,7 @@ def test_invalid_row_with_a_failing_flush_raises_the_flush_error():
     pair.table.faults = FaultPlan().fail("insert.flush")
     with pytest.raises(FaultInjected):
         pair.table.insert_many([(1, 1.0, "a"), (2, 2.0, "b"), (1, 3.0, "c")])
-    assert pair.table.row_count == 0 and pair.table._pk_values == set()
+    assert pair.table.row_count == 0 and pair.table._key_index.keys() == []
 
 
 # ------------------------------------------------------- the cost it removes

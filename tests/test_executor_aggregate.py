@@ -6,7 +6,7 @@ import pytest
 
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema
-from repro.errors import PlanningError
+from repro.errors import PlanningError, TypeMismatchError
 
 
 @pytest.fixture
@@ -42,6 +42,23 @@ class TestGrandAggregates:
     def test_aggregate_with_where(self, sales):
         result = sales.execute("SELECT sum(amount) FROM sales WHERE qty > 1")
         assert result.scalar() == 50.0
+
+    @pytest.mark.parametrize("name", ["sum", "avg"])
+    @pytest.mark.parametrize(
+        "tail", ["", " WHERE i > 0", " GROUP BY i", " WHERE i > 1 GROUP BY i"]
+    )
+    def test_sum_and_avg_of_text_raise(self, db, name, tail):
+        # Unchecked, sum concatenated ('1.5' + '2') and avg raised a
+        # bare TypeError from float + str.
+        db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, s VARCHAR)")
+        db.execute("INSERT INTO t VALUES (1, '1.5'), (2, '2')")
+        with pytest.raises(TypeMismatchError, match=f"{name} needs numeric"):
+            db.execute(f"SELECT {name}(s) FROM t{tail}")
+
+    def test_sum_and_avg_of_a_text_free_column_still_add(self, sales):
+        assert sales.execute(
+            "SELECT sum(qty), avg(qty), sum(DISTINCT qty) FROM sales"
+        ).rows == [(9, 1.8, 6)]
 
     def test_expression_inside_aggregate(self, sales):
         result = sales.execute("SELECT sum(amount * qty) FROM sales")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dbms.schema import TableSchema, dataset_schema
+from repro.dbms.schema import Column, TableSchema, dataset_schema
 from repro.dbms.storage import Partition, Table
 from repro.dbms.types import SqlType
 from repro.errors import ConstraintViolation, SchemaError
@@ -121,6 +121,16 @@ class TestBulkLoad:
         )
         with pytest.raises(ConstraintViolation):
             table.insert((2, 0.0, 0.0))
+
+    def test_bulk_loaded_strings_keep_trailing_nuls(self):
+        schema = TableSchema(
+            (Column("k", SqlType.VARCHAR), Column("s", SqlType.VARCHAR)), "k"
+        )
+        table = Table("t", schema, partitions=2)
+        table.bulk_load_arrays({"k": ["\x00", ""], "s": ["a\x00", "b"]})
+        assert sorted(table.rows()) == [("", "b"), ("\x00", "a\x00")]
+        with pytest.raises(ConstraintViolation):
+            table.insert(("\x00", "c"))
 
     def test_empty_bulk_load(self):
         table = make_table()
