@@ -188,14 +188,22 @@ class _NlqUdfBase(AggregateUdf):
         )
         return pack_summary(stats)
 
+    def copy_state(self, state: _NlqState) -> _NlqState:
+        copy = _NlqState(state.diagonal)
+        copy.d, copy.n = state.d, state.n
+        if state.d is not None:
+            copy.L, copy.Q = state.L.copy(), state.Q.copy()
+            copy.mins, copy.maxs = state.mins.copy(), state.maxs.copy()
+        return copy
+
     def state_from_stats(self, stats: SummaryStatistics) -> _NlqState:
         """Synthesize a finished aggregate state from an existing summary.
 
-        This is how the summary-matrix cache serves a statement without
-        scanning: the cached :class:`SummaryStatistics` is loaded into a
-        fresh state, and the ordinary :meth:`finalize` then produces the
-        exact payload a scan would have.  ``n == 0`` maps to the
-        unshaped state, whose finalize returns NULL like an empty scan.
+        This is how a factorized star summary answers: the combined
+        :class:`SummaryStatistics` is loaded into a fresh state, and the
+        ordinary :meth:`finalize` then produces the exact payload a scan
+        would have.  ``n == 0`` maps to the unshaped state, whose
+        finalize returns NULL like an empty scan.
         """
         state = self.initialize()
         if stats.n == 0:
@@ -233,9 +241,8 @@ class NlqListUdf(_NlqUdfBase):
     """
 
     supports_block = True
-    #: eligible for the database's summary-matrix cache: a grand
-    #: ``nlq_*(d, x1, ..., xd)`` call is exactly a (table, columns,
-    #: matrix type) summary, so its payload can be served from cache
+    #: a partition block's (n, L, Q) partial depends on the block alone,
+    #: so a cached block remembers it; a star join factorizes the call
     summary_cacheable = True
 
     def accumulate(self, state: _NlqState, args: Sequence[Any]) -> _NlqState:

@@ -11,9 +11,12 @@ holds from storage to kernel without a knob.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
+
+#: partials one block remembers; the oldest goes first beyond this
+PARTIALS_PER_BLOCK = 8
 
 
 def lane_block(rows: int, lanes: Sequence[Any]) -> np.ndarray:
@@ -67,19 +70,25 @@ class BlockFacts:
     over the block, then whether the block passed.  A block that did not
     pass (a NULL, a stored NaN, ``inf - inf``) keeps taking the exact
     per-fold :func:`drop_null_rows` path.
+
+    ``partials`` maps a fold's key (the aggregate object and its
+    argument lanes in call order) to the partial state that fold
+    computed over the whole block.  Only a block that passed the NULL
+    pre-test remembers one, so a reused partial skips no NULL scan.
     """
 
-    __slots__ = ("null_free",)
+    __slots__ = ("null_free", "partials")
 
     def __init__(self) -> None:
         self.null_free: "bool | None" = None
+        self.partials: dict[Any, Any] = {}
 
 
 class ScanBlock:
     """One block as a partition task holds it: the float matrix plus the
     read's :class:`~repro.dbms.storage.BlockCacheStats`, which carries
     the block's :class:`BlockFacts` to the fold and the fold's NULL-scan
-    count back to the coordinator."""
+    and reused-partial counts back to the coordinator."""
 
     __slots__ = ("array", "_stats", "_root")
 
@@ -104,6 +113,25 @@ class ScanBlock:
             self._stats.null_scans += 1
             facts.null_free = not may_hold_null(self._root.array)
         return facts.null_free
+
+    def fold_once(
+        self, key: Any, fold: Callable[[], Any], copy: Callable[[Any], Any]
+    ) -> Any:
+        """``fold()`` over this whole block, remembered under *key* in
+        the block's :class:`BlockFacts`: a later fold with the same key
+        gets ``copy(partial)`` instead (merges mutate the partial they
+        are handed), counted as one reused partial."""
+        facts = self._stats.facts
+        partial = facts.partials.get(key)
+        if partial is not None:
+            self._stats.partials_reused += 1
+            return copy(partial)
+        partial = fold()
+        if facts.null_free:
+            if len(facts.partials) >= PARTIALS_PER_BLOCK:
+                del facts.partials[next(iter(facts.partials))]
+            facts.partials[key] = copy(partial)
+        return partial
 
     def drop_null_rows(self, argument_block: np.ndarray) -> np.ndarray:
         """:func:`drop_null_rows` of an argument block built from this

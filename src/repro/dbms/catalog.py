@@ -31,8 +31,8 @@ class Catalog:
         #: ``Database(faults=...)``
         self.faults: FaultPlan | NullFaults = NULL_FAULTS
         #: callbacks fired with the lowercased table name after a DROP;
-        #: caches keyed by table name (SummaryCache) subscribe here so a
-        #: DROP — or DROP/CREATE of the same name — can't leave
+        #: caches keyed by table name (the model registry's loaded
+        #: handles) subscribe here so a DROP — or DROP/CREATE of the same name — can't leave
         #: permanently dead entries behind
         self._drop_listeners: list[Callable[[str], object]] = []
         #: mutation listeners invoked as ``listener(op, name, payload)``

@@ -274,40 +274,6 @@ class Database:
         the most recent join statement (``None`` before any)."""
         return self._executor.last_factorize_decision
 
-    @property
-    def summary_cache(self) -> "Any | None":
-        """The summary-matrix cache, or ``None`` while never enabled.
-
-        Created lazily by the first ``summary_cache_enabled = True``
-        (see :class:`repro.core.summary_cache.SummaryCache`); disabling
-        keeps the instance (and its warmed entries) around so toggling
-        back on is free.
-        """
-        return self._executor.summary_cache
-
-    @property
-    def summary_cache_enabled(self) -> bool:
-        """Whether grand summary-UDF statements may be served from the
-        summary-matrix cache instead of scanning.  Off by default: a
-        cache-served statement reports ``rows_scanned == 0`` and skips
-        scan-path fault sites, which opt-in callers must expect."""
-        cache = self._executor.summary_cache
-        return cache is not None and cache.enabled
-
-    @summary_cache_enabled.setter
-    def summary_cache_enabled(self, enabled: bool) -> None:
-        cache = self._executor.summary_cache
-        if cache is None:
-            if not enabled:
-                return
-            # Imported lazily: repro.core already imports repro.dbms, so
-            # the dbms layer must not import core at module level.
-            from repro.core.summary_cache import SummaryCache
-
-            cache = SummaryCache(self)
-            self._executor.summary_cache = cache
-        cache.enabled = enabled
-
     def add_close_listener(self, listener: Any) -> None:
         """Invoke *listener()* at the start of every :meth:`close`.
 

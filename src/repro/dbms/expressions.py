@@ -444,12 +444,13 @@ class ArgumentBlockPlan:
     where the column block it is built from holds one.
     """
 
-    __slots__ = ("_width", "_steps", "null_preserving")
+    __slots__ = ("_lanes", "_width", "_steps", "null_preserving")
 
     def __init__(self, lanes: "Sequence[tuple[int, Any]]") -> None:
         """*lanes* holds one ``(kind, source)`` per argument: a block
         position for ``_COLUMN``, a float for ``_LITERAL`` (NULL is
         NaN), a compiled vector expression for ``_COMPUTED``."""
+        self._lanes = lanes
         self._width = len(lanes)
         self._steps: list[tuple[int, Any, Any]] = []
         self.null_preserving = True
@@ -476,6 +477,18 @@ class ArgumentBlockPlan:
                 self.null_preserving = False
                 self._steps.append((kind, index, source))
             index = stop
+
+    @property
+    def key(self) -> "tuple | None":
+        """A ``null_preserving`` plan's lanes in call order (a literal by
+        its float's exact hex): equal for two plans exactly when they
+        build the same argument block.  ``None`` for any other plan."""
+        if not self.null_preserving:
+            return None
+        return tuple(
+            (kind, source if kind == _COLUMN else source.hex())
+            for kind, source in self._lanes
+        )
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         out = np.empty((block.shape[0], self._width), order="F")

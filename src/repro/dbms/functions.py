@@ -169,6 +169,14 @@ def _not_numeric(name: str, value: Any) -> TypeMismatchError:
     )
 
 
+def _number(name: str, value: Any) -> float:
+    """*value* as a float; text raises (``float('1.5')`` would parse it).
+    Row loops test ``type(value) is float`` first, the common case."""
+    if isinstance(value, (str, bytes)):
+        raise _not_numeric(name, value)
+    return float(value)
+
+
 class _SumAggregate(AggregateFunction):
     def initialize(self) -> Any:
         return None
@@ -346,14 +354,17 @@ class _MomentsState:
 
 
 class _VarianceAggregate(AggregateFunction):
-    def __init__(self, sample: bool) -> None:
+    def __init__(self, name: str, sample: bool) -> None:
+        #: the SQL name errors give
+        self.name = name
         self._sample = sample
 
     def initialize(self) -> _MomentsState:
         return _MomentsState()
 
     def accumulate(self, state: _MomentsState, args: Sequence[Any]) -> Any:
-        state.add(float(args[0]))
+        x = args[0]
+        state.add(x if type(x) is float else _number(self.name, x))
         return state
 
     def merge(self, state: _MomentsState, other: _MomentsState) -> Any:
@@ -383,12 +394,18 @@ class _TwoVariableAggregate(AggregateFunction):
     """Base for corr / regr_slope / regr_intercept (two arguments)."""
 
     arity = 2
+    #: the SQL name errors give
+    name = ""
 
     def initialize(self) -> _MomentsState:
         return _MomentsState()
 
     def accumulate(self, state: _MomentsState, args: Sequence[Any]) -> Any:
-        state.add(float(args[0]), float(args[1]))
+        x, y = args[0], args[1]
+        state.add(
+            x if type(x) is float else _number(self.name, x),
+            y if type(y) is float else _number(self.name, y),
+        )
         return state
 
     def merge(self, state: _MomentsState, other: _MomentsState) -> Any:
@@ -411,6 +428,8 @@ class _TwoVariableAggregate(AggregateFunction):
 
 
 class _CorrAggregate(_TwoVariableAggregate):
+    name = "corr"
+
     def finalize(self, state: _MomentsState) -> Any:
         n = state.n
         if n == 0:
@@ -428,6 +447,8 @@ class _RegrSlopeAggregate(_TwoVariableAggregate):
     on the second (independent), following the SQL standard's REGR_SLOPE
     argument order."""
 
+    name = "regr_slope"
+
     def finalize(self, state: _MomentsState) -> Any:
         n = state.n
         if n == 0:
@@ -439,6 +460,8 @@ class _RegrSlopeAggregate(_TwoVariableAggregate):
 
 
 class _RegrInterceptAggregate(_TwoVariableAggregate):
+    name = "regr_intercept"
+
     def finalize(self, state: _MomentsState) -> Any:
         n = state.n
         if n == 0:
@@ -456,10 +479,10 @@ AGGREGATE_BUILTINS: dict[str, Callable[[], AggregateFunction]] = {
     "avg": _AvgAggregate,
     "min": _MinAggregate,
     "max": _MaxAggregate,
-    "var_samp": lambda: _VarianceAggregate(sample=True),
-    "var_pop": lambda: _VarianceAggregate(sample=False),
-    "stddev_samp": lambda: _StddevAggregate(sample=True),
-    "stddev_pop": lambda: _StddevAggregate(sample=False),
+    "var_samp": lambda: _VarianceAggregate("var_samp", sample=True),
+    "var_pop": lambda: _VarianceAggregate("var_pop", sample=False),
+    "stddev_samp": lambda: _StddevAggregate("stddev_samp", sample=True),
+    "stddev_pop": lambda: _StddevAggregate("stddev_pop", sample=False),
     "corr": _CorrAggregate,
     "regr_slope": _RegrSlopeAggregate,
     "regr_intercept": _RegrInterceptAggregate,

@@ -89,20 +89,18 @@ class QueryMetrics:
     fallbacks: int = 0
     #: why the last degradation happened ("" when fallbacks == 0)
     fallback_reason: str = ""
-    #: statements served from the database's summary-matrix cache
-    #: (entry existed and only its watermark suffix, if anything, was
-    #: re-read)
-    summary_cache_hits: int = 0
-    #: cache-eligible statements that had to build a fresh entry
-    summary_cache_misses: int = 0
-    #: full table scans this statement avoided via the summary cache
+    #: whole-block partials a fold took from a cached block's facts
+    #: instead of folding the block again (``summary_cacheable`` UDFs;
+    #: 0 cold, one per non-empty partition on a warm repeat)
+    partials_reused: int = 0
+    #: table scans this batch shared: its input statements minus the
+    #: one consolidated scan (``execute_batch``)
     scans_saved: int = 0
     #: physical rows read from table partitions.  Equals
-    #: ``rows_processed`` except when the summary cache serves a
-    #: statement (a fresh hit scans zero rows, a stale hit scans only
-    #: the un-watermarked suffix) or when a join materializes: the
+    #: ``rows_processed`` except when a join materializes: the
     #: nested-loop join re-reads every inner row per outer row, so each
-    #: join step adds its |outer| + |outer| x |inner| input reads.
+    #: join step adds its |outer| + |outer| x |inner| input reads.  A
+    #: reused partial still reads its block, so its rows count.
     rows_scanned: int = 0
     #: statements that rode a consolidated batch (``execute_batch``
     #: after the scan-consolidation rewrite proved they share a scan);

@@ -84,7 +84,6 @@ from repro.errors import (
     ExecutionError,
     PartitionExecutionError,
     PlanningError,
-    SchemaError,
 )
 
 
@@ -317,7 +316,7 @@ def _fold_vector_block(
         ]
 
     if not group_vector_fns:
-        return {(): fold(block)}
+        return {(): [spec.fold_block(block) for spec in aggregates]}
     key_columns = []
     for fn, integer in zip(group_vector_fns, int_keys):
         array = fn(block.array)
@@ -474,8 +473,6 @@ class _BatchStatement:
             else None
         )
         self.groups: dict[tuple, list[Any]] = {}
-        #: served whole from the summary cache (no scan participation)
-        self.served = False
         self.result: Relation | None = None
         #: rides the vector path (set by :meth:`prepare_vector`; a
         #: degraded scan clears it and every statement folds rows)
@@ -587,10 +584,6 @@ class Executor:
         #: ``udf.compute_batch``, ``udf.fused_iter``); installed by
         #: ``Database(faults=...)``
         self.faults: FaultPlan | NullFaults = NULL_FAULTS
-        #: opt-in summary-matrix cache, installed by
-        #: ``Database.summary_cache_enabled = True``; ``None`` (the
-        #: default) keeps every statement on the scan path
-        self.summary_cache: "Any | None" = None
         #: the rewrite pass's decision for the most recent
         #: ``execute_batch`` call (consolidated or refused-with-reason);
         #: None until a batch runs
@@ -720,14 +713,15 @@ class Executor:
 
     def _fold_cache_stats(self, stats: "BlockCacheStats") -> None:
         """Fold one task's block-cache outcome into this statement's
-        metrics (hit or miss, the NULL scans its folds ran and the
-        evictions its insert caused)."""
+        metrics (hit or miss, the NULL scans its folds ran, the partials
+        they reused and the evictions its insert caused)."""
         metrics = self.last_metrics
         if stats.hit:
             metrics.block_cache_hits += 1
         else:
             metrics.block_cache_misses += 1
         metrics.null_scans += stats.null_scans
+        metrics.partials_reused += stats.partials_reused
         metrics.cache_evictions += stats.evictions
 
     # ----------------------------------------------------------- degradation
@@ -826,9 +820,8 @@ class Executor:
         it raised — what ran before the error was paid for)."""
         metrics = self.last_metrics
         metrics.total_seconds = time.perf_counter() - started
-        # rows_scanned equals rows_processed for every scan-path
-        # statement; only a summary-cache serve sets it lower (a fresh
-        # hit scans zero rows, a stale hit only the suffix).
+        # A materializing join adds its input reads to rows_scanned;
+        # every other statement scans exactly the rows it processed.
         metrics.rows_scanned = max(metrics.rows_scanned, metrics.rows_processed)
         self._cost.charge(self.last_work)
 
@@ -881,15 +874,6 @@ class Executor:
             vectorized_select=self.vectorized_select,
             factorized_joins=self.factorized_joins_enabled,
         )
-        # Probed before ANALYZE executes, so the note reports the cache
-        # state this statement actually saw (a miss that warms the cache
-        # still renders as the miss it was).
-        cache_note = self._summary_cache_note(plan.optimized)
-        if cache_note is None:
-            cache_note = self._factorized_cache_note(plan.optimized)
-        if cache_note is not None:
-            for node in plan.find("aggregate"):
-                node.notes.append(cache_note)
         if statement.analyze:
             tracer = Tracer()
             self.tracer = tracer
@@ -1004,7 +988,9 @@ class Executor:
             )
         rows = table.rows()
         hits = [predicate is None or predicate(row) is True for row in rows]
-        columns: list[Sequence[Any]] = list(zip(*rows))
+        columns: list[Sequence[Any]] = (
+            list(zip(*rows)) if rows else [()] * table.width
+        )
         # Every assignment reads the *old* row (SQL semantics: SET a = b,
         # b = a swaps); an untouched column goes back as it was read.
         for position, fn in targets:
@@ -1075,22 +1061,14 @@ class Executor:
             calls = select_aggregates(select, self._catalog.is_aggregate)
             prepared.append(self._prepare_statement(select, env, calls))
 
-        scan_statements = [stmt for stmt in prepared if not stmt.served]
-        if scan_statements:
-            # ONE scan for the whole batch — this replaces the scan per
-            # statement serial execution records in _relation_for_source.
-            self.last_work.scan(table.nominal_rows, table.width)
-            self._shared_scan(table, scan_statements, batch=True)
-            for stmt in scan_statements:
-                self._record_aggregate(stmt)
-
-        # Every input statement that would have scanned (cache serves
-        # already counted their own scans_saved) shares the one scan.
-        would_scan = sum(
-            1 for position in decision.assignment if not prepared[position].served
-        )
-        if would_scan:
-            metrics.scans_saved += would_scan - 1
+        # ONE scan for the whole batch — this replaces the scan per
+        # statement serial execution records in _relation_for_source.
+        self.last_work.scan(table.nominal_rows, table.width)
+        self._shared_scan(table, prepared, batch=True)
+        for stmt in prepared:
+            self._record_aggregate(stmt)
+        # Every input statement shares the one scan.
+        metrics.scans_saved += len(decision.assignment) - 1
 
         for stmt in prepared:
             result, order_context = self._finalize_aggregate(
@@ -1108,9 +1086,8 @@ class Executor:
         aggregate_calls: list[AggregateCall],
     ) -> "_BatchStatement":
         """Compile one aggregate statement's fold state and decide the
-        path it rides: served from the summary cache, the vector path
-        (a partitioned base scan that passes the one eligibility test),
-        or rows."""
+        path it rides: the vector path (a partitioned base scan that
+        passes the one eligibility test) or rows."""
         binder = Binder(env.columns)
         stmt = _BatchStatement(
             (
@@ -1124,14 +1101,6 @@ class Executor:
             select,
             env,
         )
-        served = self._serve_from_summary_cache(select, env, stmt.aggregates)
-        if served is not None:
-            # The cache (or its incremental watermark refresh) already
-            # charged exactly the rows it re-read, so the per-row
-            # aggregation work is skipped along with the fold.
-            stmt.groups = {(): [served]}
-            stmt.served = True
-            return stmt
         stmt.reset()
         table = env.base_table
         if (
@@ -1484,9 +1453,8 @@ class Executor:
         aggregate_calls: list[AggregateCall],
     ) -> "tuple[Relation, _OrderContext]":
         stmt = self._prepare_statement(select, env, aggregate_calls)
-        if not stmt.served:
-            self._accumulate_groups(stmt)
-            self._record_aggregate(stmt)
+        self._accumulate_groups(stmt)
+        self._record_aggregate(stmt)
         return self._finalize_aggregate(
             select, stmt.aggregates, stmt.group_exprs, stmt.groups
         )
@@ -1580,136 +1548,6 @@ class Executor:
                         "or inside an aggregate"
                     )
 
-    # ------------------------------------------------------ summary cache
-    def _static_summary_cache_target(
-        self, select: ast.Select
-    ) -> "tuple[Table, list[str], Any] | None":
-        """Statically decide whether *select* is one cacheable summary call.
-
-        Eligible shape: a grand aggregate (no GROUP BY / WHERE / HAVING /
-        joins) over exactly one base table, whose single aggregate is a
-        ``summary_cacheable`` UDF called in the list form — a leading
-        integer literal ``d`` followed by ``d`` numeric column
-        references.  Returns ``(table, dimension names, matrix type)``
-        or ``None``; never mutates cache state.
-        """
-        cache = self.summary_cache
-        if cache is None or not getattr(cache, "enabled", False):
-            return None
-        if (
-            select.group_by
-            or select.where is not None
-            or select.having is not None
-            or select.joins
-            or len(select.from_sources) != 1
-        ):
-            return None
-        source = select.from_sources[0]
-        if not isinstance(source, ast.TableName):
-            return None
-        if self._catalog.has_view(source.name) or not self._catalog.has_table(
-            source.name
-        ):
-            return None
-        table = self._catalog.table(source.name)
-        calls = select_aggregates(select, self._catalog.is_aggregate)
-        if len(calls) != 1:
-            return None
-        udf = self._catalog.aggregate_udf(calls[0].name)
-        if udf is None or not getattr(udf, "summary_cacheable", False):
-            return None
-        matrix_type = getattr(udf, "matrix_type", None)
-        if matrix_type is None:
-            return None
-        args = calls[0].call.args
-        if len(args) < 2:
-            return None
-        first = args[0]
-        if (
-            not isinstance(first, ast.Literal)
-            or isinstance(first.value, bool)
-            or not isinstance(first.value, int)
-            or first.value != len(args) - 1
-        ):
-            return None
-        dimensions: list[str] = []
-        for arg in args[1:]:
-            if not isinstance(arg, ast.ColumnRef):
-                return None
-            try:
-                column = table.schema.column(arg.name)
-            except SchemaError:
-                return None
-            if not column.sql_type.is_numeric:
-                return None
-            dimensions.append(column.name)
-        return table, dimensions, matrix_type
-
-    def _serve_from_summary_cache(
-        self,
-        select: ast.Select,
-        env: Relation,
-        aggregates: list["_AggregateSpec"],
-    ) -> "Any | None":
-        """Serve a cacheable summary statement without a full scan.
-
-        Returns a synthesized aggregate state carrying the cached
-        :class:`~repro.core.summary.SummaryStatistics` (finalize then
-        produces the exact payload a scan would), or ``None`` to stay on
-        the scan path.  A cache miss still builds and stores the entry —
-        the statement pays its one scan and every repeat is free.
-        """
-        target = self._static_summary_cache_target(select)
-        if target is None:
-            return None
-        table, dimensions, matrix_type = target
-        if env.base_table is not table or env._materialized:
-            return None
-        if len(aggregates) != 1:
-            return None
-        udf = aggregates[0].aggregate
-        if not hasattr(udf, "state_from_stats"):
-            return None
-        with self.tracer.span("summary-cache") as span:
-            stats, hit, refreshed = self.summary_cache.lookup(
-                table.name, dimensions, matrix_type
-            )
-            metrics = self.last_metrics
-            if hit:
-                metrics.summary_cache_hits += 1
-                metrics.scans_saved += 1
-            else:
-                metrics.summary_cache_misses += 1
-            metrics.rows_scanned += refreshed
-            if span is not None:
-                span.attributes["table"] = table.name
-                span.attributes["columns"] = ",".join(dimensions)
-                span.attributes["hit"] = hit
-                span.attributes["rows_refreshed"] = refreshed
-        return udf.state_from_stats(stats)
-
-    def _summary_cache_note(self, select: ast.Select) -> "str | None":
-        """The EXPLAIN annotation for a cache-eligible statement, from a
-        non-mutating probe of the cache's current state."""
-        target = self._static_summary_cache_target(select)
-        if target is None:
-            return None
-        table, dimensions, matrix_type = target
-        status, pending = self.summary_cache.probe(
-            table.name, dimensions, matrix_type
-        )
-        if status == "hit":
-            return (
-                "summary-cache hit: (n, L, Q) served from cache, "
-                "0 rows scanned"
-            )
-        if status == "stale":
-            return (
-                "summary-cache hit (stale): incremental refresh reads "
-                f"{pending} appended rows"
-            )
-        return "summary-cache miss: this scan warms the cache"
-
     # ------------------------------------------------------ factorized joins
     def _try_factorized_select(self, select: ast.Select) -> "Relation | None":
         """Run *select* factorized if the planner proves it safe.
@@ -1778,35 +1616,6 @@ class Executor:
         )
 
         base_tables = [fact, *dim_tables]
-        cache = self.summary_cache
-        cache_key = None
-        if (
-            decision.shape == "summary"
-            and cache is not None
-            and getattr(cache, "enabled", False)
-            and hasattr(aggregates[0].aggregate, "state_from_stats")
-        ):
-            cache_key = _join_cache_key(decision)
-            served = cache.lookup_join(cache_key, base_tables)
-            if served is not None:
-                stats, rows_avoided = served
-                with self.tracer.span("summary-cache") as span:
-                    if span is not None:
-                        span.attributes["hit"] = True
-                        span.attributes["factorized"] = True
-                        span.attributes["tables"] = ",".join(
-                            table.name for table in base_tables
-                        )
-                metrics.summary_cache_hits += 1
-                metrics.scans_saved += len(base_tables)
-                metrics.factorized_joins += 1
-                metrics.rows_join_avoided += rows_avoided
-                states = [aggregates[0].aggregate.state_from_stats(stats)]
-                result, order_context = self._finalize_aggregate(
-                    select, aggregates, [], {(): states}
-                )
-                return self._apply_order_limit(select, result, order_context)
-
         for table in base_tables:
             self.last_work.scan(table.nominal_rows, table.width)
 
@@ -1826,12 +1635,9 @@ class Executor:
         with self.tracer.span("aggregate") as strategy_span:
             if strategy_span is not None:
                 strategy_span.attributes["strategy"] = "factorized-join"
-            states, stats = self._fold_factorized_fact(
+            states = self._fold_factorized_fact(
                 decision, plan, fact, aggregates, dim_maps, dim_values, dim_raws
             )
-
-        if cache_key is not None:
-            metrics.summary_cache_misses += 1
 
         base_rows = sum(table.row_count for table in base_tables)
         would_read = 0
@@ -1841,8 +1647,6 @@ class Executor:
         avoided = max(0, would_read - base_rows)
         metrics.factorized_joins += 1
         metrics.rows_join_avoided += avoided
-        if cache_key is not None and stats is not None:
-            cache.store_join(cache_key, base_tables, stats, avoided)
 
         # The select list evaluates once per *fact* row (the argument
         # gathering), and the merge covers every base table's partials.
@@ -1869,8 +1673,8 @@ class Executor:
         dim_maps: "list[tuple[dict, set]]",
         dim_values: "list[dict]",
         dim_raws: "list[dict]",
-    ) -> "tuple[list[Any], Any]":
-        """Fact-side fold + combine; returns (states, stats-or-None)."""
+    ) -> "list[Any]":
+        """Fact-side fold + combine; returns the aggregate states."""
         metrics = self.last_metrics
         shape = decision.shape
         key_positions = plan.fact_key_positions
@@ -1893,7 +1697,7 @@ class Executor:
                 stats = fcore.combine_summary(
                     merged, plan.sources, dim_values, matrix_type
                 )
-            return [udf.state_from_stats(stats)], stats
+            return [udf.state_from_stats(stats)]
         if shape == "fused":
             udf = aggregates[0].aggregate
             tables = udf.factorized_tables(plan.sources, dim_values)
@@ -1917,8 +1721,7 @@ class Executor:
                 counts, linear, quadratic, extra = fcore.combine_fused(
                     merged, plan.sources, dim_values, tables["k"]
                 )
-            state = udf.state_from_factorized(counts, linear, quadratic, extra)
-            return [state], None
+            return [udf.state_from_factorized(counts, linear, quadratic, extra)]
         # builtins: COUNT(*) / SUM partials in Python arithmetic.
         specs = plan.builtin_specs
         fact_terms = [
@@ -1945,7 +1748,7 @@ class Executor:
                 states.append(merged_states[index])
             else:
                 states.append(merged_states[index][0])
-        return states, None
+        return states
 
     def _build_factorized_dim_map(
         self,
@@ -1989,30 +1792,6 @@ class Executor:
             table,
             _Reads(rows=(tuple(positions), sites)),
             functools.partial(_fold_factorized, fold),
-        )
-
-    def _factorized_cache_note(self, select: ast.Select) -> "str | None":
-        """EXPLAIN annotation for a join-cacheable factorized statement."""
-        cache = self.summary_cache
-        if cache is None or not getattr(cache, "enabled", False):
-            return None
-        if not select.joins:
-            return None
-        decision = plan_factorize(self._catalog, select)
-        if not decision.factorized or decision.shape != "summary":
-            return None
-        tables = [self._catalog.table(decision.fact_table)] + [
-            self._catalog.table(dim.table) for dim in decision.dims
-        ]
-        status = cache.probe_join(_join_cache_key(decision), tables)
-        if status == "hit":
-            return (
-                "summary-cache hit: factorized (n, L, Q) served from "
-                "cache, 0 rows scanned"
-            )
-        return (
-            "summary-cache miss: this factorized build warms the cache "
-            "(keyed on every base table's version)"
         )
 
     def _accumulate_groups(self, stmt: "_BatchStatement") -> None:
@@ -2259,26 +2038,6 @@ def _resolve_factorized_positions(
     )
 
 
-def _join_cache_key(decision: FactorizeDecision) -> tuple:
-    """Composite cache key for a join-derived summary.
-
-    Covers the whole star shape — fact table, every dimension arm's
-    (table, FK, PK), the full argument list and the matrix type — so
-    two different star queries can never collide.  Freshness against
-    every base table's version is the cache's job (the key only names
-    the tables; the entry records their versions).
-    """
-    return (
-        decision.fact_table.lower(),
-        tuple(
-            (dim.table.lower(), dim.fact_key, dim.dim_key)
-            for dim in decision.dims
-        ),
-        decision.arg_sources,
-        decision.matrix_type,
-    )
-
-
 def _sort_key(value: Any) -> tuple:
     """NULLs sort last among ascending values; mixed types sort by type name."""
     if value is None:
@@ -2372,6 +2131,9 @@ class _AggregateSpec:
                 )
         self._vector_fns: list | None = None
         self._argument_block: ArgumentBlockPlan | None = None
+        #: what a block remembers this call's whole-block partial under
+        #: (None: the call folds every time, see :meth:`fold_block`)
+        self._partial_key: Any = None
         self._skips_nulls = aggregate.skips_nulls and bool(args)
 
     # The vector path is usable when the aggregate object supports block
@@ -2397,10 +2159,13 @@ class _AggregateSpec:
                 for arg in self._arg_exprs
             ]
             return all(fn is not None for fn in self._vector_fns)
-        self._argument_block = compile_argument_block(
-            self._arg_exprs, matrix_resolver
-        )
-        return self._argument_block is not None
+        plan = compile_argument_block(self._arg_exprs, matrix_resolver)
+        self._argument_block = plan
+        if plan is None:
+            return False
+        if self.aggregate.summary_cacheable and plan.key is not None:
+            self._partial_key = (self.aggregate, plan.key)
+        return True
 
     def initialize(self) -> Any:
         state = self.aggregate.initialize()
@@ -2440,6 +2205,20 @@ class _AggregateSpec:
             assert isinstance(self.aggregate, AggregateUdf)
             self.aggregate.check_args(args)
         return self.aggregate.accumulate(state, args)
+
+    def fold_block(self, block: ScanBlock) -> Any:
+        """The partial of a whole partition block.  A
+        ``summary_cacheable`` UDF over argument lanes has one per block,
+        so the block's facts remember it (:meth:`ScanBlock.fold_once`)
+        and a warm repeat gets a copy: the partition is still the fold
+        unit, so answers are bit-identical to folding again."""
+        if self._partial_key is None:
+            return self.accumulate_vector(self.initialize(), block)
+        return block.fold_once(
+            self._partial_key,
+            lambda: self.accumulate_vector(self.initialize(), block),
+            self.aggregate.copy_state,
+        )
 
     def accumulate_vector(self, state: Any, block: ScanBlock) -> Any:
         if self.is_builtin:

@@ -438,7 +438,7 @@ def plan_factorize(
         sources = _list_form_sources(call.call, star)
         if isinstance(sources, str):
             return _refuse(sources)
-        if getattr(udf, "summary_cacheable", False) and getattr(
+        if udf.summary_cacheable and getattr(
             udf, "matrix_type", None
         ) is not None:
             decision.shape = "summary"

@@ -83,6 +83,8 @@ class BlockCacheStats:
     evictions: int = 0
     #: NULL pre-test passes the task's folds ran over the block
     null_scans: int = 0
+    #: folds answered by a partial the block's facts remembered
+    partials_reused: int = 0
     #: what earlier folds learned about the block; a cached block's
     #: facts live (and die) with its cache entry
     facts: BlockFacts = field(default_factory=BlockFacts, compare=False)
@@ -127,21 +129,34 @@ def stable_key_hash(key: Any) -> int:
     return zlib.crc32(encoded)
 
 
-def route_keys(keys: Sequence[Any], fanout: int) -> list[int]:
+#: a batch whose :func:`int_key_span` is not known yet
+_UNCLASSIFIED: Any = object()
+
+
+def int_key_span(keys: Sequence[Any]) -> "tuple[int, int] | None":
+    """``(min, max)`` of a non-empty batch of plain ints; ``None`` for
+    any other batch.  A keyed insert classifies its batch once and hands
+    the answer to both the key index and the router."""
+    if keys and set(map(type, keys)) == {int}:
+        return min(keys), max(keys)
+    return None
+
+
+def route_keys(
+    keys: Sequence[Any], fanout: int, span: Any = _UNCLASSIFIED
+) -> list[int]:
     """``[stable_key_hash(key) % fanout for key in keys]``, the partition
-    of every key of a batch.
+    of every key of a batch (*span*: the :func:`int_key_span` of the
+    batch, or of a batch it starts, when the caller has it).
 
     A batch of plain ints within ±2**53 (every INTEGER key a float holds
     exactly) is hashed from the ``_INT_KEY`` bytes :func:`stable_key_hash`
     would encode, without its float round trip; any other batch goes
     through :func:`stable_key_hash` key by key.
     """
-    if (
-        keys
-        and set(map(type, keys)) == {int}
-        and -_EXACT_INT <= min(keys)
-        and max(keys) <= _EXACT_INT
-    ):
+    if span is _UNCLASSIFIED:
+        span = int_key_span(keys)
+    if span is not None and -_EXACT_INT <= span[0] and span[1] <= _EXACT_INT:
         crc32 = zlib.crc32
         return [crc32(_INT_KEY % key) % fanout for key in keys]
     return [stable_key_hash(key) % fanout for key in keys]
@@ -503,16 +518,20 @@ class _KeyIndex:
             or (other and not other.isdisjoint(keys))
         )
 
-    def _holds_any(self, fresh: "set[Any]", keys: "Sequence[Any]") -> bool:
+    def _holds_any(
+        self, fresh: "set[Any]", keys: "Sequence[Any]", span: Any
+    ) -> bool:
         """Whether the index holds any of *keys*, whose distinct values
-        are *fresh*."""
+        are *fresh* (*span* as in :meth:`first_repeat`)."""
         if self._sets_hold_any(fresh):
             return True
         if self._high is None:
             return False
         if len(fresh) > 1:
+            if span is _UNCLASSIFIED:
+                span = int_key_span(keys)
             try:
-                low, high = min(keys), max(keys)
+                low, high = (min(keys), max(keys)) if span is None else span
                 # Sound with NaNs too: min and max then return a NaN,
                 # which compares false, or the bound of the others.
                 outside = low > self._high or high < self._low
@@ -522,7 +541,7 @@ class _KeyIndex:
                 if outside:
                     return False
                 if (
-                    set(map(type, fresh)) == {int}
+                    span is not None
                     and _INT64_MIN <= low
                     and high <= _INT64_MAX
                 ):
@@ -535,11 +554,13 @@ class _KeyIndex:
         self,
         keys: "np.ndarray | Sequence[Any]",
         values: "Sequence[Any] | None" = None,
+        span: Any = _UNCLASSIFIED,
     ) -> int:
         """The position of the first key of the batch that equals an
         earlier key of the batch or one the index holds; ``len(keys)``
         when there is none.  *values* is an array batch's keys as Python
-        values, when the caller has them already."""
+        values, and *span* a list batch's :func:`int_key_span`, when the
+        caller has them already."""
         count = len(keys)
         if not count:
             return 0
@@ -561,7 +582,7 @@ class _KeyIndex:
         else:
             keys = as_list(keys)
             fresh = set(keys)
-            if len(fresh) == count and not self._holds_any(fresh, keys):
+            if len(fresh) == count and not self._holds_any(fresh, keys, span):
                 return count
         seen: set[Any] = set()
         for position, key in enumerate(as_list(keys)):
@@ -672,13 +693,12 @@ class Table:
             for position, column in enumerate(schema.columns)
         ]
         #: monotonically increasing mutation counter: bumped once per
-        #: successful insert / batch flush / bulk load / truncate.  The
-        #: database's summary-matrix cache keys freshness on it.
+        #: successful insert / batch flush / bulk load / truncate.
+        #: Serving snapshots pin it.
         self.version = 0
         #: ``version`` as of the last *destructive* mutation (truncate).
-        #: While a cache entry's version is >= this, only appends have
-        #: happened since it was built, so incremental watermark
-        #: refresh is sound; otherwise the entry must rebuild.
+        #: While a snapshot's pinned version is >= this, only appends
+        #: have happened since, so its pinned prefix is intact.
         self.data_version = 0
 
     def _fresh_partitions(self, count: int) -> list[Partition]:
@@ -807,10 +827,11 @@ class Table:
         if self._pk_position is not None:
             column = lanes[self._pk_position][:valid]
             keys = as_list(column)
-            valid = self._key_index.first_repeat(column, keys)
+            span = int_key_span(keys)
+            valid = self._key_index.first_repeat(column, keys, span)
             # Teradata's hash distribution, PYTHONHASHSEED-independent:
             # the layout is the same in every process and after reload.
-            targets = route_keys(keys[:valid], fanout)
+            targets = route_keys(keys[:valid], fanout, span)
         else:
             targets = [(cursor + row) % fanout for row in range(valid)]
             cursor = (cursor + valid) % fanout

@@ -200,6 +200,11 @@ class AggregateUdf:
     arity: int | None = None
     #: aggregate UDFs skip rows where any argument is NULL unless told not to
     skips_nulls = True
+    #: set true in subclasses whose block partial is a function of the
+    #: argument block alone (no state outside it, such as a fused
+    #: iteration's centroids): a cached partition block then remembers
+    #: the partial and a repeat gets :meth:`copy_state` of it
+    summary_cacheable = False
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -225,6 +230,11 @@ class AggregateUdf:
 
     def accumulate_block(self, state: Any, block: np.ndarray) -> Any:
         """Optional vectorized phase 2 over a (rows × args) block."""
+        raise NotImplementedError
+
+    def copy_state(self, state: Any) -> Any:
+        """A copy of *state* that merging into it leaves the original
+        unchanged (``summary_cacheable`` subclasses)."""
         raise NotImplementedError
 
     # ---------------------------------------------------------------- costing

@@ -61,9 +61,6 @@ class ServingMetrics:
         self.sessions_rejected = 0
         #: snapshot reads served (score_table / summary / matrix reads)
         self.snapshot_reads = 0
-        #: snapshot summary reads answered from the summary cache with
-        #: zero rows scanned (cache entry matched the pinned version)
-        self.snapshot_cache_hits = 0
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------- updates
@@ -109,11 +106,9 @@ class ServingMetrics:
         with self._lock:
             self.sessions_rejected += 1
 
-    def record_snapshot_read(self, cache_hit: bool = False) -> None:
+    def record_snapshot_read(self) -> None:
         with self._lock:
             self.snapshot_reads += 1
-            if cache_hit:
-                self.snapshot_cache_hits += 1
 
     # ------------------------------------------------------------- queries
     @property
@@ -165,7 +160,6 @@ class ServingMetrics:
                 "sessions_opened": self.sessions_opened,
                 "sessions_rejected": self.sessions_rejected,
                 "snapshot_reads": self.snapshot_reads,
-                "snapshot_cache_hits": self.snapshot_cache_hits,
             }
         state["coalesce_factor"] = (
             state["requests_coalesced"] / state["batches_flushed"]

@@ -215,23 +215,11 @@ class ServingSession:
         columns: Sequence[str],
         matrix_type: MatrixType = MatrixType.TRIANGULAR,
     ) -> SummaryStatistics:
-        """The (n, L, Q) summary of the session's pinned rows.
-
-        Served for free from the summary-matrix cache when its entry
-        matches the pinned version exactly (zero rows scanned);
-        otherwise computed over the snapshot prefix.
-        """
+        """The (n, L, Q) summary of the session's pinned rows, computed
+        over the snapshot prefix."""
         self._check_open()
         snapshot = self.snapshot(table)
         snapshot.validate()
-        cache = self._server.db.summary_cache
-        if cache is not None and cache.enabled:
-            stats = cache.peek(
-                snapshot.table, columns, matrix_type, snapshot.version
-            )
-            if stats is not None:
-                self._server.metrics.record_snapshot_read(cache_hit=True)
-                return stats
         self._server.metrics.record_snapshot_read()
         return snapshot.summary(columns, matrix_type)
 

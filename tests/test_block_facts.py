@@ -18,7 +18,12 @@ import pytest
 
 from repro.core.nlq_udf import register_nlq_udfs
 from repro.core.packing import unpack_summary
-from repro.dbms.blocks import BlockFacts, ScanBlock, lane_block
+from repro.dbms.blocks import (
+    PARTIALS_PER_BLOCK,
+    BlockFacts,
+    ScanBlock,
+    lane_block,
+)
 from repro.dbms.database import Database
 from repro.dbms.schema import dataset_schema
 from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheStats
@@ -109,6 +114,33 @@ class TestScanBlock:
         assert stats.null_scans == 1
         assert clean_rows.drop_null_rows(clean_rows.array) is clean_rows.array
         assert stats.null_scans == 2
+
+    def test_remembers_partials_of_a_null_free_block_only(self):
+        folds = []
+
+        def fold(key):
+            return lambda: folds.append(key) or [key]
+
+        unknown = ScanBlock(self._block([1.0, 2.0]), BlockCacheStats())
+        unknown.fold_once("a", fold("a"), list)  # NULL fact not asked yet
+        unknown.fold_once("a", fold("a"), list)
+        dirty = ScanBlock(self._block([1.0, math.nan]), BlockCacheStats())
+        assert not dirty.null_free()
+        dirty.fold_once("b", fold("b"), list)
+        dirty.fold_once("b", fold("b"), list)
+        stats = BlockCacheStats()
+        clean = ScanBlock(self._block([1.0, 2.0]), stats)
+        assert clean.null_free()
+        for key in range(PARTIALS_PER_BLOCK + 1):
+            clean.fold_once(key, fold(key), list)
+        kept = clean.fold_once(PARTIALS_PER_BLOCK, fold(None), list)
+        kept.append("merged into")  # a copy: the remembered one is intact
+        assert clean.fold_once(PARTIALS_PER_BLOCK, fold(None), list) == [
+            PARTIALS_PER_BLOCK
+        ]
+        clean.fold_once(0, fold(0), list)  # the oldest went first
+        assert folds == ["a", "a", "b", "b", *range(PARTIALS_PER_BLOCK + 1), 0]
+        assert stats.partials_reused == 2
 
     def test_facts_are_not_part_of_stats_equality(self):
         known = BlockFacts()

@@ -251,8 +251,7 @@ def _database() -> Database:
 #: executor still charged the clock operation by operation.  The three
 #: nLQ shapes, both GROUP BY spill edges (k = 16 presses on
 #: the heap segment, k = 32 spills), a derived table, a batch with a
-#: duplicate, the DML and load paths, and a summary-cache miss and
-#: incremental refresh.
+#: duplicate, and the DML and load paths.
 PINNED_SECONDS = {
     "load_columns": 0.020999999999999998,
     "nlq_diag": 1.692722,
@@ -273,8 +272,6 @@ PINNED_SECONDS = {
     "update": 0.2144297,
     "delete": 0.2144,
     "insert_rows": 1.8e-05,
-    "summary_cache_miss": 1.8239500000000004,
-    "summary_cache_refresh": 0.48139750000000003,
 }
 
 
@@ -345,13 +342,6 @@ class TestPinnedClock:
                 "s", [(1000 + j, float(j)) for j in range(30)]
             ),
         )
-        db.summary_cache_enabled = True
-        clocked("summary_cache_miss", lambda: db.execute(nlq))
-        db.insert_rows(
-            "x",
-            [(ROWS + 1 + j, 0, 0, 1.0, 2.0, 3.0, float(j)) for j in range(20)],
-        )
-        clocked("summary_cache_refresh", lambda: db.execute(nlq))
         return out
 
     @pytest.mark.parametrize("name", sorted(PINNED_SECONDS))

@@ -247,18 +247,18 @@ def test_explain_analyze_batch_attaches_trace(dataset):
     assert plan.metrics.statements_batched == 2
 
 
-# -------------------------------------------------- summary-cache riders
-def test_cached_statement_drops_out_of_the_shared_scan(dataset):
+# ------------------------------------------------- reused-partial riders
+def test_warm_statement_reuses_its_partials_in_the_shared_scan(dataset):
     sql = nlq_call_sql("x", DIMS)
     with _fresh_db(dataset) as db:
-        db.summary_cache_enabled = True
-        warm = db.execute(sql).rows  # populate the cache
+        warm = db.execute(sql).rows  # the blocks remember the partials
         results = db.execute_batch([sql, "SELECT count(*) FROM x"])
         metrics = results[0].metrics
         serial_count = db.execute("SELECT count(*) FROM x").rows
+        partitions = db.table("x").non_empty_partition_count
     assert results[0].rows == warm
     assert results[1].rows == serial_count
-    # The nlq statement was served from cache (its own scan saved), and
-    # the count still consolidated — nothing double-counted.
-    assert metrics.scans_saved >= 1
-    assert metrics.summary_cache_hits >= 1
+    # The nlq statement took one remembered partial per partition, and
+    # both statements still shared the one scan.
+    assert metrics.partials_reused == partitions
+    assert metrics.scans_saved == 1

@@ -43,17 +43,24 @@ class TestGrandAggregates:
         result = sales.execute("SELECT sum(amount) FROM sales WHERE qty > 1")
         assert result.scalar() == 50.0
 
-    @pytest.mark.parametrize("name", ["sum", "avg"])
+    @pytest.mark.parametrize(
+        "name",
+        ["sum", "avg", "var_pop", "var_samp", "stddev_pop", "stddev_samp",
+         "corr", "regr_slope", "regr_intercept"],
+    )
     @pytest.mark.parametrize(
         "tail", ["", " WHERE i > 0", " GROUP BY i", " WHERE i > 1 GROUP BY i"]
     )
     def test_sum_and_avg_of_text_raise(self, db, name, tail):
-        # Unchecked, sum concatenated ('1.5' + '2') and avg raised a
-        # bare TypeError from float + str.
+        # Unchecked, sum concatenated ('1.5' + '2'), avg raised a bare
+        # TypeError from float + str, and the moment aggregates parsed
+        # the text (var_pop gave 0.0625, corr(s, s) 1.0).
         db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, s VARCHAR)")
         db.execute("INSERT INTO t VALUES (1, '1.5'), (2, '2')")
+        two = name in ("corr", "regr_slope", "regr_intercept")
+        arguments = "s, s" if two else "s"
         with pytest.raises(TypeMismatchError, match=f"{name} needs numeric"):
-            db.execute(f"SELECT {name}(s) FROM t{tail}")
+            db.execute(f"SELECT {name}({arguments}) FROM t{tail}")
 
     def test_sum_and_avg_of_a_text_free_column_still_add(self, sales):
         assert sales.execute(

@@ -1,4 +1,4 @@
-"""One-scan fused clustering iterations and the summary-matrix cache.
+"""One-scan fused clustering iterations and reused block partials.
 
 Two properties hold this PR together:
 
@@ -7,12 +7,12 @@ Two properties hold this PR together:
   to the GROUP BY reference ``miner.kmeans(method="udf")`` at any
   worker count, because the fused kernel replays the scoring and GROUP
   BY arithmetic exactly.
-* **Cache freshness** — the Database-level summary cache may serve a
-  statement with zero rows scanned only when the table's version
-  counters prove the entry current; appends trigger an incremental
-  watermark refresh of exactly the suffix, destructive mutations force
-  a full rebuild.  A stale *answer* is impossible by construction, and
-  these tests try to provoke one.
+* **Reused partials** — a cached partition block remembers the (n, L,
+  Q) partial a summary UDF folded over it, so a warm repeat reuses one
+  partial per non-empty partition; any mutation drops the blocks it
+  stales, and with them their partials.  The fold unit stays the
+  partition block, so answers are bitwise those of folding again, and
+  these tests try to provoke a stale one.
 """
 
 from __future__ import annotations
@@ -214,25 +214,24 @@ class TestSeedingRegression:
         assert np.all(model.weights > 0.25)
 
 
-# -------------------------------------------------------- summary cache
-class TestSummaryCache:
+# ------------------------------------------------------ reused partials
+def _partials(db: Database) -> int:
+    return db._executor.last_metrics.partials_reused
+
+
+class TestBlockPartials:
     @pytest.mark.parametrize("matrix_type", list(MatrixType))
-    def test_fresh_hit_serves_zero_rows_bitwise(self, matrix_type):
+    def test_warm_repeat_reuses_every_partition_bitwise(self, matrix_type):
         X = _dataset(5, n=100)
         db = _make_db(X)
         try:
             register_nlq_udfs(db)
-            db.summary_cache_enabled = True
             cold = compute_nlq_udf(db, "x", DIMS, matrix_type)
-            metrics = db._executor.last_metrics
-            assert metrics.summary_cache_misses == 1
-            assert metrics.rows_scanned == 100
+            assert _partials(db) == 0
             warm = compute_nlq_udf(db, "x", DIMS, matrix_type)
             metrics = db._executor.last_metrics
-            assert metrics.summary_cache_hits == 1
-            assert metrics.summary_cache_misses == 0
-            assert metrics.scans_saved == 1
-            assert metrics.rows_scanned == 0
+            assert metrics.partials_reused == 4  # one per partition
+            assert metrics.rows_scanned == 100  # the blocks are still read
             assert warm.n == cold.n
             assert np.array_equal(warm.L, cold.L)
             assert np.array_equal(warm.Q, cold.Q)
@@ -240,94 +239,102 @@ class TestSummaryCache:
             db.close()
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_cache_hit_model_build_identical(self, workers):
-        """Acceptance: the second model build over the same columns
-        scans zero rows and produces the identical model."""
+    def test_warm_model_build_identical(self, workers):
+        """The second model build over the same columns reuses every
+        partition's partial and produces the identical model."""
         X = _dataset(8, n=100)
         db = _make_db(X, workers=workers)
         try:
             register_nlq_udfs(db)
-            db.summary_cache_enabled = True
             cold = CorrelationModel.from_summary(
                 compute_nlq_udf(db, "x", DIMS), list(DIMS)
             )
             warm = CorrelationModel.from_summary(
                 compute_nlq_udf(db, "x", DIMS), list(DIMS)
             )
-            assert db._executor.last_metrics.rows_scanned == 0
+            assert _partials(db) == 4
             assert np.array_equal(warm.rho, cold.rho)
             assert warm.n == cold.n
         finally:
             db.close()
 
-    def test_insert_refreshes_exactly_the_appended_suffix(self):
+    def test_insert_refolds_exactly_the_touched_partitions(self):
         X = _dataset(6, n=100)
-        db = _make_db(X)
+        appended = [(101, 1.0, 2.0, 3.0), (102, 4.0, 5.0, 6.0)]
+        db, twin = _make_db(X), _make_db(X)
         try:
             register_nlq_udfs(db)
-            db.summary_cache_enabled = True
+            register_nlq_udfs(twin)
             compute_nlq_udf(db, "x", DIMS)
-            appended = [(101, 1.0, 2.0, 3.0), (102, 4.0, 5.0, 6.0)]
+            before = [p.row_count for p in db.table("x").partitions]
             db.insert_rows("x", appended)
-            stale = compute_nlq_udf(db, "x", DIMS)
-            metrics = db._executor.last_metrics
-            assert metrics.summary_cache_hits == 1
-            assert metrics.rows_scanned == 2  # the suffix, not the table
-            assert stale.n == 102
-            reference = SummaryStatistics.from_matrix(
-                np.vstack([X, np.asarray(appended)[:, 1:]])
+            twin.insert_rows("x", appended)
+            touched = sum(
+                p.row_count != rows
+                for p, rows in zip(db.table("x").partitions, before)
             )
-            assert stale.allclose(reference)
-            # A second call is a fresh hit again: zero rows.
+            warm = compute_nlq_udf(db, "x", DIMS)
+            assert _partials(db) == 4 - touched
+            assert db._executor.last_metrics.rows_scanned == 102
+            cold = compute_nlq_udf(twin, "x", DIMS)
+            assert warm.n == cold.n == 102
+            assert np.array_equal(warm.L, cold.L)
+            assert np.array_equal(warm.Q, cold.Q)
             compute_nlq_udf(db, "x", DIMS)
-            assert db._executor.last_metrics.rows_scanned == 0
+            assert _partials(db) == 4
         finally:
             db.close()
+            twin.close()
 
-    def test_destructive_mutation_forces_rebuild(self):
+    def test_destructive_mutation_reuses_nothing(self):
         X = _dataset(9, n=100)
         db = _make_db(X)
         try:
             register_nlq_udfs(db)
-            db.summary_cache_enabled = True
             compute_nlq_udf(db, "x", DIMS)
             db.execute("DELETE FROM x WHERE i <= 50")
             rebuilt = compute_nlq_udf(db, "x", DIMS)
-            metrics = db._executor.last_metrics
-            assert metrics.summary_cache_misses == 1
-            assert metrics.summary_cache_hits == 0
+            assert _partials(db) == 0
             assert rebuilt.n == 50
             assert rebuilt.allclose(SummaryStatistics.from_matrix(X[50:]))
         finally:
             db.close()
 
-    def test_disabling_falls_back_to_the_scan(self):
-        X = _dataset(10, n=100)
-        db = _make_db(X)
-        try:
-            register_nlq_udfs(db)
-            db.summary_cache_enabled = True
-            cached = compute_nlq_udf(db, "x", DIMS)
-            db.summary_cache_enabled = False
-            scanned = compute_nlq_udf(db, "x", DIMS)
-            metrics = db._executor.last_metrics
-            assert metrics.summary_cache_hits == 0
-            assert metrics.rows_scanned == 100
-            assert scanned.allclose(cached)
-        finally:
-            db.close()
-
-    def test_cache_is_off_by_default(self):
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT nlq_tri(3, x1 * 2.0, x2, x3) FROM x",  # computed lane
+            "SELECT nlq_tri(3, x1, x2, NULL) FROM x",  # NULL literal
+            "SELECT i % 3, nlq_tri(3, x1, x2, x3) FROM x GROUP BY i % 3",
+            "SELECT sum(x1), var_pop(x2) FROM x",  # builtins
+        ],
+    )
+    def test_other_folds_run_every_time(self, sql):
         X = _dataset(13, n=40)
         db = _make_db(X)
         try:
             register_nlq_udfs(db)
-            assert not db.summary_cache_enabled
+            first = db.execute(sql).rows
+            again = db.execute(sql)
+            assert again.metrics.partials_reused == 0
+            assert again.metrics.block_cache_hits == 4
+            assert repr(again.rows) == repr(first)
+        finally:
+            db.close()
+
+    def test_blocks_with_nulls_fold_every_time(self):
+        """A block that fails the NULL pre-test keeps dropping its NULL
+        rows per fold, so every warm fold still counts its NULL scan."""
+        X = _dataset(16, n=40)
+        db = _make_db(X)
+        try:
+            register_nlq_udfs(db)
+            db.insert_rows("x", [(41, None, 1.0, 2.0)])
+            compute_nlq_udf(db, "x", DIMS)
             compute_nlq_udf(db, "x", DIMS)
             metrics = db._executor.last_metrics
-            assert metrics.summary_cache_hits == 0
-            assert metrics.summary_cache_misses == 0
-            assert metrics.rows_scanned == 40
+            assert metrics.partials_reused == 3
+            assert metrics.null_scans == 1
         finally:
             db.close()
 
@@ -352,20 +359,16 @@ class TestExplainRendering:
         finally:
             db.close()
 
-    def test_summary_cache_notes_track_freshness(self):
+    def test_analyze_reports_reused_partials(self):
         X = _dataset(15, n=60)
         db = _make_db(X)
         try:
             register_nlq_udfs(db)
-            db.summary_cache_enabled = True
             sql = nlq_call_sql("x", DIMS)
-            assert "summary-cache miss" in db.explain(sql)
-            compute_nlq_udf(db, "x", DIMS)  # warms the cache
-            result = db.execute("EXPLAIN ANALYZE " + sql)
-            rendered = "\n".join(row[0] for row in result.rows)
-            assert "summary-cache hit" in rendered
-            assert result.metrics.rows_scanned == 0
-            db.insert_rows("x", [(61, 1.0, 2.0, 3.0)])
-            assert "summary-cache hit (stale)" in db.explain(sql)
+            cold = db.execute("EXPLAIN ANALYZE " + sql)
+            warm = db.execute("EXPLAIN ANALYZE " + sql)
+            assert cold.metrics.partials_reused == 0
+            assert warm.metrics.partials_reused == 4
+            assert warm.metrics.rows_scanned == 60
         finally:
             db.close()

@@ -5,10 +5,10 @@
    centroid.  Seeding now draws a bounded, NULL-filtered reservoir
    sample through the partition engine (:mod:`repro.dbms.sampling`),
    deterministic for a fixed seed at any worker count.
-2. ``DROP TABLE`` left the table's entries in the
-   :class:`~repro.core.summary_cache.SummaryCache`; recreating the
-   table then served stale summaries.  The catalog now notifies the
-   cache on every drop.
+2. ``DROP TABLE`` left the table's entries in the summary-matrix
+   cache of the time; recreating the table then served stale
+   summaries.  Reused partials live with a table's cached blocks, so a
+   recreated table starts with none.
 3. ``naive_bayes``/``lda`` crashed with a bare ``TypeError`` on
    ``int(key)`` when the label column held NULLs (grouped under
    None/NaN) or non-integral floats.  NULL-label groups are skipped and
@@ -28,7 +28,8 @@ import numpy as np
 import pytest
 
 from repro.core.models.kmeans import KMeansModel
-from repro.core.nlq_udf import nlq_call_sql, register_nlq_udfs
+from repro.core.nlq_udf import NlqListUdf, nlq_call_sql, register_nlq_udfs
+from repro.core.summary import MatrixType
 from repro.dbms.database import Database
 from repro.dbms.sampling import reservoir_sample
 from repro.dbms.schema import dataset_schema, dimension_names
@@ -122,26 +123,6 @@ def test_kmeans_needs_k_complete_rows():
 
 
 # -------------------------------------------------- DROP TABLE eviction
-def test_drop_table_evicts_summary_cache(loaded_db):
-    db, _, _ = loaded_db
-    db.summary_cache_enabled = True
-    sql = nlq_call_sql("x", dimension_names(4))
-    db.execute(sql)
-    cache = db.summary_cache
-    assert len(cache) == 1
-    db.execute("DROP TABLE x")
-    assert len(cache) == 0
-
-
-def test_drop_table_api_evicts_summary_cache(loaded_db):
-    db, _, _ = loaded_db
-    db.summary_cache_enabled = True
-    db.execute(nlq_call_sql("x", dimension_names(4)))
-    assert len(db.summary_cache) == 1
-    db.drop_table("x")
-    assert len(db.summary_cache) == 0
-
-
 def test_recreated_table_is_not_served_stale_summaries():
     """The actual corruption the bug caused: drop x, recreate it with
     different data, and the cached summary of the *old* x answered."""
@@ -159,14 +140,38 @@ def test_recreated_table_is_not_served_stale_summaries():
     with Database(amps=4) as db:
         load(db, scale=5.0)
         register_nlq_udfs(db)
-        db.summary_cache_enabled = True
         sql = nlq_call_sql("x", DIMS)
-        first = unpack_summary(db.execute(sql).scalar())
+        db.execute(sql)
+        warm = db.execute(sql)
+        first = unpack_summary(warm.scalar())
         db.execute("DROP TABLE x")
         load(db, scale=50.0)
-        second = unpack_summary(db.execute(sql).scalar())
+        again = db.execute(sql)
+        second = unpack_summary(again.scalar())
+    assert warm.metrics.partials_reused == 4
+    assert again.metrics.partials_reused == 0
     assert not np.allclose(first.L, second.L)
     assert second.mean() == pytest.approx(np.full(D, 50.0), abs=1.0)
+
+
+def test_drop_table_api_forgets_the_partials(loaded_db):
+    """Another aggregate object over the same lanes, and a table
+    recreated through the API, reuse no partial the first one left."""
+    db, _, _ = loaded_db
+    sql = nlq_call_sql("x", dimension_names(4))
+    db.execute(sql)
+    assert db.execute(sql).metrics.partials_reused > 0
+    db.register_udf(NlqListUdf("nlq_twin", MatrixType.TRIANGULAR))
+    twin = sql.replace("nlq_tri(", "nlq_twin(")
+    assert db.execute(twin).metrics.partials_reused == 0
+    assert db.execute(twin).rows == db.execute(sql).rows
+    schema = db.table("x").schema
+    rows = db.table("x").rows()
+    db.drop_table("x")
+    db.create_table("x", schema)
+    db.insert_rows("x", rows)
+    assert db.execute(sql).metrics.partials_reused == 0
+    assert db.execute(sql).metrics.partials_reused > 0
 
 
 # ------------------------------------------------- NULL / float labels

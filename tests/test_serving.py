@@ -30,7 +30,7 @@ from repro.core.models.lda import LdaModel
 from repro.core.models.naive_bayes import NaiveBayesModel
 from repro.core.models.regression import LinearRegressionModel
 from repro.core.scoring.scorer import ModelScorer
-from repro.core.summary import AugmentedSummary, MatrixType, SummaryStatistics
+from repro.core.summary import AugmentedSummary, SummaryStatistics
 from repro.dbms.database import Database
 from repro.dbms.faults import FaultPlan, FaultSpec
 from repro.dbms.schema import dataset_schema, dimension_names
@@ -365,21 +365,15 @@ class TestSessions:
             with pytest.raises(SnapshotInvalidatedError, match="pinned"):
                 session.score_table("m", "pts", dimension_names(D))
 
-    def test_summary_served_from_cache_at_pinned_version(self, db, server):
+    def test_summary_reads_the_pinned_prefix(self, db, server):
         _load_points(db, n=50)
-        db.summary_cache_enabled = True
         dims = dimension_names(D)
-        # Warm the cache, then pin: the entry version matches the pin.
-        db.summary_cache.lookup("pts", dims, MatrixType.TRIANGULAR)
         with server.session() as session:
             stats = session.summary("pts", dims)
-            assert server.metrics.snapshot_cache_hits == 1
-            # A write after the pin makes the (refreshed) entry useless
-            # for this session; the snapshot prefix answers instead.
+            # A write after the pin is invisible to this session.
             server.insert_rows("pts", [(999, 1.0, 1.0, 1.0)])
-            db.summary_cache.lookup("pts", dims, MatrixType.TRIANGULAR)
             again = session.summary("pts", dims)
-            assert server.metrics.snapshot_cache_hits == 1
+            assert server.metrics.snapshot_reads == 2
         # (n, L, Q) are permutation-invariant, so the raw rows are a
         # valid reference regardless of partition order.
         reference = SummaryStatistics.from_matrix(X_DATA[:50])

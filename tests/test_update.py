@@ -48,6 +48,12 @@ class TestExecution:
             accounts.execute("SELECT balance FROM accounts").column("balance")
         ) == [-100.0, 0.0, 200.0]
 
+    def test_update_of_an_empty_table(self, accounts):
+        # It raised IndexError: an empty table transposed to no columns.
+        accounts.execute("DELETE FROM accounts")
+        accounts.execute("UPDATE accounts SET balance = 0.0 WHERE i > 1")
+        assert accounts.execute("SELECT count(*) FROM accounts").scalar() == 0
+
     def test_update_with_where(self, accounts):
         accounts.execute(
             "UPDATE accounts SET status = 'frozen' WHERE balance < 0"
