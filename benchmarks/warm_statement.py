@@ -47,7 +47,10 @@ PARTS = {
         ("repro.dbms.blocks", "may_hold_null"),
         ("repro.dbms.sql.executor", "drop_null_rows"),
     ],
-    "kernel": [("repro.core.nlq_udf", "_NlqUdfBase._update_block")],
+    "kernel": [
+        ("repro.core.summary", "SummaryAccumulator.fold"),
+        ("repro.core.nlq_udf", "_NlqUdfBase._update_block"),
+    ],
     "finalize": [("repro.dbms.sql.executor", "Executor._finalize_aggregate")],
     "tasks": [("repro.dbms.sql.executor", "_scan_partition")],
     "statement": [("repro.dbms.database", "Database.execute")],

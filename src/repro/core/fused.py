@@ -54,7 +54,7 @@ from repro.core import factorized as factorized_math
 from repro.core.models.em_mixture import GaussianMixtureModel
 from repro.core.packing import SECTION_SEPARATOR, pack_summary, unpack_summary
 from repro.core.scoring.udfs import squared_distance_block
-from repro.core.summary import MatrixType, SummaryStatistics
+from repro.core.summary import MatrixType, SummaryStatistics, weighted_sums
 from repro.dbms.database import Database
 from repro.dbms.udf import AggregateUdf, RowCost
 from repro.errors import UdfArgumentError
@@ -370,10 +370,10 @@ class EmIterUdf(_FusedIterUdf):
     # --------------------------------------------------------------- phases
     def _fold(self, state: _FusedState, X: np.ndarray) -> None:
         log_resp, log_likelihood = self._model._e_step(X)
-        responsibilities = np.exp(log_resp)
-        state.counts += responsibilities.sum(axis=0)
-        state.linear += responsibilities.T @ X
-        state.quadratic += responsibilities.T @ (X * X)
+        counts, linear, quadratic = weighted_sums(np.exp(log_resp), X)
+        state.counts += counts
+        state.linear += linear
+        state.quadratic += quadratic
         state.extra += log_likelihood
 
     def accumulate_block(

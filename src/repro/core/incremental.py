@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.nlq_udf import NLQ_UDF_NAMES, NlqListUdf
-from repro.core.summary import MatrixType, SummaryStatistics
+from repro.core.summary import MatrixType, SummaryAccumulator, SummaryStatistics
 from repro.dbms.blocks import drop_null_rows
 from repro.dbms.cost import UdfRows, Work
 from repro.dbms.database import Database
@@ -47,9 +47,7 @@ class IncrementalSummary:
         self._positions = [
             table_obj.schema.position_of(name) for name in self.dimensions
         ]
-        self._watermarks = [0] * table_obj.partition_count
-        self._stats = SummaryStatistics.zeros(len(self.dimensions), matrix_type)
-        self._refreshes = 0
+        self.reset()
 
     # ------------------------------------------------------------ properties
     @property
@@ -83,7 +81,7 @@ class IncrementalSummary:
             raise ModelError("table was rebuilt; create a new IncrementalSummary")
         d = len(self.dimensions)
         new_rows = 0
-        delta = SummaryStatistics.zeros(d, self.matrix_type)
+        delta = SummaryAccumulator(self.matrix_type is MatrixType.DIAGONAL)
         for index, partition in enumerate(table.partitions):
             mark = self._watermarks[index]
             count = partition.row_count
@@ -96,11 +94,7 @@ class IncrementalSummary:
                 continue
             block = partition.block(self._positions, mark, count)
             # Match the aggregate UDF: skip rows with any NULL dimension.
-            delta = delta.merge(
-                SummaryStatistics.from_matrix(
-                    drop_null_rows(block), self.matrix_type
-                )
-            )
+            delta.fold(drop_null_rows(block))
             new_rows += count - mark
             self._watermarks[index] = count
         if new_rows:
@@ -111,7 +105,7 @@ class IncrementalSummary:
             work.scan(rows, d)
             work.udfs.append(UdfRows(rows, self._udf.cost_per_row(d + 1)))
             self._db.cost.charge(work)
-            self._stats = self._stats.merge(delta)
+            self._stats = self._stats.merge(delta.summary(self.matrix_type, d))
         self._refreshes += 1
         return self._stats
 

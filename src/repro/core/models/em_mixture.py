@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.scoring.udfs import ScoringSpec, gaussian_score_params
+from repro.core.summary import weighted_sums
 from repro.errors import ModelError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -99,11 +100,8 @@ class GaussianMixtureModel:
         previous = -np.inf
         for iteration in range(1, max_iterations + 1):
             log_resp, log_likelihood = model._e_step(X)
-            responsibilities = np.exp(log_resp)
             model = cls.from_weighted_sums(
-                responsibilities.sum(axis=0),
-                responsibilities.T @ X,
-                responsibilities.T @ (X * X),
+                *weighted_sums(np.exp(log_resp), X),
                 X.shape[0], variance_floor, log_likelihood, iteration,
             )
             if _converged(log_likelihood, previous, tolerance):

@@ -34,48 +34,17 @@ import numpy as np
 
 from repro.core.packing import (
     pack_summary,
+    unpack_summary,
     unpack_vector,
     vector_char_cost,
 )
-from repro.core.summary import MatrixType, SummaryStatistics
+from repro.core.summary import MatrixType, SummaryAccumulator, SummaryStatistics
 from repro.dbms.database import Database
 from repro.dbms.udf import AggregateUdf, RowCost
-from repro.errors import UdfArgumentError
+from repro.errors import ModelError, UdfArgumentError
 
 #: the paper's static struct bound; d=64 keeps the full struct inside 64 KB
 DEFAULT_MAX_D = 64
-
-
-class _NlqState:
-    """The aggregate's heap struct: n, L, Q (+ per-dimension extrema).
-
-    Arrays are lazily shaped on the first row (the C struct is static;
-    we size on first use but *account* statically — see
-    ``state_value_count``).
-    """
-
-    __slots__ = ("d", "n", "L", "Q", "mins", "maxs", "diagonal")
-
-    def __init__(self, diagonal: bool) -> None:
-        self.d: int | None = None
-        self.n = 0.0
-        self.L: np.ndarray | None = None
-        self.Q: np.ndarray | None = None
-        self.mins: np.ndarray | None = None
-        self.maxs: np.ndarray | None = None
-        self.diagonal = diagonal
-
-    def shape_for(self, d: int) -> None:
-        if self.d is None:
-            self.d = d
-            self.L = np.zeros(d)
-            self.Q = np.zeros(d) if self.diagonal else np.zeros((d, d))
-            self.mins = np.full(d, np.inf)
-            self.maxs = np.full(d, -np.inf)
-        elif self.d != d:
-            raise UdfArgumentError(
-                f"point dimensionality changed mid-scan: {self.d} -> {d}"
-            )
 
 
 class _NlqUdfBase(AggregateUdf):
@@ -98,126 +67,53 @@ class _NlqUdfBase(AggregateUdf):
         self._observed_d = 0
 
     # --------------------------------------------------------------- phases
-    def initialize(self) -> _NlqState:
+    def initialize(self) -> SummaryAccumulator:
         # The C struct is allocated up front at its static MAX_d size;
         # the heap segment must fit it before any row is read.
         self.ensure_state_fits(self.state_value_count())
-        return _NlqState(self.matrix_type is MatrixType.DIAGONAL)
+        return SummaryAccumulator(self.matrix_type is MatrixType.DIAGONAL)
 
-    def _update(self, state: _NlqState, x: np.ndarray) -> None:
-        d = x.shape[0]
+    def _check_points(self, state: SummaryAccumulator, d: int) -> None:
+        """The argument checks ahead of every fold into *state*."""
         if d > self.max_d:
             raise UdfArgumentError(
                 f"UDF {self.name!r} was compiled with MAX_d={self.max_d} "
-                f"but received a {d}-dimensional point; partition the "
+                f"but received {d}-dimensional points; partition the "
                 "computation across calls (repro.core.blockwise)"
             )
         if d == 0:
             raise UdfArgumentError(f"UDF {self.name!r} received an empty point")
-        state.shape_for(d)
-        self._observed_d = d
-        state.n += 1.0
-        state.L += x
-        if state.diagonal:
-            state.Q += x * x
-        else:
-            # The triangular optimization halves the multiply-adds; the
-            # stored result is the same symmetric matrix either way, so
-            # the cost model (not the storage) carries the difference.
-            state.Q += np.outer(x, x)
-        np.minimum(state.mins, x, out=state.mins)
-        np.maximum(state.maxs, x, out=state.maxs)
-
-    def _update_block(self, state: _NlqState, X: np.ndarray) -> None:
-        rows, d = X.shape
-        if d > self.max_d:
+        if state.d is not None and state.d != d:
             raise UdfArgumentError(
-                f"UDF {self.name!r} was compiled with MAX_d={self.max_d} "
-                f"but received {d}-dimensional points"
+                f"point dimensionality changed mid-scan: {state.d} -> {d}"
             )
-        if rows == 0:
-            return
         self._observed_d = d
-        L = X.sum(axis=0)
-        Q = (X * X).sum(axis=0) if state.diagonal else X.T @ X
-        mins, maxs = X.min(axis=0), X.max(axis=0)
-        if state.d is None:
-            # A fresh state takes the block's sums as they are.  Adding
-            # into zeros turned a -0.0 sum into +0.0; ``+= 0.0`` keeps
-            # that rounding, so partials stay byte-equal.  inf and -inf
-            # are the identities of min and max, nothing to fold.
-            L += 0.0
-            Q += 0.0
-            state.d, state.n = d, float(rows)
-            state.L, state.Q, state.mins, state.maxs = L, Q, mins, maxs
-            return
-        state.shape_for(d)
-        state.n += float(rows)
-        state.L += L
-        state.Q += Q
-        np.minimum(state.mins, mins, out=state.mins)
-        np.maximum(state.maxs, maxs, out=state.maxs)
 
-    def merge(self, state: _NlqState, other: _NlqState) -> _NlqState:
-        if other.d is None:
-            return state
-        if state.d is None:
-            return other
-        if state.d != other.d:
-            raise UdfArgumentError(
-                f"cannot merge partial states of dimension {state.d} and {other.d}"
-            )
-        state.n += other.n
-        state.L += other.L
-        state.Q += other.Q
-        np.minimum(state.mins, other.mins, out=state.mins)
-        np.maximum(state.maxs, other.maxs, out=state.maxs)
-        return state
+    def merge(
+        self, state: SummaryAccumulator, other: SummaryAccumulator
+    ) -> SummaryAccumulator:
+        try:
+            return state.merge(other)
+        except ModelError as error:
+            raise UdfArgumentError(str(error)) from None
 
-    def finalize(self, state: _NlqState) -> str | None:
+    def finalize(self, state: SummaryAccumulator) -> str | None:
         if state.d is None:
             return None
-        Q = np.diag(state.Q) if state.diagonal else state.Q
-        stats = SummaryStatistics(
-            n=state.n,
-            L=state.L,
-            Q=Q,
-            matrix_type=self.matrix_type,
-            mins=state.mins,
-            maxs=state.maxs,
-        )
-        return pack_summary(stats)
+        return pack_summary(state.summary(self.matrix_type))
 
-    def copy_state(self, state: _NlqState) -> _NlqState:
-        copy = _NlqState(state.diagonal)
-        copy.d, copy.n = state.d, state.n
-        if state.d is not None:
-            copy.L, copy.Q = state.L.copy(), state.Q.copy()
-            copy.mins, copy.maxs = state.mins.copy(), state.maxs.copy()
-        return copy
+    def copy_state(self, state: SummaryAccumulator) -> SummaryAccumulator:
+        return state.copy()
 
-    def state_from_stats(self, stats: SummaryStatistics) -> _NlqState:
-        """Synthesize a finished aggregate state from an existing summary.
-
-        This is how a factorized star summary answers: the combined
-        :class:`SummaryStatistics` is loaded into a fresh state, and the
-        ordinary :meth:`finalize` then produces the exact payload a scan
-        would have.  ``n == 0`` maps to the unshaped state, whose
-        finalize returns NULL like an empty scan.
-        """
+    def state_from_stats(self, stats: SummaryStatistics) -> SummaryAccumulator:
+        """A finished state holding *stats*, so :meth:`finalize` packs the
+        payload a scan would have (how a factorized star summary answers);
+        ``n == 0`` is the unshaped state, NULL like an empty scan."""
         state = self.initialize()
         if stats.n == 0:
             return state
-        state.shape_for(stats.d)
-        self._observed_d = stats.d
-        state.n = float(stats.n)
-        state.L = stats.L.copy()
-        state.Q = np.diag(stats.Q).copy() if state.diagonal else stats.Q.copy()
-        if stats.mins is not None:
-            state.mins = stats.mins.copy()
-        if stats.maxs is not None:
-            state.maxs = stats.maxs.copy()
-        return state
+        self._check_points(state, stats.d)
+        return SummaryAccumulator.from_stats(stats)
 
     # -------------------------------------------------------------- costing
     def state_value_count(self) -> int:
@@ -245,7 +141,9 @@ class NlqListUdf(_NlqUdfBase):
     #: so a cached block remembers it; a star join factorizes the call
     summary_cacheable = True
 
-    def accumulate(self, state: _NlqState, args: Sequence[Any]) -> _NlqState:
+    def accumulate(
+        self, state: SummaryAccumulator, args: Sequence[Any]
+    ) -> SummaryAccumulator:
         if len(args) < 2:
             raise UdfArgumentError(
                 f"UDF {self.name!r} needs (d, x1, ..., xd); got {len(args)} args"
@@ -257,10 +155,12 @@ class NlqListUdf(_NlqUdfBase):
                 f"UDF {self.name!r}: declared d={d} but received "
                 f"{len(values)} point values"
             )
-        self._update(state, np.asarray([float(v) for v in values]))
-        return state
+        self._check_points(state, d)
+        return state.add(np.asarray([float(v) for v in values]))
 
-    def accumulate_block(self, state: _NlqState, block: np.ndarray) -> _NlqState:
+    def accumulate_block(
+        self, state: SummaryAccumulator, block: np.ndarray
+    ) -> SummaryAccumulator:
         if block.shape[0] == 0:
             return state
         d = int(block[0, 0])
@@ -269,8 +169,8 @@ class NlqListUdf(_NlqUdfBase):
                 f"UDF {self.name!r}: declared d={d} but received "
                 f"{block.shape[1] - 1} point values"
             )
-        self._update_block(state, block[:, 1:])
-        return state
+        self._check_points(state, d)
+        return state.fold(block[:, 1:])
 
     def cost_per_row(self, arg_count: int) -> RowCost:
         # The call names d: (d, x1, ..., xd).  So the price is known
@@ -291,15 +191,18 @@ class NlqStringUdf(_NlqUdfBase):
     arity = 1
     supports_block = False
 
-    def accumulate(self, state: _NlqState, args: Sequence[Any]) -> _NlqState:
+    def accumulate(
+        self, state: SummaryAccumulator, args: Sequence[Any]
+    ) -> SummaryAccumulator:
         (packed,) = args
         if not isinstance(packed, str):
             raise UdfArgumentError(
                 f"UDF {self.name!r} expects a packed string point, got "
                 f"{type(packed).__name__}"
             )
-        self._update(state, unpack_vector(packed))
-        return state
+        x = unpack_vector(packed)
+        self._check_points(state, x.shape[0])
+        return state.add(x)
 
     def cost_per_row(self, arg_count: int) -> RowCost:
         # d is inside the packed string: known once a row was parsed.
@@ -346,8 +249,6 @@ def compute_nlq_udf(
 
     The UDF variants must already be registered (see
     :func:`register_nlq_udfs`)."""
-    from repro.core.packing import unpack_summary
-
     payload = db.execute(
         nlq_call_sql(table, dimensions, matrix_type, passing)
     ).scalar()
@@ -365,8 +266,6 @@ def compute_nlq_udf_groups(
     passing: str = "list",
 ) -> "dict[object, SummaryStatistics]":
     """Per-group (n, L, Q) through the aggregate UDF with GROUP BY."""
-    from repro.core.packing import unpack_summary
-
     result = db.execute(
         nlq_call_sql(table, dimensions, matrix_type, passing, group_by=group_by)
     )

@@ -11,6 +11,13 @@ the linear-regression normal equations, and the per-cluster statistics
 of K-means/EM — so after one table scan the data set X is never needed
 again (except the residual scan in regression).
 
+:class:`SummaryAccumulator` is the one accumulator that computes them
+(init → ``fold`` blocks → ``merge`` partials in partition order).  The
+aggregate UDF, :meth:`SummaryStatistics.from_matrix` and ``merge``, the
+served snapshot summary and the incremental refresh all fold through it,
+so they agree bit for bit on the same blocks.  :func:`weighted_sums` is
+its soft-assignment form for EM.
+
 :class:`SummaryStatistics` is the in-memory representation shared by all
 three computation routes (plain SQL, the aggregate UDF, and the external
 C++-style tool); all routes must produce equal instances on the same
@@ -108,42 +115,29 @@ class SummaryStatistics:
         X: np.ndarray,
         matrix_type: MatrixType = MatrixType.TRIANGULAR,
     ) -> "SummaryStatistics":
-        """One-pass computation from an (n × d) matrix — the reference
-        implementation every other route is checked against."""
+        """One-pass computation from an (n × d) matrix: one
+        :meth:`SummaryAccumulator.fold` of the whole matrix."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ModelError(f"expected a 2-D matrix, got shape {X.shape}")
-        n, d = X.shape
-        L = X.sum(axis=0) if n else np.zeros(d)
-        if matrix_type is MatrixType.DIAGONAL:
-            Q = np.diag((X * X).sum(axis=0)) if n else np.zeros((d, d))
-        else:
-            Q = X.T @ X if n else np.zeros((d, d))
-        mins = X.min(axis=0) if n else np.full(d, np.inf)
-        maxs = X.max(axis=0) if n else np.full(d, -np.inf)
-        return cls(float(n), L, Q, matrix_type, mins, maxs)
+        state = SummaryAccumulator(matrix_type is MatrixType.DIAGONAL)
+        return state.fold(X).summary(matrix_type, X.shape[1])
 
     def merge(self, other: "SummaryStatistics") -> "SummaryStatistics":
-        """Combine two partial summaries (the UDF's phase-3 merge)."""
-        if self.d != other.d:
-            raise ModelError(
-                f"cannot merge summaries of dimension {self.d} and {other.d}"
-            )
+        """Combine two partial summaries (the UDF's phase-3 merge, through
+        :meth:`SummaryAccumulator.merge`).  Extrema survive only when both
+        sides carry them."""
         if self.matrix_type is not other.matrix_type:
             raise ModelError("cannot merge summaries of different matrix types")
-        mins = maxs = None
-        if self.mins is not None and other.mins is not None:
-            mins = np.minimum(self.mins, other.mins)
-        if self.maxs is not None and other.maxs is not None:
-            maxs = np.maximum(self.maxs, other.maxs)
-        return SummaryStatistics(
-            n=self.n + other.n,
-            L=self.L + other.L,
-            Q=self.Q + other.Q,
-            matrix_type=self.matrix_type,
-            mins=mins,
-            maxs=maxs,
+        state = SummaryAccumulator.from_stats(self)
+        merged = state.merge(SummaryAccumulator.from_stats(other)).summary(
+            self.matrix_type
         )
+        if self.mins is None or other.mins is None:
+            merged.mins = None
+        if self.maxs is None or other.maxs is None:
+            merged.maxs = None
+        return merged
 
     def allclose(self, other: "SummaryStatistics", rtol: float = 1e-9) -> bool:
         """Numeric equality between two computation routes."""
@@ -218,6 +212,114 @@ class SummaryStatistics:
                 "this derivation needs cross-products; the summary was "
                 "computed with a DIAGONAL Q (clustering mode)"
             )
+
+
+class SummaryAccumulator:
+    """The (n, L, Q) aggregate state.  ``Q`` is a d-vector when
+    ``diagonal``.  A fresh state is unshaped (``d is None``) until its
+    first non-empty fold.  Callers check d before folding, and ``merge``
+    may hand back *other*, so always use its result.
+    """
+
+    __slots__ = ("d", "n", "L", "Q", "mins", "maxs", "diagonal")
+
+    def __init__(self, diagonal: bool = False) -> None:
+        self.d: int | None = None
+        self.n = 0.0
+        self.L: np.ndarray | None = None
+        self.Q: np.ndarray | None = None
+        self.mins: np.ndarray | None = None
+        self.maxs: np.ndarray | None = None
+        self.diagonal = diagonal
+
+    def fold(self, X: np.ndarray) -> "SummaryAccumulator":
+        """Fold the rows of the (rows × d) block *X*."""
+        rows, d = X.shape
+        if rows == 0:
+            return self
+        L = X.sum(axis=0)
+        # TRIANGULAR and FULL store the same symmetric Q: the cost model,
+        # not the storage, carries the triangular type's halved updates.
+        Q = (X * X).sum(axis=0) if self.diagonal else X.T @ X
+        mins, maxs = X.min(axis=0), X.max(axis=0)
+        if self.d is None:
+            # A fresh state takes the block's sums as they are.  Adding
+            # into zeros turned a -0.0 sum into +0.0; ``+= 0.0`` keeps
+            # that rounding, so partials stay byte-equal.  inf and -inf
+            # are the identities of min and max, nothing to fold.
+            L += 0.0
+            Q += 0.0
+            self.d, self.n = d, float(rows)
+            self.L, self.Q, self.mins, self.maxs = L, Q, mins, maxs
+            return self
+        return self._add(float(rows), L, Q, mins, maxs)
+
+    def add(self, x: np.ndarray) -> "SummaryAccumulator":
+        """Fold one point: the bits of ``fold(x[None, :])`` without its
+        reductions (a shaped state holds no -0.0 for a product to flip)."""
+        if self.d is None:
+            return self.fold(x[None, :])
+        return self._add(1.0, x, x * x if self.diagonal else np.outer(x, x), x, x)
+
+    def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
+        """Fold the partial *other* into this one (phase 3)."""
+        if other.d is None:
+            return self
+        if self.d is None:
+            return other
+        if self.d != other.d:
+            raise ModelError(
+                f"cannot merge partial states of dimension {self.d} and {other.d}"
+            )
+        return self._add(other.n, other.L, other.Q, other.mins, other.maxs)
+
+    def _add(self, n, L, Q, mins, maxs) -> "SummaryAccumulator":
+        self.n += n
+        self.L += L
+        self.Q += Q
+        np.minimum(self.mins, mins, out=self.mins)
+        np.maximum(self.maxs, maxs, out=self.maxs)
+        return self
+
+    def copy(self) -> "SummaryAccumulator":
+        """A copy that folding or merging into leaves this one unchanged."""
+        copy = SummaryAccumulator(self.diagonal)
+        copy.d, copy.n = self.d, self.n
+        if self.d is not None:
+            copy.L, copy.Q = self.L.copy(), self.Q.copy()
+            copy.mins, copy.maxs = self.mins.copy(), self.maxs.copy()
+        return copy
+
+    @classmethod
+    def from_stats(cls, stats: SummaryStatistics) -> "SummaryAccumulator":
+        """A shaped state holding a copy of *stats*."""
+        state = cls(stats.matrix_type is MatrixType.DIAGONAL)
+        d = state.d = stats.d
+        state.n = float(stats.n)
+        state.L = stats.L.copy()
+        state.Q = np.diag(stats.Q).copy() if state.diagonal else stats.Q.copy()
+        state.mins = np.full(d, np.inf) if stats.mins is None else stats.mins.copy()
+        state.maxs = np.full(d, -np.inf) if stats.maxs is None else stats.maxs.copy()
+        return state
+
+    def summary(
+        self, matrix_type: MatrixType, d: int | None = None
+    ) -> SummaryStatistics:
+        """The state as :class:`SummaryStatistics` (sharing its arrays);
+        an unshaped state gives the empty summary of dimension *d*."""
+        if self.d is None:
+            return SummaryStatistics.zeros(d, matrix_type)
+        Q = np.diag(self.Q) if self.diagonal else self.Q
+        return SummaryStatistics(self.n, self.L, Q, matrix_type, self.mins, self.maxs)
+
+
+def weighted_sums(
+    R: np.ndarray, X: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The per-component sums of a soft assignment: ``N_j = Σ r_ij``,
+    ``L_j = Σ r_ij x_i`` and the diagonal ``Q_j = Σ r_ij x_i²`` for the
+    (rows × k) responsibilities *R* over the (rows × d) points *X*."""
+    return R.sum(axis=0), R.T @ X, R.T @ (X * X)
 
 
 @dataclass

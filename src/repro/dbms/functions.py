@@ -124,8 +124,8 @@ class AggregateFunction:
     executor drives both identically.
     """
 
-    #: number of arguments the aggregate takes (None = variadic)
-    arity: int | None = 1
+    #: number of arguments the aggregate takes, checked at bind time
+    arity: int = 1
     #: whether NULL arguments are skipped (SQL aggregates ignore NULLs)
     skips_nulls: bool = True
 
@@ -214,7 +214,7 @@ class _SumAggregate(AggregateFunction):
 
 
 class _CountAggregate(AggregateFunction):
-    arity = None
+    # COUNT(*) binds with no argument (the executor's special case)
     skips_nulls = False
 
     def initialize(self) -> int:

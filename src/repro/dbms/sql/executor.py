@@ -2122,13 +2122,12 @@ class _AggregateSpec:
             compile_row_expression(arg, binder.resolve, executor._scalar_registry)
             for arg in args
         ]
-        if not self.is_builtin:
-            assert isinstance(aggregate, AggregateUdf)
-            if aggregate.arity is not None and len(args) != aggregate.arity:
-                raise PlanningError(
-                    f"aggregate UDF {aggregate.name!r} expects "
-                    f"{aggregate.arity} arguments, got {len(args)}"
-                )
+        arity = 0 if self._star_args else aggregate.arity
+        if arity is not None and len(args) != arity:
+            raise PlanningError(
+                f"aggregate {call.name!r} expects {arity} arguments, "
+                f"got {len(args)}"
+            )
         self._vector_fns: list | None = None
         self._argument_block: ArgumentBlockPlan | None = None
         #: what a block remembers this call's whole-block partial under

@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.summary import MatrixType, SummaryStatistics
+from repro.core.summary import MatrixType, SummaryAccumulator, SummaryStatistics
+from repro.dbms.blocks import drop_null_rows
 from repro.errors import SnapshotInvalidatedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,11 +143,17 @@ class TableSnapshot:
         columns: Sequence[str],
         matrix_type: MatrixType = MatrixType.TRIANGULAR,
     ) -> SummaryStatistics:
-        """The (n, L, Q) summary of the pinned rows — the reference
-        one-pass computation over the snapshot matrix."""
-        return SummaryStatistics.from_matrix(
-            self.numeric_matrix(columns), matrix_type
-        )
+        """The (n, L, Q) summary of the pinned rows, folded as the
+        aggregate UDF folds: per partition prefix, NULL rows skipped,
+        partials merged in partition order (``miner.summarize``'s bits)."""
+        self.validate()
+        positions = tuple(self.schema.position_of(name) for name in columns)
+        diagonal = matrix_type is MatrixType.DIAGONAL
+        total = SummaryAccumulator(diagonal)
+        for partition, pinned in zip(self._partitions, self._pinned_rows):
+            block = drop_null_rows(partition.block(positions, 0, pinned))
+            total = total.merge(SummaryAccumulator(diagonal).fold(block))
+        return total.summary(matrix_type, len(positions))
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,7 @@ from repro.core.models.em_mixture import GaussianMixtureModel
 from repro.core.nlq_udf import register_nlq_udfs
 from repro.core.packing import unpack_summary
 from repro.core.scoring.udfs import register_scoring_udfs
-from repro.core.summary import SummaryStatistics
+from repro.core.summary import SummaryAccumulator, SummaryStatistics
 from repro.dbms.blocks import drop_null_rows, lane_block, take_rows
 from repro.dbms.columnar import BlockReader, atomic_write_bytes, encode_block
 from repro.dbms.database import Database
@@ -139,18 +139,19 @@ class TestEveryProducerIsLaneMajor:
 
     def test_incremental_refresh(self, monkeypatch):
         seen = []
-        original = SummaryStatistics.from_matrix.__func__
+        original = SummaryAccumulator.fold
 
-        def spy(cls, X, matrix_type):
+        def spy(state, X):
             seen.append(X)
-            return original(cls, X, matrix_type)
+            return original(state, X)
 
-        monkeypatch.setattr(SummaryStatistics, "from_matrix", classmethod(spy))
+        monkeypatch.setattr(SummaryAccumulator, "fold", spy)
         with _make_db(_normal_rows(40, 3), 3) as db:
             db.insert_rows("x", [(41, None, 1.0, 2.0)])  # dropped row
             stats = IncrementalSummary(db, "x", dimension_names(3)).refresh()
         assert stats.n == 40.0
         assert seen and all(_is_lane_major(X) for X in seen)
+        assert not any(np.isnan(X).any() for X in seen)
 
     def test_cached_block_yields_the_same_summary(self):
         """A block served from the cache is the F-contiguous, read-only

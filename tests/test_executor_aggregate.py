@@ -62,6 +62,23 @@ class TestGrandAggregates:
         with pytest.raises(TypeMismatchError, match=f"{name} needs numeric"):
             db.execute(f"SELECT {name}({arguments}) FROM t{tail}")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT corr(amount) FROM sales",
+            "SELECT corr(amount) FROM sales WHERE qty > 1",
+            "SELECT var_pop(amount, qty) FROM sales",
+            "SELECT count(id, qty) FROM sales",
+            "SELECT sum(amount, qty) FROM sales",
+            "SELECT region, sum(amount, qty) FROM sales GROUP BY region",
+        ],
+    )
+    def test_builtin_arity_is_checked_at_bind_time(self, sales, sql):
+        # Unchecked, corr(a) raised a bare IndexError and the one-argument
+        # aggregates ignored their extra arguments.
+        with pytest.raises(PlanningError, match="expects .* arguments, got"):
+            sales.execute(sql)
+
     def test_sum_and_avg_of_a_text_free_column_still_add(self, sales):
         assert sales.execute(
             "SELECT sum(qty), avg(qty), sum(DISTINCT qty) FROM sales"

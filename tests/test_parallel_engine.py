@@ -155,20 +155,24 @@ class TestMergeSplitInvariant:
     def test_builtin_aggregates(self, name, values):
         _assert_merge_split_invariant(name, values)
 
-    @pytest.mark.xfail(
-        strict=False,
-        reason="ROADMAP open item 'stable moments': _MomentsState keeps "
-        "raw power sums, so corr cancels catastrophically at a 6.8e5 "
-        "offset; needs Welford updates with the Chan parallel merge",
-    )
     @pytest.mark.parametrize(
         "values",
         [
-            # the draw the ROADMAP quotes (hypothesis prints 2 decimals)
+            # the draw the ROADMAP quotes (hypothesis prints 2 decimals);
+            # as written it passes
             [682784.09, 682803.08, 682840.08],
             # a neighbour that is red as written: 2-way split differs
             # from the whole at 3e-7 relative
-            [682803.77, 682796.04, 682819.21],
+            pytest.param(
+                [682803.77, 682796.04, 682819.21],
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP open item 'stable moments': "
+                    "_MomentsState keeps raw power sums, so corr cancels "
+                    "catastrophically at a 6.8e5 offset; needs Welford "
+                    "updates with the Chan parallel merge",
+                ),
+            ),
         ],
     )
     def test_corr_known_red_draw(self, values):

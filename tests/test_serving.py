@@ -24,6 +24,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import WarehouseMiner
 from repro.core.models.em_mixture import GaussianMixtureModel
 from repro.core.models.kmeans import KMeansModel
 from repro.core.models.lda import LdaModel
@@ -381,6 +382,39 @@ class TestSessions:
             assert got.n == 50
             assert np.allclose(got.L, reference.L)
             assert np.allclose(got.Q, reference.Q)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_served_summary_equals_engine_bitwise(self, workers):
+        """A served summary folds each pinned partition prefix as the
+        aggregate UDF does, NULL rows skipped, and merges the partials in
+        partition order: it is ``miner.summarize`` bit for bit (a large
+        offset makes any other fold order show in the low bits)."""
+        n, dims = 4000, dimension_names(D)
+        rng = np.random.default_rng(5)
+        db = Database(amps=16, executor_workers=workers)
+        db.create_table("x", dataset_schema(D))
+        columns = {"i": np.arange(1, n + 1)}
+        for name in dims:
+            columns[name] = rng.normal(1e4, 1.0, size=n)
+        db.load_columns("x", columns)
+        db.insert_rows("x", [(n + 1, None, 1.0, 2.0)])
+        engine = WarehouseMiner(db).summarize("x", dims)
+        assert engine.n == n
+        server = db.serve()
+        try:
+            with server.session() as session:
+                served = session.summary("x", dims)
+                # A write after the pin is invisible to this session.
+                server.insert_rows("x", [(n + 2, 0.5, 0.5, 0.5)])
+                again = session.summary("x", dims)
+        finally:
+            db.close()
+        for got in (served, again):
+            assert got.n == engine.n
+            for field in ("L", "Q", "mins", "maxs"):
+                assert getattr(got, field).tobytes() == getattr(
+                    engine, field
+                ).tobytes(), field
 
     def test_session_pool_is_bounded_and_typed(self, db, models):
         server = db.serve(max_sessions=2)
