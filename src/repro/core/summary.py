@@ -130,9 +130,8 @@ class SummaryStatistics:
         if self.matrix_type is not other.matrix_type:
             raise ModelError("cannot merge summaries of different matrix types")
         state = SummaryAccumulator.from_stats(self)
-        merged = state.merge(SummaryAccumulator.from_stats(other)).summary(
-            self.matrix_type
-        )
+        right = SummaryAccumulator._view(other)
+        merged = state.merge(right).summary(self.matrix_type)
         if self.mins is None or other.mins is None:
             merged.mins = None
         if self.maxs is None or other.maxs is None:
@@ -293,13 +292,19 @@ class SummaryAccumulator:
     @classmethod
     def from_stats(cls, stats: SummaryStatistics) -> "SummaryAccumulator":
         """A shaped state holding a copy of *stats*."""
+        return cls._view(stats).copy()
+
+    @classmethod
+    def _view(cls, stats: SummaryStatistics) -> "SummaryAccumulator":
+        """A shaped state over *stats*'s own arrays, for a side that is
+        only read (the right side of a merge)."""
         state = cls(stats.matrix_type is MatrixType.DIAGONAL)
         d = state.d = stats.d
         state.n = float(stats.n)
-        state.L = stats.L.copy()
-        state.Q = np.diag(stats.Q).copy() if state.diagonal else stats.Q.copy()
-        state.mins = np.full(d, np.inf) if stats.mins is None else stats.mins.copy()
-        state.maxs = np.full(d, -np.inf) if stats.maxs is None else stats.maxs.copy()
+        state.L = stats.L
+        state.Q = np.diag(stats.Q) if state.diagonal else stats.Q
+        state.mins = np.full(d, np.inf) if stats.mins is None else stats.mins
+        state.maxs = np.full(d, -np.inf) if stats.maxs is None else stats.maxs
         return state
 
     def summary(

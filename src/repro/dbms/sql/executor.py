@@ -59,7 +59,11 @@ from repro.dbms.expressions import (
 from repro.dbms.functions import AGGREGATE_BUILTINS, SCALAR_BUILTINS, AggregateFunction
 from repro.dbms.schema import Column, TableSchema
 from repro.dbms.sql import ast
-from repro.dbms.sql.factorize import FactorizeDecision, plan_factorize
+from repro.dbms.sql.factorize import (
+    FactorizeDecision,
+    factorized_reads,
+    plan_factorize,
+)
 from repro.dbms.sql.plan import Plan, build_plan
 from repro.dbms.sql.vectorized import (
     BlockItem,
@@ -413,22 +417,12 @@ def _project_block(
     return (list(zip(*columns)) if columns else []), block.shape[0], True
 
 
-#: the factorized partition folds, by the tag leading a fold tuple.  One
-#: ``(tag, *arguments)`` tuple declares a shape and drives its fold.
-_FACTORIZED_FOLDS = {
-    "dim": fcore.fold_dim_partition,
-    "summary": fcore.fold_summary_fact_partition,
-    "fused": fcore.fold_fused_fact_partition,
-    "builtins": fcore.fold_builtin_fact_partition,
-}
-
-
-def _fold_factorized(
-    fold: tuple, source: Any, rows: "list[tuple]", blocks: list
+def _fold_star(
+    fold: Callable[[list], Any], source: Any, rows: "list[tuple]", blocks: list
 ) -> tuple[Any, int, bool]:
-    """Factorized fold body: run the fold *fold* declares over *rows*."""
-    tag, *arguments = fold
-    return _FACTORIZED_FOLDS[tag](rows, *arguments), len(rows), bool(rows)
+    """Factorized fold body: one star fold (dimension or fact side,
+    :mod:`repro.core.factorized`) over one partition's *rows*."""
+    return fold(rows), len(rows), bool(rows)
 
 
 class _BatchStatement:
@@ -525,11 +519,7 @@ class _BatchStatement:
             return
         self.group_vector_fns = group_vector_fns
         self.int_keys = tuple(int_keys)
-        self.fused_sites = tuple(
-            (site, spec.call.name)
-            for spec in self.aggregates
-            if (site := getattr(spec.aggregate, "fault_site", None))
-        )
+        self.fused_sites = _fault_sites(self.aggregates)
         self.use_vector = True
 
     def merge(self, local: dict[tuple, list[Any]]) -> None:
@@ -594,8 +584,8 @@ class Executor:
         #: ``Database.factorized_joins_enabled``
         self.factorized_joins_enabled = True
         #: the factorize pass's decision for the most recent SELECT
-        #: with joins (factorized or refused-with-reason); None when
-        #: the last statement had no joins
+        #: with joins (factorized or refused-with-reason); None before
+        #: any — a join-free statement leaves the last one in place
         self.last_factorize_decision: "FactorizeDecision | None" = None
 
     # ------------------------------------------------ partition-scan operator
@@ -1586,9 +1576,10 @@ class Executor:
 
         One partition-parallel pass per dimension table builds key →
         feature maps; one pass over the fact table folds FK-grouped
-        partials; the combine step weights dimension vectors by the
-        fact-side multiplicities (:mod:`repro.core.factorized`).  The
-        joined table never exists: rows scanned are Σ|base tables|.
+        partials with the shape's fold; its merge and finish weight
+        dimension vectors by the fact-side multiplicities
+        (:mod:`repro.core.factorized`).  The joined table never exists:
+        rows scanned are Σ|base tables|.
         """
         metrics = self.last_metrics
         fact = self._catalog.table(decision.fact_table)
@@ -1611,42 +1602,42 @@ class Executor:
             _AggregateSpec(call, self._aggregate_object(call.name), binder, self)
             for call in aggregate_calls
         ]
-        plan = _resolve_factorized_positions(
-            decision, fact, dim_tables, aggregates
-        )
 
         base_tables = [fact, *dim_tables]
         for table in base_tables:
             self.last_work.scan(table.nominal_rows, table.width)
 
-        dim_maps: "list[tuple[dict, set]]" = []
-        dim_values: "list[dict]" = []
-        dim_raws: "list[dict]" = []
-        for dim_index, table in enumerate(dim_tables):
-            values, null_any, raw = self._build_factorized_dim_map(
-                table,
-                plan.dim_key_positions[dim_index],
-                plan.dim_feature_positions[dim_index],
-            )
-            dim_maps.append((values, null_any))
-            dim_values.append(values)
-            dim_raws.append(raw)
+        arms = []
+        for dim, table in zip(decision.dims, dim_tables):
+            # ``dim-scan``, not ``scan``: the per-task ``scan`` spans
+            # already carry the measured scan seconds, and
+            # ``Span.total_seconds("scan")`` must keep reconciling
+            # exactly with ``metrics.scan_seconds``.
+            with self.tracer.span("dim-scan") as span:
+                fold = fcore.DimensionFold(dim)
+                arm = fold.merge(self._factorized_scan(table, fold))
+                if span is not None:
+                    span.attributes["table"] = table.name
+                    span.attributes["rows"] = table.row_count
+                    span.attributes["keys"] = len(arm.values)
+            arms.append(arm)
 
         with self.tracer.span("aggregate") as strategy_span:
             if strategy_span is not None:
                 strategy_span.attributes["strategy"] = "factorized-join"
-            states = self._fold_factorized_fact(
-                decision, plan, fact, aggregates, dim_maps, dim_values, dim_raws
+            star = decision.fold_type(decision, arms, aggregates[0].aggregate)
+            partials = self._factorized_scan(
+                fact, star, _fault_sites(aggregates)
             )
+            with self.tracer.span("merge") as merge_span, StageTimer(
+                metrics, "merge", merge_span
+            ):
+                states = star.finish(star.merge(partials))
 
-        base_rows = sum(table.row_count for table in base_tables)
-        would_read = 0
-        outer_rows = fact.row_count
-        for table in dim_tables:
-            would_read += outer_rows * (1 + table.row_count)
-        avoided = max(0, would_read - base_rows)
         metrics.factorized_joins += 1
-        metrics.rows_join_avoided += avoided
+        metrics.rows_join_avoided += factorized_reads(
+            fact.row_count, [table.row_count for table in dim_tables]
+        )[2]
 
         # The select list evaluates once per *fact* row (the argument
         # gathering), and the merge covers every base table's partials.
@@ -1664,134 +1655,19 @@ class Executor:
         )
         return self._apply_order_limit(select, result, order_context)
 
-    def _fold_factorized_fact(
-        self,
-        decision: FactorizeDecision,
-        plan: "_FactorizedPositions",
-        fact: Table,
-        aggregates: list["_AggregateSpec"],
-        dim_maps: "list[tuple[dict, set]]",
-        dim_values: "list[dict]",
-        dim_raws: "list[dict]",
-    ) -> "list[Any]":
-        """Fact-side fold + combine; returns the aggregate states."""
-        metrics = self.last_metrics
-        shape = decision.shape
-        key_positions = plan.fact_key_positions
-        if shape == "summary":
-            udf = aggregates[0].aggregate
-            matrix_type = decision.matrix_type
-            pairs = fcore.fact_pairs(len(plan.fact_positions), matrix_type)
-            fact_positions = plan.fact_positions
-            partials = self._factorized_scan(
-                fact,
-                ("summary", key_positions, dim_maps, fact_positions, pairs),
-                [*key_positions, *fact_positions],
-            )
-            with self.tracer.span("merge") as merge_span, StageTimer(
-                metrics, "merge", merge_span
-            ):
-                merged = fcore.merge_summary_fact_partitions(
-                    partials, len(plan.fact_positions), len(pairs)
-                )
-                stats = fcore.combine_summary(
-                    merged, plan.sources, dim_values, matrix_type
-                )
-            return [udf.state_from_stats(stats)]
-        if shape == "fused":
-            udf = aggregates[0].aggregate
-            tables = udf.factorized_tables(plan.sources, dim_values)
-            site = getattr(udf, "fault_site", None)
-            fact_positions = plan.fact_positions
-            partials = self._factorized_scan(
-                fact,
-                ("fused", key_positions, dim_maps, fact_positions, tables),
-                [*key_positions, *fact_positions],
-                sites=((site, aggregates[0].call.name),) if site else (),
-            )
-            with self.tracer.span("merge") as merge_span, StageTimer(
-                metrics, "merge", merge_span
-            ):
-                merged = fcore.merge_fused_fact_partitions(
-                    partials,
-                    tables["k"],
-                    len(plan.fact_positions),
-                    len(dim_maps),
-                )
-                counts, linear, quadratic, extra = fcore.combine_fused(
-                    merged, plan.sources, dim_values, tables["k"]
-                )
-            return [udf.state_from_factorized(counts, linear, quadratic, extra)]
-        # builtins: COUNT(*) / SUM partials in Python arithmetic.
-        specs = plan.builtin_specs
-        fact_terms = [
-            term[1]
-            for spec in specs
-            if spec[0] == "sum"
-            for term in spec[1]
-            if term[0] == "fact"
-        ]
-        partials = self._factorized_scan(
-            fact,
-            ("builtins", key_positions, dim_maps, dim_raws, specs),
-            [*key_positions, *fact_terms],
-        )
-        with self.tracer.span("merge") as merge_span, StageTimer(
-            metrics, "merge", merge_span
-        ):
-            _matched, merged_states = fcore.merge_builtin_partials(
-                partials, specs
-            )
-        states: list[Any] = []
-        for index, spec in enumerate(specs):
-            if spec[0] == "count_star":
-                states.append(merged_states[index])
-            else:
-                states.append(merged_states[index][0])
-        return states
-
-    def _build_factorized_dim_map(
-        self,
-        table: Table,
-        key_position: int,
-        feature_positions: "list[int]",
-    ) -> "tuple[dict, set, dict]":
-        """One partition-parallel pass over a dimension table.
-
-        The wrapper span is named ``dim-scan`` (not ``scan``) on
-        purpose: per-task ``scan`` child spans under the task spans
-        already carry the measured scan seconds, and
-        ``Span.total_seconds("scan")`` must keep reconciling exactly
-        with ``metrics.scan_seconds``.
-        """
-        with self.tracer.span("dim-scan") as span:
-            partials = self._factorized_scan(
-                table,
-                ("dim", key_position, feature_positions),
-                [key_position, *feature_positions],
-            )
-            merged = fcore.merge_dim_partitions(partials)
-            if span is not None:
-                span.attributes["table"] = table.name
-                span.attributes["rows"] = table.row_count
-                span.attributes["keys"] = len(merged[0])
-        return merged
-
     def _factorized_scan(
         self,
         table: Table,
-        fold: tuple,
-        positions: Sequence[int],
+        fold: Any,
         sites: "tuple[tuple[str, str], ...]" = (),
     ) -> list[Any]:
-        """Fan the factorized fold that *fold* declares (see
-        :data:`_FACTORIZED_FOLDS`) out over *table*, each task reading
-        only the lanes at *positions*; partials return in partition
+        """Fan a star *fold* out over *table*, each task reading only the
+        lanes at ``fold.positions``; partials return in partition
         order."""
         return self._scan_partitions(
             table,
-            _Reads(rows=(tuple(positions), sites)),
-            functools.partial(_fold_factorized, fold),
+            _Reads(rows=(tuple(fold.positions), sites)),
+            functools.partial(_fold_star, fold.fold),
         )
 
     def _accumulate_groups(self, stmt: "_BatchStatement") -> None:
@@ -1933,6 +1809,18 @@ def _udf_calls(aggregates: "list[_AggregateSpec]") -> "list[tuple[Any, int]]":
     ]
 
 
+def _fault_sites(
+    aggregates: "list[_AggregateSpec]",
+) -> "tuple[tuple[str, str], ...]":
+    """``(fault site, udf name)`` of every call whose UDF declares a
+    site (the fused iteration UDFs), armed per task after its read."""
+    return tuple(
+        (site, spec.call.name)
+        for spec in aggregates
+        if (site := getattr(spec.aggregate, "fault_site", None))
+    )
+
+
 @dataclass
 class _OrderContext:
     """Pre-projection rows/binder for ORDER BY resolution, plus an
@@ -1941,101 +1829,6 @@ class _OrderContext:
     rows: list[tuple]
     binder: Binder
     rewrite: "Callable[[ast.Expression], ast.Expression] | None" = None
-
-
-@dataclass
-class _FactorizedPositions:
-    """A FactorizeDecision bound to physical column positions.
-
-    * ``fact_key_positions[i]`` — the fact row position of dims[i]'s FK;
-    * ``dim_key_positions[i]`` / ``dim_feature_positions[i]`` — the
-      dimension row positions of its PK and of the (de-duplicated)
-      feature columns the aggregates read;
-    * ``sources`` — per aggregate argument: ``("fact", fact_arg_index)``,
-      ``("dim", dim_index, feature_index)`` or ``("const", value)``;
-      ``fact_positions[fact_arg_index]`` is the fact row position;
-    * ``builtin_specs`` — per aggregate call (builtins shape), with
-      fact terms carrying fact row positions directly.
-    """
-
-    fact_key_positions: "list[int]"
-    dim_key_positions: "list[int]"
-    dim_feature_positions: "list[list[int]]"
-    fact_positions: "list[int]"
-    sources: "tuple"
-    builtin_specs: "list[tuple]"
-
-
-def _resolve_factorized_positions(
-    decision: FactorizeDecision,
-    fact: Table,
-    dim_tables: "list[Table]",
-    aggregates: list["_AggregateSpec"],
-) -> _FactorizedPositions:
-    """Map the decision's column names onto row positions."""
-    fact_key_positions = [
-        fact.schema.position_of(dim.fact_key) for dim in decision.dims
-    ]
-    dim_key_positions = [
-        table.schema.position_of(dim.dim_key)
-        for dim, table in zip(decision.dims, dim_tables)
-    ]
-    dim_feature_positions: "list[list[int]]" = [[] for _ in decision.dims]
-    dim_feature_index: "list[dict[str, int]]" = [{} for _ in decision.dims]
-
-    def dim_feature(dim_index: int, name: str) -> int:
-        assigned = dim_feature_index[dim_index]
-        index = assigned.get(name)
-        if index is None:
-            index = len(dim_feature_positions[dim_index])
-            assigned[name] = index
-            dim_feature_positions[dim_index].append(
-                dim_tables[dim_index].schema.position_of(name)
-            )
-        return index
-
-    fact_positions: "list[int]" = []
-    sources: "list[tuple]" = []
-    for source in decision.arg_sources:
-        if source[0] == "fact":
-            fact_positions.append(fact.schema.position_of(source[1]))
-            sources.append(("fact", len(fact_positions) - 1))
-        elif source[0] == "dim":
-            _kind, dim_index, name = source
-            sources.append(("dim", dim_index, dim_feature(dim_index, name)))
-        else:
-            sources.append(source)
-    builtin_specs: "list[tuple]" = []
-    if decision.shape == "builtins":
-        for spec in aggregates:
-            shape = decision.builtin_shapes.get(spec.call.key)
-            if shape is None:  # pragma: no cover - planner/executor drift
-                raise fcore.FactorizedFallback(
-                    f"no factorized shape for aggregate {spec.call.key}"
-                )
-            if shape[0] == "count_star":
-                builtin_specs.append(shape)
-                continue
-            terms: "list[tuple]" = []
-            for term in shape[1]:
-                if term[0] == "fact":
-                    terms.append(("fact", fact.schema.position_of(term[1])))
-                elif term[0] == "dim":
-                    _kind, dim_index, name = term
-                    terms.append(
-                        ("dim", dim_index, dim_feature(dim_index, name))
-                    )
-                else:
-                    terms.append(term)
-            builtin_specs.append(("sum", tuple(terms)))
-    return _FactorizedPositions(
-        fact_key_positions=fact_key_positions,
-        dim_key_positions=dim_key_positions,
-        dim_feature_positions=dim_feature_positions,
-        fact_positions=fact_positions,
-        sources=tuple(sources),
-        builtin_specs=builtin_specs,
-    )
 
 
 def _sort_key(value: Any) -> tuple:

@@ -13,10 +13,11 @@ joined table never exists.  Scan cost drops from |join| to
 
 This module is the *planning* half: :func:`plan_factorize` inspects a
 parsed ``SELECT`` and either produces a :class:`FactorizeDecision`
-describing exactly how to decompose the aggregation, or refuses with a
-human-readable reason (surfaced in EXPLAIN).  The execution half lives
-in :mod:`repro.core.factorized` and
-``Executor._execute_factorized_aggregate``.
+describing exactly how to decompose the aggregation — every argument
+resolved once to a row position, the shape named by its fold — or
+refuses with a human-readable reason (surfaced in EXPLAIN).  The
+execution half is the shape's fold in :mod:`repro.core.factorized`,
+fanned out by ``Executor._execute_factorized_aggregate``.
 
 The pass is deliberately conservative — anything it cannot prove
 distributive falls back to the ordinary materialize-then-aggregate
@@ -32,9 +33,10 @@ an eliminated join simply no longer appears in ``select.joins``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.core import factorized as fcore
 from repro.core.summary import MatrixType
 from repro.dbms.functions import AGGREGATE_BUILTINS
 from repro.dbms.sql import ast
@@ -43,31 +45,36 @@ from repro.errors import PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dbms.catalog import Catalog
+    from repro.dbms.schema import TableSchema
     from repro.dbms.sql.optimizer import OptimizationReport
-
-#: where an aggregate argument's value comes from, per joined row:
-#: ``("fact", column)`` — read from the fact row;
-#: ``("dim", index, column)`` — read from the matched row of dims[index];
-#: ``("const", value)`` — a literal, identical on every row.
-ArgSource = "tuple"
 
 
 @dataclass(frozen=True)
 class DimJoin:
-    """One dimension arm of the star: ``fact.fact_key = dim.dim_key``."""
+    """One dimension arm of the star: ``fact.fact_key = dim.dim_key``,
+    named for EXPLAIN and resolved to row positions for execution."""
 
     table: str  # stored table name
     binding: str  # alias the query binds it under (or the table name)
     fact_key: str  # FK column on the fact table
     dim_key: str  # the dimension table's primary key
+    fact_key_position: int  # the FK's position in a fact row
+    key_position: int  # the PK's position in a dimension row
+    #: dimension row positions of the features the aggregates read,
+    #: de-duplicated; ``("dim", arm, feature)`` sources index this
+    feature_positions: "tuple[int, ...]" = ()
 
 
 @dataclass
 class FactorizeDecision:
-    """Outcome of :func:`plan_factorize`.
+    """Outcome of :func:`plan_factorize`: a star aggregate resolved to
+    row positions, or a refusal.
 
     When ``factorized`` is False, ``reason`` says why — the wording is
     shown verbatim as an EXPLAIN note so refusals are debuggable.
+    Argument sources are ``("fact", index)`` (into ``fact_positions``;
+    a fact row position in builtin terms), ``("dim", arm, feature)``
+    (into ``dims[arm].feature_positions``) or ``("const", value)``.
     """
 
     factorized: bool
@@ -75,18 +82,41 @@ class FactorizeDecision:
     fact_table: str = ""
     fact_binding: str = ""
     dims: "tuple[DimJoin, ...]" = ()
-    #: "summary" (one (n, L, Q)-style UDF), "fused" (k-means/EM
-    #: iteration UDF), or "builtins" (COUNT(*)/SUM combinations)
-    shape: str = ""
+    #: the shape's fact-side fold (:mod:`repro.core.factorized`):
+    #: SummaryFold (one (n, L, Q)-style UDF), FusedFold (k-means/EM
+    #: iteration UDF) or BuiltinFold (COUNT(*)/SUM combinations)
+    fold_type: "type[fcore.StarFold] | None" = None
     udf_name: str = ""
     matrix_type: "MatrixType | None" = None
-    #: for summary/fused: one ArgSource per feature column (the UDF's
-    #: args after the leading dimension-count literal)
-    arg_sources: "tuple[ArgSource, ...]" = ()
-    #: for builtins: AggregateCall.key -> ("count_star",) or
-    #: ("sum", (ArgSource, ...)) with 1 or 2 sources (plain / product)
-    builtin_shapes: "dict[str, tuple]" = field(default_factory=dict)
-    notes: "tuple[str, ...]" = ()
+    #: for summary/fused: the fact row positions the fold reads
+    fact_positions: "tuple[int, ...]" = ()
+    #: for summary/fused: one source per feature column (the UDF's args
+    #: after the leading dimension-count literal)
+    arg_sources: "tuple[tuple, ...]" = ()
+    #: for builtins, per aggregate call in select-list order:
+    #: ("count_star",) or ("sum", (source, ...)) with 1 or 2 sources
+    builtin_shapes: "tuple[tuple, ...]" = ()
+
+    @property
+    def shape(self) -> str:
+        """"summary", "fused" or "builtins" ("" when refused)."""
+        return self.fold_type.shape if self.fold_type is not None else ""
+
+    @property
+    def fact_key_positions(self) -> "tuple[int, ...]":
+        return tuple(dim.fact_key_position for dim in self.dims)
+
+
+def factorized_reads(
+    fact_rows: float, dim_rows: "list[float]"
+) -> "tuple[float, float, float]":
+    """``(scanned, nested_loop_reads, avoided)`` of a star: the
+    factorized route scans Σ|base tables| rows, a nested-loop join reads
+    Σ_i |fact| × (1 + |dim_i|) input rows, and the difference is the
+    rows the factorized route avoids."""
+    scanned = sum(dim_rows) + fact_rows
+    reads = sum(fact_rows * (1 + rows) for rows in dim_rows)
+    return scanned, reads, max(0, reads - scanned)
 
 
 def _refuse(reason: str) -> FactorizeDecision:
@@ -98,24 +128,36 @@ def _column_map(schema) -> "dict[str, object]":
 
 
 class _StarShape:
-    """Resolved base tables of a candidate star query."""
+    """Resolved base tables of a candidate star query.  Resolving an
+    argument column gives its row position, registering a dimension
+    feature on its arm the first time it is read."""
 
     def __init__(
         self,
         fact_table: str,
         fact_binding: str,
-        fact_columns: "dict[str, object]",
+        fact_schema: "TableSchema",
         dims: "list[DimJoin]",
-        dim_columns: "list[dict[str, object]]",
+        dim_schemas: "list[TableSchema]",
     ) -> None:
         self.fact_table = fact_table
         self.fact_binding = fact_binding
-        self.fact_columns = fact_columns
         self.dims = dims
-        self.dim_columns = dim_columns
+        #: (arm, binding, schema, columns) per base table; arm None is
+        #: the fact table
+        self.tables = [
+            (None, fact_binding, fact_schema, _column_map(fact_schema)),
+            *(
+                (arm, dim.binding, schema, _column_map(schema))
+                for arm, (dim, schema) in enumerate(zip(dims, dim_schemas))
+            ),
+        ]
+        #: per arm: feature column name -> feature index, in first-read
+        #: order
+        self.features: "list[dict[str, int]]" = [{} for _ in dims]
 
-    def resolve(self, ref: ast.ColumnRef) -> "tuple | None":
-        """Map a column reference to an ArgSource, or None if unknown.
+    def _lookup(self, ref: ast.ColumnRef) -> "tuple | None":
+        """The ``tables`` entry and column a reference reads, or None.
 
         Mirrors Binder semantics: a qualified reference must match its
         binding; an unqualified one must match exactly one base table
@@ -125,32 +167,41 @@ class _StarShape:
         name = ref.name.lower()
         if ref.table is not None:
             qualifier = ref.table.lower()
-            if qualifier == self.fact_binding.lower():
-                return ("fact", name) if name in self.fact_columns else None
-            for index, dim in enumerate(self.dims):
-                if qualifier == dim.binding.lower():
-                    if name in self.dim_columns[index]:
-                        return ("dim", index, name)
-                    return None
+            for table in self.tables:
+                _arm, binding, _schema, columns = table
+                if qualifier == binding.lower():
+                    return (table, name) if name in columns else None
             return None
-        matches = []
-        if name in self.fact_columns:
-            matches.append(("fact", name))
-        for index in range(len(self.dims)):
-            if name in self.dim_columns[index]:
-                matches.append(("dim", index, name))
-        if len(matches) == 1:
-            return matches[0]
-        return None
+        matches = [(table, name) for table in self.tables if name in table[3]]
+        return matches[0] if len(matches) == 1 else None
 
-    def source_is_numeric(self, source: "tuple") -> bool:
-        if source[0] == "const":
-            return True
-        if source[0] == "fact":
-            column = self.fact_columns[source[1]]
-        else:
-            column = self.dim_columns[source[1]][source[2]]
-        return column.sql_type.is_numeric
+    def resolve(self, ref: ast.ColumnRef) -> "tuple | str":
+        """The source a column reads — ``("fact", row position)`` or
+        ``("dim", arm, feature)`` — or why it cannot be factorized."""
+        found = self._lookup(ref)
+        if found is None:
+            return f"cannot resolve column {ast.render(ref)} to one base table"
+        (arm, _binding, schema, columns), name = found
+        if not columns[name].sql_type.is_numeric:
+            return f"column {ast.render(ref)} is not numeric"
+        if arm is None:
+            return ("fact", schema.position_of(name))
+        features = self.features[arm]
+        return ("dim", arm, features.setdefault(name, len(features)))
+
+    def resolved_dims(self) -> "tuple[DimJoin, ...]":
+        """The arms with their de-duplicated feature positions."""
+        return tuple(
+            replace(
+                dim,
+                feature_positions=tuple(
+                    schema.position_of(name) for name in features
+                ),
+            )
+            for dim, (_arm, _binding, schema, _columns), features in zip(
+                self.dims, self.tables[1:], self.features
+            )
+        )
 
 
 def _resolve_star(
@@ -168,7 +219,7 @@ def _resolve_star(
     fact_binding = source.binding_name
     fact_columns = _column_map(fact_table.schema)
     dims: "list[DimJoin]" = []
-    dim_columns: "list[dict[str, object]]" = []
+    dim_schemas: "list[TableSchema]" = []
     seen_bindings = {fact_binding.lower()}
     for join in select.joins:
         if join.outer:
@@ -227,29 +278,34 @@ def _resolve_star(
                 binding=dim_binding,
                 fact_key=fact_ref.name.lower(),
                 dim_key=primary_key.lower(),
+                fact_key_position=fact_table.schema.position_of(fact_ref.name),
+                key_position=dim_table.schema.position_of(primary_key),
             )
         )
-        dim_columns.append(_column_map(dim_table.schema))
+        dim_schemas.append(dim_table.schema)
         seen_bindings.add(dim_binding.lower())
     return _StarShape(
-        fact_table.name, fact_binding, fact_columns, dims, dim_columns
+        fact_table.name, fact_binding, fact_table.schema, dims, dim_schemas
     )
 
 
 def _literal_source(node: ast.Expression) -> "tuple | None":
+    """``("const", value)`` for a numeric literal, its value as written:
+    an integer literal stays an integer, so an integer SUM is one."""
     if (
         isinstance(node, ast.Literal)
         and isinstance(node.value, (int, float))
         and not isinstance(node.value, bool)
     ):
-        return ("const", float(node.value))
+        return ("const", node.value)
     return None
 
 
 def _list_form_sources(
     call: ast.FuncCall, star: _StarShape
-) -> "tuple[tuple, ...] | str":
-    """Sources for the list form ``udf(d, x1, ..., xd)``, or a refusal."""
+) -> "tuple[tuple, tuple[int, ...]] | str":
+    """``(sources, fact_positions)`` for the list form ``udf(d, x1, ...,
+    xd)``, or a refusal."""
     args = call.args
     if not args:
         return f"{call.name} called without arguments"
@@ -265,6 +321,7 @@ def _list_form_sources(
             "dimension count"
         )
     sources = []
+    fact_positions: "list[int]" = []
     for arg in args[1:]:
         constant = _literal_source(arg)
         if constant is not None:
@@ -276,12 +333,13 @@ def _list_form_sources(
                 "or numeric literal"
             )
         source = star.resolve(arg)
-        if source is None:
-            return f"cannot resolve column {ast.render(arg)} to one base table"
-        if not star.source_is_numeric(source):
-            return f"column {ast.render(arg)} is not numeric"
+        if isinstance(source, str):
+            return source
+        if source[0] == "fact":
+            fact_positions.append(source[1])
+            source = ("fact", len(fact_positions) - 1)
         sources.append(source)
-    return tuple(sources)
+    return tuple(sources), tuple(fact_positions)
 
 
 def _builtin_shape(
@@ -321,12 +379,8 @@ def _builtin_shape(
                 "of columns, or numeric literal"
             )
         source = star.resolve(term)
-        if source is None:
-            return (
-                f"cannot resolve column {ast.render(term)} to one base table"
-            )
-        if not star.source_is_numeric(source):
-            return f"column {ast.render(term)} is not numeric"
+        if isinstance(source, str):
+            return source
         sources.append(source)
     return ("sum", tuple(sources))
 
@@ -419,7 +473,6 @@ def plan_factorize(
         factorized=True,
         fact_table=star.fact_table,
         fact_binding=star.fact_binding,
-        dims=tuple(star.dims),
     )
     udf_calls = [
         call for call in calls if catalog.aggregate_udf(call.name) is not None
@@ -435,32 +488,33 @@ def plan_factorize(
                 "DISTINCT aggregates do not distribute through the join"
             )
         udf = catalog.aggregate_udf(call.name)
-        sources = _list_form_sources(call.call, star)
-        if isinstance(sources, str):
-            return _refuse(sources)
+        resolved = _list_form_sources(call.call, star)
+        if isinstance(resolved, str):
+            return _refuse(resolved)
         if udf.summary_cacheable and getattr(
             udf, "matrix_type", None
         ) is not None:
-            decision.shape = "summary"
+            decision.fold_type = fcore.SummaryFold
             decision.matrix_type = udf.matrix_type
         elif getattr(udf, "fused_iteration", False):
-            decision.shape = "fused"
+            decision.fold_type = fcore.FusedFold
         else:
             return _refuse(
                 f"aggregate UDF {call.name} is neither a summary builder "
                 "nor a fused clustering iteration"
             )
         decision.udf_name = call.name
-        decision.arg_sources = sources
-        return decision
-    shapes: "dict[str, tuple]" = {}
-    for call in calls:
-        if call.name.lower() not in AGGREGATE_BUILTINS:
-            return _refuse(f"unknown aggregate {call.name}")
-        shape = _builtin_shape(call, star)
-        if isinstance(shape, str):
-            return _refuse(shape)
-        shapes[call.key] = shape
-    decision.shape = "builtins"
-    decision.builtin_shapes = shapes
+        decision.arg_sources, decision.fact_positions = resolved
+    else:
+        shapes = []
+        for call in calls:
+            if call.name.lower() not in AGGREGATE_BUILTINS:
+                return _refuse(f"unknown aggregate {call.name}")
+            shape = _builtin_shape(call, star)
+            if isinstance(shape, str):
+                return _refuse(shape)
+            shapes.append(shape)
+        decision.fold_type = fcore.BuiltinFold
+        decision.builtin_shapes = tuple(shapes)
+    decision.dims = star.resolved_dims()
     return decision

@@ -60,14 +60,6 @@ class OptimizationReport:
     pushed_predicates: list[str] = field(default_factory=list)
     referenced_columns: dict[str, list[str]] = field(default_factory=dict)
 
-    @property
-    def changed(self) -> bool:
-        return (
-            bool(self.eliminated_joins)
-            or self.pushed_group_by
-            or bool(self.pushed_predicates)
-        )
-
 
 class QueryOptimizer:
     """AST-level rewrites against a catalog (for schema/PK knowledge)."""

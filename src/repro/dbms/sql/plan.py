@@ -37,7 +37,7 @@ from repro.dbms.catalog import Catalog
 from repro.dbms.cost import CostParameters, Work, record_aggregate, simulate
 from repro.dbms.metrics import QueryMetrics
 from repro.dbms.sql import ast
-from repro.dbms.sql.factorize import plan_factorize
+from repro.dbms.sql.factorize import factorized_reads, plan_factorize
 from repro.dbms.sql.optimizer import OptimizationReport, QueryOptimizer
 from repro.dbms.sql.planner import select_aggregates
 from repro.dbms.sql.vectorized import plan_vectorized_select
@@ -357,17 +357,16 @@ class _PlanBuilder:
         """The factorized replacement for a star-join input tree: (node,
         fact rows, partials merged).  One scan per base table, partials
         combined through the FK->PK keys; the operator adds no work of
-        its own.  The note carries the avoided-rows accounting: a
-        nested-loop join reads |fact| + Sum_i |fact| x |dim_i| input
-        rows, the factorized path reads Sum |base tables|."""
+        its own.  The note carries the avoided-rows accounting of
+        :func:`~repro.dbms.sql.factorize.factorized_reads`, the formula
+        the executor counts ``rows_join_avoided`` with."""
         children: list[PlanNode] = []
         fact = self._catalog.table(decision.fact_table)
         fact_rows = fact.nominal_rows
-        scanned = 0.0
-        nested_loop_reads = 0.0
+        dim_rows: list[float] = []
         partitions = fact.partition_count
         for dim in decision.dims:
-            node, dim_rows, _ = self._source_node(
+            node, rows, _ = self._source_node(
                 ast.TableName(dim.table, alias=dim.binding)
             )
             node.notes.append(
@@ -375,15 +374,15 @@ class _PlanBuilder:
                 f"{decision.fact_binding}.{dim.fact_key} (key -> partial map)"
             )
             children.append(node)
-            scanned += dim_rows
-            nested_loop_reads += fact_rows * (1 + dim_rows)
+            dim_rows.append(rows)
             partitions += self._catalog.table(dim.table).partition_count
         fact_node, _, _ = self._source_node(
             ast.TableName(decision.fact_table, alias=decision.fact_binding)
         )
         children.append(fact_node)
-        scanned += fact_rows
-        avoided = max(0.0, nested_loop_reads - scanned)
+        scanned, nested_loop_reads, avoided = factorized_reads(
+            fact_rows, dim_rows
+        )
         node = PlanNode(
             "factorized-join",
             f"{decision.fact_table} star over {len(decision.dims)} "

@@ -66,10 +66,6 @@ class BatchDecision:
     distinct: list[int] = field(default_factory=list)
     #: input index -> position in ``distinct``
     assignment: list[int] = field(default_factory=list)
-    #: rendered WHERE shared by every statement, when identical
-    shared_where: str | None = None
-    #: names of the rules that applied
-    applied_rules: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -133,7 +129,6 @@ class ScanConsolidationRule(RewriteRule):
 
         decision.consolidated = True
         decision.table = tables[0]
-        decision.applied_rules.append(self.name)
         seen: dict[str, int] = {}
         for index, select in enumerate(selects):
             key = ast.render(select)
@@ -222,9 +217,7 @@ class PredicatePushbackRule(RewriteRule):
         filtered = [text for text in wheres if text is not None]
         if not filtered:
             return
-        decision.applied_rules.append(self.name)
         if len(set(filtered)) == 1 and len(filtered) == len(wheres):
-            decision.shared_where = filtered[0]
             decision.notes.append(
                 f"predicate pushed to the shared scan: {filtered[0]} "
                 "(identical across all statements)"

@@ -187,13 +187,23 @@ class TestPlannerDecisions:
         assert decision.factorized
         assert decision.shape == "summary"
         assert decision.matrix_type is MatrixType.TRIANGULAR
+        # Resolved once by the planner: fact arguments index the fact
+        # row positions the fold reads, dimension arguments index their
+        # arm's de-duplicated feature positions.
         assert decision.arg_sources == (
-            ("fact", "amount"),
-            ("fact", "qty"),
-            ("dim", 0, "sx"),
-            ("dim", 0, "sy"),
-            ("dim", 1, "px"),
+            ("fact", 0),
+            ("fact", 1),
+            ("dim", 0, 0),
+            ("dim", 0, 1),
+            ("dim", 1, 0),
         )
+        assert decision.fact_positions == (3, 4)  # sales.amount, sales.qty
+        assert decision.fact_key_positions == (1, 2)  # sales.sid, sales.pid
+        assert [dim.key_position for dim in decision.dims] == [0, 0]
+        assert [dim.feature_positions for dim in decision.dims] == [
+            (1, 2),  # stores.sx, stores.sy
+            (1,),  # products.px
+        ]
 
     @pytest.mark.parametrize(
         "sql, fragment",
@@ -320,6 +330,35 @@ class TestFactorizedParity:
             # fan-out (15 fact rows per dimension row) >= 3x the rows.
             assert reference.metrics.factorized_joins == 0
             assert reference.metrics.rows_scanned >= 3 * base
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "aggregate", ["sum(f.i * 2)", "sum(3 * f.i)", "sum(2)"]
+    )
+    def test_integer_sums_are_integers_on_both_routes(
+        self, aggregate, workers
+    ):
+        """An integer literal keeps its type on the factorized route, so
+        an integer SUM is an integer there too — ``==`` alone would
+        pass 2.0 for 2."""
+        with Database(amps=4, executor_workers=workers) as db:
+            db.execute(
+                "CREATE TABLE f (i INTEGER PRIMARY KEY, k VARCHAR, v FLOAT)"
+            )
+            db.execute("CREATE TABLE d (k VARCHAR PRIMARY KEY, a FLOAT)")
+            db.insert_rows("d", [("a", 1.5), ("b", -2.0)])
+            db.insert_rows(
+                "f",
+                [(i, "ab"[i % 2], i / 4) for i in range(1, 21)]
+                + [(21, None, 1.0), (22, "zz", 1.0)],
+            )
+            sql = f"SELECT {aggregate} FROM f JOIN d ON f.k = d.k"
+            factorized = db.execute(sql)
+            assert factorized.metrics.factorized_joins == 1
+            (value,) = factorized.rows[0]
+            (expected,) = _reference(db, lambda: db.execute(sql)).rows[0]
+            assert (value, type(value)) == (expected, type(expected))
+            assert type(value) is int
 
     @given(
         seed=st.integers(0, 2**16),

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.summary import AugmentedSummary, MatrixType, SummaryStatistics
+from repro.core.summary import (
+    AugmentedSummary,
+    MatrixType,
+    SummaryAccumulator,
+    SummaryStatistics,
+)
 from repro.errors import ModelError
 
 matrices = arrays(
@@ -124,6 +129,40 @@ class TestMerge:
         stats = SummaryStatistics.from_matrix(X)
         merged = SummaryStatistics.zeros(2).merge(stats)
         assert merged.allclose(stats)
+
+    @pytest.mark.parametrize("matrix_type", list(MatrixType))
+    @pytest.mark.parametrize("extrema", ["both", "left only", "right only"])
+    def test_merge_leaves_both_inputs_unchanged(self, matrix_type, extrema):
+        """Merging reads its right side in place and copies its left
+        one: neither input changes, the answer's bits are those of
+        merging two copies, and extrema survive only when both sides
+        carry them."""
+        X = np.random.default_rng(5).normal(size=(30, 3))
+        left = SummaryStatistics.from_matrix(X[:12], matrix_type)
+        right = SummaryStatistics.from_matrix(X[12:], matrix_type)
+        if extrema == "left only":
+            right.mins = right.maxs = None
+        elif extrema == "right only":
+            left.mins = left.maxs = None
+
+        def snapshot(stats):
+            arrays = (stats.L, stats.Q, stats.mins, stats.maxs)
+            return stats.n, [None if a is None else a.tobytes() for a in arrays]
+
+        before = snapshot(left), snapshot(right)
+        merged = left.merge(right)
+        assert (snapshot(left), snapshot(right)) == before
+        copies = SummaryAccumulator.from_stats(left).merge(
+            SummaryAccumulator.from_stats(right)
+        )
+        assert merged.n == copies.n
+        assert merged.L.tobytes() == copies.L.tobytes()
+        assert merged.Q.tobytes() == copies.summary(matrix_type).Q.tobytes()
+        assert (merged.mins is None) == (extrema != "both")
+        assert (merged.maxs is None) == (extrema != "both")
+        if extrema == "both":
+            assert np.array_equal(merged.mins, X.min(axis=0))
+            assert np.array_equal(merged.maxs, X.max(axis=0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError, match="dimension"):
