@@ -1,34 +1,37 @@
 """Factorized aggregation math: combine per-base-table partials.
 
 Execution half of the factorized-join path (the planning half is
-:mod:`repro.dbms.sql.factorize`).  Everything here is pure math over
-rows and numpy arrays — no database imports — so the executor fans the
-folds out as partition tasks and combines on the coordinator, exactly
-like the single-table aggregate path.
+:mod:`repro.dbms.sql.factorize`).  Everything here is math over rows,
+blocks and key codes, so the executor fans the folds out as partition
+tasks and combines on the coordinator, exactly like the single-table
+aggregate path.
 
 The decomposition, following arXiv:1703.04780 (sparse-tensor /
 functional-dependency factorized learning) and Rk-means
 (arXiv:1910.04939) for the clustering iteration:
 
-* **dimension side** — one pass per dimension table builds a key →
-  feature-vector map (PK → the columns the aggregate reads):
+* **dimension side** — one pass per dimension table numbers its keys
+  and stacks the features the aggregate reads into one matrix:
   :class:`DimensionFold` into a :class:`DimensionMap`;
-* **fact side** — one pass over the fact table groups rows by their
-  FK tuple, keeping per-group counts and fact-column sums (plus global
-  fact-column cross products), never touching the dimension rows;
+* **fact side** — one pass over the fact table reads the fact columns
+  as a block, turns each FK lane into key codes (one lookup per
+  distinct FK value) and folds per-FK-tuple counts and fact-column sums
+  (plus global fact-column cross products) with one
+  :func:`~repro.dbms.blocks.keyed_fold`, never touching dimension rows;
 * **combine** — per-group counts weight the dimension vectors:
   ``L_dim = Σ_g C_g · D[key_g]``, ``Q_dim = Σ_g C_g · D[key_g] ⊗
   D[key_g]``, ``Q_fact,dim = Σ_g S_g ⊗ D[key_g]`` — O(#groups · d²)
   math instead of O(|join| · d²).
 
 Each star shape is one :class:`StarFold` — :class:`SummaryFold`,
-:class:`FusedFold`, :class:`BuiltinFold` — with ``fold(rows)`` per fact
+:class:`FusedFold`, :class:`BuiltinFold` — with ``fold`` per fact
 partition, ``merge(partials)`` in partition order and
 ``finish(merged)`` → the aggregate states.  They read the planner's
 resolved argument sources: ``("fact", index)`` (into
 ``fact_positions``; a fact row position in builtin terms),
 ``("dim", arm, feature)`` (into that arm's de-duplicated features) and
-``("const", value)`` (the literal as written).
+``("const", value)`` (the literal as written).  Every sum adds rows in
+scan order and partials in partition order, as a row loop would.
 
 Inner-join semantics are preserved exactly: NULL FKs never equal a
 key, NaN keys compare unequal to themselves, and dangling FKs have no
@@ -46,6 +49,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.core.summary import MatrixType, SummaryStatistics
+from repro.dbms.blocks import key_codes, keyed_fold, running_sum
 
 
 class FactorizedFallback(Exception):
@@ -71,120 +75,105 @@ def valid_key(value: Any) -> bool:
 
 # --------------------------------------------------------------- dim side
 class DimensionMap:
-    """One dimension arm's key → features map.
+    """One dimension arm, each key numbered by a code:
 
-    * ``values``: key → float feature vector (NULL becomes NaN so the
-      vector stays numeric; genuine NaN is indistinguishable here, but
-      ``null_any`` disambiguates);
-    * ``null_any``: keys whose features include a genuine NULL — rows
-      joining them are skipped by null-skipping aggregates;
-    * ``raw``: key → unconverted feature tuple (builtin SUM/COUNT use
-      Python arithmetic to preserve int results exactly).
+    * ``codes``: key → code, the key's row in the next two;
+    * ``features``: the ``(keys × F)`` float feature matrix (NULL
+      becomes NaN so it stays numeric; ``null_any`` tells a NULL from a
+      genuine NaN);
+    * ``null_any``: per code, whether the key's features hold a NULL —
+      rows joining it are skipped by null-skipping aggregates;
+    * ``raw``: per code, the unconverted feature tuple (builtin
+      SUM/COUNT use Python arithmetic to keep int results exact).
     """
 
-    __slots__ = ("values", "null_any", "raw")
+    __slots__ = ("codes", "features", "null_any", "raw")
 
-    def __init__(self) -> None:
-        self.values: dict = {}
-        self.null_any: set = set()
-        self.raw: dict = {}
+    def __init__(
+        self, keys: Sequence[Any], raw: Sequence[tuple], width: int
+    ) -> None:
+        self.codes = dict(zip(keys, range(len(keys))))
+        if len(self.codes) != len(keys):
+            # A repeated key keeps its last code, so its first differs.
+            duplicate = next(
+                key for code, key in enumerate(keys) if self.codes[key] != code
+            )
+            raise FactorizedFallback(
+                f"duplicate primary key {duplicate!r} in dimension table"
+            )
+        self.raw = raw
+        # numpy reads None as NaN.
+        self.features = np.array(raw, dtype=float).reshape(len(raw), width)
+        self.null_any = np.array([None in feats for feats in raw], dtype=bool)
 
 
 class DimensionFold:
     """One arm's dimension scan: *arm* names its ``key_position`` and
-    de-duplicated ``feature_positions``; each partition folds into a
-    :class:`DimensionMap`, merged in partition order."""
+    de-duplicated ``feature_positions``; each partition folds into its
+    joinable ``(keys, feature tuples)``, merged in partition order into
+    one :class:`DimensionMap`."""
+
+    reads_block = False
 
     def __init__(self, arm: Any) -> None:
         self.key_position = arm.key_position
         self.feature_positions = arm.feature_positions
         self.positions = (arm.key_position, *arm.feature_positions)
 
-    def fold(self, rows: Iterable[Sequence[Any]]) -> DimensionMap:
-        part = DimensionMap()
-        values, null_any, raw = part.values, part.null_any, part.raw
-        key_position = self.key_position
-        feature_positions = self.feature_positions
-        for row in rows:
-            key = row[key_position]
-            if not valid_key(key):
-                continue
-            if key in values:
-                raise FactorizedFallback(
-                    f"duplicate primary key {key!r} in dimension table"
-                )
-            feats = tuple(row[position] for position in feature_positions)
-            raw[key] = feats
-            if any(value is None for value in feats):
-                null_any.add(key)
-            values[key] = np.array(
-                [math.nan if value is None else float(value) for value in feats],
-                dtype=float,
-            )
-        return part
+    def fold(self, rows: Iterable[Sequence[Any]]) -> "tuple[list, list]":
+        joinable = [row for row in rows if valid_key(row[self.key_position])]
+        return (
+            [row[self.key_position] for row in joinable],
+            [tuple(row[p] for p in self.feature_positions) for row in joinable],
+        )
 
-    def merge(self, parts: Sequence[DimensionMap]) -> DimensionMap:
-        merged = DimensionMap()
-        for part in parts:
-            for key in part.values:
-                if key in merged.values:
-                    raise FactorizedFallback(
-                        f"duplicate primary key {key!r} in dimension table"
-                    )
-            merged.values.update(part.values)
-            merged.null_any |= part.null_any
-            merged.raw.update(part.raw)
-        return merged
+    def merge(self, parts: Sequence["tuple[list, list]"]) -> DimensionMap:
+        return DimensionMap(
+            [key for keys, _ in parts for key in keys],
+            [feats for _, raw in parts for feats in raw],
+            len(self.feature_positions),
+        )
 
 
-def _match_keys(
-    row: Sequence[Any],
-    key_positions: Sequence[int],
-    dim_maps: Sequence["tuple[dict, set]"],
-) -> "tuple | None":
-    """The row's FK tuple if every arm matches, else None (row drops)."""
-    keys = []
-    for position, (values, _null_any) in zip(key_positions, dim_maps):
-        key = row[position]
-        if not valid_key(key) or key not in values:
-            return None
-        keys.append(key)
-    return tuple(keys)
+def arm_codes(values: Sequence[Any], arm: DimensionMap) -> np.ndarray:
+    """Each fact row's code in *arm*, -1 where its FK joins no key
+    (NULL, NaN or dangling): one lookup per distinct FK value."""
+    distinct = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    lookup = np.array([arm.codes.get(value, -1) for value in distinct], np.intp)
+    rows = np.fromiter(map(distinct.__getitem__, values), np.intp, len(values))
+    return lookup[rows]
 
 
-def _any_null_feature(
-    keys: "tuple", dim_maps: Sequence["tuple[dict, set]"]
-) -> bool:
-    return any(
-        key in null_any for key, (_values, null_any) in zip(keys, dim_maps)
-    )
-
-
-def fact_pairs(
-    count: int, matrix_type: "MatrixType"
-) -> "list[tuple[int, int]]":
-    """Which fact-column cross products the fold accumulates globally."""
-    if matrix_type is MatrixType.DIAGONAL:
-        return [(index, index) for index in range(count)]
-    return [
-        (a, b) for a in range(count) for b in range(count) if a <= b
-    ]
+def _first_extremes(
+    lows: np.ndarray, highs: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per column, the least of *lows* and the greatest of *highs* as a
+    ``<``/``>`` scan in row order finds them from ``±inf``: a NaN
+    poisons both, and of equal values (``-0.0``, ``0.0``) the first
+    one stays."""
+    columns = np.arange(lows.shape[1])
+    if not len(lows):
+        return np.full(len(columns), np.inf), np.full(len(columns), -np.inf)
+    return lows[lows.argmin(0), columns], highs[highs.argmax(0), columns]
 
 
 # -------------------------------------------------------------- fact side
 class StarFold:
     """The fact side of one star shape, bound to its dimension maps.
 
-    ``positions`` are the fact row slots the fold reads; ``fold(rows)``
-    runs once per fact partition, ``merge(partials)`` combines them in
-    partition order and ``finish(merged)`` returns the aggregate states
-    in call order.  *plan* is the planner's resolved decision (its
+    ``fold`` runs once per fact partition — ``fold(partition, block)``
+    with the ``fact_positions`` columns as one block for a fold that
+    ``reads_block``, else ``fold(rows)`` over the fact row slots at
+    ``positions`` — ``merge(partials)`` combines them in partition
+    order and ``finish(merged)`` returns the aggregate states in call
+    order.  *plan* is the planner's resolved decision (its
     ``fact_key_positions``, ``fact_positions``, ``arg_sources``,
     ``matrix_type`` and ``builtin_shapes``), *arms* the merged
     :class:`DimensionMap` per arm and *udf* the aggregate UDF.
     """
 
     shape = ""
+    reads_block = False
 
     def __init__(
         self, plan: Any, arms: Sequence[DimensionMap], udf: Any
@@ -192,93 +181,94 @@ class StarFold:
         self.key_positions = plan.fact_key_positions
         self.fact_positions = plan.fact_positions
         self.sources = plan.arg_sources
-        self.dim_maps = [(arm.values, arm.null_any) for arm in arms]
-        self.dim_values = [arm.values for arm in arms]
+        self.arms = arms
         self.udf = udf
-        self.positions = (*self.key_positions, *self.fact_positions)
+        #: per arm, whether a code drops the row (index -1: no key)
+        self.drops = [np.append(arm.null_any, True) for arm in arms]
+
+    def _joined(
+        self, partition: Any, block: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(codes, values)`` of the rows of *partition*'s fact *block*
+        a null-skipping aggregate keeps: every FK joins a key without a
+        NULL feature and no fact value is NULL — the lanes' NULL flags
+        decide, since the block holds NaN for a NULL and for a stored
+        NaN alike.  *codes* is ``(rows × arms)``, *values* row-major.
+        No *partition* stands for a fact table without rows."""
+        count = len(block)
+        if partition is None:
+            return np.zeros((0, len(self.arms)), np.intp), block
+        codes = np.stack(
+            [
+                arm_codes(partition.values(position, 0, count), arm)
+                for position, arm in zip(self.key_positions, self.arms)
+            ],
+            axis=1,
+        )
+        keep = np.ones(count, dtype=bool)
+        for position in self.fact_positions:
+            nulls = partition.lanes[position].nulls(0, count)
+            if nulls is not None:
+                keep &= ~nulls
+        for arm, drops in enumerate(self.drops):
+            keep &= ~drops[codes[:, arm]]
+        return codes[keep], block[keep]
+
+    def _no_rows(self) -> Any:
+        """The partial of no fact rows, what an empty fact table merges."""
+        return self.fold(None, np.zeros((0, len(self.fact_positions))))
 
 
 class SummaryFold(StarFold):
-    """One (n, L, Q) summary UDF.  A partition folds into ``(matched,
-    groups, qff, mins, maxs)``: ``groups`` maps each FK tuple to
-    ``[count, Σx_0, ..., Σx_{F-1}]`` over rows the aggregate keeps (all
-    args non-NULL); ``qff`` holds the global fact-fact cross products;
-    mins/maxs mirror ``np.minimum``/``np.maximum`` NaN propagation."""
+    """One (n, L, Q) summary UDF.  A partition folds into ``(groups,
+    totals, qff, mins, maxs)``: row *g* of ``groups`` is one FK tuple's
+    arm codes and ``totals[g]`` its ``[count, Σx_0, ..., Σx_{F-1}]`` over
+    the rows the aggregate keeps (all args non-NULL), added in scan
+    order; ``qff`` holds the global fact-fact cross products; mins/maxs
+    mirror ``np.minimum``/``np.maximum`` NaN propagation."""
 
     shape = "summary"
+    reads_block = True
 
     def __init__(
         self, plan: Any, arms: Sequence[DimensionMap], udf: Any
     ) -> None:
         super().__init__(plan, arms, udf)
         self.matrix_type = plan.matrix_type
-        self.pairs = fact_pairs(len(self.fact_positions), self.matrix_type)
+        # The fact-column cross products the fold accumulates globally.
+        width = len(self.fact_positions)
+        self.pairs = [
+            (a, b)
+            for a in range(width)
+            for b in range(a, width)
+            if a == b or self.matrix_type is not MatrixType.DIAGONAL
+        ]
+        self.pair_a = [a for a, _ in self.pairs]
+        self.pair_b = [b for _, b in self.pairs]
 
-    def fold(self, rows: Iterable[Sequence[Any]]) -> "tuple":
-        key_positions, dim_maps = self.key_positions, self.dim_maps
-        fact_positions, pairs = self.fact_positions, self.pairs
-        groups: dict = {}
-        width = len(fact_positions)
-        qff = [0.0] * len(pairs)
-        mins = [math.inf] * width
-        maxs = [-math.inf] * width
-        matched = 0
-        for row in rows:
-            keys = _match_keys(row, key_positions, dim_maps)
-            if keys is None:
-                continue
-            matched += 1
-            if _any_null_feature(keys, dim_maps):
-                continue
-            raw = [row[position] for position in fact_positions]
-            if any(value is None for value in raw):
-                continue
-            floats = [float(value) for value in raw]
-            entry = groups.get(keys)
-            if entry is None:
-                entry = [0.0] * (1 + width)
-                groups[keys] = entry
-            entry[0] += 1.0
-            for index, value in enumerate(floats):
-                entry[1 + index] += value
-                if value != value:  # NaN poisons, like np.minimum/np.maximum
-                    mins[index] = maxs[index] = value
-                elif mins[index] == mins[index]:
-                    if value < mins[index]:
-                        mins[index] = value
-                    if value > maxs[index]:
-                        maxs[index] = value
-            for pair_index, (a, b) in enumerate(pairs):
-                qff[pair_index] += floats[a] * floats[b]
-        return matched, groups, qff, mins, maxs
+    def fold(self, partition: Any, block: np.ndarray) -> "tuple":
+        codes, values = self._joined(partition, block)
+        firsts, totals = keyed_fold(
+            key_codes(codes.T), np.column_stack([np.ones(len(values)), values])
+        )
+        return (
+            codes[firsts],
+            totals,
+            running_sum(values[:, self.pair_a] * values[:, self.pair_b]),
+            *_first_extremes(values, values),
+        )
 
     def merge(self, parts: Sequence["tuple"]) -> "tuple":
-        width, pair_count = len(self.fact_positions), len(self.pairs)
-        matched = 0
-        groups: dict = {}
-        qff = [0.0] * pair_count
-        mins = [math.inf] * width
-        maxs = [-math.inf] * width
-        for part_matched, part_groups, part_qff, part_mins, part_maxs in parts:
-            matched += part_matched
-            for keys, entry in part_groups.items():
-                merged = groups.get(keys)
-                if merged is None:
-                    groups[keys] = list(entry)
-                else:
-                    for index, value in enumerate(entry):
-                        merged[index] += value
-            for index in range(pair_count):
-                qff[index] += part_qff[index]
-            for index in range(width):
-                if part_mins[index] != part_mins[index]:
-                    mins[index] = maxs[index] = part_mins[index]
-                elif mins[index] == mins[index]:
-                    if part_mins[index] < mins[index]:
-                        mins[index] = part_mins[index]
-                    if part_maxs[index] > maxs[index]:
-                        maxs[index] = part_maxs[index]
-        return matched, groups, qff, mins, maxs
+        parts = parts or [self._no_rows()]
+        groups, totals, qffs, mins, maxs = zip(*parts)
+        groups = np.concatenate(groups)
+        firsts, totals = keyed_fold(key_codes(groups.T), np.concatenate(totals))
+        return (
+            groups[firsts],
+            totals,
+            running_sum(np.stack(qffs)),
+            *_first_extremes(np.stack(mins), np.stack(maxs)),
+        )
 
     def finish(self, merged: "tuple") -> "list[Any]":
         """The full (n, L, Q) from the per-base-table partials, as the
@@ -286,24 +276,20 @@ class SummaryFold(StarFold):
         return [self.udf.state_from_stats(self._combine(merged))]
 
     def _combine(self, merged: "tuple") -> SummaryStatistics:
-        _matched, groups, qff, fact_mins, fact_maxs = merged
+        groups, totals, qff, fact_mins, fact_maxs = merged
         sources, matrix_type = self.sources, self.matrix_type
         d = len(sources)
-        width = len(self.fact_positions)
-        if not groups:
+        if not len(groups):
             return SummaryStatistics.zeros(d, matrix_type)
-        tuples = list(groups)
-        counts = np.array([groups[keys][0] for keys in tuples], dtype=float)
-        sums = np.array(
-            [groups[keys][1:] for keys in tuples], dtype=float
-        ).reshape(len(tuples), width)
-        value_columns = _tuple_value_columns(tuples, sources, self.dim_values)
+        # Contiguous, as the dot products below have always read them.
+        counts = np.ascontiguousarray(totals[:, 0])
+        sums = np.ascontiguousarray(totals[:, 1:])
+        value_columns = self._value_columns(groups)
         n = float(counts.sum())
         L = np.zeros(d)
         Q = np.zeros((d, d))
         mins = np.full(d, np.inf)
         maxs = np.full(d, -np.inf)
-        nonempty = counts > 0
         for position, source in enumerate(sources):
             if source[0] == "fact":
                 fact_index = source[1]
@@ -313,9 +299,8 @@ class SummaryFold(StarFold):
             else:
                 column = value_columns[position]
                 L[position] = float(counts @ column)
-                if nonempty.any():
-                    mins[position] = float(np.min(column[nonempty]))
-                    maxs[position] = float(np.max(column[nonempty]))
+                mins[position] = float(np.min(column))
+                maxs[position] = float(np.max(column))
         pair_totals = {
             (fact_a, fact_b): qff[index]
             for index, (fact_a, fact_b) in enumerate(self.pairs)
@@ -352,26 +337,18 @@ class SummaryFold(StarFold):
             n=n, L=L, Q=Q, matrix_type=matrix_type, mins=mins, maxs=maxs
         )
 
-
-def _tuple_value_columns(
-    tuples: "list[tuple]",
-    sources: Sequence["tuple"],
-    dim_values: Sequence[dict],
-) -> "dict[int, np.ndarray]":
-    """Per-tuple value column for every non-fact argument source."""
-    columns: "dict[int, np.ndarray]" = {}
-    count = len(tuples)
-    for position, source in enumerate(sources):
-        if source[0] == "const":
-            columns[position] = np.full(count, float(source[1]))
-        elif source[0] == "dim":
-            _kind, dim_index, feature_index = source
-            values = dim_values[dim_index]
-            columns[position] = np.array(
-                [values[keys[dim_index]][feature_index] for keys in tuples],
-                dtype=float,
-            )
-    return columns
+    def _value_columns(self, groups: np.ndarray) -> "dict[int, np.ndarray]":
+        """Per-FK-tuple value column for every non-fact argument source."""
+        columns: "dict[int, np.ndarray]" = {}
+        for position, source in enumerate(self.sources):
+            if source[0] == "const":
+                columns[position] = np.full(len(groups), float(source[1]))
+            elif source[0] == "dim":
+                _kind, arm, feature = source
+                columns[position] = self.arms[arm].features[
+                    groups[:, arm], feature
+                ]
+        return columns
 
 
 class BuiltinFold(StarFold):
@@ -388,7 +365,6 @@ class BuiltinFold(StarFold):
     ) -> None:
         super().__init__(plan, arms, udf)
         self.specs = plan.builtin_shapes
-        self.dim_raw = [arm.raw for arm in arms]
         self.positions = (
             *self.key_positions,
             *(
@@ -403,16 +379,16 @@ class BuiltinFold(StarFold):
     def _empty(self) -> list:
         return [0 if spec[0] == "count_star" else [None, 0] for spec in self.specs]
 
-    def fold(self, rows: Iterable[Sequence[Any]]) -> "tuple[int, list]":
-        key_positions, dim_maps = self.key_positions, self.dim_maps
-        dim_raw, specs = self.dim_raw, self.specs
-        matched = 0
+    def fold(self, rows: Iterable[Sequence[Any]]) -> list:
+        key_positions, arms, specs = self.key_positions, self.arms, self.specs
         states = self._empty()
         for row in rows:
-            keys = _match_keys(row, key_positions, dim_maps)
-            if keys is None:
+            keys = [
+                arm.codes.get(row[position])
+                for position, arm in zip(key_positions, arms)
+            ]
+            if None in keys:
                 continue
-            matched += 1
             for index, spec in enumerate(specs):
                 if spec[0] == "count_star":
                     states[index] += 1
@@ -422,7 +398,7 @@ class BuiltinFold(StarFold):
                     if term[0] == "fact":
                         value = row[term[1]]
                     elif term[0] == "dim":
-                        value = dim_raw[term[1]][keys[term[1]]][term[2]]
+                        value = arms[term[1]].raw[keys[term[1]]][term[2]]
                     else:
                         value = term[1]
                     if value is None:
@@ -433,14 +409,12 @@ class BuiltinFold(StarFold):
                     state = states[index]
                     state[0] = product if state[0] is None else state[0] + product
                     state[1] += 1
-        return matched, states
+        return states
 
-    def merge(self, parts: Sequence["tuple[int, list]"]) -> "tuple[int, list]":
+    def merge(self, parts: Sequence[list]) -> list:
         specs = self.specs
-        matched = 0
         states = self._empty()
-        for part_matched, part_states in parts:
-            matched += part_matched
+        for part_states in parts:
             for index, spec in enumerate(specs):
                 if spec[0] == "count_star":
                     states[index] += part_states[index]
@@ -450,13 +424,12 @@ class BuiltinFold(StarFold):
                     state = states[index]
                     state[0] = total if state[0] is None else state[0] + total
                     state[1] += contributed
-        return matched, states
+        return states
 
-    def finish(self, merged: "tuple[int, list]") -> "list[Any]":
-        _matched, states = merged
+    def finish(self, merged: list) -> "list[Any]":
         return [
             state if spec[0] == "count_star" else state[0]
-            for spec, state in zip(self.specs, states)
+            for spec, state in zip(self.specs, merged)
         ]
 
 
@@ -474,16 +447,38 @@ def _arm_columns(
     return positions, [sources[position][2] for position in positions]
 
 
+def _key_tables(
+    sources: Sequence["tuple"],
+    dim_features: Sequence[np.ndarray],
+    centers: np.ndarray,
+    variances: "np.ndarray | None" = None,
+) -> "list[np.ndarray]":
+    """Per arm, the ``(keys × k)`` table of each key's Σ (feature −
+    center)² (over the variance, for EM) across the argument positions
+    that read the arm; rows in code order."""
+    tables = []
+    for arm, features in enumerate(dim_features):
+        positions, feature_order = _arm_columns(sources, arm)
+        terms = (
+            features[:, None, feature_order] - centers[None, :, positions]
+        ) ** 2
+        if variances is not None:
+            terms = terms / variances[None, :, positions]
+        tables.append(terms.sum(axis=2))
+    return tables
+
+
 def prepare_kmeans_tables(
     centroids: np.ndarray,
     sources: Sequence["tuple"],
-    dim_values: Sequence[dict],
+    dim_features: Sequence[np.ndarray],
 ) -> "dict":
     """Per-dimension partial squared distances, per Rk-means.
 
     ``dist²(x, c_j) = Σ_fact (x_b − c_jb)² + Σ_dim table_i[key][j] +
     base[j]`` — the dimension terms depend only on the FK, so they are
-    precomputed once per dimension *key* instead of once per fact row.
+    precomputed once per dimension *key* (a ``(keys × k)`` table per
+    arm, rows in code order) instead of once per fact row.
     """
     centroids = np.asarray(centroids, dtype=float)
     k = centroids.shape[0]
@@ -494,23 +489,12 @@ def prepare_kmeans_tables(
     for position, source in enumerate(sources):
         if source[0] == "const":
             base += (float(source[1]) - centroids[:, position]) ** 2
-    dim_tables: "list[dict]" = []
-    for dim_index, values in enumerate(dim_values):
-        positions, feature_order = _arm_columns(sources, dim_index)
-        sub_centroids = centroids[:, positions]  # (k, F_i)
-        table: dict = {}
-        for key, vector in values.items():
-            features = vector[feature_order]
-            table[key] = ((features[None, :] - sub_centroids) ** 2).sum(
-                axis=1
-            )
-        dim_tables.append(table)
     return {
         "kind": "kmeans",
         "k": k,
         "fact_centers": centroids[:, fact_positions],
         "base": base,
-        "dim_tables": dim_tables,
+        "dim_tables": _key_tables(sources, dim_features, centroids),
     }
 
 
@@ -519,7 +503,7 @@ def prepare_em_tables(
     variances: np.ndarray,
     weights: np.ndarray,
     sources: Sequence["tuple"],
-    dim_values: Sequence[dict],
+    dim_features: Sequence[np.ndarray],
 ) -> "dict":
     """EM analogue: per-key Mahalanobis partials + per-component bias.
 
@@ -544,149 +528,109 @@ def prepare_em_tables(
                 (float(source[1]) - means[:, position]) ** 2
                 / variances[:, position]
             )
-    dim_tables: "list[dict]" = []
-    for dim_index, values in enumerate(dim_values):
-        positions, feature_order = _arm_columns(sources, dim_index)
-        sub_means = means[:, positions]
-        sub_variances = variances[:, positions]
-        table: dict = {}
-        for key, vector in values.items():
-            features = vector[feature_order]
-            table[key] = (
-                (features[None, :] - sub_means) ** 2 / sub_variances
-            ).sum(axis=1)
-        dim_tables.append(table)
     return {
         "kind": "em",
         "k": k,
         "fact_means": means[:, fact_positions],
         "fact_variances": variances[:, fact_positions],
         "bias": bias,
-        "dim_tables": dim_tables,
+        "dim_tables": _key_tables(sources, dim_features, means, variances),
     }
 
 
 class FusedFold(StarFold):
     """One fused clustering iteration (k-means or EM) over the star.
 
-    A partition folds into ``(matched, counts, linear_fact,
-    quadratic_fact, assignment_maps, extra)`` where
-    ``assignment_maps[i]`` maps each dimension-i key to its per-cluster
-    row count (k-means) or summed responsibilities (EM) — the weights
-    that later scale the dimension vectors into the per-cluster
-    (N, L, Q) partials.
+    A partition folds into ``(counts, linear_fact, quadratic_fact,
+    weights, extra)`` where ``weights[i]`` is ``(codes, matrix)``: each
+    dimension-i key the partition's rows joined, in first-appearance
+    order, with its per-cluster row count (k-means) or summed
+    responsibilities (EM) — the weights that later scale the dimension
+    vectors into the per-cluster (N, L, Q) partials.  Every sum adds
+    rows in scan order.
     """
 
     shape = "fused"
+    reads_block = True
 
     def __init__(
         self, plan: Any, arms: Sequence[DimensionMap], udf: Any
     ) -> None:
         super().__init__(plan, arms, udf)
-        self.tables = udf.factorized_tables(self.sources, self.dim_values)
+        self.tables = udf.factorized_tables(
+            self.sources, [arm.features for arm in arms]
+        )
 
-    def fold(self, rows: Iterable[Sequence[Any]]) -> "tuple":
-        key_positions, dim_maps = self.key_positions, self.dim_maps
-        fact_positions, tables = self.fact_positions, self.tables
-        k = tables["k"]
-        width = len(fact_positions)
-        counts = np.zeros(k)
-        linear = np.zeros((k, width))
-        quadratic = np.zeros((k, width))
-        assignment_maps: "list[dict]" = [dict() for _ in dim_maps]
-        dim_tables = tables["dim_tables"]
-        kmeans = tables["kind"] == "kmeans"
-        extra = 0.0
-        matched = 0
-        for row in rows:
-            keys = _match_keys(row, key_positions, dim_maps)
-            if keys is None:
-                continue
-            matched += 1
-            if _any_null_feature(keys, dim_maps):
-                continue
-            raw = [row[position] for position in fact_positions]
-            if any(value is None for value in raw):
-                continue
-            x = np.array(raw, dtype=float)
-            if kmeans:
-                distances = tables["base"] + (
-                    (x[None, :] - tables["fact_centers"]) ** 2
-                ).sum(axis=1)
-                for dim_index, key in enumerate(keys):
-                    distances = distances + dim_tables[dim_index][key]
-                cluster = int(np.argmin(distances))
-                counts[cluster] += 1.0
-                linear[cluster] += x
-                quadratic[cluster] += x * x
-                for dim_index, key in enumerate(keys):
-                    weights = assignment_maps[dim_index].get(key)
-                    if weights is None:
-                        weights = np.zeros(k)
-                        assignment_maps[dim_index][key] = weights
-                    weights[cluster] += 1.0
-            else:
-                quad = (
-                    (x[None, :] - tables["fact_means"]) ** 2
-                    / tables["fact_variances"]
-                ).sum(axis=1)
-                for dim_index, key in enumerate(keys):
-                    quad = quad + dim_tables[dim_index][key]
-                log_prob = tables["bias"] - 0.5 * quad
-                peak = float(log_prob.max())
-                log_norm = peak + math.log(
-                    float(np.exp(log_prob - peak).sum())
-                )
-                responsibility = np.exp(log_prob - log_norm)
-                extra += log_norm
-                counts += responsibility
-                linear += responsibility[:, None] * x[None, :]
-                quadratic += responsibility[:, None] * (x * x)[None, :]
-                for dim_index, key in enumerate(keys):
-                    weights = assignment_maps[dim_index].get(key)
-                    if weights is None:
-                        weights = np.zeros(k)
-                        assignment_maps[dim_index][key] = weights
-                    weights += responsibility
-        return matched, counts, linear, quadratic, assignment_maps, extra
+    def fold(self, partition: Any, block: np.ndarray) -> "tuple":
+        codes, X = self._joined(partition, block)
+        tables = self.tables
+        k, width = tables["k"], X.shape[1]
+        if tables["kind"] == "kmeans":
+            distances = tables["base"] + (
+                (X[:, None, :] - tables["fact_centers"]) ** 2
+            ).sum(axis=2)
+            for arm, table in enumerate(tables["dim_tables"]):
+                distances = distances + table[codes[:, arm]]
+            labels = distances.argmin(axis=1)
+            firsts, sums = keyed_fold(
+                labels, np.column_stack([np.ones(len(X)), X, X * X])
+            )
+            per_cluster = np.zeros((k, 1 + 2 * width))
+            per_cluster[labels[firsts]] = sums
+            counts, linear, quadratic = np.split(per_cluster, [1, 1 + width], 1)
+            counts = counts[:, 0]
+            responsibility = np.eye(k)[labels]
+            extra = 0.0
+        else:
+            quad = (
+                (X[:, None, :] - tables["fact_means"]) ** 2
+                / tables["fact_variances"]
+            ).sum(axis=2)
+            for arm, table in enumerate(tables["dim_tables"]):
+                quad = quad + table[codes[:, arm]]
+            log_prob = tables["bias"] - 0.5 * quad
+            peak = log_prob.max(axis=1)
+            totals = np.exp(log_prob - peak[:, None]).sum(axis=1)
+            # libm's log, as the row reference takes it: numpy's own log
+            # differs from it in the last bit on a few values.
+            log_norm = peak + np.fromiter(
+                map(math.log, totals.tolist()), float, len(totals)
+            )
+            responsibility = np.exp(log_prob - log_norm[:, None])
+            extra = float(running_sum(log_norm))
+            counts = running_sum(responsibility)
+            linear = running_sum(responsibility[:, :, None] * X[:, None, :])
+            quadratic = running_sum(
+                responsibility[:, :, None] * (X * X)[:, None, :]
+            )
+        weights = []
+        for arm in range(len(self.arms)):
+            firsts, matrix = keyed_fold(codes[:, arm], responsibility)
+            weights.append((codes[firsts, arm], matrix))
+        return counts, linear, quadratic, weights, extra
 
     def merge(self, parts: Sequence["tuple"]) -> "tuple":
-        k, width = self.tables["k"], len(self.fact_positions)
-        dim_count = len(self.dim_maps)
-        matched = 0
-        counts = np.zeros(k)
-        linear = np.zeros((k, width))
-        quadratic = np.zeros((k, width))
-        assignment_maps: "list[dict]" = [dict() for _ in range(dim_count)]
-        extra = 0.0
-        for part in parts:
-            (
-                part_matched,
-                part_counts,
-                part_linear,
-                part_quadratic,
-                part_maps,
-                part_extra,
-            ) = part
-            matched += part_matched
-            counts += part_counts
-            linear += part_linear
-            quadratic += part_quadratic
-            extra += part_extra
-            for dim_index in range(dim_count):
-                target = assignment_maps[dim_index]
-                for key, weights in part_maps[dim_index].items():
-                    existing = target.get(key)
-                    if existing is None:
-                        target[key] = weights.copy()
-                    else:
-                        existing += weights
-        return matched, counts, linear, quadratic, assignment_maps, extra
+        parts = parts or [self._no_rows()]
+        counts, linear, quadratic, weights, extra = zip(*parts)
+        merged = []
+        for arm in range(len(self.arms)):
+            codes = np.concatenate([part[arm][0] for part in weights])
+            firsts, matrix = keyed_fold(
+                codes, np.concatenate([part[arm][1] for part in weights])
+            )
+            merged.append((codes[firsts], matrix))
+        return (
+            running_sum(np.stack(counts)),
+            running_sum(np.stack(linear)),
+            running_sum(np.stack(quadratic)),
+            merged,
+            float(running_sum(np.array(extra))),
+        )
 
     def finish(self, merged: "tuple") -> "list[Any]":
         """Full per-cluster (N, L, Q-diagonal) from the fused partials,
         as the UDF's finished state."""
-        _matched, counts, linear_fact, quadratic_fact, maps, extra = merged
+        counts, linear_fact, quadratic_fact, weights, extra = merged
         sources, k = self.sources, self.tables["k"]
         d = len(sources)
         linear = np.zeros((k, d))
@@ -701,19 +645,11 @@ class FusedFold(StarFold):
                 value = float(source[1])
                 linear[:, position] = counts * value
                 quadratic[:, position] = counts * value * value
-        for dim_index, values in enumerate(self.dim_values):
-            positions, feature_order = _arm_columns(sources, dim_index)
-            if not positions:
+        for arm, (codes, weight_matrix) in enumerate(weights):
+            positions, feature_order = _arm_columns(sources, arm)
+            if not positions or not len(codes):
                 continue
-            keys = list(maps[dim_index])
-            if not keys:
-                continue
-            weight_matrix = np.stack(
-                [maps[dim_index][key] for key in keys]
-            )  # (#keys, k)
-            feature_matrix = np.stack(
-                [values[key][feature_order] for key in keys]
-            )  # (#keys, F_i)
+            feature_matrix = self.arms[arm].features[codes][:, feature_order]
             linear[:, positions] += weight_matrix.T @ feature_matrix
             quadratic[:, positions] += weight_matrix.T @ (
                 feature_matrix * feature_matrix

@@ -16,7 +16,7 @@ aggregate UDF per algorithm**:
   partition task takes its cached numpy block, computes
   nearest-centroid assignments with the same batched kernel arithmetic
   as ``kmeansdistance``/``clusterscore``, and accumulates per-cluster
-  ``(N_j, L_j, Q_j)`` by slicing the block per cluster — exactly the
+  ``(N_j, L_j, Q_j)`` over one row segment per cluster — exactly the
   arithmetic the GROUP BY nLQ path performs, so the resulting model is
   bit-identical given identical assignments.
 * :class:`EmIterUdf` — ``emiter(d, x1, ..., xd)``.  Same shape for EM:
@@ -55,6 +55,7 @@ from repro.core.models.em_mixture import GaussianMixtureModel
 from repro.core.packing import SECTION_SEPARATOR, pack_summary, unpack_summary
 from repro.core.scoring.udfs import squared_distance_block
 from repro.core.summary import MatrixType, SummaryStatistics, weighted_sums
+from repro.dbms.blocks import keyed_fold
 from repro.dbms.database import Database
 from repro.dbms.udf import AggregateUdf, RowCost
 from repro.errors import UdfArgumentError
@@ -181,7 +182,7 @@ class _FusedIterUdf(AggregateUdf):
         self._observed_d = self.d
 
     def factorized_tables(
-        self, sources: Sequence[Any], dim_values: Sequence[dict]
+        self, sources: Sequence[Any], dim_features: Sequence[np.ndarray]
     ) -> dict:
         """Precomputed per-dimension-key partial tables (Rk-means)."""
         raise NotImplementedError  # pragma: no cover - subclasses override
@@ -233,7 +234,7 @@ class KMeansIterUdf(_FusedIterUdf):
     ``accumulate_block`` replays the exact kernel arithmetic of the
     GROUP BY reference route — ``kmeansdistance``'s per-dimension
     ``diff * diff`` accumulation, ``clusterscore``'s 1-based arg-min —
-    and then the GROUP BY nLQ path's per-cluster masked-slice sums, so
+    and then the GROUP BY nLQ path's per-cluster keyed-fold sums, so
     fused and GROUP BY iterations produce bit-identical summaries.
     """
 
@@ -274,18 +275,17 @@ class KMeansIterUdf(_FusedIterUdf):
         distances = np.empty((X.shape[0], state.k))
         for j in range(state.k):
             distances[:, j] = squared_distance_block(X, centroids[j])
-        labels = np.argmin(distances, axis=1) + 1
-        for j in range(1, state.k + 1):
-            # A plain gather, which numpy returns row-major: axis-0 sums
-            # over it add rows in order, the row-path GROUP BY arithmetic
-            # the GROUP BY reference runs.  take_rows would switch these
-            # sums to pairwise and break that bit-identity.
-            members = X[labels == j]
-            if not members.shape[0]:
-                continue
-            state.counts[j - 1] += float(members.shape[0])
-            state.linear[j - 1] += members.sum(axis=0)
-            state.quadratic[j - 1] += (members * members).sum(axis=0)
+        labels = np.argmin(distances, axis=1)
+        state.counts += np.bincount(labels, minlength=state.k)
+        # Each cluster's rows are one row-major segment: axis-0 sums over
+        # it add rows in order, the row-path GROUP BY arithmetic the GROUP
+        # BY reference runs.  Lane-major segments would sum pairwise.
+        firsts, folded = keyed_fold(
+            labels, X, lambda rows: (rows.sum(axis=0), (rows * rows).sum(axis=0))
+        )
+        for j, (linear, quadratic) in zip(labels[firsts].tolist(), folded):
+            state.linear[j] += linear
+            state.quadratic[j] += quadratic
         return state
 
     def accumulate(self, state: _FusedState, args: Sequence[Any]) -> _FusedState:
@@ -320,11 +320,11 @@ class KMeansIterUdf(_FusedIterUdf):
         )
 
     def factorized_tables(
-        self, sources: Sequence[Any], dim_values: Sequence[dict]
+        self, sources: Sequence[Any], dim_features: Sequence[np.ndarray]
     ) -> dict:
         self._check_factorized_sources(sources)
         return factorized_math.prepare_kmeans_tables(
-            self._centroids, sources, dim_values
+            self._centroids, sources, dim_features
         )
 
 
@@ -410,12 +410,12 @@ class EmIterUdf(_FusedIterUdf):
         )
 
     def factorized_tables(
-        self, sources: Sequence[Any], dim_values: Sequence[dict]
+        self, sources: Sequence[Any], dim_features: Sequence[np.ndarray]
     ) -> dict:
         self._check_factorized_sources(sources)
         model = self._model
         return factorized_math.prepare_em_tables(
-            model.means, model.variances, model.weights, sources, dim_values
+            model.means, model.variances, model.weights, sources, dim_features
         )
 
 

@@ -61,6 +61,71 @@ def drop_null_rows(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def key_codes(columns: "Sequence[np.ndarray]") -> np.ndarray:
+    """One integer code per row of the key *columns*, equal exactly when
+    every column's value is: ``-0.0`` and ``0.0`` are one key and every
+    NaN (NULL) is one more."""
+    codes = None
+    for column in columns:
+        distinct, more = np.unique(column, return_inverse=True)
+        if codes is not None:  # both below the row count: no overflow
+            more = np.unique(codes * len(distinct) + more, return_inverse=True)[1]
+        codes = more
+    return codes
+
+
+def running_sum(values: np.ndarray) -> np.ndarray:
+    """*values* summed over axis 0 a row at a time in scan order from
+    0.0 — the association (and sign of zero) of a ``total += row`` loop,
+    which ``sum`` does not promise."""
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    return np.cumsum(values, axis=0)[-1] + 0.0
+
+
+def keyed_fold(
+    codes: np.ndarray,
+    rows: Any,
+    kernel: "Callable[[Any], Any] | None" = None,
+    lane_major: bool = False,
+) -> "tuple[np.ndarray, Any]":
+    """Fold each key's rows with *kernel*: one stable argsort of the
+    per-row integer *codes* makes a key's rows one contiguous segment in
+    scan order — a row-major slice of ``rows[order]``, or with
+    *lane_major* a :class:`ScanBlock`'s ``rows.take`` of them.
+
+    Returns ``(firsts, folded)``, keys in first-appearance order:
+    ``firsts[i]`` is key *i*'s first row (its first-seen value) and
+    ``folded[i]`` its segment's kernel result.  Without a *kernel*,
+    *folded* is the ``(keys, ...)`` array of each segment's
+    :func:`running_sum`: one call per segment when segments are few,
+    else one vector add per rank (every segment's r-th row at once).
+    """
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[len(codes) > 0, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], len(codes)]
+    appearance = np.argsort(order[starts])
+    starts, stops = starts[appearance], stops[appearance]
+    bounds = list(zip(starts.tolist(), stops.tolist()))
+    if lane_major:
+        return order[starts], [kernel(rows.take(order[a:b])) for a, b in bounds]
+    gathered = rows[order]
+    if kernel is not None:
+        return order[starts], [kernel(gathered[a:b]) for a, b in bounds]
+    sums = np.zeros((len(bounds), *gathered.shape[1:]))
+    lengths = stops - starts
+    longest = lengths.max(initial=0)
+    if len(bounds) <= longest:
+        for index, (a, b) in enumerate(bounds):
+            sums[index] = running_sum(gathered[a:b])
+    else:
+        for rank in range(longest):
+            live = lengths > rank
+            sums[live] += gathered[starts[live] + rank]
+    return order[starts], sums
+
+
 class BlockFacts:
     """What folds have learned about one block, kept by whoever keeps
     the block (a partition's block cache holds one per entry and drops

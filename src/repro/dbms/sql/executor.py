@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core import factorized as fcore
-from repro.dbms.blocks import ScanBlock, take_rows
+from repro.dbms.blocks import ScanBlock, key_codes, keyed_fold, take_rows
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import CostModel, Work, record_aggregate
 from repro.dbms.engine import PartitionEngine
@@ -286,7 +286,8 @@ def _fold_rows_into(
     for row in rows:
         if where_fn is not None and where_fn(row) is not True:
             continue
-        key = tuple(fn(row) for fn in group_fns)
+        # NaN is the NULL group, as on the block path (v != v tests NaN).
+        key = tuple(None if v != v else v for v in [f(row) for f in group_fns])
         states = local.get(key)
         if states is None:
             states = [spec.initialize() for spec in aggregates]
@@ -304,42 +305,30 @@ def _fold_vector_block(
     int_keys: Sequence[bool],
 ) -> dict[tuple, list[Any]]:
     """Fold one partition's column block into per-group partial states
-    — the vector-path counterpart of :func:`_fold_rows_into`.
-
-    Group keys must be the row path's: a NaN key is the one NULL group,
-    and a key is an ``int`` exactly when its expression is integer-typed
-    (*int_keys*, inferred once per expression at plan time) — a FLOAT
-    key ``1.0`` stays a float.  The NULL test is one ``isnan().any()``
-    per key array; only a block that holds a NULL key pays per value.
+    — the vector-path counterpart of :func:`_fold_rows_into`: one
+    :func:`~repro.dbms.blocks.keyed_fold` over the key codes.  Keys are
+    the row path's: NaN is the one NULL group, ``-0.0`` and ``0.0`` one
+    group keyed by the value seen first, and a key is an ``int`` exactly
+    when its expression is integer-typed (*int_keys*, from plan time).
     """
-
-    def fold(sub: ScanBlock) -> list[Any]:
-        return [
-            spec.accumulate_vector(spec.initialize(), sub)
-            for spec in aggregates
-        ]
 
     if not group_vector_fns:
         return {(): [spec.fold_block(block) for spec in aggregates]}
-    key_columns = []
-    for fn, integer in zip(group_vector_fns, int_keys):
-        array = fn(block.array)
-        values = array.tolist()
-        if np.isnan(array).any():
-            # v != v is the NaN test; NaN carried NULL.
-            values = [
-                None if v != v else int(v) if integer else v for v in values
-            ]
-        elif integer:
-            values = [int(v) for v in values]
-        key_columns.append(values)
-    index_map: dict[tuple, list[int]] = {}
-    for row_index, key in enumerate(zip(*key_columns)):
-        index_map.setdefault(key, []).append(row_index)
-    return {
-        key: fold(block.take(np.asarray(row_indices)))
-        for key, row_indices in index_map.items()
-    }
+    arrays = [fn(block.array) for fn in group_vector_fns]
+    firsts, folded = keyed_fold(
+        key_codes(arrays),
+        block,
+        lambda sub: [spec.accumulate_vector(spec.initialize(), sub)
+                     for spec in aggregates],
+        lane_major=True,
+    )
+    # v != v is the NaN test; NaN carried NULL.
+    columns = [
+        [None if v != v else int(v) if integer else v
+         for v in array[firsts].tolist()]
+        for array, integer in zip(arrays, int_keys)
+    ]
+    return dict(zip(zip(*columns), folded))
 
 
 def _fold_statements(
@@ -418,11 +407,15 @@ def _project_block(
 
 
 def _fold_star(
-    fold: Callable[[list], Any], source: Any, rows: "list[tuple]", blocks: list
+    fold: Any, source: Any, rows: "list[tuple] | None", blocks: list
 ) -> tuple[Any, int, bool]:
     """Factorized fold body: one star fold (dimension or fact side,
-    :mod:`repro.core.factorized`) over one partition's *rows*."""
-    return fold(rows), len(rows), bool(rows)
+    :mod:`repro.core.factorized`) over one partition's *rows*, or over
+    its fact block and lanes for a fold that ``reads_block``."""
+    if blocks:
+        (read,) = blocks
+        return fold.fold(source, read.array), len(read.array), True
+    return fold.fold(rows), len(rows), bool(rows)
 
 
 class _BatchStatement:
@@ -1619,7 +1612,7 @@ class Executor:
                 if span is not None:
                     span.attributes["table"] = table.name
                     span.attributes["rows"] = table.row_count
-                    span.attributes["keys"] = len(arm.values)
+                    span.attributes["keys"] = len(arm.codes)
             arms.append(arm)
 
         with self.tracer.span("aggregate") as strategy_span:
@@ -1661,13 +1654,17 @@ class Executor:
         fold: Any,
         sites: "tuple[tuple[str, str], ...]" = (),
     ) -> list[Any]:
-        """Fan a star *fold* out over *table*, each task reading only the
+        """Fan a star *fold* out over *table*, each task reading the fact
+        columns as a block (a fold that ``reads_block``) or only the
         lanes at ``fold.positions``; partials return in partition
         order."""
+        reads = (
+            _Reads(blocks=((tuple(fold.fact_positions), sites),))
+            if fold.reads_block
+            else _Reads(rows=(tuple(fold.positions), sites))
+        )
         return self._scan_partitions(
-            table,
-            _Reads(rows=(tuple(fold.positions), sites)),
-            functools.partial(_fold_star, fold.fold),
+            table, reads, functools.partial(_fold_star, fold)
         )
 
     def _accumulate_groups(self, stmt: "_BatchStatement") -> None:
