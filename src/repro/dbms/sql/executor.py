@@ -286,12 +286,16 @@ def _fold_rows_into(
     for row in rows:
         if where_fn is not None and where_fn(row) is not True:
             continue
-        # NaN is the NULL group, as on the block path (v != v tests NaN).
-        key = tuple(None if v != v else v for v in [f(row) for f in group_fns])
+        key = tuple([fn(row) for fn in group_fns])
         states = local.get(key)
         if states is None:
-            states = [spec.initialize() for spec in aggregates]
-            local[key] = states
+            # A NaN key (v != v) is the NULL group, as on the block path;
+            # it misses every lookup, so this is the one place to map it.
+            key = tuple([None if v != v else v for v in key])
+            states = local.get(key)
+            if states is None:
+                states = [spec.initialize() for spec in aggregates]
+                local[key] = states
         for index, spec in enumerate(aggregates):
             states[index] = spec.accumulate_row(states[index], row)
         folded += 1
