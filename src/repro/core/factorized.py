@@ -65,12 +65,9 @@ class FactorizedFallback(Exception):
 
 
 def valid_key(value: Any) -> bool:
-    """Can this value match a join key?  NULL and NaN never join."""
-    if value is None:
-        return False
-    if isinstance(value, float) and math.isnan(value):
-        return False
-    return True
+    """Can this value match a join key?  NULL and NaN (the one value
+    unequal to itself) never join."""
+    return value is not None and value == value
 
 
 # --------------------------------------------------------------- dim side
@@ -142,6 +139,17 @@ def arm_codes(values: Sequence[Any], arm: DimensionMap) -> np.ndarray:
     lookup = np.array([arm.codes.get(value, -1) for value in distinct], np.intp)
     rows = np.fromiter(map(distinct.__getitem__, values), np.intp, len(values))
     return lookup[rows]
+
+
+def _sum_by_key(
+    codes: np.ndarray, values: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each distinct row of *codes* (arm codes, one column per arm)
+    once, in first-appearance order, with its rows' *values* added in
+    scan order (:func:`~repro.dbms.blocks.keyed_fold`)."""
+    columns = codes.T if codes.ndim > 1 else [codes]
+    firsts, sums = keyed_fold(key_codes(columns), values)
+    return codes[firsts], sums
 
 
 def _first_extremes(
@@ -248,12 +256,8 @@ class SummaryFold(StarFold):
 
     def fold(self, partition: Any, block: np.ndarray) -> "tuple":
         codes, values = self._joined(partition, block)
-        firsts, totals = keyed_fold(
-            key_codes(codes.T), np.column_stack([np.ones(len(values)), values])
-        )
         return (
-            codes[firsts],
-            totals,
+            *_sum_by_key(codes, np.column_stack([np.ones(len(values)), values])),
             running_sum(values[:, self.pair_a] * values[:, self.pair_b]),
             *_first_extremes(values, values),
         )
@@ -261,11 +265,8 @@ class SummaryFold(StarFold):
     def merge(self, parts: Sequence["tuple"]) -> "tuple":
         parts = parts or [self._no_rows()]
         groups, totals, qffs, mins, maxs = zip(*parts)
-        groups = np.concatenate(groups)
-        firsts, totals = keyed_fold(key_codes(groups.T), np.concatenate(totals))
         return (
-            groups[firsts],
-            totals,
+            *_sum_by_key(np.concatenate(groups), np.concatenate(totals)),
             running_sum(np.stack(qffs)),
             *_first_extremes(np.stack(mins), np.stack(maxs)),
         )
@@ -603,10 +604,10 @@ class FusedFold(StarFold):
             quadratic = running_sum(
                 responsibility[:, :, None] * (X * X)[:, None, :]
             )
-        weights = []
-        for arm in range(len(self.arms)):
-            firsts, matrix = keyed_fold(codes[:, arm], responsibility)
-            weights.append((codes[firsts, arm], matrix))
+        weights = [
+            _sum_by_key(codes[:, arm], responsibility)
+            for arm in range(len(self.arms))
+        ]
         return counts, linear, quadratic, weights, extra
 
     def merge(self, parts: Sequence["tuple"]) -> "tuple":
@@ -614,11 +615,8 @@ class FusedFold(StarFold):
         counts, linear, quadratic, weights, extra = zip(*parts)
         merged = []
         for arm in range(len(self.arms)):
-            codes = np.concatenate([part[arm][0] for part in weights])
-            firsts, matrix = keyed_fold(
-                codes, np.concatenate([part[arm][1] for part in weights])
-            )
-            merged.append((codes[firsts], matrix))
+            codes, sums = zip(*(part[arm] for part in weights))
+            merged.append(_sum_by_key(np.concatenate(codes), np.concatenate(sums)))
         return (
             running_sum(np.stack(counts)),
             running_sum(np.stack(linear)),

@@ -107,22 +107,24 @@ def keyed_fold(
     stops = np.r_[starts[1:], len(codes)]
     appearance = np.argsort(order[starts])
     starts, stops = starts[appearance], stops[appearance]
-    bounds = list(zip(starts.tolist(), stops.tolist()))
+    bounds = zip(starts.tolist(), stops.tolist())
     if lane_major:
         return order[starts], [kernel(rows.take(order[a:b])) for a, b in bounds]
     gathered = rows[order]
     if kernel is not None:
         return order[starts], [kernel(gathered[a:b]) for a, b in bounds]
-    sums = np.zeros((len(bounds), *gathered.shape[1:]))
     lengths = stops - starts
     longest = lengths.max(initial=0)
-    if len(bounds) <= longest:
+    if len(starts) <= longest:
+        sums = np.zeros((len(starts), *gathered.shape[1:]))
         for index, (a, b) in enumerate(bounds):
             sums[index] = running_sum(gathered[a:b])
-    else:
-        for rank in range(longest):
-            live = lengths > rank
-            sums[live] += gathered[starts[live] + rank]
+        return order[starts], sums
+    sums = 0.0 + gathered[starts]
+    live = np.flatnonzero(lengths > 1)
+    for rank in range(1, longest):
+        live = live[lengths[live] > rank]
+        sums[live] += gathered[starts[live] + rank]
     return order[starts], sums
 
 

@@ -289,13 +289,10 @@ def _fold_rows_into(
         key = tuple([fn(row) for fn in group_fns])
         states = local.get(key)
         if states is None:
-            # A NaN key (v != v) is the NULL group, as on the block path;
-            # it misses every lookup, so this is the one place to map it.
+            # A NaN key (v != v) misses every lookup: it is the NULL group,
+            # as on the block path.
             key = tuple([None if v != v else v for v in key])
-            states = local.get(key)
-            if states is None:
-                states = [spec.initialize() for spec in aggregates]
-                local[key] = states
+            states = local.setdefault(key, [s.initialize() for s in aggregates])
         for index, spec in enumerate(aggregates):
             states[index] = spec.accumulate_row(states[index], row)
         folded += 1
