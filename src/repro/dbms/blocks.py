@@ -5,8 +5,8 @@ block is a ``(rows, lanes)`` matrix in Fortran order, so ``block[:, j]``
 is one contiguous lane and per-lane reductions (``sum``/``min``/``max``
 along axis 0, the NULL pre-test) stream memory instead of striding
 across rows.  Every producer builds its block with :func:`lane_block`
-and every row selection goes through :func:`take_rows`, so the layout
-holds from storage to kernel without a knob.
+and every block cut from it goes through :func:`take_rows`; only
+:func:`keyed_fold` cuts row-major segments, for kernels that add rows.
 """
 
 from __future__ import annotations
