@@ -15,7 +15,9 @@ reports how long ``open_durable`` took, how far it raised the process's
 peak resident set (``ru_maxrss``) and how many bytes a key the table's
 primary-key bookkeeping holds; then it closes that handle, keeps it
 referenced and reopens once more, as ``durable_ingest``'s crash check
-does, and reports the peak after both.  The wrappers look
+does, and reports the peak after both and how far the second reopen
+raised it over the first (a closed handle that still held its tables
+would show here).  The wrappers look
 functions up by name, so the same file runs against any commit since
 the columnar write path::
 
@@ -239,6 +241,8 @@ def recovery(rng: np.random.Generator) -> None:
           f"B/key (sys.getsizeof)")
     print(f"  reopen, first handle held {reopened['again_seconds']:8.2f} s, "
           f"ru_maxrss {again / 1024:.1f} MB")
+    print(f"  second reopen over first {(again - after) / 1024:9.1f} MB "
+          f"({again / after:.2f}x the first reopen's peak)")
 
 
 def main() -> None:

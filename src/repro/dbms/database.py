@@ -119,6 +119,10 @@ class _StatementCache:
                 self._entries.move_to_end(sql)
             return statements
 
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
     def put(self, sql: str, statements: "tuple[Statement, ...]") -> None:
         if not all(isinstance(s, (Select, Explain)) for s in statements):
             return
@@ -291,7 +295,11 @@ class Database:
         Close listeners (a :class:`~repro.serving.ServingServer`, for
         example) run first, so anything still executing through this
         database finishes or is rejected in a typed way before the pool
-        goes away.
+        goes away.  The data stays: the database remains usable, and its
+        next parallel statement starts a new pool.  A
+        :class:`~repro.dbms.wal.DurableDatabase` closes for good instead
+        — its tables let go of their rows, and further use raises
+        :class:`~repro.errors.RecoveryError`.
         """
         for listener in self._close_listeners:
             listener()

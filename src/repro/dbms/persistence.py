@@ -47,13 +47,13 @@ _NULL_SENTINEL = "\\N"
 #: version-1 snapshots (no escaping) still load.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
-#: rows of a table CSV decoded and inserted at a time on restore
-_RESTORE_CHUNK_ROWS = 65_536
-#: rows of a partition read into Python values at a time on save: a
-#: typed lane makes a fresh object per value it hands out, and a small
-#: chunk keeps those temporaries in memory the allocator already holds
-#: instead of a whole partition's worth of new pages per lane
-_WRITE_CHUNK_ROWS = 4_096
+#: rows held as Python values at a time, both ways: a save reads each
+#: partition this many rows at a time (a typed lane makes a fresh object
+#: per value it hands out), a restore decodes and inserts the CSV this
+#: many rows at a time.  A small chunk keeps those temporaries in memory
+#: the allocator already holds instead of a partition's or a file's
+#: worth of new pages beside the lanes
+_CHUNK_ROWS = 4_096
 
 
 def _encode_field(value: Any) -> Any:
@@ -278,8 +278,8 @@ def _write_table_csv(table, path: Path, fsync: bool = False) -> None:
             writer.writerow(table.schema.column_names)
             for partition in table.partitions:
                 count, width = partition.row_count, partition.width
-                for start in range(0, count, _WRITE_CHUNK_ROWS):
-                    stop = min(count, start + _WRITE_CHUNK_ROWS)
+                for start in range(0, count, _CHUNK_ROWS):
+                    stop = min(count, start + _CHUNK_ROWS)
                     columns = [
                         partition.values(position, start, stop)
                         for position in range(width)
@@ -311,7 +311,7 @@ def _read_table_csv(table, path: Path, escaped: bool = True) -> None:
             # is decoded a column at a time.  Routing is per row, so the
             # layout is the one a single insert of the file would give.
             types = [column.sql_type for column in table.schema.columns]
-            while chunk := list(islice(reader, _RESTORE_CHUNK_ROWS)):
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
                 if set(map(len, chunk)) != {len(types)}:
                     # A short or long row: insert_many commits the rows
                     # before it and raises its error.

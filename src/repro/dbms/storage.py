@@ -997,24 +997,43 @@ class Table:
         return values
 
     def numeric_matrix(self, columns: Sequence[str]) -> np.ndarray:
-        """All physical rows of the named numeric columns as a matrix."""
-        positions = [self.schema.position_of(name) for name in columns]
-        blocks = [
-            partition.numeric_matrix(positions)
-            for partition in self._partitions
-            if partition.row_count
-        ]
-        if not blocks:
-            return np.empty((0, len(columns)))
-        return np.vstack(blocks)
+        """All physical rows of the named numeric columns as one fresh
+        lane-major float matrix (NULL is NaN), partition by partition.
 
-    def truncate(self) -> None:
-        """Remove all rows, keeping the schema and partition layout."""
+        Each column is copied from its lanes straight into place — the
+        values and layout of :meth:`Partition.block`, stacked — so a
+        whole-table read neither fills the partitions' block caches nor
+        evicts from them, and holds no second copy while it stacks.
+        """
+        positions = [self.schema.position_of(name) for name in columns]
+        partitions = [(p, p.row_count) for p in self._partitions]
+        total = sum(rows for _, rows in partitions)
+        matrix = np.empty((total, len(positions)), order="F")
+        start = 0
+        for partition, rows in partitions:
+            stop = start + rows
+            for column, position in enumerate(positions):
+                matrix[start:stop, column] = partition.lanes[position].floats(
+                    0, rows
+                )
+            start = stop
+        return matrix
+
+    def release(self) -> None:
+        """Let go of every row and what was built from them — the
+        partitions' lanes, cached blocks and remembered partials, and the
+        key index — without a mutation: nothing is notified and the
+        version does not move.  The schema and partition count stay, so
+        the table reads as empty."""
         for partition in self._partitions:
             partition._invalidate_cache()
         self._partitions = self._fresh_partitions(len(self._partitions))
         self._key_index = _KeyIndex()
         self._next_partition = 0
+
+    def truncate(self) -> None:
+        """Remove all rows, keeping the schema and partition layout."""
+        self.release()
         self.version += 1
         self.data_version = self.version
         if self.mutation_listeners:

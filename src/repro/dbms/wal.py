@@ -50,6 +50,7 @@ identical (:func:`~repro.dbms.persistence.database_fingerprint`) to
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -393,6 +394,18 @@ class WriteAheadLog:
 
 
 # ------------------------------------------------------------------ database
+def _live_only(method: Any) -> Any:
+    """*method* of :class:`Database`, raising ``RecoveryError`` before it
+    runs when the durable session it is called on is closed or crashed."""
+
+    @functools.wraps(method)
+    def guarded(self: "DurableDatabase", *args: Any, **kwargs: Any) -> Any:
+        self._ensure_alive()
+        return method(self, *args, **kwargs)
+
+    return guarded
+
+
 class DurableDatabase(Database):
     """A :class:`~repro.dbms.database.Database` whose committed state
     survives process death.
@@ -419,6 +432,10 @@ class DurableDatabase(Database):
     optional), the in-memory state is poisoned, and every further
     statement raises :class:`~repro.errors.RecoveryError` until the
     directory is reopened.
+
+    :meth:`close` ends the session, crashed or not: the tables let go of
+    their rows, and every entry point raises
+    :class:`~repro.errors.RecoveryError` from then on.
     """
 
     def __init__(
@@ -447,6 +464,7 @@ class DurableDatabase(Database):
         self._commit_lock = threading.RLock()
         self._logging = False
         self._crashed = False
+        self._closed = False
         self._records_since_checkpoint = 0
         self._checkpoint_seq = 0
         self._wal: "WriteAheadLog | None" = None
@@ -684,7 +702,15 @@ class DurableDatabase(Database):
             except OSError:  # pragma: no cover - crash is best-effort
                 pass
 
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise RecoveryError(
+                "this durable session is closed; reopen the directory with "
+                "open_durable()"
+            )
+
     def _ensure_alive(self) -> None:
+        self._ensure_open()
         if self._crashed:
             raise RecoveryError(
                 "this durable session crashed; reopen the directory with "
@@ -779,12 +805,53 @@ class DurableDatabase(Database):
 
     # ---------------------------------------------------------------- close
     def close(self) -> None:
-        """fsync + close the WAL (unless crashed), then shut the engine
-        down.  A cleanly closed directory recovers with zero replay
-        loss even in ``fsync_mode="off"``."""
+        """End the session (idempotent): fsync + close the WAL unless
+        crashed, shut the engine down, then let go of the data — every
+        table's lanes, cached blocks, remembered partials and key index,
+        and the statement cache.  A cleanly closed directory recovers
+        with zero replay loss even in ``fsync_mode="off"``.
+
+        Unlike :meth:`Database.close`, which only releases the thread
+        pool and leaves the database usable, this is final: the
+        committed state lives in the directory, and a handle still
+        referenced must not keep a copy of it in memory while
+        :func:`open_durable` restores the directory again.  Every entry
+        point of a closed session raises
+        :class:`~repro.errors.RecoveryError`.  A crashed session's
+        tables stay readable until it is closed.
+        """
+        if self._closed:
+            return
         if self._wal is not None and not self._crashed:
             self._wal.close()
         super().close()
+        self._closed = True
+        for name in self.catalog.table_names():
+            self.catalog.table(name).release()
+        self._statements.clear()
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has ended this session."""
+        return self._closed
+
+    # Entry points of a closed or crashed session raise before they
+    # touch memory or the log.
+    execute = _live_only(Database.execute)
+    execute_batch = _live_only(Database.execute_batch)
+    execute_optimized = _live_only(Database.execute_optimized)
+    explain = _live_only(Database.explain)
+    explain_batch = _live_only(Database.explain_batch)
+    insert_rows = _live_only(Database.insert_rows)
+    load_columns = _live_only(Database.load_columns)
+    create_table = _live_only(Database.create_table)
+    drop_table = _live_only(Database.drop_table)
+
+    def table(self, name: str) -> Any:
+        """The named table; a crashed session's tables stay readable
+        until it is closed."""
+        self._ensure_open()
+        return super().table(name)
 
 
 def open_durable(

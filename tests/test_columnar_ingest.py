@@ -548,9 +548,9 @@ def test_chunked_restore_keeps_layout_and_fingerprint(tmp_path, monkeypatch):
         save_database(db, tmp_path / "snap")
         expected = database_fingerprint(db)
     whole = load_database(tmp_path / "snap", amps=4)
-    monkeypatch.setattr(persistence, "_RESTORE_CHUNK_ROWS", 10)
+    monkeypatch.setattr(persistence, "_CHUNK_ROWS", 10)
     chunked = load_database(tmp_path / "snap", amps=4)
-    assert persistence._RESTORE_CHUNK_ROWS <= 65_536
+    assert persistence._CHUNK_ROWS <= 65_536
     for name in ("keyed", "heap"):
         assert [
             _exact_rows(p.rows()) for p in chunked.table(name).partitions

@@ -24,7 +24,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.dbms import storage
+from repro.dbms import persistence, storage
 from repro.dbms.faults import NULL_FAULTS, FaultPlan
 from repro.dbms.schema import Column, TableSchema
 from repro.dbms.storage import Table, _KeyIndex, stable_key_hash
@@ -263,11 +263,11 @@ def test_batches_across_real_folds_find_every_repeat():
 
 
 def test_a_restored_key_column_costs_about_8_bytes_a_key():
-    """A restore inserts 65,536-row chunks of an int64 key column (after
-    it, WAL replay adds 500-row batches): the index is the int64 base
-    plus at most one fold's worth of recent keys, where a ``set`` of
-    ints held about 55 bytes a key."""
-    rows, chunk = 300_000, 65_536
+    """A restore inserts ``persistence._CHUNK_ROWS``-row chunks of an
+    int64 key column (after it, WAL replay adds 500-row batches): the
+    index is the int64 base plus at most one fold's worth of recent
+    keys, where a ``set`` of ints held about 55 bytes a key."""
+    rows, chunk = 300_000, persistence._CHUNK_ROWS
     keys = np.random.default_rng(3).permutation(rows + 20 * 500)
     tracemalloc.start()
     try:

@@ -108,7 +108,7 @@ class TestRoundTrip:
         key, its place in the partition the file's order)."""
         from repro.dbms import persistence
 
-        monkeypatch.setattr(persistence, "_WRITE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(persistence, "_CHUNK_ROWS", 7)
         db = Database(amps=3)
         db.execute(
             "CREATE TABLE t (i INTEGER PRIMARY KEY, v FLOAT, s VARCHAR)"
@@ -128,6 +128,64 @@ class TestRoundTrip:
             ]
 
         assert layout(restored) == layout(db)
+
+
+def _boundary_rows(count: int) -> list[tuple]:
+    """*count* rows holding NULLs, -0.0, NaN, INTEGERs past 2**53 and
+    VARCHARs the CSV must escape."""
+    texts = ["\\N", "a\\b", 'quote"d, comma', "line\nbreak", "", None]
+    return [
+        (
+            2**53 + 3 * j,
+            None if j % 7 == 0 else (-1) ** j * (2**53 + j),
+            None if j % 5 == 0 else -0.0 if j % 11 == 0
+            else float("nan") if j % 13 == 0 else j / 3.0,
+            texts[j % len(texts)] if j % 2 else f"t{j % 9}",
+        )
+        for j in range(count)
+    ]
+
+
+class TestChunkedRestore:
+    """A checkpoint CSV goes back ``_CHUNK_ROWS`` rows at a time; at
+    every chunk boundary the restore equals a one-chunk restore."""
+
+    SIZES = (0, 4_095, 4_096, 4_097, 3 * 4_096 + 1)
+
+    def test_chunk_boundaries_restore_like_one_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.dbms import persistence
+        from repro.dbms.persistence import database_fingerprint
+
+        assert persistence._CHUNK_ROWS == 4_096
+        db = Database(amps=3)
+        for count in self.SIZES:
+            for kind, key in (("keyed", " PRIMARY KEY"), ("heap", "")):
+                db.execute(
+                    f"CREATE TABLE {kind}{count} (i INTEGER{key}, "
+                    "n INTEGER, v FLOAT, s VARCHAR)"
+                )
+                db.insert_rows(f"{kind}{count}", _boundary_rows(count))
+        save_database(db, tmp_path / "snap")
+        expected = database_fingerprint(db)
+        chunked = load_database(tmp_path / "snap", amps=3)
+        monkeypatch.setattr(persistence, "_CHUNK_ROWS", 10**9)
+        whole = load_database(tmp_path / "snap", amps=3)
+
+        def layout(database, name):
+            table = database.table(name)
+            return table._next_partition, [
+                [tuple(map(repr, row)) for row in partition.rows()]
+                for partition in table.partitions
+            ]
+
+        for name in db.catalog.table_names():
+            assert layout(chunked, name) == layout(whole, name), name
+        assert database_fingerprint(chunked) == expected
+        assert database_fingerprint(whole) == expected
+        heap = chunked.table(f"heap{3 * 4_096 + 1}")
+        assert heap._next_partition == (3 * 4_096 + 1) % 3
 
 
 class TestErrors:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dbms.schema import Column, TableSchema, dataset_schema
-from repro.dbms.storage import Partition, Table
+from repro.dbms.storage import BLOCK_CACHE_CAPACITY, Partition, Table
 from repro.dbms.types import SqlType
 from repro.errors import ConstraintViolation, SchemaError
 
@@ -226,6 +226,89 @@ class TestBlockCache:
         block = partition.numeric_matrix([0, 1])
         assert np.isnan(block[1, 0]) and np.isnan(block[0, 1])
         assert block[2, 1] == 6.0
+
+
+class TestTableNumericMatrix:
+    """A whole-table read copies lanes straight into one matrix: the
+    bits and layout of the stacked partition blocks, without touching
+    any partition's block cache."""
+
+    def _table(self, rows=61, partitions=5):
+        schema = TableSchema(
+            (
+                Column("i", SqlType.INTEGER, False),
+                Column("n", SqlType.INTEGER, True),
+                Column("a", SqlType.FLOAT, True),
+                Column("b", SqlType.FLOAT, True),
+            ),
+            primary_key="i",
+        )
+        table = Table("t", schema, partitions=partitions)
+        table.insert_many([
+            (
+                j,
+                None if j % 7 == 0 else (-1) ** j * (2**53 + j),
+                None if j % 5 == 0 else -0.0 if j % 11 == 0 else j / 3.0,
+                float("nan") if j % 13 == 0 else 1e300 * j,
+            )
+            for j in range(rows)
+        ])
+        return table
+
+    @staticmethod
+    def _stacked(table, columns):
+        """What ``Table.numeric_matrix`` returned as a ``np.vstack``
+        of the partitions' blocks."""
+        positions = [table.schema.position_of(name) for name in columns]
+        blocks = [p.block(positions) for p in table.partitions if p.row_count]
+        if not blocks:
+            return np.empty((0, len(columns)))
+        return np.vstack(blocks)
+
+    @pytest.mark.parametrize(
+        "columns", [["i", "n", "a", "b"], ["b", "a"], ["n"], ["a", "a"]]
+    )
+    def test_bits_and_layout_of_the_stacked_blocks(self, columns):
+        table = self._table()
+        assert all(p.row_count for p in table.partitions)
+        matrix = table.numeric_matrix(columns)
+        stacked = self._stacked(table, columns)
+        assert matrix.shape == stacked.shape == (61, len(columns))
+        assert matrix.tobytes() == stacked.tobytes()
+        assert matrix.flags.f_contiguous == stacked.flags.f_contiguous
+        assert matrix.flags.f_contiguous and matrix.flags.writeable
+
+    def test_null_nan_and_negative_zero(self):
+        table = self._table()
+        ids, a, b = table.numeric_matrix(["i", "a", "b"]).T
+        assert np.isnan(a[ids % 5 == 0]).all()
+        assert not np.isnan(a[ids % 5 != 0]).any()
+        assert np.signbit(a[(ids % 11 == 0) & (ids % 5 != 0)]).all()
+        assert np.isnan(b[ids % 13 == 0]).all()
+
+    def test_empty_partitions_and_empty_table(self):
+        table = self._table(rows=3, partitions=8)
+        assert 0 in [p.row_count for p in table.partitions]
+        matrix = table.numeric_matrix(["a", "i"])
+        assert matrix.tobytes() == self._stacked(table, ["a", "i"]).tobytes()
+        empty = self._table(rows=0).numeric_matrix(["a", "b"])
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
+
+    def test_reads_no_cache_entry_and_inserts_none(self):
+        table = self._table()
+        warm = table.partitions[1]
+        blocks = [warm.numeric_matrix([p]) for p in range(4)]
+        blocks += [warm.numeric_matrix([2, 3]), warm.numeric_matrix([3, 2])]
+        blocks += [warm.numeric_matrix([0, 1]), warm.numeric_matrix([1, 2])]
+        assert len(warm._block_cache) == BLOCK_CACHE_CAPACITY
+        before = [list(p._block_cache) for p in table.partitions]
+        for columns in (["a", "b"], ["i", "n", "a"], ["b"]):
+            table.numeric_matrix(columns)
+        assert [list(p._block_cache) for p in table.partitions] == before
+        assert all(
+            warm.numeric_matrix(list(key)) is block
+            for key, block in zip(before[1], blocks)
+        )
 
 
 class TestAccessors:

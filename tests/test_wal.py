@@ -15,8 +15,10 @@ The *randomized* crash schedules live in the chaos suite
 (``tests/test_chaos.py``); this file pins every regime explicitly.
 """
 
+import gc
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -26,6 +28,8 @@ from repro.core.models.kmeans import KMeansModel
 from repro.dbms import open_durable
 from repro.dbms.faults import FaultPlan, FaultSpec
 from repro.dbms.persistence import database_fingerprint
+from repro.dbms.schema import Column, TableSchema
+from repro.dbms.types import SqlType
 from repro.dbms.wal import (
     MANIFEST_NAME,
     WAL_NAME,
@@ -440,6 +444,133 @@ class TestDurableLifecycle:
         assert database_fingerprint(recovered) == expected
         assert not recovered.catalog.has_table("gone")
         assert not recovered.catalog.has_view("v")
+        recovered.close()
+
+
+# --------------------------------------------------------- closed session
+_CLOSED = "session is closed"
+
+
+def _entry_points(db):
+    """Every way into a durable session, each called once."""
+    return {
+        "execute": lambda: db.execute("SELECT * FROM t"),
+        "execute (no table)": lambda: db.execute("SELECT 1"),
+        "execute_batch": lambda: db.execute_batch(
+            ["SELECT count(*) FROM t", "SELECT sum(x) FROM t"]
+        ),
+        "explain": lambda: db.explain("SELECT count(*) FROM t"),
+        "insert_rows": lambda: db.insert_rows("t", [(99, 9.9)]),
+        "load_columns": lambda: db.load_columns(
+            "t", {"id": np.arange(100, 103), "x": np.zeros(3)}
+        ),
+        "create_table": lambda: db.create_table(
+            "u", TableSchema((Column("id", SqlType.INTEGER),))
+        ),
+        "drop_table": lambda: db.drop_table("t"),
+        "checkpoint": db.checkpoint,
+        "table": lambda: db.table("t"),
+    }
+
+
+class TestClosedSession:
+    def _session(self, root):
+        db = open_durable(root, fsync_mode="always", amps=4)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x REAL)")
+        db.insert_rows("t", [(i, i / 4) for i in range(40)])
+        db.execute("SELECT sum(x) FROM t")  # fills a block cache
+        return db
+
+    def test_every_entry_point_says_closed(self, root):
+        """A cleanly closed session is closed, not crashed: each entry
+        point raises the same typed error, nothing reaches memory or the
+        log, and close stays idempotent."""
+        db = self._session(root)
+        expected = database_fingerprint(db)
+        held = db.table("t")
+        db.close()
+        assert db.closed and not db.crashed
+        for name, attempt in _entry_points(db).items():
+            with pytest.raises(RecoveryError, match=_CLOSED):
+                attempt()
+            assert not db.crashed, name
+        assert held.row_count == 0  # released, and nothing re-inserted
+        db.close()
+        recovered = open_durable(root)
+        assert database_fingerprint(recovered) == expected
+        assert not recovered.closed
+        recovered.close()
+
+    def test_close_after_crash_ends_the_session(self, root):
+        """A crashed session refuses work before it touches memory;
+        closing it is a quiet no-op on disk, and from then on the session
+        is closed like any other."""
+        db = self._session(root)
+        expected = database_fingerprint(db)
+        db.faults = FaultPlan([_crash_spec("wal.append")], seed=0)
+        with pytest.raises(SimulatedCrash):
+            db.insert_rows("t", [(40, 10.0)])
+        assert db.crashed
+        for name, attempt in _entry_points(db).items():
+            if name != "table":
+                with pytest.raises(RecoveryError, match="session crashed"):
+                    attempt()
+        # A crashed session's memory stays readable until it closes, and
+        # nothing reached it after the crash.
+        assert db.table("t").row_count == 41
+        db.close()
+        db.close()
+        for attempt in _entry_points(db).values():
+            with pytest.raises(RecoveryError, match=_CLOSED):
+                attempt()
+        recovered = open_durable(root)
+        assert database_fingerprint(recovered) == expected
+        recovered.close()
+
+    def test_close_releases_the_tables(self, root):
+        """A crashed handle that is closed but still referenced holds no
+        copy of the data while the directory is reopened."""
+        rows = 50_000
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            db = open_durable(root, fsync_mode="always", amps=8)
+            db.execute(
+                "CREATE TABLE ev (id INTEGER PRIMARY KEY, a REAL, b REAL, "
+                "tag VARCHAR)"
+            )
+            db.load_columns("ev", {
+                "id": np.arange(rows),
+                "a": rng.normal(size=rows),
+                "b": rng.normal(size=rows),
+                "tag": [f"t{j % 13}" for j in range(rows)],
+            })
+            db.execute("SELECT avg(a), avg(b) FROM ev")
+            warm = db.execute("SELECT avg(a), avg(b) FROM ev")
+            assert warm.metrics.block_cache_hits == 8
+            committed = database_fingerprint(db)
+            db.faults = FaultPlan([_crash_spec("wal.append")], seed=0)
+            try:
+                db.insert_rows("ev", [(rows, 1.0, 2.0, "lost")])
+            except SimulatedCrash:
+                pass
+            assert db.crashed
+            lane_bytes = sum(
+                lane._buffer.nbytes
+                for partition in db.table("ev").partitions
+                for lane in partition.lanes
+            )
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            db.close()
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lane_bytes > rows * 3 * 8
+        assert before - after >= lane_bytes
+        recovered = open_durable(root, amps=8)
+        assert database_fingerprint(recovered) == committed
         recovered.close()
 
 
